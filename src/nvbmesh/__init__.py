@@ -15,10 +15,11 @@ from .correspondence import (CorrMap, CorrespondenceError,
                              build_corr, build_corresponding_sequence,
                              corresponding_sequence, verify_corr)
 from .marking import RunConfig, RunResult, run_refinement
-from .mesh import (ConformityReport, Element, Mesh, MeshError, StructureFlags,
-                   classify_pair, edge_key, geometry, incidence_pairs, lshape6,
-                   reference_neighbor, restrict, same_mesh, square2,
-                   structure_flags, validate_mesh)
+from .mesh import (ConformityReport, Element, Mesh, MeshError,
+                   PrecisionExhausted, StructureFlags, classify_pair, edge_key,
+                   geometry, incidence_pairs, lshape6, reference_neighbor,
+                   restrict, same_mesh, square2, structure_flags,
+                   validate_mesh)
 from .meshio import read_mesh, write_mesh
 from .refine import (BisectionForest, MarkingInput, PatternPolicy,
                      RefinementPlan, StepRecord, UnsupportedRefinementError,
@@ -35,8 +36,9 @@ __all__ = [
     "BisectionForest", "ChainBoundsReport", "ClosureLedger", "ConformityReport",
     "CorrMap", "CorrespondenceError", "Element", "MarkingInput", "Mesh",
     "MeshError", "NodeWeights", "NumericFailure", "PatternPolicy",
-    "RefinementPlan", "RunConfig", "RunResult", "SparseSystem", "StructureReport",
-    "StabilityReport", "StepRecord", "StructureFlags",
+    "PrecisionExhausted", "RefinementPlan", "RunConfig", "RunResult",
+    "SparseSystem", "StructureReport", "StabilityReport", "StepRecord",
+    "StructureFlags",
     "UnsupportedRefinementError", "assemble", "assemble_nested",
     "build_corr", "build_corresponding_sequence", "chain", "check_conditions",
     "classify_pair", "close_marks", "closure_accounting", "compute_weights",

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import _geom
 from .mesh import (COMPATIBLY_DIVISIBLE, Mesh, classify_pair, reference_neighbor,
                    structure_flags)
@@ -114,16 +116,12 @@ def verify_levels(mesh: Mesh, initial: Mesh, nvb_dialect: bool = False) -> Struc
                 "level-jump bound 1 requested but initial mesh is not BDD; "
                 "checking the general bound 2")
 
-    max_jump = 0
-    bad_jump = []
-    for e, inc in mesh.edge_table.items():
-        if len(inc) != 2:
-            continue
-        d = abs(int(mesh.gen[inc[0]]) - int(mesh.gen[inc[1]]))
-        max_jump = max(max_jump, d)
-        if d > jump_bound:
-            bad_jump.append((inc[0], inc[1], d))
-    report.max_level_jump = max_jump
+    inner = mesh.edge_table.edge2elements
+    inner = inner[inner[:, 1] >= 0]
+    jump = np.abs(mesh.gen[inner[:, 0]] - mesh.gen[inner[:, 1]])
+    bad_jump = [(t1, t2, d) for (t1, t2), d in zip(
+        inner[jump > jump_bound].tolist(), jump[jump > jump_bound].tolist())]
+    report.max_level_jump = int(jump.max(initial=0))
     name = "level_jump_le_1" if sharp else "level_jump_le_2"
     report.checks.append(CheckResult(
         name, not bad_jump,

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: generate, refine, analyze, stability, corr-check.  Exit codes
-follow the CI contract: 0 on success, 2 on usage/IO/parse errors, 3 when a
-structural invariant is violated.  All runs are deterministic for a fixed
-argument list; repeated invocations produce byte-identical files.
+follow the CI contract: 0 on success, 2 on usage/IO/parse errors, 3 on a
+violated structural invariant, NumericFailure or PrecisionExhausted (a
+midpoint no longer exact in double precision).  All runs are deterministic;
+repeated invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, correspondence, marking, meshio, stability
-from .mesh import Mesh, MeshError, structure_flags, validate_mesh
+from .mesh import (Mesh, MeshError, PrecisionExhausted, structure_flags,
+                   validate_mesh)
 from .refine import MarkingInput, PatternPolicy, UnsupportedRefinementError
 
 EXIT_OK = 0
@@ -313,7 +315,7 @@ def main(argv=None) -> int:
     except correspondence.CorrespondenceError as exc:
         print(f"correspondence violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except stability.NumericFailure as exc:
+    except (stability.NumericFailure, PrecisionExhausted) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     except (MeshError, FileNotFoundError, OSError, ValueError,

@@ -11,6 +11,16 @@ All coordinates are expected to be dyadic rationals; midpoints computed
 during refinement are exact, so the area identity
 ``|T| = |ancestor| * 2**(-gen)`` holds exactly and is tested exactly.
 
+Topology is one integer ``EdgeTable`` per mesh, built by one ``np.unique``
+over sorted edge node pairs: ``element2edges`` (m, 3) holds each element's
+edge ids, column 0 the reference edge (v0, v1), then (v1, v2), (v2, v0);
+``edge2nodes`` (E, 2) the sorted node pairs; ``edge2elements`` (E, 2) the
+incident elements in ascending id, -1 in column 1 on the boundary.  Edges
+are numbered in first-touch order: as a sweep over the elements and their
+edges 0, 1, 2 first meets them.  The table is also a read-only ``Mapping``
+from node pairs to incident-element tuples, in edge-id order; its
+key-to-id index is built on the first lookup by key.
+
 Meshes are immutable after construction (the backing arrays are marked
 read-only); every operation in this module is read-only and safe for
 concurrent readers.
@@ -19,7 +29,9 @@ concurrent readers.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -39,6 +51,10 @@ _EXHAUSTIVE_LIMIT = 3000
 
 class MeshError(ValueError):
     """Raised when mesh construction or parsing encounters invalid data."""
+
+
+class PrecisionExhausted(MeshError):
+    """Raised when a new midpoint is not exact in double precision."""
 
 
 def edge_key(a: int, b: int) -> EdgeKey:
@@ -234,7 +250,8 @@ class Mesh:
         return _geom.signed_areas(self.vertices, self.elements)
 
     def boundary_edges(self) -> list[EdgeKey]:
-        return [e for e, inc in self.edge_table.items() if len(inc) == 1]
+        e2n, e2el = self.edge_table.edge2nodes, self.edge_table.edge2elements
+        return list(map(tuple, e2n[e2el[:, 1] < 0].tolist()))
 
     def total_area(self) -> float:
         return float(self.areas().sum())
@@ -268,28 +285,76 @@ class Mesh:
             n_init = None  # loaded refined mesh: initial count unknown
         if n_init is not None and self.ancestor.max() >= n_init:
             raise MeshError("ancestor id out of range of the initial mesh")
-        for e, inc in self.edge_table.items():
-            if len(inc) > 2:
-                raise MeshError(f"edge {e} shared by {len(inc)} elements")
+        for e, inc in _overshared(self.edge_table)[:1]:
+            raise MeshError(f"edge {e} shared by {len(inc)} elements")
 
 
-def build_edge_table(elements: np.ndarray) -> dict[EdgeKey, tuple[int, ...]]:
-    """Map each unordered edge to the ids of its 1-2 incident elements."""
-    table: dict[EdgeKey, list[int]] = {}
-    for t in range(elements.shape[0]):
-        v0, v1, v2 = (int(v) for v in elements[t])
-        for e in (edge_key(v0, v1), edge_key(v1, v2), edge_key(v2, v0)):
-            table.setdefault(e, []).append(t)
-    return {e: tuple(inc) for e, inc in table.items()}
+@dataclass(frozen=True, eq=False)
+class EdgeTable(Mapping):
+    """Integer edge topology of a mesh (see the module docstring); as a
+    Mapping, an edge of more than two elements shows the first two."""
+
+    element2edges: np.ndarray
+    edge2nodes: np.ndarray
+    edge2elements: np.ndarray
+
+    @cached_property
+    def _index(self) -> dict[EdgeKey, int]:
+        return dict(zip(self, range(len(self))))
+
+    def __getitem__(self, key: EdgeKey) -> tuple[int, ...]:
+        a, b = self.edge2elements[self._index[key]].tolist()
+        return (a,) if b < 0 else (a, b)
+
+    def __iter__(self):
+        return map(tuple, self.edge2nodes.tolist())
+
+    def __len__(self) -> int:
+        return self.edge2nodes.shape[0]
+
+    def items(self) -> list[tuple[EdgeKey, tuple[int, ...]]]:
+        return [((a, b), (c,) if d < 0 else (c, d)) for (a, b), (c, d) in
+                zip(self.edge2nodes.tolist(), self.edge2elements.tolist())]
+
+
+def build_edge_table(elements: np.ndarray) -> EdgeTable:
+    """Number the edges of an (m, 3) element array in first-touch order."""
+    elements = np.asarray(elements, dtype=np.int64)
+    m = elements.shape[0]
+    tails = elements[:, [1, 2, 0]]
+    pairs = np.stack([np.minimum(elements, tails), np.maximum(elements, tails)],
+                     axis=2).reshape(3 * m, 2)
+    codes = pairs[:, 0] * (pairs.max(initial=0) + 1) + pairs[:, 1]
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    touch = np.argsort(first)
+    rank = np.empty_like(touch)
+    rank[touch] = np.arange(touch.size)
+    ids = rank[inverse]
+    first = first[touch]
+    # a later occurrence of an edge marks its second incident element
+    pos = np.arange(3 * m)
+    later = pos != first[ids]
+    second = np.full(touch.size, 3 * m)
+    np.minimum.at(second, ids[later], pos[later])
+    edge2elements = np.stack([first // 3,
+                              np.where(second < 3 * m, second // 3, -1)], axis=1)
+    arrays = (ids.reshape(m, 3), pairs[first], edge2elements)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return EdgeTable(*arrays)
+
+
+def _overshared(table: EdgeTable) -> list[tuple[EdgeKey, tuple[int, ...]]]:
+    """Edges with more than two incident elements, with all of them."""
+    flat = table.element2edges.ravel()
+    over = np.flatnonzero(np.bincount(flat, minlength=len(table)) > 2)
+    return [(tuple(table.edge2nodes[e].tolist()),
+             tuple((np.flatnonzero(flat == e) // 3).tolist())) for e in over]
 
 
 def incidence_pairs(mesh: Mesh) -> list[tuple[int, EdgeKey]]:
     """All (element, edge) pairs; exactly 3 per element."""
-    pairs = []
-    for t in range(mesh.n_elements):
-        for e in mesh.edges_of(t):
-            pairs.append((t, e))
-    return pairs
+    return [(t, e) for t in range(mesh.n_elements) for e in mesh.edges_of(t)]
 
 
 # -- structural operations --------------------------------------------------
@@ -333,14 +398,14 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
                                     (int(t),)))
 
     rebuilt = build_edge_table(mesh.elements)
-    if rebuilt != mesh.edge_table:
+    if not all(np.array_equal(getattr(rebuilt, a), getattr(mesh.edge_table, a))
+               for a in ("element2edges", "edge2nodes", "edge2elements")):
         violations.append(Violation("edge_table_mismatch",
                                     "stored edge table differs from rebuild"))
-    for e, inc in rebuilt.items():
-        if len(inc) > 2:
-            violations.append(Violation("overshared_edge",
-                                        f"edge {e} shared by elements {inc}",
-                                        tuple(inc)))
+    for e, inc in _overshared(rebuilt):
+        violations.append(Violation("overshared_edge",
+                                    f"edge {e} shared by elements {inc}",
+                                    inc))
 
     used = np.zeros(nv, dtype=bool)
     used[mesh.elements.ravel()] = True
@@ -385,11 +450,9 @@ def reference_neighbor(mesh: Mesh, t: int) -> int | None:
     """The element sharing t's reference edge, or None on the boundary."""
     if not 0 <= t < mesh.n_elements:
         raise ValueError(f"element id {t} out of range")
-    inc = mesh.edge_table[mesh.ref_edge(t)]
-    for other in inc:
-        if other != t:
-            return other
-    return None
+    table = mesh.edge_table
+    a, b = table.edge2elements[table.element2edges[t, 0]].tolist()
+    return a if a != t else (None if b in (-1, t) else b)
 
 
 def classify_pair(mesh: Mesh, t1: int, t2: int) -> str:
@@ -414,34 +477,30 @@ def classify_pair(mesh: Mesh, t1: int, t2: int) -> str:
 
 def structure_flags(mesh: Mesh) -> StructureFlags:
     """BDD and weak-BDD certificates plus isolated-element sets."""
-    is_bdd = True
-    for e, inc in mesh.edge_table.items():
-        if len(inc) == 2 and classify_pair(mesh, inc[0], inc[1]) == INCOMPATIBLE:
-            is_bdd = False
-            break
+    table = mesh.edge_table
+    inner = np.flatnonzero(table.edge2elements[:, 1] >= 0)
+    t1, t2 = table.edge2elements[inner].T
+    ref = table.element2edges[:, 0]
+    # incompatible: the shared edge is the reference edge of exactly one
+    is_bdd = not ((ref[t1] == inner) != (ref[t2] == inner)).any()
 
-    isolated = set()
-    isolated_literal = set()
-    for t in range(mesh.n_elements):
-        n1 = reference_neighbor(mesh, t)
-        if n1 is None:
-            isolated_literal.add(t)  # N(N(T)) = N(empty) = empty != T
-            continue
-        if reference_neighbor(mesh, n1) != t:
-            isolated.add(t)
-            isolated_literal.add(t)
+    # reference neighbor N(T), -1 on the boundary
+    t = np.arange(mesh.n_elements)
+    a, b = table.edge2elements[ref].T
+    n1 = np.where(a != t, a, b)
+    n1[n1 == t] = -1
+    isolated_literal = ~((n1 >= 0) & (n1[n1] == t))  # N(N(T)) != T
+    isolated = isolated_literal & (n1 >= 0)
 
-    def weak(iso: set[int]) -> bool:
-        for e, inc in mesh.edge_table.items():
-            if len(inc) == 2 and inc[0] in iso and inc[1] in iso:
-                return False
-        return True
+    def weak(iso: np.ndarray) -> bool:
+        return not (iso[t1] & iso[t2]).any()
 
-    return StructureFlags(is_bdd=is_bdd,
-                          is_weak_bdd=weak(isolated),
-                          isolated=frozenset(isolated),
-                          isolated_literal=frozenset(isolated_literal),
-                          is_weak_bdd_literal=weak(isolated_literal))
+    return StructureFlags(
+        is_bdd=is_bdd,
+        is_weak_bdd=weak(isolated),
+        isolated=frozenset(np.flatnonzero(isolated).tolist()),
+        isolated_literal=frozenset(np.flatnonzero(isolated_literal).tolist()),
+        is_weak_bdd_literal=weak(isolated_literal))
 
 
 def geometry(mesh: Mesh, t: int) -> ElementGeometry:
@@ -468,22 +527,14 @@ def restrict(mesh: Mesh, initial_subset: Iterable[int]) -> Mesh:
     if subset[0] < 0 or subset[-1] >= init.n_elements:
         raise ValueError("initial_subset contains out-of-range element ids")
 
-    ancestor_pos = {a: i for i, a in enumerate(subset)}
-    keep = [t for t in range(mesh.n_elements)
-            if int(mesh.ancestor[t]) in ancestor_pos]
-
-    def extract(src: Mesh, elems: list[int], new_ancestor, new_initial):
-        node_ids = sorted({int(v) for t in elems for v in src.elements[t]})
-        remap = {old: new for new, old in enumerate(node_ids)}
-        verts = src.vertices[node_ids]
-        tris = np.array([[remap[int(v)] for v in src.elements[t]] for t in elems],
-                        dtype=np.int64)
-        vparents = np.full((len(node_ids), 2), -1, dtype=np.int64)
-        for new, old in enumerate(node_ids):
-            a, b = (int(p) for p in src.vertex_parents[old])
-            if a in remap and b in remap:
-                vparents[new] = (remap[a], remap[b])
-        return Mesh(verts, tris,
+    def extract(src: Mesh, elems: np.ndarray, new_ancestor, new_initial):
+        node_ids, tris = np.unique(src.elements[elems], return_inverse=True)
+        remap = np.full(src.n_vertices, -1)
+        remap[node_ids] = np.arange(node_ids.size)
+        vparents = src.vertex_parents[node_ids]
+        vparents = np.where(vparents >= 0, remap[vparents], -1)
+        vparents[(vparents < 0).any(axis=1)] = -1
+        return Mesh(src.vertices[node_ids], tris.reshape(-1, 3),
                     gen=src.gen[elems],
                     ancestor=new_ancestor,
                     red_son=src.red_son[elems],
@@ -493,12 +544,10 @@ def restrict(mesh: Mesh, initial_subset: Iterable[int]) -> Mesh:
                     has_bisec5_history=src.has_bisec5_history)
 
     if mesh.initial is None:
-        return extract(mesh, subset, np.arange(len(subset), dtype=np.int64), None)
-
-    sub_initial = restrict(init, subset)
-    new_anc = np.array([ancestor_pos[int(mesh.ancestor[t])] for t in keep],
-                       dtype=np.int64)
-    return extract(mesh, keep, new_anc, sub_initial)
+        return extract(mesh, subset, np.arange(len(subset)), None)
+    keep = np.flatnonzero(np.isin(mesh.ancestor, subset))
+    return extract(mesh, keep, np.searchsorted(subset, mesh.ancestor[keep]),
+                   restrict(init, subset))
 
 
 # -- builders ----------------------------------------------------------------
@@ -536,11 +585,8 @@ def canonical_form(mesh: Mesh):
     differ only by which vertex is listed first denote different reference
     edges and are deliberately kept distinct.
     """
-    items = []
-    for t in range(mesh.n_elements):
-        p0, p1, p2 = mesh.coords(t)
-        items.append((p0, p1, p2, int(mesh.gen[t]), bool(mesh.red_son[t])))
-    return sorted(items)
+    return sorted((*mesh.coords(t), int(mesh.gen[t]), bool(mesh.red_son[t]))
+                  for t in range(mesh.n_elements))
 
 
 def same_mesh(a: Mesh, b: Mesh) -> bool:

@@ -35,14 +35,14 @@ def write_mesh(mesh: Mesh, path) -> None:
 
 
 def dump_mesh(mesh: Mesh, f) -> None:
-    f.write(f"{FORMAT_TAG} {FORMAT_VERSION}\n")
-    f.write(f"{mesh.n_vertices} {mesh.n_elements}\n")
-    for x, y in mesh.vertices:
-        f.write(f"{float(x)!r} {float(y)!r}\n")
-    for t in range(mesh.n_elements):
-        v0, v1, v2 = (int(v) for v in mesh.elements[t])
-        f.write(f"{v0} {v1} {v2} {int(mesh.gen[t])} {int(mesh.ancestor[t])} "
-                f"{1 if mesh.red_son[t] else 0}\n")
+    lines = [f"{FORMAT_TAG} {FORMAT_VERSION}\n",
+             f"{mesh.n_vertices} {mesh.n_elements}\n"]
+    lines += [f"{x!r} {y!r}\n" for x, y in mesh.vertices.tolist()]
+    lines += [f"{v0} {v1} {v2} {g} {a} {r:d}\n"
+              for (v0, v1, v2), g, a, r in zip(
+                  mesh.elements.tolist(), mesh.gen.tolist(),
+                  mesh.ancestor.tolist(), mesh.red_son.tolist())]
+    f.write("".join(lines))
 
 
 def dumps_mesh(mesh: Mesh) -> str:

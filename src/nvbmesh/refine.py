@@ -33,7 +33,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import _geom
-from .mesh import EdgeKey, Mesh, edge_key, reference_neighbor
+from .mesh import EdgeKey, Mesh, PrecisionExhausted, reference_neighbor
 
 PATTERN_NONE = "none"
 BISEC1 = "bisec1"
@@ -44,6 +44,30 @@ BISEC5 = "bisec5"
 RED = "red"
 
 FULL_PATTERNS = (BISEC3, RED, BISEC5)
+
+# Split templates.  Local nodes: 0-2 the vertices v0, v1, v2 of T; 3-5 the
+# midpoints m01, m12, m20 of its edges; 6 the bisec(5) interior node, the
+# midpoint of (m01, v2).  A son is (local-node triple, gen increment, red
+# flag), the flag -1 keeping the father's.
+_SONS = {
+    PATTERN_NONE: ((0, 1, 2, 0, -1),),
+    BISEC1: ((2, 0, 3, 1, 0), (1, 2, 3, 1, 0)),
+    BISEC2_LEFT: ((2, 0, 3, 1, 0), (3, 1, 4, 2, 0), (2, 3, 4, 2, 0)),
+    BISEC2_RIGHT: ((3, 2, 5, 2, 0), (0, 3, 5, 2, 0), (1, 2, 3, 1, 0)),
+    BISEC3: ((3, 2, 5, 2, 0), (0, 3, 5, 2, 0), (3, 1, 4, 2, 0),
+             (2, 3, 4, 2, 0)),
+    BISEC5: ((5, 3, 6, 3, 0), (2, 5, 6, 3, 0), (0, 3, 5, 2, 0),
+             (3, 1, 4, 2, 0), (4, 2, 6, 3, 0), (3, 4, 6, 3, 0)),
+    RED: ((0, 3, 5, 2, 0), (3, 1, 4, 2, 0), (5, 4, 2, 2, 1), (4, 5, 3, 2, 1)),
+}
+_PATTERN_ID = {p: i for i, p in enumerate(_SONS)}
+_N_SONS = np.array([len(sons) for sons in _SONS.values()])
+# new nodes each pattern needs: m01, m12, m20, interior
+_NEEDS = np.array([[any(n in son[:3] for son in sons) for n in (3, 4, 5, 6)]
+                   for sons in _SONS.values()])
+# pattern by marked edges of an element, bit i for edge i
+_BY_MARKS = (PATTERN_NONE, BISEC1, None, BISEC2_LEFT,
+             None, BISEC2_RIGHT, None, BISEC3)
 
 DIALECTS = ("refineNVB", "refineNVB3", "refineNVBred", "refine")
 
@@ -71,8 +95,9 @@ class MarkingInput:
     def all_edges(mesh: Mesh, elements: Iterable[int]) -> "MarkingInput":
         """Mark the given elements with all three of their edges."""
         elems = frozenset(int(t) for t in elements)
-        edges = frozenset(e for t in elems for e in mesh.edges_of(t))
-        return MarkingInput(elems, edges)
+        ids = mesh.edge_table.element2edges[sorted(elems)].ravel()
+        return MarkingInput(elems, frozenset(
+            map(tuple, mesh.edge_table.edge2nodes[ids].tolist())))
 
 
 @dataclass(frozen=True)
@@ -156,87 +181,53 @@ def close_marks(mesh: Mesh, marking: MarkingInput, mode: str = "mnvb") -> Refine
     """
     if mode not in ("nvb", "mnvb"):
         raise ValueError(f"unknown closure mode {mode!r}")
-    for t in marking.elements:
-        if not 0 <= t < mesh.n_elements:
-            raise ValueError(f"marked element {t} out of range")
+    elems = np.fromiter(marking.elements, np.int64, len(marking.elements))
+    bad = elems[(elems < 0) | (elems >= mesh.n_elements)]
+    if bad.size:
+        raise ValueError(f"marked element {bad[0]} out of range")
 
+    table = mesh.edge_table
+    e2e, e2el = table.element2edges, table.edge2elements
     if mode == "nvb":
-        seed = frozenset(mesh.ref_edge(t) for t in marking.elements)
+        frontier = e2e[elems, 0]
+        seed = frozenset(map(tuple, table.edge2nodes[frontier].tolist()))
     else:
+        near = e2e[elems].ravel()
+        near_id = dict(zip(map(tuple, table.edge2nodes[near].tolist()),
+                           near.tolist()))
         for e in marking.edges:
-            if e not in mesh.edge_table:
-                raise ValueError(f"marked edge {e} is not an edge of the mesh")
-            if not any(t in marking.elements for t in mesh.edge_table[e]):
-                raise ValueError(f"marked edge {e} lies in no marked element")
+            if e not in near_id:
+                raise ValueError(f"marked edge {e} " + (
+                    "lies in no marked element" if e in table
+                    else "is not an edge of the mesh"))
+        frontier = np.array([near_id[e] for e in marking.edges],
+                            dtype=np.int64)
         seed = frozenset(marking.edges)
 
-    marked: set[EdgeKey] = set(seed)
-    frontier = list(seed)
+    # frontier edges -> incident elements -> their reference edges
+    marked = np.zeros(len(table), dtype=bool)
+    marked[frontier] = True
     iterations = 0
-    while frontier:
-        new_refs: set[EdgeKey] = set()
-        for e in frontier:
-            for t in mesh.edge_table[e]:
-                ref = mesh.ref_edge(t)
-                if ref not in marked:
-                    new_refs.add(ref)
-        if not new_refs:
+    while frontier.size:
+        inc = e2el[frontier].ravel()
+        refs = e2e[inc[inc >= 0], 0]
+        frontier = np.unique(refs[~marked[refs]])
+        if not frontier.size:
             break
-        marked |= new_refs
-        frontier = sorted(new_refs)
+        marked[frontier] = True
         iterations += 1
 
-    patterns = []
-    for t in range(mesh.n_elements):
-        edges = mesh.edges_of(t)
-        inside = [e in marked for e in edges]
-        count = sum(inside)
-        if count == 0:
-            patterns.append(PATTERN_NONE)
-        elif count == 1:
-            assert inside[0], "closure fixpoint violated: marked edge without ref"
-            patterns.append(BISEC1)
-        elif count == 2:
-            assert inside[0]
-            patterns.append(BISEC2_LEFT if inside[1] else BISEC2_RIGHT)
-        else:
-            patterns.append(BISEC3)
-
-    return RefinementPlan(closed_edges=frozenset(marked),
-                          pattern=tuple(patterns),
-                          iterations=iterations,
-                          marked_elements=frozenset(marking.elements),
-                          seed_edges=seed,
-                          mode=mode)
-
-
-def brute_force_closure(mesh: Mesh, seed: frozenset[EdgeKey]) -> frozenset[EdgeKey]:
-    """Smallest superset of the seed closed under the reference-edge rule,
-    found by exhaustive subset enumeration.  Test oracle; exponential in
-    the number of edges."""
-    all_edges = sorted(mesh.edge_table)
-    free = [e for e in all_edges if e not in seed]
-    if len(free) > 20:
-        raise ValueError("brute_force_closure is only for tiny meshes")
-
-    def closed(edges: frozenset[EdgeKey]) -> bool:
-        for t in range(mesh.n_elements):
-            es = mesh.edges_of(t)
-            if any(e in edges for e in es) and es[0] not in edges:
-                return False
-        return True
-
-    best = None
-    for bits in range(1 << len(free)):
-        cand = set(seed)
-        for i, e in enumerate(free):
-            if bits >> i & 1:
-                cand.add(e)
-        if closed(frozenset(cand)):
-            if best is None or len(cand) < len(best):
-                best = frozenset(cand)
-    assert best is not None  # the full edge set is always closed
-    return best
+    inside = marked[e2e]
+    assert not (inside[:, 1:].any(axis=1) & ~inside[:, 0]).any(), \
+        "closure fixpoint violated: marked edge without ref"
+    bits = inside[:, 0] + 2 * inside[:, 1] + 4 * inside[:, 2]
+    return RefinementPlan(
+        closed_edges=frozenset(map(tuple, table.edge2nodes[marked].tolist())),
+        pattern=tuple(map(_BY_MARKS.__getitem__, bits.tolist())),
+        iterations=iterations,
+        marked_elements=frozenset(marking.elements),
+        seed_edges=seed,
+        mode=mode)
 
 
 # -- splitting ----------------------------------------------------------------
@@ -247,118 +238,78 @@ def split(mesh: Mesh, plan: RefinementPlan, policy: PatternPolicy | None = None)
 
     Fully marked elements get their final pattern from the policy
     (default: three bisections).  Every closed edge is halved; the only
-    other new nodes are bisec(5) interior nodes.
+    other new nodes are bisec(5) interior nodes.  New nodes are numbered
+    by first use in element order, within an element in the order m01,
+    m12, m20, interior node.  Raises PrecisionExhausted on an inexact one.
     """
-    if len(plan.pattern) != mesh.n_elements:
+    m = mesh.n_elements
+    if len(plan.pattern) != m:
         raise ValueError("plan does not match mesh (element count differs)")
-    for e in plan.closed_edges:
-        if e not in mesh.edge_table:
-            raise ValueError(f"plan edge {e} is not an edge of the mesh")
     if not plan.closed_edges:
         return mesh
-
+    pid = np.array([_PATTERN_ID.get(p, -1) for p in plan.pattern])
+    if (pid < 0).any():
+        raise ValueError(f"unknown pattern {plan.pattern[np.argmin(pid)]!r}")
     if policy is None:
         policy = PatternPolicy.always_bisec3()
-    patterns = list(plan.pattern)
-    for t, p in enumerate(patterns):
-        if p in FULL_PATTERNS:
-            patterns[t] = policy.choose(t, t in plan.marked_elements)
+    full = [t for t, p in enumerate(plan.pattern) if p in FULL_PATTERNS]
+    pid[full] = [_PATTERN_ID[policy.choose(t, t in plan.marked_elements)]
+                 for t in full]
 
-    n_old = mesh.n_vertices
-    new_coords: list[tuple[float, float]] = []
-    new_parents: list[tuple[int, int]] = []
-    midpoint_of: dict[EdgeKey, int] = {}
+    table = mesh.edge_table
+    n_edges, n_old = len(table), mesh.n_vertices
+    # new node keys: edge id for a midpoint, n_edges + t for T's interior node
+    keys = np.concatenate([table.element2edges,
+                           n_edges + np.arange(m)[:, None]], axis=1)
+    needs = _NEEDS[pid]
+    uniq, first = np.unique(keys[needs], return_index=True)
+    if np.count_nonzero(uniq < n_edges) != len(plan.closed_edges):
+        raise ValueError("plan does not match mesh (closed edges differ)")
+    order = np.argsort(first)
+    new_keys, first = uniq[order], first[order]
+    node = np.full(n_edges + m, -1)
+    node[new_keys] = np.arange(n_old, n_old + new_keys.size)
+    local = np.concatenate([mesh.elements, node[keys]], axis=1)
 
-    def midpoint(a: int, b: int) -> int:
-        key = edge_key(a, b)
-        node = midpoint_of.get(key)
-        if node is None:
-            node = n_old + len(new_coords)
-            midpoint_of[key] = node
-            pa = (mesh.vertices[a, 0], mesh.vertices[a, 1]) if a < n_old \
-                else new_coords[a - n_old]
-            pb = (mesh.vertices[b, 0], mesh.vertices[b, 1]) if b < n_old \
-                else new_coords[b - n_old]
-            new_coords.append(_geom.midpoint(pa, pb))
-            new_parents.append(key)
-        return node
+    is_edge = new_keys < n_edges
+    vparents = np.empty((new_keys.size, 2), dtype=np.int64)
+    vparents[is_edge] = table.edge2nodes[new_keys[is_edge]]
+    vparents[~is_edge] = local[new_keys[~is_edge] - n_edges][:, [2, 3]]
+    verts = np.concatenate([mesh.vertices, np.empty((new_keys.size, 2))])
+    # edge midpoints first: an interior node halves (v2, m01)
+    for sel in (is_edge, ~is_edge):
+        a, b = vparents[sel].T
+        verts[n_old + np.flatnonzero(sel)] = (verts[a] + verts[b]) / 2.0
+    a, b, mid = verts[vparents[:, 0]], verts[vparents[:, 1]], verts[n_old:]
+    inexact = ((mid - a != b - mid).any(axis=1)
+               | (mid == a).all(axis=1) | (mid == b).all(axis=1))
+    if inexact.any():
+        i = int(np.argmax(inexact))
+        t = int(np.nonzero(needs)[0][first[i]])
+        raise PrecisionExhausted(
+            f"midpoint of nodes {tuple(vparents[i].tolist())} in element {t} "
+            f"of generation {mesh.gen[t]} is not exact in double precision")
 
-    tris: list[tuple[int, int, int]] = []
-    gens: list[int] = []
-    ancs: list[int] = []
-    reds: list[bool] = []
-    parents: list[int] = []
-    any_red = False
-    any_b5 = False
-
-    def emit(t, triple, gen, red=False):
-        tris.append(triple)
-        gens.append(gen)
-        ancs.append(int(mesh.ancestor[t]))
-        reds.append(red)
-        parents.append(t)
-
-    for t in range(mesh.n_elements):
-        p = patterns[t]
-        v0, v1, v2 = (int(v) for v in mesh.elements[t])
-        g = int(mesh.gen[t])
-        if p == PATTERN_NONE:
-            emit(t, (v0, v1, v2), g, bool(mesh.red_son[t]))
-            continue
-        m01 = midpoint(v0, v1)
-        if p == BISEC1:
-            emit(t, (v2, v0, m01), g + 1)
-            emit(t, (v1, v2, m01), g + 1)
-        elif p == BISEC2_LEFT:
-            m12 = midpoint(v1, v2)
-            emit(t, (v2, v0, m01), g + 1)
-            emit(t, (m01, v1, m12), g + 2)
-            emit(t, (v2, m01, m12), g + 2)
-        elif p == BISEC2_RIGHT:
-            m20 = midpoint(v2, v0)
-            emit(t, (m01, v2, m20), g + 2)
-            emit(t, (v0, m01, m20), g + 2)
-            emit(t, (v1, v2, m01), g + 1)
-        elif p == BISEC3:
-            m12 = midpoint(v1, v2)
-            m20 = midpoint(v2, v0)
-            emit(t, (m01, v2, m20), g + 2)
-            emit(t, (v0, m01, m20), g + 2)
-            emit(t, (m01, v1, m12), g + 2)
-            emit(t, (v2, m01, m12), g + 2)
-        elif p == BISEC5:
-            any_b5 = True
-            m12 = midpoint(v1, v2)
-            m20 = midpoint(v2, v0)
-            mi = midpoint(m01, v2)  # interior node of T
-            emit(t, (m20, m01, mi), g + 3)
-            emit(t, (v2, m20, mi), g + 3)
-            emit(t, (v0, m01, m20), g + 2)
-            emit(t, (m01, v1, m12), g + 2)
-            emit(t, (m12, v2, mi), g + 3)
-            emit(t, (m01, m12, mi), g + 3)
-        elif p == RED:
-            any_red = True
-            m12 = midpoint(v1, v2)
-            m20 = midpoint(v2, v0)
-            emit(t, (v0, m01, m20), g + 2)
-            emit(t, (m01, v1, m12), g + 2)
-            emit(t, (m20, m12, v2), g + 2, red=True)
-            emit(t, (m12, m20, m01), g + 2, red=True)
-        else:
-            raise ValueError(f"unknown pattern {p!r}")
-
-    verts = (np.vstack([mesh.vertices, np.array(new_coords, dtype=np.float64)])
-             if new_coords else mesh.vertices.copy())
-    vparents = (np.vstack([mesh.vertex_parents,
-                           np.array(new_parents, dtype=np.int64)])
-                if new_parents else mesh.vertex_parents.copy())
+    n_sons = _N_SONS[pid]
+    at = np.cumsum(n_sons) - n_sons
+    parents = np.repeat(np.arange(m), n_sons)
+    tris = np.empty((parents.size, 3), dtype=np.int64)
+    gens, reds = mesh.gen[parents], mesh.red_son[parents]
+    for p, sons in enumerate(_SONS.values()):
+        ts = np.flatnonzero(pid == p)
+        nodes = local[ts]
+        for j, (*triple, dgen, red) in enumerate(sons):
+            rows = at[ts] + j
+            tris[rows] = nodes[:, triple]
+            gens[rows] += dgen
+            reds[rows] = reds[rows] if red < 0 else red
     root = mesh if mesh.initial is None and mesh.is_initial else mesh.initial
-    return Mesh(verts, np.array(tris, dtype=np.int64),
-                gen=gens, ancestor=ancs, red_son=reds,
-                initial=root, parent_elems=parents, vertex_parents=vparents,
-                has_red_history=mesh.has_red_history or any_red,
-                has_bisec5_history=mesh.has_bisec5_history or any_b5)
+    return Mesh(verts, tris, gen=gens, ancestor=mesh.ancestor[parents],
+                red_son=reds, initial=root, parent_elems=parents,
+                vertex_parents=np.concatenate([mesh.vertex_parents, vparents]),
+                has_red_history=mesh.has_red_history or _PATTERN_ID[RED] in pid,
+                has_bisec5_history=(mesh.has_bisec5_history
+                                    or _PATTERN_ID[BISEC5] in pid))
 
 
 def refine_step(mesh: Mesh, marking: MarkingInput, dialect: str,

@@ -190,3 +190,14 @@ def test_corr_check_mixed_policy(tmp_path):
 
 def test_unknown_subcommand_exits_2():
     assert run("frobnicate") == EXIT_USAGE
+
+
+def test_refine_precision_exhaustion_exits_3(tmp_path, capsys):
+    # corner refinement toward (0.3, 0.7) runs out of double-precision
+    # mantissa bits near generation 105
+    code = run("refine", "square2", "--strategy", "corner", "--corner",
+               "0.3,0.7", "--steps", "120", "--out", str(tmp_path / "run"))
+    err = capsys.readouterr().err
+    assert code == EXIT_VIOLATION
+    assert "not exact in double precision" in err
+    assert "Traceback" not in err

@@ -9,11 +9,14 @@ import pytest
 
 from conftest import (random_trace, single_triangle, small_mesh_corpus,
                       square2_incompatible)
+from oracles import brute_force_closure
 from nvbmesh import _geom
-from nvbmesh.mesh import lshape6, same_mesh, square2, validate_mesh
+from nvbmesh.marking import RunConfig, run_refinement
+from nvbmesh.mesh import (PrecisionExhausted, lshape6, same_mesh, square2,
+                          validate_mesh)
 from nvbmesh.refine import (BISEC3, BisectionForest, MarkingInput,
                             PatternPolicy, UnsupportedRefinementError,
-                            brute_force_closure, chain, close_marks, overlay,
+                            chain, close_marks, overlay,
                             refine_step, split, trace_to_csv, uniform)
 
 
@@ -204,6 +207,13 @@ def test_bisec5_adds_exactly_one_extra_node_beyond_midpoints():
                  for (a, b) in plan.closed_edges}
     new_nodes = {fine.point(j) for j in range(tri.n_vertices, fine.n_vertices)}
     assert len(new_nodes - midpoints) == 1
+
+
+def test_precision_exhaustion_is_typed():
+    config = RunConfig(initial="square2", strategy="corner",
+                       corner=(0.3, 0.7), steps=120)
+    with pytest.raises(PrecisionExhausted, match="generation 105"):
+        run_refinement(config)
 
 
 def test_plan_mesh_mismatch_rejected(sq):
