@@ -11,8 +11,7 @@ from .analysis import (ChainBoundsReport, ClosureLedger, StructureReport,
                        closure_accounting, reciprocal_sum_bound,
                        verify_chain_bounds, verify_levels,
                        verify_neighbor_rules)
-from .correspondence import (CorrMap, CorrespondenceError,
-                             build_corr, build_corresponding_sequence,
+from .correspondence import (CorrMap, CorrespondenceError, build_corr,
                              corresponding_sequence, verify_corr)
 from .marking import RunConfig, RunResult, run_refinement
 from .mesh import (ConformityReport, Element, Mesh, MeshError,
@@ -26,9 +25,8 @@ from .refine import (BisectionForest, MarkingInput, PatternPolicy,
                      chain, close_marks, overlay, refine_step, split, uniform)
 from .stability import (NodeWeights, NumericFailure, SparseSystem,
                         StabilityReport, assemble, assemble_nested,
-                        check_conditions, compute_weights, delta_distance,
-                        element_mass, element_stiffness, measure_h1_stability,
-                        project_l2, prolongation)
+                        check_conditions, compute_weights,
+                        measure_h1_stability, project_l2, prolongation)
 
 __version__ = "0.1.0"
 
@@ -40,10 +38,9 @@ __all__ = [
     "SparseSystem", "StructureReport", "StabilityReport", "StepRecord",
     "StructureFlags",
     "UnsupportedRefinementError", "assemble", "assemble_nested",
-    "build_corr", "build_corresponding_sequence", "chain", "check_conditions",
+    "build_corr", "chain", "check_conditions",
     "classify_pair", "close_marks", "closure_accounting", "compute_weights",
-    "corresponding_sequence", "delta_distance", "edge_key", "element_mass",
-    "element_stiffness", "geometry", "incidence_pairs",
+    "corresponding_sequence", "edge_key", "geometry", "incidence_pairs",
     "lshape6", "measure_h1_stability", "overlay", "project_l2", "prolongation",
     "read_mesh", "reciprocal_sum_bound", "reference_neighbor", "refine_step",
     "restrict",

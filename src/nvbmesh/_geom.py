@@ -31,6 +31,20 @@ def signed_areas(coords: np.ndarray, tris: np.ndarray) -> np.ndarray:
                   - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0]))
 
 
+def diameters(coords: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Vectorized longest edge lengths for an (m,3) triangle index array."""
+    p = coords[tris]
+    d = p[:, [1, 2, 0]] - p
+    return np.hypot(d[..., 0], d[..., 1]).max(axis=1)
+
+
+def pow2_half(k: np.ndarray) -> np.ndarray:
+    """2**(k/2) for an integer array k, each distinct value evaluated by
+    Python's float power (bit-identical to ``2.0 ** (int(k) / 2.0)``)."""
+    values, inverse = np.unique(k, return_inverse=True)
+    return np.array([2.0 ** (v / 2.0) for v in values.tolist()])[inverse]
+
+
 def midpoint(p, q) -> tuple[float, float]:
     """Exact midpoint of two dyadic points."""
     return ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)

@@ -85,25 +85,17 @@ def verify_levels(mesh: Mesh, initial: Mesh, nvb_dialect: bool = False) -> Struc
     misuse in the notes, not as a failure.
     """
     report = StructureReport()
-    anc_areas = initial.areas()
-
-    bad_area = []
-    for t in range(mesh.n_elements):
-        expect = float(anc_areas[int(mesh.ancestor[t])]) * 2.0 ** (-int(mesh.gen[t]))
-        if mesh.area(t) != expect:
-            bad_area.append(t)
+    areas = mesh.areas()
+    expect = initial.areas()[mesh.ancestor] * np.ldexp(1.0, -mesh.gen)
+    bad_area = np.flatnonzero(areas != expect)[:10].tolist()
     report.checks.append(CheckResult(
         "area_generation_identity", not bad_area,
-        "area == |ancestor| * 2**(-gen) exactly", tuple(bad_area[:10])))
+        "area == |ancestor| * 2**(-gen) exactly", tuple(bad_area)))
 
-    lo, hi = math.inf, 0.0
-    for t in range(mesh.n_elements):
-        scale = 2.0 ** (int(mesh.gen[t]) / 2.0)
-        p0, p1, p2 = mesh.coords(t)
-        lo = min(lo, math.sqrt(mesh.area(t)) * scale)
-        hi = max(hi, _geom.diameter(p0, p1, p2) * scale)
-    report.diam_scale_lower = lo
-    report.diam_scale_upper = hi
+    scale = _geom.pow2_half(mesh.gen)
+    diam = _geom.diameters(mesh.vertices, mesh.elements)
+    report.diam_scale_lower = float((np.sqrt(areas) * scale).min())
+    report.diam_scale_upper = float((diam * scale).max())
 
     jump_bound = 2
     sharp = False

@@ -177,23 +177,15 @@ class CorrSequence:
     tilde_markings: list[MarkingInput] = field(default_factory=list)
 
 
-def build_corresponding_sequence(initial: Mesh,
-                                 markings: list[MarkingInput],
-                                 policy: PatternPolicy | None = None
-                                 ) -> tuple[list[Mesh], list[CorrMap]]:
+def corresponding_sequence(initial: Mesh, markings: list[MarkingInput],
+                           policy: PatternPolicy | None = None) -> CorrSequence:
     """Mirror a red-refinement trace by a bisection-only trace.
 
     Runs ``refineNVBred`` on the given markings and, in lockstep,
-    ``refineNVB3`` on the transferred markings.  Returns the bisection-side
-    meshes and the per-step correspondence maps (whose ``left`` attributes
-    hold the red-side meshes).  Traces using bisec(5) are rejected.
+    ``refineNVB3`` on the transferred markings.  Returns the red-side and
+    bisection-side meshes, the per-step correspondence maps and the
+    transferred markings.  Traces using bisec(5) are rejected.
     """
-    seq = corresponding_sequence(initial, markings, policy)
-    return seq.tilde, seq.maps
-
-
-def corresponding_sequence(initial: Mesh, markings: list[MarkingInput],
-                           policy: PatternPolicy | None = None) -> CorrSequence:
     if policy is None:
         policy = PatternPolicy.always_red()
     if policy.name == "interior_node":

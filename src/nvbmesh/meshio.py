@@ -22,10 +22,13 @@ from __future__ import annotations
 import io
 from pathlib import Path
 
+import numpy as np
+
 from .mesh import Mesh, MeshError, validate_mesh
 
 FORMAT_TAG = "nvbm"
 FORMAT_VERSION = 1
+_INT64 = np.iinfo(np.int64)
 
 
 def write_mesh(mesh: Mesh, path) -> None:
@@ -94,6 +97,10 @@ def loads_mesh(text: str, source: str = "<string>") -> Mesh:
             vertices.append((float(parts[0]), float(parts[1])))
         except ValueError:
             fail(lineno, f"bad coordinate {lines[2 + i]!r}")
+    finite = np.isfinite(np.array(vertices)).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        fail(3 + i, f"non-finite coordinate {lines[2 + i]!r}")
 
     elements, gens, ancestors, reds = [], [], [], []
     for i in range(ne):
@@ -105,6 +112,8 @@ def loads_mesh(text: str, source: str = "<string>") -> Mesh:
             vals = [int(p) for p in parts]
         except ValueError:
             fail(lineno, f"bad element line {lines[2 + nv + i]!r}")
+        if min(vals) < _INT64.min or max(vals) > _INT64.max:
+            fail(lineno, "integer field out of the int64 range")
         v0, v1, v2, g, anc, red = vals
         for v in (v0, v1, v2):
             if not 0 <= v < nv:

@@ -18,25 +18,33 @@ falsifiable: a node touching a deep cluster can be chain-distance 1 from
 it while a neighbor inside the same element needs several extra hops
 around a boundary fan.
 
+Both chains and connectivity live on the element-node incidence graph:
+elements and nodes are its vertices, joined by unit edges, so one hop
+element -> node -> element costs 2.  The exponents come from a single
+shortest-path pass over that graph from a virtual super-source (see
+``compute_weights``); the brute-force evaluation of the definition is a
+test oracle in ``tests/oracles.py``.
+
 The factor-2 ratio bound caps the per-element pair sum at 13.5 < 25 and
 keeps the smallest eigenvalue of every scaled element mass matrix above
 5 - sqrt(13.5) > 1.3, which is the mechanism certifying H1-stability of
 the L2-projection onto the P1 space.  This module evaluates those
-per-element conditions and measures the realized stability constant on
-nested mesh pairs by a deflated generalized power iteration.
+per-element conditions as array expressions over all elements at once,
+and measures the realized stability constant on nested mesh pairs by
+power iteration.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
+from . import _geom
 from .mesh import Mesh
 
 INFINITE = math.inf
@@ -46,124 +54,43 @@ class NumericFailure(RuntimeError):
     """Raised when an iterative solve does not reach its tolerance."""
 
 
-# -- element matrices ----------------------------------------------------------
+# -- element-node incidence graph -------------------------------------------------
 
 
-def element_mass(coords) -> np.ndarray:
-    """Exact P1 mass matrix of one triangle: |T|/6 diagonal, |T|/12 off."""
-    p0, p1, p2 = coords
-    area = 0.5 * ((p1[0] - p0[0]) * (p2[1] - p0[1])
-                  - (p1[1] - p0[1]) * (p2[0] - p0[0]))
-    if area <= 0.0:
-        raise ValueError(f"degenerate or inverted triangle (area {area:g})")
-    return (area / 12.0) * (np.ones((3, 3)) + np.eye(3))
+def _incidence_graph(mesh: Mesh, source_weights=None) -> sp.csr_matrix:
+    """Element-node incidence graph with unit edges both ways.
 
-
-def element_stiffness(coords) -> np.ndarray:
-    """Exact P1 stiffness matrix of one triangle."""
-    p0, p1, p2 = coords
-    area = 0.5 * ((p1[0] - p0[0]) * (p2[1] - p0[1])
-                  - (p1[1] - p0[1]) * (p2[0] - p0[0]))
-    if area <= 0.0:
-        raise ValueError(f"degenerate or inverted triangle (area {area:g})")
-    b = np.array([p1[1] - p2[1], p2[1] - p0[1], p0[1] - p1[1]])
-    c = np.array([p2[0] - p1[0], p0[0] - p2[0], p1[0] - p0[0]])
-    return (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
-
-
-# -- element-path distance ------------------------------------------------------
-
-
-def _node_stars(mesh: Mesh) -> list[list[int]]:
-    stars: list[list[int]] = [[] for _ in range(mesh.n_vertices)]
-    for t in range(mesh.n_elements):
-        for v in mesh.elements[t]:
-            stars[int(v)].append(t)
-    return stars
-
-
-def _touching_adjacency(mesh: Mesh,
-                        stars: list[list[int]] | None = None) -> list[list[int]]:
-    """Element adjacency through shared nodes (edge-sharers included)."""
-    if stars is None:
-        stars = _node_stars(mesh)
-    neighbor_sets: list[set[int]] = [set() for _ in range(mesh.n_elements)]
-    for star in stars:
-        for t in star:
-            neighbor_sets[t].update(star)
-    return [sorted(s - {t}) for t, s in enumerate(neighbor_sets)]
-
-
-class DeltaDistance:
-    """Element-path distance between nodes, computed lazily per source.
-
-    delta(j, j) = 0; delta(j, k) = 1 if the nodes share an element; else
-    the minimal number of elements in a chain of pairwise touching
-    elements (consecutive ones share at least a node) whose first element
-    contains z_j and whose last contains z_k.  Nodes in different
-    components report infinity.
+    Vertices 0..m-1 are the elements, m..m+n-1 the nodes.  Given
+    ``source_weights``, a super-source vertex m+n gets a directed edge of
+    that weight to each element.
     """
-
-    def __init__(self, mesh: Mesh):
-        self.mesh = mesh
-        self.stars = _node_stars(mesh)
-        self.adj = _touching_adjacency(mesh, self.stars)
-        self._levels: dict[int, np.ndarray] = {}
-
-    def element_levels(self, j: int) -> np.ndarray:
-        """BFS level of each element: 1 on the star of z_j, +1 per hop."""
-        lv = self._levels.get(j)
-        if lv is not None:
-            return lv
-        n = self.mesh.n_elements
-        lv = np.full(n, -1, dtype=np.int64)
-        queue = deque()
-        for t in self.stars[j]:
-            lv[t] = 1
-            queue.append(t)
-        while queue:
-            t = queue.popleft()
-            for s in self.adj[t]:
-                if lv[s] < 0:
-                    lv[s] = lv[t] + 1
-                    queue.append(s)
-        self._levels[j] = lv
-        return lv
-
-    def dist(self, j: int, k: int) -> float:
-        if j == k:
-            return 0
-        lv = self.element_levels(j)
-        best = INFINITE
-        for t in self.stars[k]:
-            if lv[t] > 0:
-                best = min(best, int(lv[t]))
-        return best
-
-    def node_to_element(self, j: int, t: int) -> float:
-        """delta(z_j, T): minimum of dist over the corners of T."""
-        if j in (int(v) for v in self.mesh.elements[t]):
-            return 0
-        return min(self.dist(j, int(k)) for k in self.mesh.elements[t])
+    m, n = mesh.n_elements, mesh.n_vertices
+    el = np.repeat(np.arange(m), 3)
+    nd = m + mesh.elements.ravel()
+    rows, cols = [el, nd], [nd, el]
+    data = [np.ones(6 * m)]
+    size = m + n
+    if source_weights is not None:
+        rows.append(np.full(m, size))
+        cols.append(np.arange(m))
+        data.append(np.asarray(source_weights, dtype=np.float64))
+        size += 1
+    return sp.csr_matrix((np.concatenate(data),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(size, size))
 
 
-def delta_distance(mesh: Mesh) -> DeltaDistance:
-    return DeltaDistance(mesh)
+def _elements_connected(graph: sp.csr_matrix, n_elements: int) -> bool:
+    # strong components: a super-source has only outgoing edges, so it
+    # stays a component of its own and joins nothing
+    _, labels = csgraph.connected_components(graph, directed=True,
+                                             connection="strong")
+    return bool((labels[:n_elements] == labels[0]).all())
 
 
 def is_element_connected(mesh: Mesh) -> bool:
     """True iff the elements form one component under node-sharing."""
-    adj = _touching_adjacency(mesh)
-    seen = np.zeros(mesh.n_elements, dtype=bool)
-    queue = deque([0])
-    seen[0] = True
-    while queue:
-        t = queue.popleft()
-        for s in adj[t]:
-            if not seen[s]:
-                seen[s] = True
-                queue.append(s)
-    return bool(seen.all())
+    return _elements_connected(_incidence_graph(mesh), mesh.n_elements)
 
 
 # -- nodal weights ---------------------------------------------------------------
@@ -188,68 +115,41 @@ def compute_weights(mesh: Mesh) -> NodeWeights:
 
     With omega(S) = -max{gen(T') : T' touches S}, the minimal exponent
     reachable through a chain of L pairwise touching elements starting at
-    S is 2*L + omega(S), so a label-correcting sweep over the touching
-    graph with step cost 2 and seeds omega(S) + 2 yields
+    S is 2*L + omega(S).  So with seeds beta0(S) = omega(S) + 2 and step
+    cost 2 per touching hop, the element potential
 
-        e_j = min over T containing z_j of min(-gen(T), beta(T)).
+        beta(T) = min over S of (beta0(S) + 2 * hops(S, T))
 
-    This equals the brute-force minimum over all elements exactly (integer
-    arithmetic throughout); the brute force remains available as
-    ``brute_force_weight_exponents`` and is asserted equal in tests.
+    yields e_j = min over T containing z_j of min(-gen(T), beta(T)).
+
+    beta is one Dijkstra pass on the incidence graph (a hop element ->
+    node -> element costs 2) from a virtual super-source with an edge of
+    weight beta0(S) - min(beta0) + 1 to each element S; the offset keeps
+    every weight positive, since csgraph reads weight 0 as "no edge".  All
+    distances are small integers, exact in float64, so the exponents equal
+    the brute-force minimum over all elements bit for bit; the tests
+    assert this against the oracle in ``tests/oracles.py``.
     """
-    if not is_element_connected(mesh):
-        raise ValueError("compute_weights requires a connected mesh")
-    n_el = mesh.n_elements
-    stars = _node_stars(mesh)
-    adj = _touching_adjacency(mesh, stars)
-    gen = mesh.gen
-
+    elements, gen = mesh.elements, mesh.gen
+    if np.bincount(elements.ravel(), minlength=mesh.n_vertices).min() == 0:
+        raise ValueError("compute_weights requires every node to lie in an "
+                         "element")
     # maximal generation among elements touching each node
     maxgen_node = np.zeros(mesh.n_vertices, dtype=np.int64)
-    for j, star in enumerate(stars):
-        maxgen_node[j] = max(int(gen[t]) for t in star)
-    # omega: negated maximal generation in the node neighborhood of S
-    omega = np.array([-max(int(maxgen_node[int(v)]) for v in mesh.elements[s])
-                      for s in range(n_el)], dtype=np.int64)
+    np.maximum.at(maxgen_node, elements.ravel(), np.repeat(gen, 3))
+    # beta0 = omega + 2, omega(S) the negated maximal generation in the
+    # node neighborhood of S
+    beta0 = 2 - maxgen_node[elements].max(axis=1)
+    offset = int(beta0.min()) - 1
+    graph = _incidence_graph(mesh, beta0 - offset)
+    if not _elements_connected(graph, mesh.n_elements):
+        raise ValueError("compute_weights requires a connected mesh")
+    dist = csgraph.dijkstra(graph, directed=True, indices=graph.shape[0] - 1)
+    beta = dist[:mesh.n_elements].astype(np.int64) + offset
 
-    beta = omega + 2
-    queue = deque(range(n_el))
-    queued = np.ones(n_el, dtype=bool)
-    while queue:
-        s = queue.popleft()
-        queued[s] = False
-        cand = beta[s] + 2
-        for t in adj[s]:
-            if cand < beta[t]:
-                beta[t] = cand
-                if not queued[t]:
-                    queued[t] = True
-                    queue.append(t)
-
-    exps = np.empty(mesh.n_vertices, dtype=np.int64)
-    for j, star in enumerate(stars):
-        exps[j] = min(min(-int(gen[t]), int(beta[t])) for t in star)
+    exps = np.full(mesh.n_vertices, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(exps, elements.ravel(), np.repeat(np.minimum(-gen, beta), 3))
     return NodeWeights(exponents=exps)
-
-
-def brute_force_weight_exponents(mesh: Mesh) -> np.ndarray:
-    """Direct evaluation of min over T of (2*delta(z_j,T) - gen(T)).
-
-    Test oracle, O(#nodes * #elements)."""
-    dd = DeltaDistance(mesh)
-    exps = np.empty(mesh.n_vertices, dtype=np.int64)
-    for j in range(mesh.n_vertices):
-        best = None
-        for t in range(mesh.n_elements):
-            d = dd.node_to_element(j, t)
-            if math.isinf(d):
-                continue
-            val = 2 * int(d) - int(mesh.gen[t])
-            if best is None or val < best:
-                best = val
-        assert best is not None
-        exps[j] = best
-    return exps
 
 
 # -- per-element stability conditions --------------------------------------------
@@ -300,11 +200,24 @@ class StabilityReport:
         }
 
 
+_MASS_HAT = np.ones((3, 3)) + np.eye(3)
+# mass_hat = L L^T; the pencils (Q, mass_hat) and (S, mass_hat) have the
+# eigenvalues of L^-1 Q L^-T and L^-1 S L^-T
+_L_INV = np.linalg.inv(np.linalg.cholesky(_MASS_HAT))
+
+
 def _bhat(exps) -> np.ndarray:
-    """Scaled element matrix: (d_j/d_k + d_k/d_j) * (1 + delta_jk)."""
+    """Scaled element matrices (d_j/d_k + d_k/d_j) * (1 + delta_jk) for
+    exponent triples of shape (..., 3)."""
     e = np.asarray(exps, dtype=np.float64)
-    r = 2.0 ** ((e[:, None] - e[None, :]) / 2.0)
-    return (r + 1.0 / r) * (np.ones((3, 3)) + np.eye(3))
+    r = 2.0 ** ((e[..., :, None] - e[..., None, :]) / 2.0)
+    return (r + 1.0 / r) * _MASS_HAT
+
+
+def _mass_pencil_eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the pencils (a, mass_hat) for a stack a of
+    symmetric 3x3 matrices."""
+    return np.linalg.eigvalsh(_L_INV @ a @ _L_INV.T)
 
 
 def check_conditions(mesh: Mesh, weights: NodeWeights,
@@ -315,69 +228,56 @@ def check_conditions(mesh: Mesh, weights: NodeWeights,
     S_T < 25, and positivity of the smallest eigenvalue 5 - sqrt(S_T) of
     the scaled mass matrix, cross-checked against a direct eigensolve.
     Realized global constants are collected, including the quadratic-form
-    constants of the eigenvalue criterion when ``with_c78`` is set.
+    constants of the eigenvalue criterion when ``with_c78`` is set.  All
+    elements are evaluated at once as (m, 3) and (m, 3, 3) arrays.
     """
     report = StabilityReport()
-    exps = weights.exponents
-    max_spread = 0
-    for t in range(mesh.n_elements):
-        e = [int(exps[int(v)]) for v in mesh.elements[t]]
-        spread = max(e) - min(e)
-        max_spread = max(max_spread, spread)
-        ratio = 2.0 ** (spread / 2.0)
-        s_sum = float(sum(2.0 ** (a - b) for a in e for b in e))
-        lam_closed = 5.0 - math.sqrt(s_sum)
-        lam_eig = float(np.linalg.eigvalsh(_bhat(e))[0])
-        passes = (spread <= 2) and (s_sum < 25.0) and (lam_closed > 0.0)
-        report.elements.append(ElementCondition(
-            elem=t, exponent_spread=spread, ratio=ratio, s_sum=s_sum,
-            lam_min_closed=lam_closed, lam_min_eig=lam_eig, passes=passes))
-        report.max_s_sum = max(report.max_s_sum, s_sum)
-        report.min_lam = min(report.min_lam, lam_closed)
+    e = np.asarray(weights.exponents, dtype=np.int64)[mesh.elements]
+    spread = e.max(axis=1) - e.min(axis=1)
+    ratio = _geom.pow2_half(spread)
+    # the nine dyadic terms 2**(e_a - e_b), added in row-major order
+    terms = np.ldexp(1.0, e[:, :, None] - e[:, None, :]).reshape(-1, 9)
+    s_sum = np.zeros(len(e))
+    for k in range(9):
+        s_sum = s_sum + terms[:, k]
+    lam_closed = 5.0 - np.sqrt(s_sum)
+    lam_eig = np.linalg.eigvalsh(_bhat(e))[:, 0]
+    passes = (spread <= 2) & (s_sum < 25.0) & (lam_closed > 0.0)
+    # Python scalars, so the fields print as before (no np.float64(...))
+    report.elements = [ElementCondition(t, *row) for t, row in enumerate(zip(
+        spread.tolist(), ratio.tolist(), s_sum.tolist(), lam_closed.tolist(),
+        lam_eig.tolist(), passes.tolist()))]
+    report.max_s_sum = float(s_sum.max())
+    report.min_lam = float(lam_closed.min())
 
-    report.max_ratio = 2.0 ** (max_spread / 2.0)
+    report.max_ratio = 2.0 ** (int(spread.max()) / 2.0)
     r = max(report.max_ratio, 1.0)
     report.relaxed_ratio_value = 1.0 + r * r + 1.0 / (r * r)
 
-    c6 = 0.0
-    d = weights.values
-    for t in range(mesh.n_elements):
-        p0, p1, p2 = mesh.coords(t)
-        h = max(math.dist(p0, p1), math.dist(p1, p2), math.dist(p2, p0))
-        for v in mesh.elements[t]:
-            val = d[int(v)] / h
-            c6 = max(c6, val, 1.0 / val)
-    report.weight_size_ratio = c6
+    h = _geom.diameters(mesh.vertices, mesh.elements)
+    val = weights.values[mesh.elements] / h[:, None]
+    report.weight_size_ratio = max(float(val.max()), float((1.0 / val).max()))
 
     if with_c78:
-        c7 = c8 = 0.0
-        mass_hat = np.ones((3, 3)) + np.eye(3)
-        for cond in report.elements:
-            t = cond.elem
-            e = [int(exps[int(v)]) for v in mesh.elements[t]]
-            p0, p1, p2 = mesh.coords(t)
-            h = max(math.dist(p0, p1), math.dist(p1, p2), math.dist(p2, p0))
-            lam2 = np.diag([h * h * 2.0 ** (-a) for a in e])  # (h/d_i)^2
-            quartic = lam2 @ mass_hat @ lam2
-            c7 = max(c7, float(scipy.linalg.eigh(
-                quartic, mass_hat, eigvals_only=True)[-1]))
-            if cond.lam_min_closed > 0.0:
-                # the symmetrized pencil is positive definite exactly when
-                # the scaled matrix is; skip failing elements
-                sym = 0.5 * (lam2 @ mass_hat + mass_hat @ lam2)
-                c8 = max(c8, float(scipy.linalg.eigh(
-                    mass_hat, sym, eigvals_only=True)[-1]))
-        report.scaled_quartic_bound = c7
-        report.scaled_mass_bound = c8
+        lam2 = h[:, None] * h[:, None] * np.ldexp(1.0, -e)   # (h/d_i)^2
+        quartic = lam2[:, :, None] * _MASS_HAT * lam2[:, None, :]
+        report.scaled_quartic_bound = float(
+            _mass_pencil_eigvalsh(quartic)[:, -1].max())
+        # the symmetrized pencil is positive definite exactly when the
+        # scaled matrix is; skip failing elements
+        ok = lam_closed > 0.0
+        l2 = lam2[ok]
+        sym = 0.5 * (l2[:, :, None] * _MASS_HAT + _MASS_HAT * l2[:, None, :])
+        # top eigenvalue of (mass_hat, sym) = 1 / lowest of (sym, mass_hat)
+        low = _mass_pencil_eigvalsh(sym)[:, 0]
+        report.scaled_mass_bound = float((1.0 / low).max(initial=0.0))
     return report
 
 
 def weights_to_csv(mesh: Mesh, weights: NodeWeights) -> str:
-    lines = ["node,x,y,exponent"]
-    for j in range(mesh.n_vertices):
-        x, y = mesh.point(j)
-        lines.append(f"{j},{x!r},{y!r},{int(weights.exponents[j])}")
-    return "\n".join(lines) + "\n"
+    return "node,x,y,exponent\n" + "".join(
+        f"{j},{x!r},{y!r},{e}\n" for j, ((x, y), e) in enumerate(zip(
+            mesh.vertices.tolist(), weights.exponents.tolist())))
 
 
 # -- assembly ---------------------------------------------------------------------
@@ -411,13 +311,12 @@ def assemble(mesh: Mesh) -> SparseSystem:
     p0 = coords[tris[:, 0]]
     p1 = coords[tris[:, 1]]
     p2 = coords[tris[:, 2]]
-    area = 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-                  - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0]))
+    area = mesh.areas()
 
     rows = np.repeat(tris, 3, axis=1).ravel()          # i index, 9 per element
     cols = np.tile(tris, (1, 3)).ravel()               # j index
 
-    mass_hat = (np.ones((3, 3)) + np.eye(3)).ravel() / 12.0
+    mass_hat = _MASS_HAT.ravel() / 12.0
     mass_vals = (area[:, None] * mass_hat[None, :]).ravel()
 
     b = np.stack([p1[:, 1] - p2[:, 1], p2[:, 1] - p0[:, 1], p0[:, 1] - p1[:, 1]],

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from conftest import small_mesh_corpus
-from oracles import brute_force_closure
+from oracles import brute_force_closure, brute_force_weight_exponents
 from nvbmesh import _geom
 from nvbmesh.analysis import (closure_accounting, reciprocal_sum_bound,
                               verify_chain_bounds)
@@ -26,8 +26,7 @@ from nvbmesh.marking import RunConfig, run_refinement
 from nvbmesh.mesh import lshape6, same_mesh, square2, structure_flags
 from nvbmesh.refine import (MarkingInput, PatternPolicy,
                             close_marks, overlay, refine_step, uniform)
-from nvbmesh.stability import (NodeWeights, _bhat,
-                               brute_force_weight_exponents, check_conditions,
+from nvbmesh.stability import (NodeWeights, _bhat, check_conditions,
                                compute_weights, measure_h1_stability,
                                project_l2, assemble_nested)
 

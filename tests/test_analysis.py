@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_trace
+from oracles import area_identity_and_diameter_scale
 from nvbmesh.analysis import (closure_accounting, max_equal_gen_chain,
                               reciprocal_sum_bound, verify_chain_bounds,
                               verify_levels, verify_neighbor_rules)
@@ -62,6 +63,31 @@ def test_area_generation_identity_detects_tampering(sq):
     assert not report.ok
     failed = {c.name for c in report.failed()}
     assert "area_generation_identity" in failed
+
+
+def test_area_identity_and_diameter_scale_match_loop_oracle():
+    cases = []
+    for seed in range(12):
+        initial = lshape6() if seed % 2 else square2()
+        meshes, _ = random_trace(initial, seed=seed, steps=5,
+                                 dialect=("refineNVB", "refineNVB3")[seed % 3 > 0])
+        cases.append((meshes[-1], initial))
+    # tampered generations: more than ten witnesses, reported in id order
+    fine, initial = max(cases, key=lambda case: case[0].n_elements)
+    gens = fine.gen.copy()
+    gens[1::3] += 1
+    cases.append((Mesh(fine.vertices.copy(), fine.elements.copy(), gen=gens,
+                       ancestor=fine.ancestor.copy(), initial=initial), initial))
+    for mesh, initial in cases:
+        bad, lo, hi = area_identity_and_diameter_scale(mesh, initial)
+        report = verify_levels(mesh, initial)
+        check = report.checks[0]
+        assert check.name == "area_generation_identity"
+        assert check.passed == (not bad)
+        assert check.witnesses == tuple(bad[:10])
+        assert report.diam_scale_lower.hex() == lo.hex()
+        assert report.diam_scale_upper.hex() == hi.hex()
+    assert len(bad) > 10
 
 
 def test_neighbor_rules_vacuous_on_fresh_bdd(sq):

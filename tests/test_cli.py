@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from conftest import random_trace
+from oracles import brute_force_weight_exponents, conditions
 from nvbmesh.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
-from nvbmesh.meshio import read_mesh
+from nvbmesh.mesh import lshape6
+from nvbmesh.meshio import read_mesh, write_mesh
+from nvbmesh.stability import NodeWeights
 
 
 def run(*argv):
@@ -127,6 +133,15 @@ def test_analyze_parse_failure_exits_2(tmp_path):
     assert run("analyze", str(bad), "--out", str(tmp_path)) == EXIT_USAGE
 
 
+def test_analyze_out_of_int64_field_exits_2(tmp_path, capsys):
+    bad = tmp_path / "big.nvbm"
+    bad.write_text("nvbm 1\n3 1\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
+                   "0 1 2 0 99999999999999999999999 0\n")
+    assert run("analyze", str(bad), "--out", str(tmp_path)) == EXIT_USAGE
+    assert "big.nvbm:6: integer field out of the int64 range" in \
+        capsys.readouterr().err
+
+
 def test_analyze_reports_maximal_level_jump_two(tmp_path):
     # a randomized-reference-edge run where the general jump bound 2 is
     # attained (and never exceeded)
@@ -164,6 +179,35 @@ def test_stability_deep_corner_run(tmp_path):
     assert report["all_pass"]
     assert report["measured_h1_constant"] is not None
     assert report["max_ratio"] <= 2.0
+
+
+@pytest.mark.parametrize("tamper", [None, "5:3"])
+def test_stability_csv_matches_oracles(tmp_path, tamper):
+    meshes, _ = random_trace(lshape6(), seed=3, steps=5, dialect="refineNVB")
+    path = tmp_path / "m.nvbm"
+    write_mesh(meshes[-1], path)
+    argv = ["stability", str(path), "--skip-measure", "--format", "csv",
+            "--out", str(tmp_path / "s")]
+    if tamper:
+        argv += ["--debug-tamper", tamper]
+    assert run(*argv) == (EXIT_VIOLATION if tamper else EXIT_OK)
+
+    mesh = read_mesh(path)
+    exps = brute_force_weight_exponents(mesh)
+    if tamper:
+        exps[5] += 3
+    weights = ["node,x,y,exponent"] + [
+        f"{j},{x!r},{y!r},{e}"
+        for j, ((x, y), e) in enumerate(zip(mesh.vertices.tolist(),
+                                            exps.tolist()))]
+    report = conditions(mesh, NodeWeights(exponents=exps), with_c78=False)
+    rows = ["elem,exponent_spread,ratio,s_sum,lam_min,passes"] + [
+        f"{c.elem},{c.exponent_spread},{c.ratio!r},{c.s_sum!r},"
+        f"{c.lam_min_closed!r},{int(c.passes)}" for c in report.elements]
+    assert report.all_pass == (tamper is None)
+    out = tmp_path / "s"
+    assert (out / "weights.csv").read_text() == "\n".join(weights) + "\n"
+    assert (out / "conditions.csv").read_text() == "\n".join(rows) + "\n"
 
 
 def test_stability_tampered_weights_exit_3(tmp_path):

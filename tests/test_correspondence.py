@@ -9,7 +9,6 @@ import pytest
 
 from conftest import single_triangle
 from nvbmesh.correspondence import (CorrespondenceError, CorrMap, build_corr,
-                                    build_corresponding_sequence,
                                     corresponding_sequence, identity_corr,
                                     transfer_marking, verify_corr)
 from nvbmesh.mesh import lshape6, square2
@@ -33,9 +32,8 @@ def red_trace(initial, seed, steps, policy, fraction=0.3):
 
 def test_bisec3_only_trace_gives_identity_maps(sq):
     markings = red_trace(sq, seed=0, steps=3, policy=PatternPolicy.always_bisec3())
-    tildes, maps = build_corresponding_sequence(
-        sq, markings, PatternPolicy.always_bisec3())
-    for corr in maps:
+    seq = corresponding_sequence(sq, markings, PatternPolicy.always_bisec3())
+    for corr in seq.maps:
         assert corr.left.n_elements == corr.right.n_elements
         for t in range(corr.left.n_elements):
             assert corr.left.coords(t) == corr.right.coords(t)
@@ -63,9 +61,8 @@ def _exhaustive_neighbor_property(corr):
 def test_single_red_refinement_matches_template():
     tri = single_triangle()
     marking = MarkingInput.all_edges(tri, [0])
-    tildes, maps = build_corresponding_sequence(tri, [marking],
-                                                PatternPolicy.always_red())
-    corr = maps[-1]
+    seq = corresponding_sequence(tri, [marking], PatternPolicy.always_red())
+    corr = seq.maps[-1]
     assert corr.left.n_elements == corr.right.n_elements == 4
     assert len(corr.pairs) == 12
     assert len(set(corr.pairs.values())) == 12

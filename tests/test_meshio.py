@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,29 @@ def test_out_of_range_vertex_index_rejected():
     text = "nvbm 1\n3 1\n0.0 0.0\n1.0 0.0\n0.0 1.0\n0 1 9 0 0 0\n"
     with pytest.raises(MeshError, match=":6:"):
         loads_mesh(text)
+
+
+_TRIANGLE = "nvbm 1\n3 1\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
+
+
+@pytest.mark.parametrize("element", [
+    "0 1 2 0 99999999999999999999999 0",      # ancestor
+    "0 1 2 99999999999999999999999 0 0",      # generation
+    "0 1 -99999999999999999999999 0 0 0",     # vertex index
+    "0 1 2 0 0 99999999999999999999999",      # red flag
+])
+def test_out_of_int64_integer_fields_rejected(element):
+    with pytest.raises(MeshError, match=":6: integer field out of the int64"):
+        loads_mesh(_TRIANGLE + element + "\n", source="input")
+
+
+@pytest.mark.parametrize("coords", ["nan 0.0", "inf 0.0", "0.0 -inf", "1e309 1.0"])
+def test_non_finite_coordinates_rejected_without_warnings(coords):
+    text = "nvbm 1\n3 1\n0.0 0.0\n1.0 0.0\n" + coords + "\n0 1 2 0 0 0\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshError, match=":5: non-finite coordinate"):
+            loads_mesh(text, source="input")
 
 
 def test_loaded_refined_mesh_supports_further_refinement(tmp_path):

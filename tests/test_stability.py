@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import random_trace, single_triangle
-from nvbmesh.mesh import Mesh, lshape6, square2
+from oracles import brute_force_weight_exponents, conditions, delta_distance
+from nvbmesh.mesh import Mesh, MeshError, lshape6, square2
 from nvbmesh.refine import PatternPolicy, uniform
 from nvbmesh.stability import (NodeWeights, NumericFailure,
-                               assemble, assemble_nested,
-                               brute_force_weight_exponents, check_conditions,
-                               compute_weights, delta_distance, element_mass,
-                               element_stiffness, is_element_connected,
+                               assemble, assemble_nested, check_conditions,
+                               compute_weights, is_element_connected,
                                measure_h1_stability, project_l2, prolongation,
                                weights_to_csv)
 
@@ -41,6 +40,14 @@ def _gauss_mass(coords):
         lam = np.array([1 - r - s, r, s])
         m += w * np.outer(lam, lam)
     return area * m
+
+
+def element_mass(coords) -> np.ndarray:
+    return assemble(Mesh(coords, [(0, 1, 2)])).mass.toarray()
+
+
+def element_stiffness(coords) -> np.ndarray:
+    return assemble(Mesh(coords, [(0, 1, 2)])).stiffness.toarray()
 
 
 def test_element_mass_reference_triangle_matches_quadrature():
@@ -77,7 +84,7 @@ def test_element_mass_partition_of_unity():
 
 
 def test_element_mass_rejects_degenerate():
-    with pytest.raises(ValueError):
+    with pytest.raises(MeshError, match="not CCW"):
         element_mass(((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)))
 
 
@@ -270,6 +277,35 @@ def test_quadratic_form_inequalities_with_realized_constants(rng):
         rhs = np.einsum("ij,jk,ik->i", xs, sym, xs)
         assert (lhs <= c7 * mid * (1 + 1e-9)).all()
         assert (mid <= c8 * rhs * (1 + 1e-9)).all()
+
+
+def _bits(value):
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+def test_conditions_match_loop_oracle_on_criterion_8_corpus():
+    from test_acceptance import corpus
+
+    cases = [(run["meshes"][-1], compute_weights(run["meshes"][-1]))
+             for run in corpus()]
+    mesh, weights = cases[0]
+    exps = weights.exponents.copy()
+    exps[::5] += 4
+    cases.append((mesh, NodeWeights(exponents=exps)))
+    for mesh, weights in cases:
+        fast = check_conditions(mesh, weights)
+        slow = conditions(mesh, weights)
+        # repr is exact for Python floats and shows numpy scalars as such
+        assert list(map(repr, fast.elements)) == list(map(repr, slow.elements))
+        fast_d, slow_d = fast.to_dict(), slow.to_dict()
+        for key in ("scaled_quartic_bound", "scaled_mass_bound"):
+            a, b = fast_d.pop(key), slow_d.pop(key)
+            assert abs(a - b) <= 1e-12 * b, key
+        assert {k: _bits(v) for k, v in fast_d.items()} == \
+            {k: _bits(v) for k, v in slow_d.items()}
+    # the tampered case has elements with lam_min_closed <= 0, which c8 skips
+    assert any(c.lam_min_closed <= 0.0 for c in fast.elements)
+    assert fast.scaled_mass_bound > 0.0
 
 
 def test_tampered_weights_fail_conditions(sq):
