@@ -14,7 +14,7 @@ from .analysis import (ChainBoundsReport, ClosureLedger, StructureReport,
 from .correspondence import (CorrMap, CorrespondenceError, build_corr,
                              corresponding_sequence, verify_corr)
 from .marking import RunConfig, RunResult, run_refinement
-from .mesh import (ConformityReport, Element, Mesh, MeshError,
+from .mesh import (ConformityReport, Mesh, MeshError,
                    PrecisionExhausted, StructureFlags, classify_pair, edge_key,
                    geometry, incidence_pairs, lshape6, reference_neighbor,
                    restrict, same_mesh, square2, structure_flags,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BisectionForest", "ChainBoundsReport", "ClosureLedger", "ConformityReport",
-    "CorrMap", "CorrespondenceError", "Element", "MarkingInput", "Mesh",
+    "CorrMap", "CorrespondenceError", "MarkingInput", "Mesh",
     "MeshError", "NodeWeights", "NumericFailure", "PatternPolicy",
     "PrecisionExhausted", "RefinementPlan", "RunConfig", "RunResult",
     "SparseSystem", "StructureReport", "StabilityReport", "StepRecord",

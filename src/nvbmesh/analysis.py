@@ -20,7 +20,7 @@ import numpy as np
 from . import _geom
 from .mesh import (COMPATIBLY_DIVISIBLE, Mesh, classify_pair, reference_neighbor,
                    structure_flags)
-from .refine import MarkingInput, StepRecord, chain, refine_step
+from .refine import MarkingInput, StepRecord, refine_step
 
 
 @dataclass(frozen=True)
@@ -64,15 +64,17 @@ class StructureReport:
 
 def max_equal_gen_chain(mesh: Mesh) -> int:
     """Longest reference-neighbor run of elements sharing one generation."""
+    table, t = mesh.edge_table, np.arange(mesh.n_elements)
+    a, b = table.edge2elements[table.element2edges[:, 0]].T
+    n1 = np.where(a != t, a, b)  # N(T) as in reference_neighbor; -1 ends a run
+    n1 = np.where((n1 >= 0) & (n1 != t) & (mesh.gen[n1] == mesh.gen), n1, -1).tolist()
     best = 0
-    for t in range(mesh.n_elements):
-        g = int(mesh.gen[t])
-        n = 0
-        for e in chain(mesh, t):
-            if int(mesh.gen[e]) != g:
-                break
-            n += 1
-        best = max(best, n)
+    for t in range(len(n1)):
+        run, cur = {t}, n1[t]
+        while cur >= 0 and cur not in run:
+            run.add(cur)
+            cur = n1[cur]
+        best = max(best, len(run))
     return best
 
 

@@ -276,8 +276,8 @@ def cmd_corr_check(args) -> int:
     rows = []
     for i, corr in enumerate(seq.maps):
         rep = correspondence.verify_corr(corr)
-        spread = max((len(corr.image_elements(t))
-                      for t in range(corr.left.n_elements)), default=1)
+        images = np.sort(corr.image // 3, axis=1)
+        spread = 1 + int((images[:, 1:] != images[:, :-1]).sum(1).max())
         rows.append({"step": i, "elements": corr.left.n_elements,
                      "tilde_elements": corr.right.n_elements,
                      "verified": rep.ok, "max_image_spread": spread,

@@ -14,44 +14,68 @@ coordinate-identical elements and follows a fixed template on diamonds:
 
 Both diamond halves share their reference edge on either side, which is
 what makes the template satisfy all correspondence properties.
+
+A map is one read-only (m, 3) int64 array ``CorrMap.image``: incidence
+pair (t, i), the slot-i edge of left element t with slots ordered as in
+``EdgeTable.element2edges`` (slot 0 the reference edge), has the id
+3*t + i, and ``image[t, i] = 3*s + j`` sends it to the slot-j edge of right
+element s.  ``CorrMap.pairs`` shows the same map as a read-only dict
+{(t, edge key): (s, edge key)}.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
+
+import numpy as np
 
 from .mesh import EdgeKey, Mesh
 from .refine import (MarkingInput, PatternPolicy, UnsupportedRefinementError,
                      refine_step)
-
-Pair = tuple[int, EdgeKey]
 
 
 class CorrespondenceError(ValueError):
     """Raised when two meshes do not admit the diamond-template bijection."""
 
 
-@dataclass
+def _pair_list(mesh: Mesh, ids: np.ndarray) -> list[tuple[int, EdgeKey]]:
+    """(element, edge key) of the incidence pairs with the given ids."""
+    table = mesh.edge_table
+    keys = table.edge2nodes[table.element2edges.ravel()[ids]].tolist()
+    return list(zip((ids // 3).tolist(), map(tuple, keys)))
+
+
+@dataclass(eq=False)
 class CorrMap:
     """Bijection between the incidence pairs of two meshes."""
 
     left: Mesh
     right: Mesh
-    pairs: dict[Pair, Pair]
+    image: np.ndarray
 
     def __post_init__(self):
-        if len(self.pairs) != 3 * self.left.n_elements:
+        self.image = np.array(self.image, dtype=np.int64)
+        if self.image.shape != (self.left.n_elements, 3):
             raise CorrespondenceError("map does not cover all incidence pairs")
-        if len(set(self.pairs.values())) != len(self.pairs):
+        flat = self.image.ravel()
+        if flat.min() < 0 or flat.max() >= 3 * self.right.n_elements:
+            raise CorrespondenceError("map leaves the right incidence pairs")
+        if np.bincount(flat).max() > 1:
             raise CorrespondenceError("map is not injective")
+        self.image.setflags(write=False)
+
+    @property
+    def pairs(self) -> MappingProxyType:
+        """Read-only {(t, edge key): (s, edge key)} in (t, slot) order."""
+        return MappingProxyType(dict(zip(
+            _pair_list(self.left, np.arange(self.image.size)),
+            _pair_list(self.right, self.image.ravel()))))
 
     def image_elements(self, t: int) -> set[int]:
         """corr(T): right elements receiving any incidence pair of T."""
-        return {self.pairs[(t, e)][0] for e in self.left.edges_of(t)}
-
-    def inverse(self) -> dict[Pair, Pair]:
-        return {v: k for k, v in self.pairs.items()}
+        return set((self.image[t] // 3).tolist())
 
     def to_json(self) -> str:
         rows = [{"elem": t, "edge": list(e), "image_elem": s, "image_edge": list(f)}
@@ -59,9 +83,46 @@ class CorrMap:
         return json.dumps(rows, indent=1)
 
 
-def _geom_edge(mesh: Mesh, e: EdgeKey):
-    a, b = mesh.point(e[0]), mesh.point(e[1])
-    return (a, b) if a <= b else (b, a)
+def _row_ids(rows: np.ndarray) -> np.ndarray:
+    """Row ids of a nonnegative integer (n, k) array: equal ids for equal rows."""
+    ids = np.zeros(rows.shape[0], dtype=np.int64)
+    for col in rows.T:
+        ids = np.unique(ids * (col.max(initial=0) + 1) + col,
+                        return_inverse=True)[1].reshape(-1)
+    return ids
+
+
+def _diamonds(mesh: Mesh, tri: np.ndarray, free: np.ndarray, label: str):
+    """Pair the free elements into diamonds: two elements sharing their
+    reference edge.  Returns both halves and the sorted corner ids of every
+    diamond, in the order of their first halves, and the key sort order."""
+    e2e, e2el = mesh.edge_table.element2edges, mesh.edge_table.edge2elements
+    t = np.flatnonzero(free)
+    a, b = e2el[e2e[t, 0]].T
+    other = np.where(b == t, a, b)
+    lone = b < 0
+    bad = lone | ~free[other] | (e2e[other, 0] != e2e[t, 0])
+    first = np.flatnonzero(~bad & (other > t))
+    corners = np.sort(np.concatenate([tri[t[first]], tri[other[first]]], 1), 1)
+    new = np.diff(corners, axis=1, prepend=-1) != 0
+    sound = new.sum(1) == 4
+    key = corners[sound][new[sound]].reshape(-1, 4)
+    order = np.lexsort(key.T[::-1])
+    repeat = np.zeros(len(key), dtype=bool)
+    repeat[order[1:]] = (key[order[1:]] == key[order[:-1]]).all(1)
+    # the first element at which a sweep in ascending id order fails
+    fail = bad.copy()
+    fail[first[~sound]] = fail[first[sound][repeat]] = True
+    if fail.any():
+        i = int(np.argmax(fail))
+        t0, t1 = int(t[i]), int(other[i])
+        if lone[i]:
+            raise CorrespondenceError(f"{label} element {t0} has no diamond partner")
+        if bad[i]:
+            raise CorrespondenceError(f"{label} elements {t0},{t1} do not form a diamond")
+        corners = frozenset(mesh.coords(t0)) | frozenset(mesh.coords(t1))
+        raise CorrespondenceError(f"{label} diamond at {sorted(corners)} is degenerate")
+    return t[first], other[first], key, order
 
 
 def build_corr(left: Mesh, right: Mesh) -> CorrMap:
@@ -70,88 +131,55 @@ def build_corr(left: Mesh, right: Mesh) -> CorrMap:
     Elements with identical coordinate triples are mapped identically;
     the remaining ones must pair up as red-vs-bisec3 diamond halves.
     """
-    if left.n_elements != right.n_elements:
+    m = left.n_elements
+    if m != right.n_elements:
         raise CorrespondenceError(
             f"element counts differ: {left.n_elements} vs {right.n_elements}")
-
-    right_by_triple = {right.coords(s): s for s in range(right.n_elements)}
-    if len(right_by_triple) != right.n_elements:
+    # common vertex ids by coordinates; np.unique, like ==, merges -0.0 and 0.0
+    xy = np.concatenate([left.vertices, right.vertices])
+    vid = _row_ids(np.stack([np.unique(c, return_inverse=True)[1].reshape(-1)
+                             for c in xy.T], axis=1))
+    tri_l = vid[:left.n_vertices][left.elements]
+    tri_r = vid[left.n_vertices:][right.elements]
+    tid = _row_ids(np.concatenate([tri_l, tri_r]))
+    if np.bincount(tid[m:]).max() > 1:
         raise CorrespondenceError("right mesh has duplicate coordinate triples")
+    owner = np.full(2 * m, -1)
+    owner[tid[m:]] = np.arange(m)
+    s = owner[tid[:m]]
+    image = 3 * s[:, None] + np.arange(3)
+    free = np.bincount(s[s >= 0], minlength=m) == 0
 
-    pairs: dict[Pair, Pair] = {}
-    deferred: list[int] = []
-    matched_right: set[int] = set()
-    for t in range(left.n_elements):
-        s = right_by_triple.get(left.coords(t))
-        if s is None:
-            deferred.append(t)
-            continue
-        matched_right.add(s)
-        le = left.edges_of(t)
-        re = right.edges_of(s)
-        for i in range(3):
-            pairs[(t, le[i])] = (s, re[i])
-
-    # group the unmatched elements of either side into diamonds: pairs of
-    # triangles sharing their reference edge, keyed by the corner set of
-    # the quadrilateral they cover
-    def diamonds(mesh: Mesh, unmatched: set[int], label: str):
-        out: dict[frozenset, tuple[int, int]] = {}
-        used: set[int] = set()
-        for t in sorted(unmatched):
-            if t in used:
-                continue
-            ref = mesh.ref_edge(t)
-            inc = mesh.edge_table[ref]
-            if len(inc) != 2:
-                raise CorrespondenceError(
-                    f"{label} element {t} has no diamond partner")
-            other = inc[0] if inc[1] == t else inc[1]
-            if other not in unmatched or mesh.ref_edge(other) != ref:
-                raise CorrespondenceError(
-                    f"{label} elements {t},{other} do not form a diamond")
-            used |= {t, other}
-            corners = frozenset(mesh.coords(t)) | frozenset(mesh.coords(other))
-            if len(corners) != 4 or corners in out:
-                raise CorrespondenceError(
-                    f"{label} diamond at {sorted(corners)} is degenerate")
-            out[corners] = (t, other)
-        return out
-
-    unmatched_right = set(range(right.n_elements)) - matched_right
-    left_diamonds = diamonds(left, set(deferred), "left")
-    right_diamonds = diamonds(right, unmatched_right, "right")
-    if set(left_diamonds) != set(right_diamonds):
+    p, q, key_l, order_l = _diamonds(left, tri_l, s < 0, "left")
+    u, w, key_r, order_r = _diamonds(right, tri_r, free, "right")
+    if not np.array_equal(key_l[order_l], key_r[order_r]):
         raise CorrespondenceError("diamond corner sets do not match")
+    partner = np.empty_like(order_l)
+    partner[order_l] = order_r
 
-    for corners, (p, q) in left_diamonds.items():
-        u, w = right_diamonds[corners]
-        # outer edges of the right diamond halves are unique within the
-        # diamond; the shared diagonal appears twice and is voided
-        local: dict[tuple, Pair | None] = {}
-        for s in (u, w):
-            for f in right.edges_of(s):
-                key = _geom_edge(right, f)
-                local[key] = None if key in local else (s, f)
-        for t in (p, q):
-            e_ref, e1, e2 = left.edges_of(t)
-            im1 = local.get(_geom_edge(left, e1))
-            im2 = local.get(_geom_edge(left, e2))
-            if im1 is None or im2 is None or im1[0] == im2[0]:
-                raise CorrespondenceError(
-                    f"element {t} does not fit the diamond template")
-            pairs[(t, e1)] = im1
-            pairs[(t, e2)] = im2
-            s2 = im2[0]
-            pairs[(t, e_ref)] = (s2, right.ref_edge(s2))
+    # left halves in sweep order, each with the two right halves of its
+    # diamond; a left edge fits if it is one of their outer edges, which
+    # appear once (the shared diagonal appears twice)
+    def sides(tri, elems):  # sorted vertex-id pairs of the slot edges
+        return np.sort(np.stack([tri[elems], tri[elems][:, [1, 2, 0]]], 2), 2)
 
-    return CorrMap(left=left, right=right, pairs=pairs)
+    t = np.stack([p, q], axis=1).ravel()
+    uw = np.stack([u[partner], w[partner]], axis=1).repeat(2, axis=0)
+    outer = sides(tri_r, uw.ravel()).reshape(-1, 1, 6, 2)
+    hit = (sides(tri_l, t)[:, 1:, None] == outer).all(3)
+    c = hit.argmax(2)
+    s12 = np.take_along_axis(uw, c // 3, 1)
+    fit = (hit.sum(2) == 1).all(1) & (s12[:, 0] != s12[:, 1])
+    if not fit.all():
+        raise CorrespondenceError(
+            f"element {int(t[np.argmin(fit)])} does not fit the diamond template")
+    image[t, 1:] = 3 * s12 + c % 3
+    image[t, 0] = 3 * s12[:, 1]
+    return CorrMap(left=left, right=right, image=image)
 
 
 def identity_corr(mesh: Mesh) -> CorrMap:
-    pairs = {(t, e): (t, e) for t in range(mesh.n_elements)
-             for e in mesh.edges_of(t)}
-    return CorrMap(left=mesh, right=mesh, pairs=pairs)
+    return CorrMap(mesh, mesh, np.arange(3 * mesh.n_elements).reshape(-1, 3))
 
 
 def transfer_marking(corr: CorrMap, marking: MarkingInput) -> MarkingInput:
@@ -160,9 +188,11 @@ def transfer_marking(corr: CorrMap, marking: MarkingInput) -> MarkingInput:
     Transfers the pair set {(T, E) : T marked, E marked edge of T}; the
     image element count is at most twice the marked count.
     """
-    src = [(t, e) for t in sorted(marking.elements)
-           for e in corr.left.edges_of(t) if e in marking.edges]
-    images = [corr.pairs[p] for p in src]
+    t = np.array(sorted(marking.elements), dtype=np.int64)
+    src = (3 * t[:, None] + np.arange(3)).ravel()
+    hit = np.array([e in marking.edges for _, e in _pair_list(corr.left, src)],
+                   dtype=bool)
+    images = _pair_list(corr.right, corr.image.ravel()[src[hit]])
     return MarkingInput(frozenset(s for s, _ in images),
                         frozenset(f for _, f in images))
 
@@ -221,80 +251,82 @@ class CorrReport:
             self.violations.append((check, *witness))
 
 
-def verify_corr(corr: CorrMap, a: Mesh | None = None,
-                b: Mesh | None = None) -> CorrReport:
+def verify_corr(corr: CorrMap) -> CorrReport:
     """Exhaustively check every correspondence property over the pair sets.
 
     Area comparability uses the fixed band 1/4 <= |T|/|T~| <= 4 (red and
     bisec3 sons of one father differ by at most one extra halving).
+    Violations are listed pair by pair, then edge by edge, then element by
+    element, as a sweep in that order meets them.
     """
-    a = corr.left if a is None else a
-    b = corr.right if b is None else b
+    a, b, image = corr.left, corr.right, corr.image
     report = CorrReport()
-
-    if len(corr.pairs) != 3 * a.n_elements or a.n_elements != b.n_elements:
-        report.add("cardinality", len(corr.pairs), a.n_elements, b.n_elements)
+    if a.n_elements != b.n_elements:
+        report.add("cardinality", image.size, a.n_elements, b.n_elements)
         return report
-    inv = corr.inverse()
+    inv = np.empty_like(image)
+    inv.flat[image.ravel()] = np.arange(image.size)
 
-    # (i) generation equality and area comparability, per pair
-    for (t, e), (s, f) in corr.pairs.items():
-        if int(a.gen[t]) != int(b.gen[s]):
-            report.add("gen_preserved", t, s, int(a.gen[t]), int(b.gen[s]))
-        ratio = a.area(t) / b.area(s)
-        if not (0.25 <= ratio <= 4.0):
-            report.add("area_band", t, s, ratio)
-        # (iii) reference edges map to reference edges, both directions
-        if (e == a.ref_edge(t)) != (f == b.ref_edge(s)):
-            report.add("ref_edge_preserved", t, e, s, f)
+    def emit(mask, names, witness):
+        rows, cols = np.nonzero(mask)
+        room = 50 - len(report.violations)
+        for r, c in zip(rows[:room].tolist(), cols[:room].tolist()):
+            report.add(names[c], *witness(r, c))
 
-    # (ii)/(iv)/(v)/(vi) over shared edges, forward
-    def shared_relations(mesh: Mesh, mapping, src: Mesh, dst: Mesh, label: str):
-        for e, inc in mesh.edge_table.items():
-            if len(inc) != 2:
-                continue
-            t1, t2 = inc
-            s1, f1 = mapping[(t1, e)]
-            s2, f2 = mapping[(t2, e)]
-            if s1 == s2 or f1 != f2 or set(dst.edge_table.get(f1, ())) != {s1, s2}:
-                report.add(f"neighbors_preserved_{label}", t1, t2, e)
-                continue
-            # (iv): mutual reference neighbors map to mutual reference neighbors
-            mutual_src = (e == src.ref_edge(t1) and e == src.ref_edge(t2))
-            mutual_dst = (f1 == dst.ref_edge(s1) and f1 == dst.ref_edge(s2))
-            one_src = (e == src.ref_edge(t1)) + (e == src.ref_edge(t2))
-            one_dst = (f1 == dst.ref_edge(s1)) + (f1 == dst.ref_edge(s2))
-            if mutual_src != mutual_dst:
-                report.add(f"mutual_ref_neighbors_{label}", t1, t2, e)
-            # (v): compatible divisibility preserved (ref-count 0 or 2 vs 1)
-            if (one_src in (0, 2)) != (one_dst in (0, 2)):
-                report.add(f"compatibility_preserved_{label}", t1, t2, e)
-            # (vi): common-ancestor neighborship preserved
-            if ((int(src.ancestor[t1]) == int(src.ancestor[t2]))
-                    != (int(dst.ancestor[s1]) == int(dst.ancestor[s2]))):
-                report.add(f"ancestor_neighbors_{label}", t1, t2, e)
+    def pair(mesh, p):
+        return _pair_list(mesh, np.array([p]))[0]
 
-    shared_relations(a, corr.pairs, a, b, "fwd")
-    shared_relations(b, inv, b, a, "bwd")
+    # (i) generation equality and area comparability, (iii) reference edges
+    # map to reference edges, both directions; per pair
+    p, img = np.arange(image.size), image.ravel()
+    t, s = p // 3, img // 3
+    ga, gb = a.gen[t], b.gen[s]
+    ratio = a.areas()[t] / b.areas()[s]
+    emit(np.stack([ga != gb, ~((0.25 <= ratio) & (ratio <= 4.0)),
+                   (p % 3 == 0) != (img % 3 == 0)], axis=1),
+         ("gen_preserved", "area_band", "ref_edge_preserved"),
+         lambda r, c: [(r // 3, int(s[r]), int(ga[r]), int(gb[r])),
+                       (r // 3, int(s[r]), float(ratio[r])),
+                       (*pair(a, r), *pair(b, img[r]))][c])
+
+    # over shared edges, both directions: (ii) neighbors, (iv) mutual
+    # reference neighbors, (v) compatible divisibility, (vi) common-ancestor
+    # neighbors are preserved
+    for src, dst, im, label in ((a, b, image, "fwd"), (b, a, inv, "bwd")):
+        table = src.edge_table
+        e = np.flatnonzero(table.edge2elements[:, 1] >= 0)
+        t1, t2 = table.edge2elements[e].T
+        p1 = 3 * t1 + (table.element2edges[t1] == e[:, None]).argmax(1)
+        p2 = 3 * t2 + (table.element2edges[t2] == e[:, None]).argmax(1)
+        i1, i2 = im.ravel()[p1], im.ravel()[p2]
+        s1, s2 = i1 // 3, i2 // 3
+        f1, f2 = dst.edge_table.element2edges.ravel()[[i1, i2]]
+        inc = dst.edge_table.edge2elements[f1]
+        broken = ((s1 == s2) | (f1 != f2) | (np.minimum(s1, s2) != inc[:, 0])
+                  | (np.maximum(s1, s2) != inc[:, 1]))
+        on_src = (p1 % 3 == 0).astype(int) + (p2 % 3 == 0)
+        on_dst = (i1 % 3 == 0).astype(int) + (i2 % 3 == 0)
+        changed = ((on_src == 2) != (on_dst == 2), (on_src != 1) != (on_dst != 1),
+                   (src.ancestor[t1] == src.ancestor[t2])
+                   != (dst.ancestor[s1] == dst.ancestor[s2]))
+        emit(np.stack([broken] + [x & ~broken for x in changed], axis=1),
+             [f"{n}_{label}" for n in (
+                 "neighbors_preserved", "mutual_ref_neighbors",
+                 "compatibility_preserved", "ancestor_neighbors")],
+             lambda r, c: (int(t1[r]), int(t2[r]),
+                           tuple(table.edge2nodes[e[r]].tolist())))
 
     # (vii): all image elements of T carry the image of T's reference pair
     # as their own reference edge, and conversely
-    for t in range(a.n_elements):
-        s_ref, f_ref = corr.pairs[(t, a.ref_edge(t))]
-        for e in a.edges_of(t):
-            s, f = corr.pairs[(t, e)]
-            if b.ref_edge(s) != f_ref:
-                report.add("ref_pair_dominates_fwd", t, e, s)
-    for s in range(b.n_elements):
-        t_ref, e_ref = inv[(s, b.ref_edge(s))]
-        for f in b.edges_of(s):
-            t, e = inv[(s, f)]
-            if a.ref_edge(t) != e_ref:
-                report.add("ref_pair_dominates_bwd", s, f, t)
+    for src, dst, im, label in ((a, b, image, "fwd"), (b, a, inv, "bwd")):
+        d_e2e = dst.edge_table.element2edges
+        emit(d_e2e[im // 3, 0] != d_e2e.ravel()[im[:, :1]],
+             (f"ref_pair_dominates_{label}",) * 3,
+             lambda r, c: (*pair(src, 3 * r + c), int(im[r, c]) // 3))
 
     # no element spreads its incidence pairs over more than 2 images
-    for t in range(a.n_elements):
-        if len(corr.image_elements(t)) > 2:
-            report.add("image_spread", t, sorted(corr.image_elements(t)))
-
+    spread = np.sort(image // 3, axis=1)
+    emit(((spread[:, 0] != spread[:, 1])
+          & (spread[:, 1] != spread[:, 2]))[:, None], ("image_spread",),
+         lambda r, c: (r, spread[r].tolist()))
     return report

@@ -9,7 +9,7 @@ flows through one seeded generator and all iteration orders are fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -193,7 +193,3 @@ def corner_run(initial: str = "lshape6", steps: int = 25,
     """The fixed corner-singularity run used for regression data."""
     return RunConfig(initial=initial, dialect=dialect, strategy="corner",
                      corner=(0.0, 0.0), radius=0.0, steps=steps, seed=seed)
-
-
-def with_steps(config: RunConfig, steps: int) -> RunConfig:
-    return replace(config, steps=steps)

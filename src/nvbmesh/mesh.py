@@ -32,7 +32,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -60,25 +60,6 @@ class PrecisionExhausted(MeshError):
 def edge_key(a: int, b: int) -> EdgeKey:
     """Canonical (sorted) key for the unordered node pair {a, b}."""
     return (a, b) if a < b else (b, a)
-
-
-class Element(NamedTuple):
-    """Read-only view of one element."""
-
-    v: tuple[int, int, int]
-    gen: int
-    ancestor: int
-    red_son: bool
-
-    @property
-    def ref_edge(self) -> EdgeKey:
-        return edge_key(self.v[0], self.v[1])
-
-    @property
-    def edges(self) -> tuple[EdgeKey, EdgeKey, EdgeKey]:
-        """Edges in convention order: index 0 is the reference edge."""
-        v0, v1, v2 = self.v
-        return (edge_key(v0, v1), edge_key(v1, v2), edge_key(v2, v0))
 
 
 @dataclass(frozen=True)
@@ -219,13 +200,6 @@ class Mesh:
             return self
         raise MeshError("initial mesh unknown for this (loaded) refined mesh")
 
-    def element(self, t: int) -> Element:
-        if not 0 <= t < self.n_elements:
-            raise ValueError(f"element id {t} out of range")
-        return Element(tuple(int(v) for v in self.elements[t]),
-                       int(self.gen[t]), int(self.ancestor[t]),
-                       bool(self.red_son[t]))
-
     def edges_of(self, t: int) -> tuple[EdgeKey, EdgeKey, EdgeKey]:
         v0, v1, v2 = (int(v) for v in self.elements[t])
         return (edge_key(v0, v1), edge_key(v1, v2), edge_key(v2, v0))
@@ -248,10 +222,6 @@ class Mesh:
 
     def areas(self) -> np.ndarray:
         return _geom.signed_areas(self.vertices, self.elements)
-
-    def boundary_edges(self) -> list[EdgeKey]:
-        e2n, e2el = self.edge_table.edge2nodes, self.edge_table.edge2elements
-        return list(map(tuple, e2n[e2el[:, 1] < 0].tolist()))
 
     def total_area(self) -> float:
         return float(self.areas().sum())

@@ -4,16 +4,20 @@
 versions of ``nvbmesh.mesh.build_edge_table``, the fixpoint of
 ``nvbmesh.refine.close_marks`` and ``nvbmesh.refine.split``;
 ``brute_force_closure`` finds the closure fixpoint by exhaustive search.
-``area_identity_and_diameter_scale`` is the per-element loop of
-``nvbmesh.analysis.verify_levels``.  ``DeltaDistance`` evaluates the
-element-path distance of the nodal weights by breadth-first search,
-``brute_force_weight_exponents`` evaluates the weight definition directly
-from all-pairs node-to-element distances, and ``conditions`` is the
-per-element loop of ``nvbmesh.stability.check_conditions``.
+``area_identity_and_diameter_scale`` and ``max_equal_gen_chain`` are the
+per-element loops of ``nvbmesh.analysis.verify_levels``.  ``DeltaDistance``
+evaluates the element-path distance of the nodal weights by breadth-first
+search, ``brute_force_weight_exponents`` evaluates the weight definition
+directly from all-pairs node-to-element distances, and ``conditions`` is
+the per-element loop of ``nvbmesh.stability.check_conditions``.
+``build_corr``, ``corr_to_json``, ``transfer_marking`` and ``verify_corr``
+are the dict versions of the red/bisec3 correspondence: maps are dicts
+{(element, edge key): (element, edge key)}.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
 
@@ -23,12 +27,15 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from nvbmesh import _geom
+from nvbmesh.correspondence import CorrespondenceError, CorrReport
 from nvbmesh.mesh import EdgeKey, Mesh, edge_key
 from nvbmesh.refine import (BISEC1, BISEC2_LEFT, BISEC2_RIGHT, BISEC3, BISEC5,
-                            FULL_PATTERNS, PATTERN_NONE, RED, PatternPolicy,
-                            RefinementPlan)
+                            FULL_PATTERNS, PATTERN_NONE, RED, MarkingInput,
+                            PatternPolicy, RefinementPlan, chain)
 from nvbmesh.stability import (ElementCondition, NodeWeights, StabilityReport,
                                _bhat)
+
+Pair = tuple[int, EdgeKey]
 
 
 def edge_table(elements: np.ndarray) -> dict[EdgeKey, tuple[int, ...]]:
@@ -204,6 +211,20 @@ def split(mesh: Mesh, plan: RefinementPlan, policy: PatternPolicy | None = None)
 # -- verify_levels ----------------------------------------------------------
 
 
+def max_equal_gen_chain(mesh: Mesh) -> int:
+    """Longest reference-neighbor run of elements sharing one generation."""
+    best = 0
+    for t in range(mesh.n_elements):
+        g = int(mesh.gen[t])
+        n = 0
+        for e in chain(mesh, t):
+            if int(mesh.gen[e]) != g:
+                break
+            n += 1
+        best = max(best, n)
+    return best
+
+
 def area_identity_and_diameter_scale(mesh: Mesh, initial: Mesh
                                      ) -> tuple[list[int], float, float]:
     """Elements violating |T| == |ancestor| * 2**(-gen), and the extremes
@@ -367,4 +388,194 @@ def conditions(mesh: Mesh, weights: NodeWeights,
                     mass_hat, sym, eigvals_only=True)[-1]))
         report.scaled_quartic_bound = c7
         report.scaled_mass_bound = c8
+    return report
+
+
+# -- red/bisec3 correspondence ----------------------------------------------
+
+
+def _geom_edge(mesh: Mesh, e: EdgeKey):
+    a, b = mesh.point(e[0]), mesh.point(e[1])
+    return (a, b) if a <= b else (b, a)
+
+
+def build_corr(left: Mesh, right: Mesh) -> dict[Pair, Pair]:
+    """Reconstruct the correspondence between two mesh states.
+
+    Elements with identical coordinate triples are mapped identically;
+    the remaining ones must pair up as red-vs-bisec3 diamond halves.
+    """
+    if left.n_elements != right.n_elements:
+        raise CorrespondenceError(
+            f"element counts differ: {left.n_elements} vs {right.n_elements}")
+
+    right_by_triple = {right.coords(s): s for s in range(right.n_elements)}
+    if len(right_by_triple) != right.n_elements:
+        raise CorrespondenceError("right mesh has duplicate coordinate triples")
+
+    pairs: dict[Pair, Pair] = {}
+    deferred: list[int] = []
+    matched_right: set[int] = set()
+    for t in range(left.n_elements):
+        s = right_by_triple.get(left.coords(t))
+        if s is None:
+            deferred.append(t)
+            continue
+        matched_right.add(s)
+        le = left.edges_of(t)
+        re = right.edges_of(s)
+        for i in range(3):
+            pairs[(t, le[i])] = (s, re[i])
+
+    # group the unmatched elements of either side into diamonds: pairs of
+    # triangles sharing their reference edge, keyed by the corner set of
+    # the quadrilateral they cover
+    def diamonds(mesh: Mesh, unmatched: set[int], label: str):
+        out: dict[frozenset, tuple[int, int]] = {}
+        used: set[int] = set()
+        for t in sorted(unmatched):
+            if t in used:
+                continue
+            ref = mesh.ref_edge(t)
+            inc = mesh.edge_table[ref]
+            if len(inc) != 2:
+                raise CorrespondenceError(
+                    f"{label} element {t} has no diamond partner")
+            other = inc[0] if inc[1] == t else inc[1]
+            if other not in unmatched or mesh.ref_edge(other) != ref:
+                raise CorrespondenceError(
+                    f"{label} elements {t},{other} do not form a diamond")
+            used |= {t, other}
+            corners = frozenset(mesh.coords(t)) | frozenset(mesh.coords(other))
+            if len(corners) != 4 or corners in out:
+                raise CorrespondenceError(
+                    f"{label} diamond at {sorted(corners)} is degenerate")
+            out[corners] = (t, other)
+        return out
+
+    unmatched_right = set(range(right.n_elements)) - matched_right
+    left_diamonds = diamonds(left, set(deferred), "left")
+    right_diamonds = diamonds(right, unmatched_right, "right")
+    if set(left_diamonds) != set(right_diamonds):
+        raise CorrespondenceError("diamond corner sets do not match")
+
+    for corners, (p, q) in left_diamonds.items():
+        u, w = right_diamonds[corners]
+        # outer edges of the right diamond halves are unique within the
+        # diamond; the shared diagonal appears twice and is voided
+        local: dict[tuple, Pair | None] = {}
+        for s in (u, w):
+            for f in right.edges_of(s):
+                key = _geom_edge(right, f)
+                local[key] = None if key in local else (s, f)
+        for t in (p, q):
+            e_ref, e1, e2 = left.edges_of(t)
+            im1 = local.get(_geom_edge(left, e1))
+            im2 = local.get(_geom_edge(left, e2))
+            if im1 is None or im2 is None or im1[0] == im2[0]:
+                raise CorrespondenceError(
+                    f"element {t} does not fit the diamond template")
+            pairs[(t, e1)] = im1
+            pairs[(t, e2)] = im2
+            s2 = im2[0]
+            pairs[(t, e_ref)] = (s2, right.ref_edge(s2))
+
+    # the checks of the map's constructor
+    if len(pairs) != 3 * left.n_elements:
+        raise CorrespondenceError("map does not cover all incidence pairs")
+    if len(set(pairs.values())) != len(pairs):
+        raise CorrespondenceError("map is not injective")
+    return pairs
+
+
+def corr_to_json(pairs: dict[Pair, Pair]) -> str:
+    rows = [{"elem": t, "edge": list(e), "image_elem": s, "image_edge": list(f)}
+            for (t, e), (s, f) in sorted(pairs.items())]
+    return json.dumps(rows, indent=1)
+
+
+def transfer_marking(pairs: dict[Pair, Pair], left: Mesh,
+                     marking: MarkingInput) -> MarkingInput:
+    """Push marked elements and edges through the correspondence."""
+    src = [(t, e) for t in sorted(marking.elements)
+           for e in left.edges_of(t) if e in marking.edges]
+    images = [pairs[p] for p in src]
+    return MarkingInput(frozenset(s for s, _ in images),
+                        frozenset(f for _, f in images))
+
+
+def verify_corr(pairs: dict[Pair, Pair], a: Mesh, b: Mesh) -> CorrReport:
+    """Exhaustively check every correspondence property over the pair sets.
+
+    Area comparability uses the fixed band 1/4 <= |T|/|T~| <= 4 (red and
+    bisec3 sons of one father differ by at most one extra halving).
+    """
+    report = CorrReport()
+
+    if len(pairs) != 3 * a.n_elements or a.n_elements != b.n_elements:
+        report.add("cardinality", len(pairs), a.n_elements, b.n_elements)
+        return report
+    inv = {v: k for k, v in pairs.items()}
+
+    # (i) generation equality and area comparability, per pair
+    for (t, e), (s, f) in pairs.items():
+        if int(a.gen[t]) != int(b.gen[s]):
+            report.add("gen_preserved", t, s, int(a.gen[t]), int(b.gen[s]))
+        ratio = a.area(t) / b.area(s)
+        if not (0.25 <= ratio <= 4.0):
+            report.add("area_band", t, s, ratio)
+        # (iii) reference edges map to reference edges, both directions
+        if (e == a.ref_edge(t)) != (f == b.ref_edge(s)):
+            report.add("ref_edge_preserved", t, e, s, f)
+
+    # (ii)/(iv)/(v)/(vi) over shared edges, forward
+    def shared_relations(mesh: Mesh, mapping, src: Mesh, dst: Mesh, label: str):
+        for e, inc in mesh.edge_table.items():
+            if len(inc) != 2:
+                continue
+            t1, t2 = inc
+            s1, f1 = mapping[(t1, e)]
+            s2, f2 = mapping[(t2, e)]
+            if s1 == s2 or f1 != f2 or set(dst.edge_table.get(f1, ())) != {s1, s2}:
+                report.add(f"neighbors_preserved_{label}", t1, t2, e)
+                continue
+            # (iv): mutual reference neighbors map to mutual reference neighbors
+            mutual_src = (e == src.ref_edge(t1) and e == src.ref_edge(t2))
+            mutual_dst = (f1 == dst.ref_edge(s1) and f1 == dst.ref_edge(s2))
+            one_src = (e == src.ref_edge(t1)) + (e == src.ref_edge(t2))
+            one_dst = (f1 == dst.ref_edge(s1)) + (f1 == dst.ref_edge(s2))
+            if mutual_src != mutual_dst:
+                report.add(f"mutual_ref_neighbors_{label}", t1, t2, e)
+            # (v): compatible divisibility preserved (ref-count 0 or 2 vs 1)
+            if (one_src in (0, 2)) != (one_dst in (0, 2)):
+                report.add(f"compatibility_preserved_{label}", t1, t2, e)
+            # (vi): common-ancestor neighborship preserved
+            if ((int(src.ancestor[t1]) == int(src.ancestor[t2]))
+                    != (int(dst.ancestor[s1]) == int(dst.ancestor[s2]))):
+                report.add(f"ancestor_neighbors_{label}", t1, t2, e)
+
+    shared_relations(a, pairs, a, b, "fwd")
+    shared_relations(b, inv, b, a, "bwd")
+
+    # (vii): all image elements of T carry the image of T's reference pair
+    # as their own reference edge, and conversely
+    for t in range(a.n_elements):
+        s_ref, f_ref = pairs[(t, a.ref_edge(t))]
+        for e in a.edges_of(t):
+            s, f = pairs[(t, e)]
+            if b.ref_edge(s) != f_ref:
+                report.add("ref_pair_dominates_fwd", t, e, s)
+    for s in range(b.n_elements):
+        t_ref, e_ref = inv[(s, b.ref_edge(s))]
+        for f in b.edges_of(s):
+            t, e = inv[(s, f)]
+            if a.ref_edge(t) != e_ref:
+                report.add("ref_pair_dominates_bwd", s, f, t)
+
+    # no element spreads its incidence pairs over more than 2 images
+    for t in range(a.n_elements):
+        images = {pairs[(t, e)][0] for e in a.edges_of(t)}
+        if len(images) > 2:
+            report.add("image_spread", t, sorted(images))
+
     return report

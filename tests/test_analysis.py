@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import random_trace
+import oracles
 from oracles import area_identity_and_diameter_scale
 from nvbmesh.analysis import (closure_accounting, max_equal_gen_chain,
                               reciprocal_sum_bound, verify_chain_bounds,
                               verify_levels, verify_neighbor_rules)
 from nvbmesh.mesh import Mesh, lshape6, reference_neighbor, square2
 from nvbmesh.refine import MarkingInput, StepRecord, refine_step, uniform
-from nvbmesh.marking import RunConfig, run_refinement
+from nvbmesh.marking import RunConfig, assign_reference_edges, run_refinement
 
 
 def test_uniform_refinement_has_zero_jump(sq):
@@ -88,6 +89,20 @@ def test_area_identity_and_diameter_scale_match_loop_oracle():
         assert report.diam_scale_lower.hex() == lo.hex()
         assert report.diam_scale_upper.hex() == hi.hex()
     assert len(bad) > 10
+
+
+def test_max_equal_gen_chain_matches_loop_oracle():
+    from test_acceptance import corpus
+
+    meshes = [run["meshes"][-1] for run in corpus()]
+    # random reference edges on a generation-0 mesh: long equal-generation
+    # runs, some ending in cycles longer than two
+    fine = uniform(uniform(lshape6(), "bisec3"), "bisec3")
+    flat = Mesh(fine.vertices, fine.elements)
+    meshes += [assign_reference_edges(flat, "random", seed) for seed in range(8)]
+    found = [max_equal_gen_chain(mesh) for mesh in meshes]
+    assert found == [oracles.max_equal_gen_chain(mesh) for mesh in meshes]
+    assert max(found) > 3
 
 
 def test_neighbor_rules_vacuous_on_fresh_bdd(sq):

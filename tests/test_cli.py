@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
+import oracles
 from conftest import random_trace
 from oracles import brute_force_weight_exponents, conditions
 from nvbmesh.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
-from nvbmesh.mesh import lshape6
+from nvbmesh.mesh import lshape6, square2
+from nvbmesh.refine import MarkingInput, PatternPolicy, refine_step
 from nvbmesh.meshio import read_mesh, write_mesh
 from nvbmesh.stability import NodeWeights
 
@@ -224,6 +227,49 @@ def test_corr_check_ok(tmp_path):
     assert report["ok"]
     assert len(report["steps"]) == 5
     assert (tmp_path / "c" / "corr_map_final.json").exists()
+
+
+def test_corr_check_writes_the_oracle_files(tmp_path):
+    out = tmp_path / "c"
+    assert run("corr-check", "--initial", "square2", "--steps", "4",
+               "--seed", "3", "--out", str(out)) == EXIT_OK
+    # the same trace (policy red, fraction 0.3), mirrored and checked by the
+    # dict oracles
+    rng = np.random.default_rng(3)
+    red, tilde = [square2()], [square2()]
+    pairs, markings, tilde_markings = [oracles.build_corr(red[0], red[0])], [], []
+    for _ in range(4):
+        mesh = red[-1]
+        draws = rng.random(mesh.n_elements)
+        marked = [t for t in range(mesh.n_elements) if draws[t] < 0.3]
+        if not marked:
+            marked = [int(rng.integers(mesh.n_elements))]
+        markings.append(MarkingInput.all_edges(mesh, marked))
+        tilde_markings.append(oracles.transfer_marking(pairs[-1], mesh,
+                                                       markings[-1]))
+        red.append(refine_step(mesh, markings[-1], "refineNVBred",
+                               PatternPolicy.always_red())[0])
+        tilde.append(refine_step(tilde[-1], tilde_markings[-1], "refineNVB3")[0])
+        pairs.append(oracles.build_corr(red[-1], tilde[-1]))
+    ok, rows = True, []
+    for i, (p, a, b) in enumerate(zip(pairs, red, tilde)):
+        rep = oracles.verify_corr(p, a, b)
+        spread = max(len({p[(t, e)][0] for e in a.edges_of(t)})
+                     for t in range(a.n_elements))
+        rows.append({"step": i, "elements": a.n_elements,
+                     "tilde_elements": b.n_elements, "verified": rep.ok,
+                     "max_image_spread": spread,
+                     "violations": [list(map(str, v)) for v in rep.violations]})
+        ok = ok and rep.ok and a.n_elements == b.n_elements
+    for i, m in enumerate(markings):
+        if len(tilde_markings[i].elements) > 2 * len(m.elements):
+            ok = False
+            rows[i + 1]["marked_inflation_ok"] = False
+    assert (out / "corr_check.json").read_text() == json.dumps(
+        {"ok": ok, "steps": rows}, indent=1) + "\n"
+    assert (out / "corr_map_final.json").read_text() == \
+        oracles.corr_to_json(pairs[-1]) + "\n"
+    assert max(row["max_image_spread"] for row in rows) == 2
 
 
 def test_corr_check_mixed_policy(tmp_path):

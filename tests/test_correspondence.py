@@ -7,11 +7,13 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import single_triangle
+import oracles
+from conftest import (square2_boundary_refs, square2_incompatible,
+                      single_triangle)
 from nvbmesh.correspondence import (CorrespondenceError, CorrMap, build_corr,
                                     corresponding_sequence, identity_corr,
                                     transfer_marking, verify_corr)
-from nvbmesh.mesh import lshape6, square2
+from nvbmesh.mesh import Mesh, lshape6, square2
 from nvbmesh.refine import (MarkingInput, PatternPolicy,
                             UnsupportedRefinementError, refine_step)
 
@@ -85,11 +87,10 @@ def test_identity_map_verifies(sq):
 
 def test_swapped_pair_detected(sq):
     corr = identity_corr(sq)
-    pairs = dict(corr.pairs)
+    image = corr.image.copy()
     # swap the images of two pairs of one element
-    (t, e1), (t2, e2) = list(pairs)[0], list(pairs)[1]
-    pairs[(t, e1)], pairs[(t2, e2)] = pairs[(t2, e2)], pairs[(t, e1)]
-    broken = CorrMap(left=sq, right=sq, pairs=pairs)
+    image[0, 0], image[0, 1] = image[0, 1], image[0, 0]
+    broken = CorrMap(left=sq, right=sq, image=image)
     report = verify_corr(broken)
     assert not report.ok
 
@@ -105,14 +106,20 @@ def test_image_spread_bounded_by_two():
                 assert len(corr.image_elements(t)) <= 2
 
 
-def test_sequences_verify_and_preserve_counts():
+def count_traces():
+    """The ten traces of test_sequences_verify_and_preserve_counts, as
+    (markings, sequence) pairs."""
     for seed in range(10):
         initial = lshape6() if seed % 2 else square2()
         policy = (PatternPolicy.always_red() if seed % 3
                   else PatternPolicy.custom(
                       lambda t, m: "red" if t % 2 else "bisec3", name="mixed"))
         markings = red_trace(initial, seed + 50, 5, policy)
-        seq = corresponding_sequence(initial, markings, policy)
+        yield markings, corresponding_sequence(initial, markings, policy)
+
+
+def test_sequences_verify_and_preserve_counts():
+    for seed, (markings, seq) in enumerate(count_traces()):
         for i, corr in enumerate(seq.maps):
             assert corr.left.n_elements == corr.right.n_elements, (seed, i)
             report = verify_corr(corr)
@@ -172,3 +179,139 @@ def test_corr_json_dump_roundtrip(sq):
     rows = json.loads(corr.to_json())
     assert len(rows) == 6
     assert {tuple(r["edge"]) for r in rows} <= set(sq.edge_table)
+
+
+def _violations(corr):
+    return oracles.verify_corr(corr.pairs, corr.left, corr.right).violations
+
+
+def test_maps_match_loop_oracles():
+    maps = 0
+    for markings, seq in count_traces():
+        for i, corr in enumerate(seq.maps):
+            a = corr.left
+            pairs = corr.pairs
+            assert list(pairs) == [(t, e) for t in range(a.n_elements)
+                                   for e in a.edges_of(t)]
+            if i:
+                assert pairs == oracles.build_corr(a, corr.right)
+                prev = seq.maps[i - 1]
+                assert seq.tilde_markings[i - 1] == oracles.transfer_marking(
+                    prev.pairs, prev.left, markings[i - 1])
+            assert corr.to_json() == oracles.corr_to_json(pairs)
+            assert verify_corr(corr).violations == _violations(corr)
+            maps += 1
+    assert maps == 60
+
+
+def test_verify_matches_oracle_on_tampered_maps():
+    rng = np.random.default_rng(11)
+    maps = [corr for _, seq in count_traces() for corr in seq.maps[1:]]
+    kinds = set()
+    for k in range(240):
+        corr = maps[k % len(maps)]
+        image = corr.image.copy().ravel()
+        i, j = rng.choice(image.size, size=2, replace=False)
+        image[i], image[j] = image[j], image[i]
+        broken = CorrMap(corr.left, corr.right, image.reshape(-1, 3))
+        fast = verify_corr(broken).violations
+        assert fast and fast == _violations(broken), k
+        kinds |= {v[0] for v in fast}
+    # maps that send every edge to itself in a copy of the mesh with some
+    # vertex triples rotated (moving their reference edges) and, every
+    # other time, ancestors merged in pairs
+    for k in range(40):
+        a = maps[k % len(maps)].left
+        shift = rng.integers(0, 3, a.n_elements) * (rng.random(a.n_elements) < 0.2)
+        rows = np.arange(a.n_elements)[:, None]
+        rotated = a.elements[rows, (np.arange(3) - shift[:, None]) % 3]
+        b = Mesh(a.vertices, rotated, gen=a.gen,
+                 ancestor=a.ancestor // (1 + k % 2), red_son=a.red_son)
+        broken = CorrMap(a, b, 3 * rows + (np.arange(3) + shift[:, None]) % 3)
+        fast = verify_corr(broken).violations
+        assert fast == _violations(broken), k
+        kinds |= {v[0] for v in fast}
+    assert len(kinds) == 14, kinds
+    # a shuffled map: far more violations than the report keeps
+    corr = maps[-1]
+    broken = CorrMap(corr.left, corr.right,
+                     rng.permutation(corr.image.ravel()).reshape(-1, 3))
+    fast = verify_corr(broken).violations
+    assert len(fast) == 50
+    assert fast == _violations(broken)
+
+
+def test_build_corr_merges_negative_zero(lshape):
+    vertices = lshape.vertices.copy()
+    vertices[vertices == 0.0] = -0.0
+    assert np.signbit(vertices).sum() > np.signbit(lshape.vertices).sum()
+    corr = build_corr(lshape, Mesh(vertices, lshape.elements))
+    assert (corr.image == identity_corr(lshape).image).all()
+
+
+def _two_diamonds():
+    """Two diamonds over the unit square, one along each diagonal."""
+    vertices = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    return Mesh(vertices, [(0, 2, 3), (2, 0, 1), (1, 3, 0), (3, 1, 2)],
+                validate=False)
+
+
+def _error_cases():
+    sq = square2()
+    flat = Mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 1.0)],
+                [(0, 1, 2), (1, 0, 3)], validate=False)
+    shifted = Mesh(sq.vertices + [2.0, 0.0], sq.elements)
+    rotated = Mesh(_two_diamonds().vertices,
+                   _two_diamonds().elements[:, [1, 2, 0]], validate=False)
+    return {
+        "counts": (sq, lshape6()),
+        "duplicate triples": (sq, Mesh(sq.vertices, [(2, 0, 1), (2, 0, 1)],
+                                       validate=False)),
+        "no partner": (square2_incompatible(), sq),
+        "no partner right": (sq, square2_boundary_refs()),
+        "not a diamond": (sq, square2_incompatible()),
+        "degenerate diamond": (flat, sq),
+        "repeated corner set": (_two_diamonds(), rotated),
+        "corner sets": (sq, shifted),
+        "template": (sq, Mesh(sq.vertices, [(0, 2, 1), (2, 0, 3)],
+                              validate=False)),
+    }
+
+
+def _outcome(build, left, right):
+    try:
+        result = build(left, right)
+    except CorrespondenceError as exc:
+        return str(exc)
+    return dict(result.pairs if isinstance(result, CorrMap) else result)
+
+
+@pytest.mark.parametrize("case", sorted(_error_cases()))
+def test_build_corr_errors_match_oracle(case):
+    left, right = _error_cases()[case]
+    expected = _outcome(oracles.build_corr, left, right)
+    assert isinstance(expected, str)
+    assert _outcome(build_corr, left, right) == expected
+
+
+def test_build_corr_first_error_matches_oracle_on_rotated_elements():
+    # rotating an element's vertex triple moves its reference edge, which
+    # breaks the correspondence at some elements of the rotated side
+    seq = next(count_traces())[1]
+    rng = np.random.default_rng(5)
+    messages = set()
+    for k in range(120):
+        corr = seq.maps[1 + k % 5]
+        side = k % 2
+        mesh = (corr.left, corr.right)[side]
+        elements = mesh.elements.copy()
+        for t in rng.choice(mesh.n_elements, size=1 + k % 4, replace=False):
+            elements[t] = np.roll(elements[t], 1 + k % 3 % 2)
+        pair = [corr.left, corr.right]
+        pair[side] = Mesh(mesh.vertices, elements, gen=mesh.gen,
+                          ancestor=mesh.ancestor, red_son=mesh.red_son)
+        expected = _outcome(oracles.build_corr, *pair)
+        assert _outcome(build_corr, *pair) == expected, k
+        if isinstance(expected, str):
+            messages.add(expected.split(" ")[0] + " " + expected.split(" ")[-1])
+    assert len(messages) >= 3, messages
