@@ -14,11 +14,10 @@ from .analysis import (ChainBoundsReport, ClosureLedger, StructureReport,
 from .correspondence import (CorrMap, CorrespondenceError, build_corr,
                              corresponding_sequence, verify_corr)
 from .marking import RunConfig, RunResult, run_refinement
-from .mesh import (ConformityReport, Mesh, MeshError,
-                   PrecisionExhausted, StructureFlags, classify_pair, edge_key,
-                   geometry, incidence_pairs, lshape6, reference_neighbor,
-                   restrict, same_mesh, square2, structure_flags,
-                   validate_mesh)
+from .mesh import (ConformityReport, Mesh, MeshError, PrecisionExhausted,
+                   StructureFlags, classify_pair, edge_key, geometry, lshape6,
+                   reference_neighbor, restrict, same_mesh, square2,
+                   structure_flags, validate_mesh)
 from .meshio import read_mesh, write_mesh
 from .refine import (BisectionForest, MarkingInput, PatternPolicy,
                      RefinementPlan, StepRecord, UnsupportedRefinementError,
@@ -40,7 +39,7 @@ __all__ = [
     "UnsupportedRefinementError", "assemble", "assemble_nested",
     "build_corr", "chain", "check_conditions",
     "classify_pair", "close_marks", "closure_accounting", "compute_weights",
-    "corresponding_sequence", "edge_key", "geometry", "incidence_pairs",
+    "corresponding_sequence", "edge_key", "geometry",
     "lshape6", "measure_h1_stability", "overlay", "project_l2", "prolongation",
     "read_mesh", "reciprocal_sum_bound", "reference_neighbor", "refine_step",
     "restrict",

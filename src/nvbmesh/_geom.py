@@ -24,11 +24,9 @@ def signed_area(p0, p1, p2) -> float:
 
 def signed_areas(coords: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Vectorized signed areas for an (m,3) triangle index array."""
-    p0 = coords[tris[:, 0]]
-    p1 = coords[tris[:, 1]]
-    p2 = coords[tris[:, 2]]
-    return 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-                  - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0]))
+    x, y = coords[:, 0][tris], coords[:, 1][tris]
+    return 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                  - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
 
 
 def diameters(coords: np.ndarray, tris: np.ndarray) -> np.ndarray:
@@ -55,31 +53,25 @@ def diameter(p0, p1, p2) -> float:
     return max(math.dist(p0, p1), math.dist(p1, p2), math.dist(p2, p0))
 
 
-def point_on_segment(p, a, b) -> bool:
-    """True iff p lies on the closed segment [a, b] (exact arithmetic)."""
-    abx, aby = b[0] - a[0], b[1] - a[1]
-    apx, apy = p[0] - a[0], p[1] - a[1]
-    if cross2(abx, aby, apx, apy) != 0.0:
-        return False
-    dot = apx * abx + apy * aby
-    return 0.0 <= dot <= abx * abx + aby * aby
+def _along_segment(p, a, b):
+    """For points p and segments [a, b], arrays with (x, y) on the last axis:
+    whether p is on the line through a and b, (p - a).(b - a) and |b - a|^2."""
+    abx, aby = b[..., 0] - a[..., 0], b[..., 1] - a[..., 1]
+    apx, apy = p[..., 0] - a[..., 0], p[..., 1] - a[..., 1]
+    return (cross2(abx, aby, apx, apy) == 0.0, apx * abx + apy * aby,
+            abx * abx + aby * aby)
 
 
-def point_strictly_inside_segment(p, a, b) -> bool:
-    """True iff p lies on segment [a, b] excluding the endpoints."""
-    abx, aby = b[0] - a[0], b[1] - a[1]
-    apx, apy = p[0] - a[0], p[1] - a[1]
-    if cross2(abx, aby, apx, apy) != 0.0:
-        return False
-    dot = apx * abx + apy * aby
-    return 0.0 < dot < abx * abx + aby * aby
+def point_on_segment(p, a, b):
+    """Whether p lies on the closed segment [a, b] (exact arithmetic)."""
+    line, dot, length2 = _along_segment(p, a, b)
+    return line & (0.0 <= dot) & (dot <= length2)
 
 
-def point_strictly_inside_triangle(p, p0, p1, p2) -> bool:
-    """True iff p is interior to the CCW triangle (all barycentrics > 0)."""
-    return (signed_area(p0, p1, p) > 0.0
-            and signed_area(p1, p2, p) > 0.0
-            and signed_area(p2, p0, p) > 0.0)
+def point_strictly_inside_segment(p, a, b):
+    """Whether p lies on the segment [a, b] excluding the endpoints."""
+    line, dot, length2 = _along_segment(p, a, b)
+    return line & (0.0 < dot) & (dot < length2)
 
 
 def point_in_triangle(p, p0, p1, p2) -> bool:

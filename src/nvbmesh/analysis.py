@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _geom
-from .mesh import (COMPATIBLY_DIVISIBLE, Mesh, classify_pair, reference_neighbor,
-                   structure_flags)
+from .mesh import Mesh, _reference_neighbors, structure_flags
 from .refine import MarkingInput, StepRecord, refine_step
 
 
@@ -64,10 +63,8 @@ class StructureReport:
 
 def max_equal_gen_chain(mesh: Mesh) -> int:
     """Longest reference-neighbor run of elements sharing one generation."""
-    table, t = mesh.edge_table, np.arange(mesh.n_elements)
-    a, b = table.edge2elements[table.element2edges[:, 0]].T
-    n1 = np.where(a != t, a, b)  # N(T) as in reference_neighbor; -1 ends a run
-    n1 = np.where((n1 >= 0) & (n1 != t) & (mesh.gen[n1] == mesh.gen), n1, -1).tolist()
+    n1 = _reference_neighbors(mesh)  # -1 ends a run
+    n1 = np.where((n1 >= 0) & (mesh.gen[n1] == mesh.gen), n1, -1).tolist()
     best = 0
     for t in range(len(n1)):
         run, cur = {t}, n1[t]
@@ -137,65 +134,57 @@ def verify_neighbor_rules(mesh: Mesh, initial: Mesh | None = None) -> StructureR
     """
     if initial is None:
         initial = mesh.initial_mesh
+    table, gen, t = mesh.edge_table, mesh.gen, np.arange(mesh.n_elements)
+    ref = table.element2edges[:, 0]
+
+    # N(T) is compatibly divisible with T iff T's reference edge is its own too
+    n1 = _reference_neighbors(mesh)
+    gap = np.where(n1 >= 0, gen[n1] - gen, 0)
+    deeper = (gap > 0) & ((gap != 1) | (ref[n1] != ref))
+
+    # equal-generation pairs across shared edges, in edge-id order
+    e = np.flatnonzero(table.edge2elements[:, 1] >= 0)
+    t1, t2 = table.edge2elements[e].T
+    keep = gen[t1] == gen[t2]
+    e, t1, t2 = e[keep], t1[keep], t2[keep]
+    incompatible = (ref[t1] == e) != (ref[t2] == e)
+    a1, a2 = mesh.ancestor[t1], mesh.ancestor[t2]
+
+    # compatibly divisible neighbor pairs of the initial mesh, as codes lo*n + hi
+    itable, n = initial.edge_table, initial.n_elements
+    ie = np.flatnonzero(itable.edge2elements[:, 1] >= 0)
+    p, q = itable.edge2elements[ie].T
+    iref = itable.element2edges[:, 0]
+    codes = np.minimum(p, q) * n + np.maximum(p, q)
+    codes = codes[(iref[p] == ie) == (iref[q] == ie)]
+    anc_compatible = np.isin(np.minimum(a1, a2) * n + np.maximum(a1, a2), codes)
+
+    # the shared edge lies inside one of the six edges of the two ancestors
+    rows = np.flatnonzero(incompatible)
+    ends = mesh.vertices[table.edge2nodes[e[rows]]][:, :, None]
+    segs = initial.vertices[itable.edge2nodes[itable.element2edges[
+        np.stack([a1[rows], a2[rows]], axis=1)]]].reshape(-1, 6, 2, 2)
+    on = _geom.point_on_segment(ends, segs[:, None, :, 0], segs[:, None, :, 1])
+    outside = np.zeros(e.size, dtype=bool)
+    outside[rows] = ~on.all(axis=1).any(axis=1)
+
     report = StructureReport()
-
-    bad_iii = []
-    for t in range(mesh.n_elements):
-        n1 = reference_neighbor(mesh, t)
-        if n1 is None:
-            continue
-        if int(mesh.gen[n1]) > int(mesh.gen[t]):
-            gap = int(mesh.gen[n1]) - int(mesh.gen[t])
-            if gap != 1 or classify_pair(mesh, t, n1) != COMPATIBLY_DIVISIBLE:
-                bad_iii.append((t, n1, gap))
-    report.checks.append(CheckResult(
-        "deeper_reference_neighbor", not bad_iii,
-        "gen(N(T)) > gen(T) implies compatibly divisible with gap 1",
-        tuple(bad_iii[:10])))
-
-    # segments of the initial mesh, indexed by ancestor element
-    init_segments = [[(initial.point(a), initial.point(b))
-                      for a, b in initial.edges_of(t)]
-                     for t in range(initial.n_elements)]
-
-    def inside_initial_edge(t1: int, t2: int, e) -> bool:
-        pa, pb = mesh.point(e[0]), mesh.point(e[1])
-        cand = (init_segments[int(mesh.ancestor[t1])]
-                + init_segments[int(mesh.ancestor[t2])])
-        for a, b in cand:
-            if _geom.point_on_segment(pa, a, b) and _geom.point_on_segment(pb, a, b):
-                return True
-        return False
-
-    bad_iv, bad_v, bad_vi = [], [], []
-    for e, inc in mesh.edge_table.items():
-        if len(inc) != 2:
-            continue
-        t1, t2 = inc
-        if int(mesh.gen[t1]) != int(mesh.gen[t2]):
-            continue
-        compat = classify_pair(mesh, t1, t2) == COMPATIBLY_DIVISIBLE
-        a1, a2 = int(mesh.ancestor[t1]), int(mesh.ancestor[t2])
-        if a1 == a2 and not compat:
-            bad_iv.append((t1, t2))
-        if a1 != a2 and not compat:
-            anc_shared = (set(initial.edges_of(a1)) & set(initial.edges_of(a2)))
-            if anc_shared and classify_pair(initial, a1, a2) == COMPATIBLY_DIVISIBLE:
-                bad_v.append((t1, t2))
-        if not compat and not inside_initial_edge(t1, t2, e):
-            bad_vi.append((t1, t2))
-    report.checks.append(CheckResult(
-        "same_ancestor_equal_gen_compatible", not bad_iv,
-        "equal-generation neighbors under one ancestor are compatibly divisible",
-        tuple(bad_iv[:10])))
-    report.checks.append(CheckResult(
-        "compatible_ancestors_equal_gen_compatible", not bad_v,
-        "equal-generation neighbors under compatibly divisible ancestors "
-        "are compatibly divisible", tuple(bad_v[:10])))
-    report.checks.append(CheckResult(
-        "incompatible_pairs_on_initial_edges", not bad_vi,
-        "equal-generation incompatible pairs share an edge inside an "
-        "initial edge", tuple(bad_vi[:10])))
+    for name, detail, bad, columns in [
+            ("deeper_reference_neighbor",
+             "gen(N(T)) > gen(T) implies compatibly divisible with gap 1",
+             deeper, (t, n1, gap)),
+            ("same_ancestor_equal_gen_compatible",
+             "equal-generation neighbors under one ancestor are compatibly divisible",
+             incompatible & (a1 == a2), (t1, t2)),
+            ("compatible_ancestors_equal_gen_compatible",
+             "equal-generation neighbors under compatibly divisible ancestors "
+             "are compatibly divisible",
+             incompatible & (a1 != a2) & anc_compatible, (t1, t2)),
+            ("incompatible_pairs_on_initial_edges",
+             "equal-generation incompatible pairs share an edge inside an "
+             "initial edge", outside, (t1, t2))]:
+        witnesses = tuple(zip(*(c[bad][:10].tolist() for c in columns)))
+        report.checks.append(CheckResult(name, not witnesses, detail, witnesses))
     return report
 
 

@@ -25,7 +25,6 @@ element s.  ``CorrMap.pairs`` shows the same map as a read-only dict
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -40,11 +39,17 @@ class CorrespondenceError(ValueError):
     """Raised when two meshes do not admit the diamond-template bijection."""
 
 
+def _pair_rows(mesh: Mesh, ids: np.ndarray) -> np.ndarray:
+    """(element, edge node a, edge node b) rows of the incidence pairs with
+    the given ids."""
+    table = mesh.edge_table
+    return np.column_stack([ids // 3,
+                            table.edge2nodes[table.element2edges.ravel()[ids]]])
+
+
 def _pair_list(mesh: Mesh, ids: np.ndarray) -> list[tuple[int, EdgeKey]]:
     """(element, edge key) of the incidence pairs with the given ids."""
-    table = mesh.edge_table
-    keys = table.edge2nodes[table.element2edges.ravel()[ids]].tolist()
-    return list(zip((ids // 3).tolist(), map(tuple, keys)))
+    return [(t, (a, b)) for t, a, b in _pair_rows(mesh, ids).tolist()]
 
 
 @dataclass(eq=False)
@@ -78,9 +83,15 @@ class CorrMap:
         return set((self.image[t] // 3).tolist())
 
     def to_json(self) -> str:
-        rows = [{"elem": t, "edge": list(e), "image_elem": s, "image_edge": list(f)}
-                for (t, e), (s, f) in sorted(self.pairs.items())]
-        return json.dumps(rows, indent=1)
+        """Rows {elem, edge, image_elem, image_edge} in (elem, edge) order,
+        with the bytes of ``json.dumps(rows, indent=1)``."""
+        rows = np.hstack([_pair_rows(self.left, np.arange(self.image.size)),
+                          _pair_rows(self.right, self.image.ravel())])
+        rows = rows[np.lexsort(rows[:, 2::-1].T)]
+        row = (' {\n  "elem": %d,\n  "edge": [\n   %d,\n   %d\n  ],\n'
+               '  "image_elem": %d,\n  "image_edge": [\n   %d,\n   %d\n  ]\n }')
+        body = ",\n".join([row] * len(rows)) % tuple(rows.ravel().tolist())
+        return "[\n" + body + "\n]"
 
 
 def _row_ids(rows: np.ndarray) -> np.ndarray:

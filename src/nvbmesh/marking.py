@@ -76,22 +76,23 @@ def assign_reference_edges(mesh: Mesh, policy: str, seed: int = 0) -> Mesh:
         return mesh
     if not mesh.is_initial:
         raise ValueError("reference-edge assignment applies to initial meshes")
+    if policy == "random":
+        rot = np.random.default_rng(seed).integers(3, size=mesh.n_elements)
+        tris = np.take_along_axis(mesh.elements, (rot[:, None] + np.arange(3)) % 3,
+                                  axis=1)
+        return Mesh(mesh.vertices.copy(), tris)
+    if policy != "longest-edge":
+        raise ValueError(f"unknown reference-edge policy {policy!r}")
     tris = mesh.elements.copy()
-    rng = np.random.default_rng(seed)
     for t in range(mesh.n_elements):
         v = [int(x) for x in tris[t]]
-        if policy == "longest-edge":
-            pts = [mesh.point(i) for i in v]
-            # rotation r puts edge (v[r], v[r+1]) first; tie-break by the
-            # smallest opposite-vertex id
-            def key(r):
-                length = math.dist(pts[r], pts[(r + 1) % 3])
-                return (-length, v[(r + 2) % 3])
-            rot = min(range(3), key=key)
-        elif policy == "random":
-            rot = int(rng.integers(3))
-        else:
-            raise ValueError(f"unknown reference-edge policy {policy!r}")
+        pts = [mesh.point(i) for i in v]
+        # rotation r puts edge (v[r], v[r+1]) first; tie-break by the
+        # smallest opposite-vertex id
+        def key(r):
+            length = math.dist(pts[r], pts[(r + 1) % 3])
+            return (-length, v[(r + 2) % 3])
+        rot = min(range(3), key=key)
         tris[t] = [v[rot], v[(rot + 1) % 3], v[(rot + 2) % 3]]
     return Mesh(mesh.vertices.copy(), tris)
 
@@ -128,8 +129,7 @@ def select_marked(mesh: Mesh, config: RunConfig,
     if config.strategy == "all":
         return list(range(n))
     if config.strategy == "random":
-        draws = rng.random(n)
-        marked = [t for t in range(n) if draws[t] < config.fraction]
+        marked = np.flatnonzero(rng.random(n) < config.fraction).tolist()
         if not marked:
             marked = [int(rng.integers(n))]
         return marked

@@ -11,8 +11,8 @@ All coordinates are expected to be dyadic rationals; midpoints computed
 during refinement are exact, so the area identity
 ``|T| = |ancestor| * 2**(-gen)`` holds exactly and is tested exactly.
 
-Topology is one integer ``EdgeTable`` per mesh, built by one ``np.unique``
-over sorted edge node pairs: ``element2edges`` (m, 3) holds each element's
+Topology is one integer ``EdgeTable`` per mesh, built by one stable sort of
+the sorted edge node pairs: ``element2edges`` (m, 3) holds each element's
 edge ids, column 0 the reference edge (v0, v1), then (v1, v2), (v2, v0);
 ``edge2nodes`` (E, 2) the sorted node pairs; ``edge2elements`` (E, 2) the
 incident elements in ascending id, -1 in column 1 on the boundary.  Edges
@@ -28,7 +28,6 @@ concurrent readers.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -282,33 +281,32 @@ class EdgeTable(Mapping):
     def __len__(self) -> int:
         return self.edge2nodes.shape[0]
 
-    def items(self) -> list[tuple[EdgeKey, tuple[int, ...]]]:
-        return [((a, b), (c,) if d < 0 else (c, d)) for (a, b), (c, d) in
-                zip(self.edge2nodes.tolist(), self.edge2elements.tolist())]
-
 
 def build_edge_table(elements: np.ndarray) -> EdgeTable:
     """Number the edges of an (m, 3) element array in first-touch order."""
     elements = np.asarray(elements, dtype=np.int64)
     m = elements.shape[0]
+    n = 3 * m
     tails = elements[:, [1, 2, 0]]
     pairs = np.stack([np.minimum(elements, tails), np.maximum(elements, tails)],
-                     axis=2).reshape(3 * m, 2)
+                     axis=2).reshape(n, 2)
     codes = pairs[:, 0] * (pairs.max(initial=0) + 1) + pairs[:, 1]
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    touch = np.argsort(first)
-    rank = np.empty_like(touch)
-    rank[touch] = np.arange(touch.size)
-    ids = rank[inverse]
-    first = first[touch]
-    # a later occurrence of an edge marks its second incident element
-    pos = np.arange(3 * m)
-    later = pos != first[ids]
-    second = np.full(touch.size, 3 * m)
-    np.minimum.at(second, ids[later], pos[later])
-    edge2elements = np.stack([first // 3,
-                              np.where(second < 3 * m, second // 3, -1)], axis=1)
-    arrays = (ids.reshape(m, 3), pairs[first], edge2elements)
+    # one run per edge of its occurrences in ascending position
+    order = np.argsort(codes, kind="stable")
+    runs = np.flatnonzero(np.diff(codes[order], prepend=-1, append=-1))
+    size = np.diff(runs)
+    first = order[runs[:-1]]
+    touched = np.zeros(n, dtype=bool)
+    touched[first] = True
+    edge = (np.cumsum(touched) - 1)[first]  # first-touch id of each run
+    ids = np.empty(n, dtype=np.int64)
+    ids[order] = np.repeat(edge, size)
+    # the second occurrence of an edge is its second incident element; -3
+    # (element -1) on the boundary
+    second = np.where(size > 1, order[np.minimum(runs[:-1] + 1, n - 1)], -3)
+    ends = np.empty((edge.size, 2), dtype=np.int64)
+    ends[edge] = np.stack([first, second], axis=1)
+    arrays = (ids.reshape(m, 3), pairs[ends[:, 0]], ends // 3)
     for arr in arrays:
         arr.setflags(write=False)
     return EdgeTable(*arrays)
@@ -322,11 +320,6 @@ def _overshared(table: EdgeTable) -> list[tuple[EdgeKey, tuple[int, ...]]]:
              tuple((np.flatnonzero(flat == e) // 3).tolist())) for e in over]
 
 
-def incidence_pairs(mesh: Mesh) -> list[tuple[int, EdgeKey]]:
-    """All (element, edge) pairs; exactly 3 per element."""
-    return [(t, e) for t in range(mesh.n_elements) for e in mesh.edges_of(t)]
-
-
 # -- structural operations --------------------------------------------------
 
 
@@ -338,23 +331,33 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
     meshes below ``_EXHAUSTIVE_LIMIT`` elements or with ``exhaustive=True``,
     additionally by a full vertex-against-edge betweenness scan.
     """
+    return _conformity(mesh, build_edge_table(mesh.elements), exhaustive)
+
+
+def _conformity(mesh: Mesh, rebuilt: EdgeTable,
+                exhaustive: bool | None = None) -> ConformityReport:
+    """validate_mesh's checks, with ``rebuilt`` as the rebuilt edge table."""
     violations: list[Violation] = []
     nv, ne = mesh.n_vertices, mesh.n_elements
 
-    # duplicate vertices (exact coordinate equality)
-    seen: dict[tuple[float, float], int] = {}
-    for i in range(nv):
-        p = (float(mesh.vertices[i, 0]), float(mesh.vertices[i, 1]))
-        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+    # duplicate vertices (exact coordinate equality), by the rows as complex
+    # keys, which compare as floats do: -0.0 equals 0.0, a NaN equals nothing
+    key = mesh.vertices.view(np.complex128).ravel()
+    keys, firsts, inverse = np.unique(key, return_index=True, return_inverse=True,
+                                      equal_nan=False)
+    first = firsts[inverse]
+    bad = ~np.isfinite(mesh.vertices).all(axis=1)
+    for i in np.flatnonzero(bad | (first != np.arange(nv))).tolist():
+        p = tuple(mesh.vertices[i].tolist())
+        if bad[i]:
             violations.append(Violation("bad_coordinate",
                                         f"vertex {i} has non-finite coordinates",
                                         (i,)))
-        if p in seen:
+        if first[i] != i:
+            j = int(first[i])
             violations.append(Violation("duplicate_vertex",
-                                        f"vertices {seen[p]} and {i} coincide at {p}",
-                                        (seen[p], i)))
-        else:
-            seen[p] = i
+                                        f"vertices {j} and {i} coincide at {p}",
+                                        (j, i)))
 
     bad_index = (mesh.elements.min() < 0 or mesh.elements.max() >= nv)
     if bad_index:
@@ -367,7 +370,6 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
                                     f"element {int(t)} has signed area {areas[t]:g}",
                                     (int(t),)))
 
-    rebuilt = build_edge_table(mesh.elements)
     if not all(np.array_equal(getattr(rebuilt, a), getattr(mesh.edge_table, a))
                for a in ("element2edges", "edge2nodes", "edge2elements")):
         violations.append(Violation("edge_table_mismatch",
@@ -384,34 +386,33 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
                                     f"vertex {int(i)} belongs to no element",
                                     (int(i),)))
 
-    # hanging nodes: midpoint of an existing edge present as a vertex
-    coord_to_node = seen
-    for (a, b), inc in rebuilt.items():
-        mid = _geom.midpoint(mesh.point(a), mesh.point(b))
-        j = coord_to_node.get(mid)
-        if j is not None and j not in (a, b):
-            violations.append(Violation(
-                "hanging_node",
-                f"vertex {j} splits edge {(a, b)} of elements {inc}",
-                (j, a, b)))
+    e2n, xy = rebuilt.edge2nodes, mesh.vertices
 
-    if exhaustive is None:
-        exhaustive = ne < _EXHAUSTIVE_LIMIT
-    if exhaustive:
-        reported = {v.ids for v in violations if v.kind == "hanging_node"}
-        for (a, b), inc in rebuilt.items():
-            pa, pb = mesh.point(a), mesh.point(b)
-            for j in range(nv):
-                if j in (a, b):
-                    continue
-                if _geom.point_strictly_inside_segment(mesh.point(j), pa, pb):
-                    ids = (j, a, b)
-                    if ids not in reported:
-                        reported.add(ids)
-                        violations.append(Violation(
-                            "hanging_node",
-                            f"vertex {j} lies inside edge {(a, b)} of elements {inc}",
-                            ids))
+    def hanging(j: int, e: int, where: str) -> None:
+        (a, b), (c, d) = e2n[e].tolist(), rebuilt.edge2elements[e].tolist()
+        violations.append(Violation(
+            "hanging_node", f"vertex {j} {where} edge {(a, b)} of elements "
+            f"{(c,) if d < 0 else (c, d)}", (j, a, b)))
+
+    # hanging nodes: the exact midpoint of an edge, looked up among the keys,
+    # is a vertex other than the edge's ends
+    with np.errstate(invalid="ignore", over="ignore"):
+        mid = ((xy[e2n[:, 0]] + xy[e2n[:, 1]]) / 2.0).view(np.complex128).ravel()
+        at = np.searchsorted(keys, mid).clip(max=keys.size - 1)
+        hit = firsts[at]
+        for e in np.flatnonzero((keys[at] == mid) & (hit != e2n[:, 0])
+                                & (hit != e2n[:, 1])).tolist():
+            hanging(int(hit[e]), e, "splits")
+
+        if exhaustive is None:
+            exhaustive = ne < _EXHAUSTIVE_LIMIT
+        if exhaustive:
+            reported = {v.ids for v in violations if v.kind == "hanging_node"}
+            for e, (a, b) in enumerate(e2n.tolist()):
+                inside = _geom.point_strictly_inside_segment(xy, xy[a], xy[b])
+                for j in np.flatnonzero(inside).tolist():
+                    if j not in (a, b) and (j, a, b) not in reported:
+                        hanging(j, e, "lies inside")
 
     return ConformityReport(violations)
 
@@ -423,6 +424,14 @@ def reference_neighbor(mesh: Mesh, t: int) -> int | None:
     table = mesh.edge_table
     a, b = table.edge2elements[table.element2edges[t, 0]].tolist()
     return a if a != t else (None if b in (-1, t) else b)
+
+
+def _reference_neighbors(mesh: Mesh) -> np.ndarray:
+    """reference_neighbor of every element, -1 on the boundary."""
+    table, t = mesh.edge_table, np.arange(mesh.n_elements)
+    a, b = table.edge2elements[table.element2edges[:, 0]].T
+    n1 = np.where(a != t, a, b)
+    return np.where(n1 == t, -1, n1)
 
 
 def classify_pair(mesh: Mesh, t1: int, t2: int) -> str:
@@ -455,10 +464,7 @@ def structure_flags(mesh: Mesh) -> StructureFlags:
     is_bdd = not ((ref[t1] == inner) != (ref[t2] == inner)).any()
 
     # reference neighbor N(T), -1 on the boundary
-    t = np.arange(mesh.n_elements)
-    a, b = table.edge2elements[ref].T
-    n1 = np.where(a != t, a, b)
-    n1[n1 == t] = -1
+    t, n1 = np.arange(mesh.n_elements), _reference_neighbors(mesh)
     isolated_literal = ~((n1 >= 0) & (n1[n1] == t))  # N(N(T)) != T
     isolated = isolated_literal & (n1 >= 0)
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import Mesh, MeshError, validate_mesh
+from .mesh import Mesh, MeshError, _conformity
 
 FORMAT_TAG = "nvbm"
 FORMAT_VERSION = 1
@@ -87,57 +87,57 @@ def loads_mesh(text: str, source: str = "<string>") -> Mesh:
     if len(lines) < 2 + nv + ne:
         fail(len(lines) + 1, f"expected {2 + nv + ne} lines, found {len(lines)}")
 
-    vertices = []
-    for i in range(nv):
-        lineno = 3 + i
-        parts = lines[2 + i].split()
-        if len(parts) != 2:
-            fail(lineno, "expected 'x y'")
-        try:
-            vertices.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            fail(lineno, f"bad coordinate {lines[2 + i]!r}")
-    finite = np.isfinite(np.array(vertices)).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        fail(3 + i, f"non-finite coordinate {lines[2 + i]!r}")
+    vertices = _read_block(lines[2:2 + nv], 2, np.float64)
+    if vertices is None or not np.isfinite(vertices).all():
+        vertices = []
+        for lineno, line in enumerate(lines[2:2 + nv], start=3):
+            parts = line.split()
+            if len(parts) != 2:
+                fail(lineno, "expected 'x y'")
+            try:
+                vertices.append((float(parts[0]), float(parts[1])))
+            except ValueError:
+                fail(lineno, f"bad coordinate {line!r}")
+        finite = np.isfinite(np.array(vertices)).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            fail(3 + i, f"non-finite coordinate {lines[2 + i]!r}")
 
-    elements, gens, ancestors, reds = [], [], [], []
-    for i in range(ne):
-        lineno = 3 + nv + i
-        parts = lines[2 + nv + i].split()
-        if len(parts) != 6:
-            fail(lineno, "expected 'v0 v1 v2 gen ancestor red_son'")
-        try:
-            vals = [int(p) for p in parts]
-        except ValueError:
-            fail(lineno, f"bad element line {lines[2 + nv + i]!r}")
-        if min(vals) < _INT64.min or max(vals) > _INT64.max:
-            fail(lineno, "integer field out of the int64 range")
-        v0, v1, v2, g, anc, red = vals
-        for v in (v0, v1, v2):
-            if not 0 <= v < nv:
-                fail(lineno, f"vertex index {v} out of range 0..{nv - 1}")
-        if g < 0:
-            fail(lineno, f"negative generation {g}")
-        if red not in (0, 1):
-            fail(lineno, f"red_son must be 0 or 1, got {red}")
-        elements.append((v0, v1, v2))
-        gens.append(g)
-        ancestors.append(anc)
-        reds.append(bool(red))
-
-    for i, anc in enumerate(ancestors):
-        if anc < 0:
-            fail(3 + nv + i, f"ancestor id {anc} is negative")
+    rows = _read_block(lines[2 + nv:2 + nv + ne], 6, np.int64)
+    # v0 v1 v2 gen ancestor red_son in range; int64's top may be a clamp
+    if rows is None or not (rows <= [nv - 1] * 3 + [_INT64.max - 1] * 2 + [1]).all():
+        rows = []
+        for lineno, line in enumerate(lines[2 + nv:2 + nv + ne], start=3 + nv):
+            parts = line.split()
+            if len(parts) != 6:
+                fail(lineno, "expected 'v0 v1 v2 gen ancestor red_son'")
+            try:
+                vals = [int(p) for p in parts]
+            except ValueError:
+                fail(lineno, f"bad element line {line!r}")
+            if min(vals) < _INT64.min or max(vals) > _INT64.max:
+                fail(lineno, "integer field out of the int64 range")
+            v0, v1, v2, g, anc, red = vals
+            for v in (v0, v1, v2):
+                if not 0 <= v < nv:
+                    fail(lineno, f"vertex index {v} out of range 0..{nv - 1}")
+            if g < 0:
+                fail(lineno, f"negative generation {g}")
+            if red not in (0, 1):
+                fail(lineno, f"red_son must be 0 or 1, got {red}")
+            rows.append(vals)
+        for i, (*_, anc, _red) in enumerate(rows):
+            if anc < 0:
+                fail(3 + nv + i, f"ancestor id {anc} is negative")
+        rows = np.array(rows, dtype=np.int64)
 
     try:
-        mesh = Mesh(vertices, elements, gen=gens,
-                    ancestor=ancestors, red_son=reds, validate=True)
+        mesh = Mesh(vertices, rows[:, :3], gen=rows[:, 3], ancestor=rows[:, 4],
+                    red_son=rows[:, 5], validate=True)
     except MeshError as exc:
         raise MeshError(f"{source}: non-conforming mesh: {exc}") from exc
 
-    report = validate_mesh(mesh)
+    report = _conformity(mesh, mesh.edge_table)
     if not report.ok:
         v = report.violations[0]
         lineno = None
@@ -149,3 +149,30 @@ def loads_mesh(text: str, source: str = "<string>") -> Mesh:
         raise MeshError(f"{where}non-conforming mesh: {v.detail} "
                         f"({len(report.violations)} violation(s) total)")
     return mesh
+
+
+def _read_block(lines: list[str], width: int, dtype) -> np.ndarray | None:
+    """The (n, width) array of a block laid out as dump_mesh writes it, or None.
+
+    The lines must be ASCII, ``width`` fields apart by single spaces, so that
+    the fields are the runs of bytes above 32.  Float fields convert as
+    float() does.  Integer fields must be ASCII digits, which np.fromstring
+    reads as int() does, except that it clamps a run beyond int64 to its top.
+    """
+    text = "\n".join(lines) + "\n"
+    if not text.isascii():
+        return None
+    raw = np.frombuffer(text.encode(), dtype=np.uint8)
+    sep = raw <= 32
+    kinds = raw[sep]
+    if (kinds.size != width * len(lines) or sep[0] or (sep[1:] & sep[:-1]).any()
+            or (kinds.reshape(-1, width) != [32] * (width - 1) + [10]).any()):
+        return None
+    if dtype == np.float64:
+        try:
+            return np.array(text.split(), dtype=np.float64).reshape(-1, width)
+        except ValueError:
+            return None
+    if (((raw < 48) | (raw > 57)) & ~sep).any():
+        return None
+    return np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, width)

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nvbmesh.mesh import Mesh, lshape6, square2
 from nvbmesh.refine import MarkingInput, PatternPolicy, refine_step
+
+
+# property tests: a fixed seed and a bounded example count keep them
+# deterministic and fast
+settings.register_profile("nvbmesh", derandomize=True, database=None,
+                          deadline=None, max_examples=100)
 
 
 def square2_incompatible() -> Mesh:

@@ -12,7 +12,18 @@ directly from all-pairs node-to-element distances, and ``conditions`` is
 the per-element loop of ``nvbmesh.stability.check_conditions``.
 ``build_corr``, ``corr_to_json``, ``transfer_marking`` and ``verify_corr``
 are the dict versions of the red/bisec3 correspondence: maps are dicts
-{(element, edge key): (element, edge key)}.
+{(element, edge key): (element, edge key)}.  ``verify_neighbor_rules`` is
+the per-element and per-edge loop of ``nvbmesh.analysis.verify_neighbor_rules``
+over ``reference_neighbor``/``classify_pair``; ``validate_mesh`` is the
+dict-and-loop ``nvbmesh.mesh.validate_mesh``; ``loads_mesh`` is the
+line-by-line ``.nvbm`` parser, whose line loops ``nvbmesh.meshio.loads_mesh``
+still runs on a block its array path does not take.  ``point_on_segment``
+and ``point_strictly_inside_segment`` are the scalar forms of the
+``nvbmesh._geom`` array kernels.  ``random_reference_edges`` and
+``random_marked`` are the per-element loops of ``assign_reference_edges(...,
+"random")`` and ``select_marked``'s ``random`` strategy.
+``incidence_pairs`` and ``point_strictly_inside_triangle`` are small
+helpers that only the tests use.
 """
 
 from __future__ import annotations
@@ -27,8 +38,13 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from nvbmesh import _geom
+from nvbmesh.analysis import CheckResult, StructureReport
 from nvbmesh.correspondence import CorrespondenceError, CorrReport
-from nvbmesh.mesh import EdgeKey, Mesh, edge_key
+from nvbmesh.mesh import (_EXHAUSTIVE_LIMIT, COMPATIBLY_DIVISIBLE, ConformityReport,
+                          EdgeKey, Mesh, MeshError, Violation, _overshared,
+                          build_edge_table, classify_pair, edge_key,
+                          reference_neighbor)
+from nvbmesh.meshio import _INT64, FORMAT_TAG, FORMAT_VERSION
 from nvbmesh.refine import (BISEC1, BISEC2_LEFT, BISEC2_RIGHT, BISEC3, BISEC5,
                             FULL_PATTERNS, PATTERN_NONE, RED, MarkingInput,
                             PatternPolicy, RefinementPlan, chain)
@@ -208,6 +224,18 @@ def split(mesh: Mesh, plan: RefinementPlan, policy: PatternPolicy | None = None)
                 has_bisec5_history=mesh.has_bisec5_history or any_b5)
 
 
+def incidence_pairs(mesh: Mesh) -> list[tuple[int, EdgeKey]]:
+    """All (element, edge) pairs; exactly 3 per element."""
+    return [(t, e) for t in range(mesh.n_elements) for e in mesh.edges_of(t)]
+
+
+def point_strictly_inside_triangle(p, p0, p1, p2) -> bool:
+    """True iff p is interior to the CCW triangle (all barycentrics > 0)."""
+    return (_geom.signed_area(p0, p1, p) > 0.0
+            and _geom.signed_area(p1, p2, p) > 0.0
+            and _geom.signed_area(p2, p0, p) > 0.0)
+
+
 # -- verify_levels ----------------------------------------------------------
 
 
@@ -242,6 +270,302 @@ def area_identity_and_diameter_scale(mesh: Mesh, initial: Mesh
         lo = min(lo, math.sqrt(mesh.area(t)) * scale)
         hi = max(hi, _geom.diameter(p0, p1, p2) * scale)
     return bad_area, lo, hi
+
+
+def point_on_segment(p, a, b) -> bool:
+    """True iff p lies on the closed segment [a, b] (exact arithmetic)."""
+    abx, aby = b[0] - a[0], b[1] - a[1]
+    apx, apy = p[0] - a[0], p[1] - a[1]
+    if _geom.cross2(abx, aby, apx, apy) != 0.0:
+        return False
+    dot = apx * abx + apy * aby
+    return 0.0 <= dot <= abx * abx + aby * aby
+
+
+def point_strictly_inside_segment(p, a, b) -> bool:
+    """True iff p lies on segment [a, b] excluding the endpoints."""
+    abx, aby = b[0] - a[0], b[1] - a[1]
+    apx, apy = p[0] - a[0], p[1] - a[1]
+    if _geom.cross2(abx, aby, apx, apy) != 0.0:
+        return False
+    dot = apx * abx + apy * aby
+    return 0.0 < dot < abx * abx + aby * aby
+
+
+def verify_neighbor_rules(mesh: Mesh, initial: Mesh | None = None) -> StructureReport:
+    """Reference-neighbor structure of bisection meshes.
+
+    Checks, over all shared edges: a reference neighbor of strictly larger
+    generation is compatibly divisible with gap exactly 1; equal-generation
+    neighbors under a common ancestor (or under compatibly divisible
+    ancestors) are compatibly divisible; an equal-generation incompatible
+    pair shares an edge lying inside an edge of the initial mesh.
+    """
+    if initial is None:
+        initial = mesh.initial_mesh
+    report = StructureReport()
+
+    bad_iii = []
+    for t in range(mesh.n_elements):
+        n1 = reference_neighbor(mesh, t)
+        if n1 is None:
+            continue
+        if int(mesh.gen[n1]) > int(mesh.gen[t]):
+            gap = int(mesh.gen[n1]) - int(mesh.gen[t])
+            if gap != 1 or classify_pair(mesh, t, n1) != COMPATIBLY_DIVISIBLE:
+                bad_iii.append((t, n1, gap))
+    report.checks.append(CheckResult(
+        "deeper_reference_neighbor", not bad_iii,
+        "gen(N(T)) > gen(T) implies compatibly divisible with gap 1",
+        tuple(bad_iii[:10])))
+
+    # segments of the initial mesh, indexed by ancestor element
+    init_segments = [[(initial.point(a), initial.point(b))
+                      for a, b in initial.edges_of(t)]
+                     for t in range(initial.n_elements)]
+
+    def inside_initial_edge(t1: int, t2: int, e) -> bool:
+        pa, pb = mesh.point(e[0]), mesh.point(e[1])
+        cand = (init_segments[int(mesh.ancestor[t1])]
+                + init_segments[int(mesh.ancestor[t2])])
+        for a, b in cand:
+            if point_on_segment(pa, a, b) and point_on_segment(pb, a, b):
+                return True
+        return False
+
+    bad_iv, bad_v, bad_vi = [], [], []
+    for e, inc in mesh.edge_table.items():
+        if len(inc) != 2:
+            continue
+        t1, t2 = inc
+        if int(mesh.gen[t1]) != int(mesh.gen[t2]):
+            continue
+        compat = classify_pair(mesh, t1, t2) == COMPATIBLY_DIVISIBLE
+        a1, a2 = int(mesh.ancestor[t1]), int(mesh.ancestor[t2])
+        if a1 == a2 and not compat:
+            bad_iv.append((t1, t2))
+        if a1 != a2 and not compat:
+            anc_shared = (set(initial.edges_of(a1)) & set(initial.edges_of(a2)))
+            if anc_shared and classify_pair(initial, a1, a2) == COMPATIBLY_DIVISIBLE:
+                bad_v.append((t1, t2))
+        if not compat and not inside_initial_edge(t1, t2, e):
+            bad_vi.append((t1, t2))
+    report.checks.append(CheckResult(
+        "same_ancestor_equal_gen_compatible", not bad_iv,
+        "equal-generation neighbors under one ancestor are compatibly divisible",
+        tuple(bad_iv[:10])))
+    report.checks.append(CheckResult(
+        "compatible_ancestors_equal_gen_compatible", not bad_v,
+        "equal-generation neighbors under compatibly divisible ancestors "
+        "are compatibly divisible", tuple(bad_v[:10])))
+    report.checks.append(CheckResult(
+        "incompatible_pairs_on_initial_edges", not bad_vi,
+        "equal-generation incompatible pairs share an edge inside an "
+        "initial edge", tuple(bad_vi[:10])))
+    return report
+
+
+# -- validate_mesh and the .nvbm parser -------------------------------------
+
+
+def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityReport:
+    """Diagnostic conformity check; returns violations, never raises.
+
+    Hanging nodes are detected by the exact midpoint test on every edge
+    (complete for meshes produced by bisection/red refinement) and, for
+    meshes below ``_EXHAUSTIVE_LIMIT`` elements or with ``exhaustive=True``,
+    additionally by a full vertex-against-edge betweenness scan.
+    """
+    violations: list[Violation] = []
+    nv, ne = mesh.n_vertices, mesh.n_elements
+
+    # duplicate vertices (exact coordinate equality)
+    seen: dict[tuple[float, float], int] = {}
+    for i in range(nv):
+        p = (float(mesh.vertices[i, 0]), float(mesh.vertices[i, 1]))
+        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+            violations.append(Violation("bad_coordinate",
+                                        f"vertex {i} has non-finite coordinates",
+                                        (i,)))
+        if p in seen:
+            violations.append(Violation("duplicate_vertex",
+                                        f"vertices {seen[p]} and {i} coincide at {p}",
+                                        (seen[p], i)))
+        else:
+            seen[p] = i
+
+    bad_index = (mesh.elements.min() < 0 or mesh.elements.max() >= nv)
+    if bad_index:
+        violations.append(Violation("bad_index", "element vertex index out of range"))
+        return ConformityReport(violations)
+
+    areas = mesh.areas()
+    for t in np.nonzero(areas <= 0.0)[0]:
+        violations.append(Violation("inverted_element",
+                                    f"element {int(t)} has signed area {areas[t]:g}",
+                                    (int(t),)))
+
+    rebuilt = build_edge_table(mesh.elements)
+    if not all(np.array_equal(getattr(rebuilt, a), getattr(mesh.edge_table, a))
+               for a in ("element2edges", "edge2nodes", "edge2elements")):
+        violations.append(Violation("edge_table_mismatch",
+                                    "stored edge table differs from rebuild"))
+    for e, inc in _overshared(rebuilt):
+        violations.append(Violation("overshared_edge",
+                                    f"edge {e} shared by elements {inc}",
+                                    inc))
+
+    used = np.zeros(nv, dtype=bool)
+    used[mesh.elements.ravel()] = True
+    for i in np.nonzero(~used)[0]:
+        violations.append(Violation("orphan_vertex",
+                                    f"vertex {int(i)} belongs to no element",
+                                    (int(i),)))
+
+    # hanging nodes: midpoint of an existing edge present as a vertex
+    coord_to_node = seen
+    for (a, b), inc in rebuilt.items():
+        mid = _geom.midpoint(mesh.point(a), mesh.point(b))
+        j = coord_to_node.get(mid)
+        if j is not None and j not in (a, b):
+            violations.append(Violation(
+                "hanging_node",
+                f"vertex {j} splits edge {(a, b)} of elements {inc}",
+                (j, a, b)))
+
+    if exhaustive is None:
+        exhaustive = ne < _EXHAUSTIVE_LIMIT
+    if exhaustive:
+        reported = {v.ids for v in violations if v.kind == "hanging_node"}
+        for (a, b), inc in rebuilt.items():
+            pa, pb = mesh.point(a), mesh.point(b)
+            for j in range(nv):
+                if j in (a, b):
+                    continue
+                if point_strictly_inside_segment(mesh.point(j), pa, pb):
+                    ids = (j, a, b)
+                    if ids not in reported:
+                        reported.add(ids)
+                        violations.append(Violation(
+                            "hanging_node",
+                            f"vertex {j} lies inside edge {(a, b)} of elements {inc}",
+                            ids))
+
+    return ConformityReport(violations)
+
+
+def loads_mesh(text: str, source: str = "<string>") -> Mesh:
+    lines = text.splitlines()
+
+    def fail(lineno: int, msg: str):
+        raise MeshError(f"{source}:{lineno}: {msg}")
+
+    if not lines:
+        fail(1, "empty file")
+    header = lines[0].split()
+    if len(header) != 2 or header[0] != FORMAT_TAG:
+        fail(1, f"expected header '{FORMAT_TAG} {FORMAT_VERSION}'")
+    if header[1] != str(FORMAT_VERSION):
+        fail(1, f"unsupported format version {header[1]!r}")
+    if len(lines) < 2:
+        fail(2, "missing count line")
+    counts = lines[1].split()
+    if len(counts) != 2:
+        fail(2, "expected '<nv> <ne>'")
+    try:
+        nv, ne = int(counts[0]), int(counts[1])
+    except ValueError:
+        fail(2, "vertex/element counts must be integers")
+    if nv <= 0 or ne <= 0:
+        fail(2, "vertex and element counts must be positive")
+    if len(lines) < 2 + nv + ne:
+        fail(len(lines) + 1, f"expected {2 + nv + ne} lines, found {len(lines)}")
+
+    vertices = []
+    for i in range(nv):
+        lineno = 3 + i
+        parts = lines[2 + i].split()
+        if len(parts) != 2:
+            fail(lineno, "expected 'x y'")
+        try:
+            vertices.append((float(parts[0]), float(parts[1])))
+        except ValueError:
+            fail(lineno, f"bad coordinate {lines[2 + i]!r}")
+    finite = np.isfinite(np.array(vertices)).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        fail(3 + i, f"non-finite coordinate {lines[2 + i]!r}")
+
+    elements, gens, ancestors, reds = [], [], [], []
+    for i in range(ne):
+        lineno = 3 + nv + i
+        parts = lines[2 + nv + i].split()
+        if len(parts) != 6:
+            fail(lineno, "expected 'v0 v1 v2 gen ancestor red_son'")
+        try:
+            vals = [int(p) for p in parts]
+        except ValueError:
+            fail(lineno, f"bad element line {lines[2 + nv + i]!r}")
+        if min(vals) < _INT64.min or max(vals) > _INT64.max:
+            fail(lineno, "integer field out of the int64 range")
+        v0, v1, v2, g, anc, red = vals
+        for v in (v0, v1, v2):
+            if not 0 <= v < nv:
+                fail(lineno, f"vertex index {v} out of range 0..{nv - 1}")
+        if g < 0:
+            fail(lineno, f"negative generation {g}")
+        if red not in (0, 1):
+            fail(lineno, f"red_son must be 0 or 1, got {red}")
+        elements.append((v0, v1, v2))
+        gens.append(g)
+        ancestors.append(anc)
+        reds.append(bool(red))
+
+    for i, anc in enumerate(ancestors):
+        if anc < 0:
+            fail(3 + nv + i, f"ancestor id {anc} is negative")
+
+    try:
+        mesh = Mesh(vertices, elements, gen=gens,
+                    ancestor=ancestors, red_son=reds, validate=True)
+    except MeshError as exc:
+        raise MeshError(f"{source}: non-conforming mesh: {exc}") from exc
+
+    report = validate_mesh(mesh)
+    if not report.ok:
+        v = report.violations[0]
+        lineno = None
+        if v.kind in ("inverted_element",) and v.ids:
+            lineno = 3 + nv + v.ids[0]
+        elif v.kind in ("duplicate_vertex", "orphan_vertex", "bad_coordinate") and v.ids:
+            lineno = 3 + v.ids[0]
+        where = f"{source}:{lineno}: " if lineno else f"{source}: "
+        raise MeshError(f"{where}non-conforming mesh: {v.detail} "
+                        f"({len(report.violations)} violation(s) total)")
+    return mesh
+
+
+# -- marking ------------------------------------------------------------------
+
+
+def random_reference_edges(mesh: Mesh, seed: int) -> np.ndarray:
+    """The rotated triples of ``assign_reference_edges(mesh, "random", seed)``."""
+    tris = mesh.elements.copy()
+    rng = np.random.default_rng(seed)
+    for t in range(mesh.n_elements):
+        v = [int(x) for x in tris[t]]
+        rot = int(rng.integers(3))
+        tris[t] = [v[rot], v[(rot + 1) % 3], v[(rot + 2) % 3]]
+    return tris
+
+
+def random_marked(n: int, fraction: float, rng: np.random.Generator) -> list[int]:
+    """``select_marked``'s ``random`` strategy on an n-element mesh."""
+    draws = rng.random(n)
+    marked = [t for t in range(n) if draws[t] < fraction]
+    if not marked:
+        marked = [int(rng.integers(n))]
+    return marked
 
 
 # -- nodal weights and element conditions -----------------------------------

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from conftest import small_mesh_corpus
-from oracles import brute_force_closure, brute_force_weight_exponents
-from nvbmesh import _geom
+from oracles import (brute_force_closure, brute_force_weight_exponents,
+                     point_strictly_inside_triangle)
 from nvbmesh.analysis import (closure_accounting, reciprocal_sum_bound,
                               verify_chain_bounds)
 from nvbmesh.correspondence import corresponding_sequence, verify_corr
@@ -374,7 +374,7 @@ def test_criterion_12_interior_node_property():
         for t in marked:
             father = mesh.coords(t)
             interior = [p for p in new_nodes
-                        if _geom.point_strictly_inside_triangle(p, *father)]
+                        if point_strictly_inside_triangle(p, *father)]
             assert len(interior) == 1, (seed, t)
             instances += 1
         seed += 1

@@ -139,6 +139,45 @@ def test_neighbor_rules_report_corrupted_generation(sq):
     assert any(c.witnesses for c in report.failed())
 
 
+def _neighbor_rule_cases():
+    """Random-reference-edge runs, BDD runs and their tampered copies."""
+    flat = uniform(uniform(uniform(lshape6(), "bisec1"), "bisec1"), "bisec1")
+    flat = Mesh(flat.vertices, flat.elements)
+    cases = []
+    for seed in range(6):
+        initial = assign_reference_edges(flat, "random", seed) if seed % 3 else flat
+        meshes, _ = random_trace(initial, seed=seed, steps=8, dialect="refineNVB",
+                                 fraction=0.15)
+        cases.append((meshes[-1], initial))
+    rng = np.random.default_rng(7)
+    for fine, initial in cases[:4]:
+        m = fine.n_elements
+        # rotated triples: new reference edges, so incompatible pairs
+        tris = fine.elements.copy()
+        rot = rng.choice(m, size=m // 3, replace=False)
+        tris[rot] = np.roll(tris[rot], 1, axis=1)
+        cases.append((Mesh(fine.vertices, tris, gen=fine.gen,
+                           ancestor=fine.ancestor, initial=initial), initial))
+        # bumped generations
+        gens = fine.gen.copy()
+        gens[rng.choice(m, size=m // 4, replace=False)] += rng.integers(1, 3)
+        cases.append((Mesh(fine.vertices, fine.elements, gen=gens,
+                           ancestor=fine.ancestor, initial=initial), initial))
+    return cases
+
+
+def test_neighbor_rules_match_loop_oracle():
+    failed = set()
+    for mesh, initial in _neighbor_rule_cases():
+        report = verify_neighbor_rules(mesh, initial)
+        expect = oracles.verify_neighbor_rules(mesh, initial)
+        assert report.to_dict() == expect.to_dict()
+        failed |= {c.name for c in report.failed()}
+        assert all(len(c.witnesses) <= 10 for c in report.checks)
+    # every check fails on some tampered mesh, so every mask is compared
+    assert len(failed) == 4
+
+
 def test_chain_bounds_single_bisection_distance_zero(sq):
     report = verify_chain_bounds([sq], [MarkingInput.of([0])])
     assert report.ok

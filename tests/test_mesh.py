@@ -5,14 +5,16 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 
-from conftest import (crisscross, single_triangle, small_mesh_corpus,
-                      square2_boundary_refs, square2_incompatible)
-from nvbmesh import _geom
+import oracles
+from conftest import (crisscross, random_trace, single_triangle,
+                      small_mesh_corpus, square2_boundary_refs,
+                      square2_incompatible)
 from nvbmesh.mesh import (COMPATIBLY_DIVISIBLE, INCOMPATIBLE, NOT_ADJACENT,
                           Mesh, MeshError, build_edge_table, classify_pair,
-                          edge_key, geometry, incidence_pairs, lshape6,
+                          edge_key, geometry, lshape6,
                           reference_neighbor, restrict, same_mesh, square2,
                           structure_flags, validate_mesh)
 from nvbmesh.refine import MarkingInput, refine_step, uniform
@@ -47,7 +49,7 @@ def _tri_intersection_violations(mesh):
             edges = [(tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])]
             for v in mesh.elements[a]:
                 p = mesh.point(int(v))
-                if any(_geom.point_strictly_inside_segment(p, e0, e1)
+                if any(oracles.point_strictly_inside_segment(p, e0, e1)
                        for e0, e1 in edges):
                     bad.append((t1, t2))
     return bad
@@ -60,6 +62,68 @@ def test_hanging_node_detected_and_matches_pairwise_oracle():
     report = validate_mesh(mesh)
     assert "hanging_node" in report.kinds()
     assert _tri_intersection_violations(mesh), "oracle must also flag it"
+
+
+_NAN, _INF = math.nan, math.inf
+_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+_EDGE_CASES = {
+    # two NaN rows are not duplicates of each other
+    "nan_pair": (_SQUARE + [(_NAN, _NAN), (_NAN, _NAN)], [(2, 0, 1), (0, 2, 3)]),
+    "inf_duplicates": (_SQUARE + [(_INF, 0.0), (_INF, 0.0), (1.0, -_INF)],
+                       [(2, 0, 1), (0, 2, 3)]),
+    "negative_zero_duplicate": (_SQUARE + [(-0.0, 0.0)], [(2, 0, 1), (4, 2, 3)]),
+    # the left edge's midpoint is (-0.0, 0.0); vertex 2 sits there as (0.0, 0.0)
+    "negative_zero_hanging": ([(-0.0, -1.0), (-0.0, 1.0), (0.0, 0.0), (1.0, 0.0),
+                               (-1.0, 0.0)], [(0, 1, 4), (0, 3, 2), (2, 3, 1)]),
+    "overshared_edge": (_SQUARE + [(0.5, -1.0)], [(0, 1, 2), (0, 2, 3), (1, 0, 4),
+                                                  (0, 1, 3)]),
+    "orphans": (_SQUARE + [(2.0, 2.0), (3.0, 3.0)], [(2, 0, 1), (0, 2, 3)]),
+    # an edge between coincident vertices has its ends as its midpoint
+    "coincident_ends": (_SQUARE + [(1.0, 0.0)], [(2, 0, 1), (0, 2, 3), (1, 4, 2)]),
+    "mixed": ([(-0.0, -1.0), (-0.0, 1.0), (0.0, 0.0), (1.0, 0.0), (-1.0, 0.0),
+               (_NAN, 1.0), (_NAN, 1.0), (_INF, _INF), (_INF, _INF), (0.0, -0.0),
+               (0.5, 0.5), (1.0, 0.0)],
+              [(0, 1, 4), (0, 3, 2), (2, 3, 1), (11, 10, 1), (1, 0, 10),
+               (0, 3, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_CASES))
+def test_validate_mesh_edge_cases_match_oracle(name):
+    vertices, elements = _EDGE_CASES[name]
+    mesh = Mesh(vertices, elements, validate=False)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for exhaustive in (None, False, True):
+            got = validate_mesh(mesh, exhaustive).violations
+            assert got == oracles.validate_mesh(mesh, exhaustive).violations
+    assert got, name
+
+
+def test_validate_mesh_matches_oracle_on_refined_and_tampered_meshes():
+    meshes = []
+    for seed in range(4):
+        initial = lshape6() if seed % 2 else square2()
+        fine = random_trace(initial, seed=seed, steps=7, dialect="refineNVB",
+                            fraction=0.3)[0][-1]
+        meshes.append(fine)
+        # move vertices onto other vertices and onto edge midpoints
+        rng = np.random.default_rng(seed)
+        xy = fine.vertices.copy()
+        e2n = fine.edge_table.edge2nodes
+        moved = rng.choice(fine.n_vertices, size=6, replace=False)
+        xy[moved[:3]] = xy[rng.choice(fine.n_vertices, size=3)]
+        e = rng.choice(len(e2n), size=3, replace=False)
+        xy[moved[3:]] = (xy[e2n[e, 0]] + xy[e2n[e, 1]]) / 2.0
+        meshes.append(Mesh(xy, fine.elements, gen=fine.gen, ancestor=fine.ancestor,
+                           initial=initial, validate=False))
+    kinds = set()
+    for mesh in meshes:
+        for exhaustive in (None, False):
+            report = validate_mesh(mesh, exhaustive)
+            expect = oracles.validate_mesh(mesh, exhaustive)
+            assert report.violations == expect.violations
+            kinds |= report.kinds()
+    assert {"duplicate_vertex", "hanging_node", "inverted_element"} <= kinds
 
 
 def test_duplicate_vertex_detected():
@@ -224,7 +288,7 @@ def test_edge_table_rebuild_identical():
 
 def test_incidence_pair_count():
     for mesh in small_mesh_corpus().values():
-        assert len(incidence_pairs(mesh)) == 3 * mesh.n_elements
+        assert len(oracles.incidence_pairs(mesh)) == 3 * mesh.n_elements
 
 
 def test_mesh_is_immutable(sq):

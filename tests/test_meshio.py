@@ -6,10 +6,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import random_trace
-from nvbmesh.mesh import MeshError, lshape6, same_mesh, square2
+from nvbmesh.mesh import Mesh, MeshError, lshape6, same_mesh, square2, validate_mesh
 from nvbmesh.meshio import dumps_mesh, loads_mesh, read_mesh, write_mesh
+
+PROPERTY = settings.get_profile("nvbmesh")
 
 
 def test_roundtrip_is_exact(tmp_path):
@@ -118,3 +123,102 @@ def test_loaded_refined_mesh_supports_further_refinement(tmp_path):
         restrict(loaded, [0])
     with pytest.raises(MeshError, match="initial mesh unknown"):
         loaded.initial_mesh
+
+
+_VALID = {
+    "square2": dumps_mesh(square2()),
+    "trace": dumps_mesh(random_trace(lshape6(), seed=5, steps=4,
+                                     dialect="refineNVB", fraction=0.2)[0][-1]),
+}
+
+
+def _outcome(load, text: str) -> str:
+    """The written mesh, or the text of the MeshError; any other exception
+    propagates."""
+    try:
+        return dumps_mesh(load(text, source="in.nvbm"))
+    except MeshError as exc:
+        return f"MeshError: {exc}"
+
+
+@st.composite
+def _mutated(draw) -> str:
+    text = _VALID[draw(st.sampled_from(sorted(_VALID)))]
+    chars = st.sampled_from("0123456789 \n\t\r-+._e\x00\x0b\x85") | \
+        st.integers(0, 255).map(chr)
+    spot = draw(st.randoms(use_true_random=False))  # uniform positions
+    for _ in range(draw(st.integers(1, 3))):
+        i = spot.randrange(len(text) + 1)
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        c = draw(chars)
+        text = (text[:i] + (c if op != "delete" else "")
+                + text[i + (op != "insert"):])
+    return text
+
+
+_TRIANGLES = "nvbm 1\n4 2\n0.0 0.0\n1.0 0.0\n1.0 1.0\n0.0 1.0\n"
+
+
+@pytest.mark.parametrize("text", [
+    _TRIANGLES + "2 0 1 0 0 0\n0 2 3 0 1 0\n",                   # valid
+    _TRIANGLES + "2\t0 1 0 0 0\r\n0 2 3 +1 0_1 0\n\nextra\n",    # valid, slow path
+    _TRIANGLES.replace("1.0 1.0", "1.0 1.0\x85") + "2 0 1 0 0 0\n0 2 3 0 1 0\n",
+    _TRIANGLES + "2 0 1 0 0 0\n0 2 3 \u0663 1 0\n",                # Arabic-Indic 3
+    _TRIANGLES + "2 0 1 9223372036854775807 0 0\n0 2 3 0 1 0\n",
+    _TRIANGLES + "2 0 1 9223372036854775808 0 0\n0 2 3 0 1 0\n",
+    _TRIANGLES + "2 0 1 0 0 0\n0 2 3 0 -1 0\n",
+    _TRIANGLES + "2 0 1 0 -1 0\n0 2 3 0 1 7\n",                  # line error first
+    _TRIANGLES + "2 0 1 -1 0 0\n0 2 3 0 1 0\n",
+    _TRIANGLES + "2 0 1 0 0 2\n0 2 3 0 1 0\n",
+    _TRIANGLES + "2 0 4 0 0 0\n0 2 3 0 1 0\n",
+    _TRIANGLES + "2 0 1 0 0 0 0\n0 2 3 0 1\n",                    # 7 then 5 fields
+    _TRIANGLES + "2 0 1 0.0 0 0\n0 2 3 0 1 0\n",
+    _TRIANGLES.replace("0.0 1.0", "0.0 1.0 2.0") + "2 0 1 0 0 0\n0 2 3 0\n",
+    _TRIANGLES.replace("1.0 0.0", "1e400 0.0") + "2 0 x 0 0 0\n0 2 3 0 1 0\n",
+    _TRIANGLES.replace("1.0 0.0", "1_0 nan") + "2 0 1 0 0 0\n0 2 3 0 1 0\n",
+    _TRIANGLES.replace("4 2", "6 2") + "2.0 2.0\n-0.0 0.0\n2 0 1 0 0 0\n0 2 3 0 1 0\n",
+    "nvbm 1\n5 3\n0.0 0.0\n2.0 0.0\n1.0 0.0\n1.0 1.0\n1.0 -1.0\n"
+    "0 2 3 0 0 0\n2 1 3 0 1 0\n1 0 4 0 2 0\n",                   # hanging node
+    _TRIANGLES + "2 0 1 0 0 0\n0 2 1 0 1 0\n",
+    _TRIANGLES + " 2 0 1 0 0\n0 2 3 0 1 0\n",                  # leading space, 5 fields
+    # non-ASCII whitespace splits fields: line 3 has three, line 4 one
+    _TRIANGLES.replace(" 0.0\n1.0 0.0", "\u00a00.0 1.0\n0.0 \u00a0")
+    + "2 0 1 0 0 0\n0 2 3 0 1 0\n",
+])
+def test_malformed_corpus_fails_like_the_line_parser(text):
+    assert _outcome(loads_mesh, text) == _outcome(oracles.loads_mesh, text)
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(_mutated())
+def test_mutated_files_fail_like_the_line_parser(text):
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _outcome(loads_mesh, text) == _outcome(oracles.loads_mesh, text)
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(PROPERTY)
+@given(st.lists(st.tuples(_FLOATS, _FLOATS), min_size=3, max_size=3),
+       st.integers(0, 2), st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1),
+       st.booleans())
+@example([(5e-324, -0.0), (1.7976931348623157e308, 0.0), (0.0, 1.0)], 1, 0, 0, True)
+@example([(-0.0, 0.0), (1.0, 5e-324), (-1.7976931348623157e308, 2.0)], 2, 2**63 - 1,
+         2**63 - 1, False)
+def test_write_read_is_identity_on_finite_floats(points, rot, gen, ancestor, red):
+    triple = np.roll([0, 1, 2], rot)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if Mesh(points, [triple], validate=False).areas()[0] < 0:
+            triple = triple[::-1]
+        try:
+            mesh = Mesh(points, [triple], gen=[gen], ancestor=[ancestor if gen else 0],
+                        red_son=[red])
+        except MeshError:
+            assume(False)
+        assume(validate_mesh(mesh).ok)
+        text = dumps_mesh(mesh)
+        back = loads_mesh(text)
+    for name in ("vertices", "elements", "gen", "ancestor", "red_son"):
+        assert getattr(back, name).tobytes() == getattr(mesh, name).tobytes()
+    assert dumps_mesh(back) == text

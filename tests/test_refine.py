@@ -9,7 +9,7 @@ import pytest
 
 from conftest import (random_trace, single_triangle, small_mesh_corpus,
                       square2_incompatible)
-from oracles import brute_force_closure
+from oracles import brute_force_closure, point_strictly_inside_triangle
 from nvbmesh import _geom
 from nvbmesh.marking import RunConfig, run_refinement
 from nvbmesh.mesh import (PrecisionExhausted, lshape6, same_mesh, square2,
@@ -135,7 +135,7 @@ def test_bisec5_interior_node_and_generations():
     # exactly one new node strictly inside the father
     father = tri.coords(0)
     interior = [j for j in range(fine.n_vertices)
-                if _geom.point_strictly_inside_triangle(fine.point(j), *father)]
+                if point_strictly_inside_triangle(fine.point(j), *father)]
     assert len(interior) == 1
     # area bookkeeping: |T| * (2/4 + 4/8) = |T|
     assert fine.total_area() == tri.total_area()

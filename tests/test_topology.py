@@ -1,4 +1,5 @@
-"""The array edge topology, closure and splitter against loop oracles."""
+"""The array edge topology, closure, splitter and random marking against
+loop oracles."""
 
 from __future__ import annotations
 
@@ -6,11 +7,11 @@ import numpy as np
 import pytest
 
 import oracles
-from nvbmesh.marking import (RunConfig, build_initial, make_policy,
-                             marking_for, select_marked)
-from nvbmesh.mesh import Mesh, build_edge_table, validate_mesh
+from nvbmesh.marking import (RunConfig, assign_reference_edges, build_initial,
+                             make_policy, marking_for, select_marked)
+from nvbmesh.mesh import Mesh, build_edge_table, lshape6, square2, validate_mesh
 from nvbmesh.meshio import dumps_mesh
-from nvbmesh.refine import step_with_plan
+from nvbmesh.refine import step_with_plan, uniform
 
 # every dialect with each pattern policy it admits
 COMBOS = [("refineNVB", "bisec3"), ("refineNVB3", "bisec3"),
@@ -82,3 +83,20 @@ def test_overshared_edge_is_reported_with_every_element():
     over = [v for v in validate_mesh(mesh).violations
             if v.kind == "overshared_edge"]
     assert [v.ids for v in over] == [(0, 1, 2)]
+
+
+def test_random_reference_edges_and_marking_match_oracles():
+    fine = lshape6()
+    for _ in range(5):
+        fine = uniform(fine, "bisec1")
+    meshes = [square2(), lshape6(), Mesh(fine.vertices, fine.elements)]
+    config = RunConfig(strategy="random", fraction=0.05)
+    for mesh in meshes:
+        for seed in range(21):
+            rotated = assign_reference_edges(mesh, "random", seed)
+            assert rotated.elements.tolist() == \
+                oracles.random_reference_edges(mesh, seed).tolist()
+            rng, expect_rng = (np.random.default_rng(seed) for _ in range(2))
+            for _ in range(3):
+                assert select_marked(rotated, config, rng) == oracles.random_marked(
+                    rotated.n_elements, config.fraction, expect_rng)
