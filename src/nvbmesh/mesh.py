@@ -17,9 +17,7 @@ edge ids, column 0 the reference edge (v0, v1), then (v1, v2), (v2, v0);
 ``edge2nodes`` (E, 2) the sorted node pairs; ``edge2elements`` (E, 2) the
 incident elements in ascending id, -1 in column 1 on the boundary.  Edges
 are numbered in first-touch order: as a sweep over the elements and their
-edges 0, 1, 2 first meets them.  The table is also a read-only ``Mapping``
-from node pairs to incident-element tuples, in edge-id order; its
-key-to-id index is built on the first lookup by key.
+edges 0, 1, 2 first meets them.
 
 Meshes are immutable after construction (the backing arrays are marked
 read-only); every operation in this module is read-only and safe for
@@ -28,9 +26,7 @@ concurrent readers.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -259,27 +255,13 @@ class Mesh:
 
 
 @dataclass(frozen=True, eq=False)
-class EdgeTable(Mapping):
-    """Integer edge topology of a mesh (see the module docstring); as a
-    Mapping, an edge of more than two elements shows the first two."""
+class EdgeTable:
+    """Integer edge topology of a mesh (see the module docstring); an edge
+    of more than two elements shows the first two in ``edge2elements``."""
 
     element2edges: np.ndarray
     edge2nodes: np.ndarray
     edge2elements: np.ndarray
-
-    @cached_property
-    def _index(self) -> dict[EdgeKey, int]:
-        return dict(zip(self, range(len(self))))
-
-    def __getitem__(self, key: EdgeKey) -> tuple[int, ...]:
-        a, b = self.edge2elements[self._index[key]].tolist()
-        return (a,) if b < 0 else (a, b)
-
-    def __iter__(self):
-        return map(tuple, self.edge2nodes.tolist())
-
-    def __len__(self) -> int:
-        return self.edge2nodes.shape[0]
 
 
 def build_edge_table(elements: np.ndarray) -> EdgeTable:
@@ -315,7 +297,7 @@ def build_edge_table(elements: np.ndarray) -> EdgeTable:
 def _overshared(table: EdgeTable) -> list[tuple[EdgeKey, tuple[int, ...]]]:
     """Edges with more than two incident elements, with all of them."""
     flat = table.element2edges.ravel()
-    over = np.flatnonzero(np.bincount(flat, minlength=len(table)) > 2)
+    over = np.flatnonzero(np.bincount(flat) > 2)
     return [(tuple(table.edge2nodes[e].tolist()),
              tuple((np.flatnonzero(flat == e) // 3).tolist())) for e in over]
 
@@ -378,6 +360,16 @@ def _conformity(mesh: Mesh, rebuilt: EdgeTable,
         violations.append(Violation("overshared_edge",
                                     f"edge {e} shared by elements {inc}",
                                     inc))
+    # an element that meets one neighbour across two edges covers the same
+    # triangle; each pair is reported once, at its later element
+    t = np.arange(ne)
+    inc = rebuilt.edge2elements[rebuilt.element2edges]
+    n0, n1, n2 = np.where(inc[..., 0] == t[:, None], inc[..., 1], inc[..., 0]).T
+    twice = np.where((n0 == n1) | (n0 == n2), n0, np.where(n1 == n2, n1, -1))
+    for i in np.flatnonzero((0 <= twice) & (twice < t)).tolist():
+        s = int(twice[i])
+        violations.append(Violation("duplicate_element", f"elements {s} and {i} "
+                                    "cover the same triangle", (s, i)))
 
     used = np.zeros(nv, dtype=bool)
     used[mesh.elements.ravel()] = True

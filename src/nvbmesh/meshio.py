@@ -141,10 +141,10 @@ def loads_mesh(text: str, source: str = "<string>") -> Mesh:
     if not report.ok:
         v = report.violations[0]
         lineno = None
-        if v.kind in ("inverted_element",) and v.ids:
-            lineno = 3 + nv + v.ids[0]
-        elif v.kind in ("duplicate_vertex", "orphan_vertex", "bad_coordinate") and v.ids:
-            lineno = 3 + v.ids[0]
+        if v.kind in ("inverted_element", "duplicate_element"):
+            lineno = 3 + nv + v.ids[-1]
+        elif v.kind in ("duplicate_vertex", "orphan_vertex", "bad_coordinate"):
+            lineno = 3 + v.ids[-1]
         where = f"{source}:{lineno}: " if lineno else f"{source}: "
         raise MeshError(f"{where}non-conforming mesh: {v.detail} "
                         f"({len(report.violations)} violation(s) total)")

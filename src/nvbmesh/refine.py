@@ -198,14 +198,15 @@ def close_marks(mesh: Mesh, marking: MarkingInput, mode: str = "mnvb") -> Refine
         for e in marking.edges:
             if e not in near_id:
                 raise ValueError(f"marked edge {e} " + (
-                    "lies in no marked element" if e in table
+                    "lies in no marked element"
+                    if e in map(tuple, table.edge2nodes.tolist())
                     else "is not an edge of the mesh"))
         frontier = np.array([near_id[e] for e in marking.edges],
                             dtype=np.int64)
         seed = frozenset(marking.edges)
 
     # frontier edges -> incident elements -> their reference edges
-    marked = np.zeros(len(table), dtype=bool)
+    marked = np.zeros(table.edge2nodes.shape[0], dtype=bool)
     marked[frontier] = True
     iterations = 0
     while frontier.size:
@@ -257,7 +258,7 @@ def split(mesh: Mesh, plan: RefinementPlan, policy: PatternPolicy | None = None)
                  for t in full]
 
     table = mesh.edge_table
-    n_edges, n_old = len(table), mesh.n_vertices
+    n_edges, n_old = table.edge2nodes.shape[0], mesh.n_vertices
     # new node keys: edge id for a midpoint, n_edges + t for T's interior node
     keys = np.concatenate([table.element2edges,
                            n_edges + np.arange(m)[:, None]], axis=1)

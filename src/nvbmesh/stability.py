@@ -30,8 +30,8 @@ keeps the smallest eigenvalue of every scaled element mass matrix above
 5 - sqrt(13.5) > 1.3, which is the mechanism certifying H1-stability of
 the L2-projection onto the P1 space.  This module evaluates those
 per-element conditions as array expressions over all elements at once,
-and measures the realized stability constant on nested mesh pairs by
-power iteration.
+and measures the realized stability constant on nested mesh pairs with a
+certified sparse eigensolve.
 """
 
 from __future__ import annotations
@@ -105,9 +105,6 @@ class NodeWeights:
     @property
     def values(self) -> np.ndarray:
         return 2.0 ** (self.exponents.astype(np.float64) / 2.0)
-
-    def d(self, j: int) -> float:
-        return 2.0 ** (int(self.exponents[j]) / 2.0)
 
 
 def compute_weights(mesh: Mesh) -> NodeWeights:
@@ -340,32 +337,29 @@ def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
     vertices are a prefix of the fine ones and every later vertex records
     the edge it bisected.  Each fine-node row holds the coarse hat-function
     values there (at most three nonzeros).
+
+    P is the fixpoint of P <- W P from [I; 0], W the interpolation step (1
+    at each coarse node, 1/2 at both parents of every later node): parents
+    precede their children, so it is reached, and dyadic sums are exact.
     """
     nc, nf = coarse.n_vertices, fine.n_vertices
     if nf < nc or not np.array_equal(fine.vertices[:nc], coarse.vertices):
         raise ValueError("meshes are not nested (coarse vertices must be a "
                          "prefix of the fine ones)")
-    rows: list[dict[int, float]] = [{j: 1.0} for j in range(nc)]
-    for j in range(nc, nf):
-        a, b = (int(p) for p in fine.vertex_parents[j])
-        if a < 0 or b < 0 or a >= j or b >= j:
-            raise ValueError(f"fine vertex {j} has no recorded bisection "
-                             "parents; meshes are not a refinement chain")
-        row: dict[int, float] = {}
-        for k, w in rows[a].items():
-            row[k] = row.get(k, 0.0) + 0.5 * w
-        for k, w in rows[b].items():
-            row[k] = row.get(k, 0.0) + 0.5 * w
-        rows.append(row)
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for row in rows:
-        for k in sorted(row):
-            indices.append(k)
-            data.append(row[k])
-        indptr.append(len(indices))
-    return sp.csr_matrix((data, indices, indptr), shape=(nf, nc))
+    later = np.arange(nc, nf)
+    parents = fine.vertex_parents[nc:]
+    bad = ((parents < 0) | (parents >= later[:, None])).any(axis=1)
+    if bad.any():
+        raise ValueError(f"fine vertex {nc + int(bad.argmax())} has no recorded "
+                         "bisection parents; meshes are not a refinement chain")
+    w = sp.csr_matrix((np.r_[np.ones(nc), np.full(parents.size, 0.5)],
+                       (np.r_[np.arange(nc), np.repeat(later, 2)],
+                        np.r_[np.arange(nc), parents.ravel()])), shape=(nf, nf))
+    p = sp.eye(nf, nc, format="csr")
+    while ((step := w @ p) != p).nnz:
+        p = step
+    p.sort_indices()
+    return p
 
 
 def assemble_nested(coarse: Mesh, fine: Mesh) -> SparseSystem:
@@ -403,71 +397,45 @@ def project_l2(system: SparseSystem, fine_coefficients: np.ndarray) -> np.ndarra
 # -- measured H1 stability --------------------------------------------------------
 
 
-def measure_h1_stability(coarse: Mesh, fine: Mesh, tol: float = 1e-7,
-                         max_iter: int = 5000, seed: int = 0,
-                         shift: float = 0.0) -> float:
+def measure_h1_stability(coarse: Mesh, fine: Mesh, seed: int = 0) -> float:
     """Largest gradient amplification of the projection over the fine space.
 
     Computes sup over nonconstant fine u of |grad Pi u| / |grad u| as the
-    square root of the top generalized eigenvalue of the projected
-    stiffness pencil, by power iteration with the constant mode deflated
-    via mass-orthogonal projection.  The Rayleigh quotients increase
-    monotonically, so the returned value is a certified lower bound for
-    the true operator norm at any stopping tolerance; it is expected to
-    stay bounded along any refinement sequence.
+    square root of the top eigenvalue of (A, K): A = B^T M_c^-1 K_c M_c^-1 B
+    (B the cross mass), K the fine stiffness.  Both annihilate constants, so
+    pinning node 0 keeps the nonzero spectrum and makes K1 definite.  One
+    ARPACK generalized symmetric solve of (A1, K1), started from a vector
+    drawn from ``seed``, gives the top Ritz pair (theta, x).  It is certified
+    by |lambda - theta| <= ||A1 x - theta K1 x||_{K1^-1} / ||x||_{K1}; a
+    bound above 1e-10 * max(theta, 1), or no convergence, raises
+    NumericFailure.
     """
     system = assemble_nested(coarse, fine)
-    k_fine = system.stiffness
-    k_coarse = system.coarse.stiffness
-    b_cross = system.cross_mass
-    m_fine = system.mass
-    nf = fine.n_vertices
-
-    ones = np.ones(nf)
-    m_ones = m_fine @ ones
-    vol = float(ones @ m_ones)
-
-    def deflate(x: np.ndarray) -> np.ndarray:
-        return x - (float(m_ones @ x) / vol) * ones
-
-    # pinned factorization of the singular stiffness matrix
-    k_red = k_fine[1:, :][:, 1:].tocsc()
-    k_solve = spla.factorized(k_red)
-
-    def stiffness_solve(r: np.ndarray) -> np.ndarray:
-        r = r - r.mean()  # project onto range(K)
-        y = np.zeros(nf)
-        y[1:] = k_solve(r[1:])
-        return deflate(y)
+    b1 = system.cross_mass[:, 1:]
+    b1t = b1.T.tocsr()
+    k1 = system.stiffness[1:, 1:].tocsc()
+    k1_solve = spla.splu(k1).solve
+    n = k1.shape[0]
 
     def apply_a(x: np.ndarray) -> np.ndarray:
-        v = system.coarse.mass_solve(b_cross @ x)
-        w = system.coarse.mass_solve(k_coarse @ v)
-        return b_cross.T @ w
+        v = system.coarse.mass_solve(b1 @ x)
+        return b1t @ system.coarse.mass_solve(system.coarse.stiffness @ v)
 
-    rng = np.random.default_rng(seed)
-    x = deflate(rng.standard_normal(nf))
-    xkx = float(x @ (k_fine @ x))
-    if xkx <= 0.0:
-        raise NumericFailure("deflated start vector has no gradient energy")
-    x /= math.sqrt(xkx)
-
-    lam_prev = None
-    for _ in range(max_iter):
-        ax = apply_a(x)
-        lam = float(x @ ax)
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, lam):
-            return math.sqrt(max(lam, 0.0))
-        lam_prev = lam
-        y = stiffness_solve(ax + shift * (k_fine @ x))
-        yky = float(y @ (k_fine @ y))
-        if yky <= 0.0:
-            # A x fell into the deflated kernel; restart from fresh noise
-            y = deflate(rng.standard_normal(nf))
-            yky = float(y @ (k_fine @ y))
-        x = y / math.sqrt(yky)
-    raise NumericFailure(f"power iteration did not converge in {max_iter} "
-                         f"iterations; last value {math.sqrt(max(lam_prev, 0.0))}")
+    try:
+        thetas, vectors = spla.eigsh(
+            spla.LinearOperator((n, n), matvec=apply_a, dtype=np.float64),
+            k=min(4, n - 1), M=k1, which="LA", tol=1e-12,
+            Minv=spla.LinearOperator((n, n), matvec=k1_solve, dtype=np.float64),
+            v0=np.random.default_rng(seed).standard_normal(n))
+    except spla.ArpackNoConvergence as exc:
+        raise NumericFailure(f"eigensolve did not converge: {exc}") from exc
+    theta, x = float(thetas.max()), vectors[:, thetas.argmax()]
+    r = apply_a(x) - theta * (k1 @ x)
+    bound = math.sqrt(max(float(r @ k1_solve(r)), 0.0) / float(x @ (k1 @ x)))
+    if not bound <= 1e-10 * max(theta, 1.0):
+        raise NumericFailure(f"top eigenvalue {theta!r} has residual bound "
+                             f"{bound:.3e}, above 1e-10 relative")
+    return math.sqrt(max(theta, 0.0))
 
 
 def matrix_to_triplet_text(matrix) -> str:

@@ -22,6 +22,9 @@ and ``point_strictly_inside_segment`` are the scalar forms of the
 ``nvbmesh._geom`` array kernels.  ``random_reference_edges`` and
 ``random_marked`` are the per-element loops of ``assign_reference_edges(...,
 "random")`` and ``select_marked``'s ``random`` strategy.
+``prolongation`` is the row-by-row ``nvbmesh.stability.prolongation``, and
+``h1_exact`` computes the top H1 constants of a nested pair exactly by a
+reduction to the coarse space (a copy of the benchmark's own).
 ``incidence_pairs`` and ``point_strictly_inside_triangle`` are small
 helpers that only the tests use.
 """
@@ -35,6 +38,7 @@ from collections import deque
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 from nvbmesh import _geom
@@ -49,7 +53,7 @@ from nvbmesh.refine import (BISEC1, BISEC2_LEFT, BISEC2_RIGHT, BISEC3, BISEC5,
                             FULL_PATTERNS, PATTERN_NONE, RED, MarkingInput,
                             PatternPolicy, RefinementPlan, chain)
 from nvbmesh.stability import (ElementCondition, NodeWeights, StabilityReport,
-                               _bhat)
+                               _bhat, assemble_nested)
 
 Pair = tuple[int, EdgeKey]
 
@@ -98,7 +102,7 @@ def brute_force_closure(mesh: Mesh, seed: frozenset[EdgeKey]) -> frozenset[EdgeK
     """Smallest superset of the seed closed under the reference-edge rule,
     found by exhaustive subset enumeration; exponential in the number of
     edges."""
-    all_edges = sorted(mesh.edge_table)
+    all_edges = sorted(edge_table(mesh.elements))
     free = [e for e in all_edges if e not in seed]
     if len(free) > 20:
         raise ValueError("brute_force_closure is only for tiny meshes")
@@ -334,7 +338,7 @@ def verify_neighbor_rules(mesh: Mesh, initial: Mesh | None = None) -> StructureR
         return False
 
     bad_iv, bad_v, bad_vi = [], [], []
-    for e, inc in mesh.edge_table.items():
+    for e, inc in edge_table(mesh.elements).items():
         if len(inc) != 2:
             continue
         t1, t2 = inc
@@ -415,6 +419,19 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
                                     f"edge {e} shared by elements {inc}",
                                     inc))
 
+    # an element meeting the same neighbour across two of its edges; the
+    # table lists the first two incident elements of an edge, as the
+    # package's edge table does
+    table = {e: inc[:2] for e, inc in edge_table(mesh.elements).items()}
+    for t in range(ne):
+        across = [next((u for u in table[e] if u != t), -1)
+                  for e in mesh.edges_of(t)]
+        for s in sorted(set(across)):
+            if 0 <= s < t and across.count(s) > 1:
+                violations.append(Violation(
+                    "duplicate_element",
+                    f"elements {s} and {t} cover the same triangle", (s, t)))
+
     used = np.zeros(nv, dtype=bool)
     used[mesh.elements.ravel()] = True
     for i in np.nonzero(~used)[0]:
@@ -424,7 +441,7 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
 
     # hanging nodes: midpoint of an existing edge present as a vertex
     coord_to_node = seen
-    for (a, b), inc in rebuilt.items():
+    for (a, b), inc in table.items():
         mid = _geom.midpoint(mesh.point(a), mesh.point(b))
         j = coord_to_node.get(mid)
         if j is not None and j not in (a, b):
@@ -437,7 +454,7 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
         exhaustive = ne < _EXHAUSTIVE_LIMIT
     if exhaustive:
         reported = {v.ids for v in violations if v.kind == "hanging_node"}
-        for (a, b), inc in rebuilt.items():
+        for (a, b), inc in table.items():
             pa, pb = mesh.point(a), mesh.point(b)
             for j in range(nv):
                 if j in (a, b):
@@ -535,10 +552,10 @@ def loads_mesh(text: str, source: str = "<string>") -> Mesh:
     if not report.ok:
         v = report.violations[0]
         lineno = None
-        if v.kind in ("inverted_element",) and v.ids:
-            lineno = 3 + nv + v.ids[0]
-        elif v.kind in ("duplicate_vertex", "orphan_vertex", "bad_coordinate") and v.ids:
-            lineno = 3 + v.ids[0]
+        if v.kind in ("inverted_element", "duplicate_element"):
+            lineno = 3 + nv + v.ids[-1]
+        elif v.kind in ("duplicate_vertex", "orphan_vertex", "bad_coordinate"):
+            lineno = 3 + v.ids[-1]
         where = f"{source}:{lineno}: " if lineno else f"{source}: "
         raise MeshError(f"{where}non-conforming mesh: {v.detail} "
                         f"({len(report.violations)} violation(s) total)")
@@ -715,6 +732,67 @@ def conditions(mesh: Mesh, weights: NodeWeights,
     return report
 
 
+# -- prolongation and the exact H1 constant ---------------------------------
+
+
+def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
+    """Row-by-row ``nvbmesh.stability.prolongation``: each later fine node
+    averages the rows of its two bisection parents."""
+    nc, nf = coarse.n_vertices, fine.n_vertices
+    if nf < nc or not np.array_equal(fine.vertices[:nc], coarse.vertices):
+        raise ValueError("meshes are not nested (coarse vertices must be a "
+                         "prefix of the fine ones)")
+    rows: list[dict[int, float]] = [{j: 1.0} for j in range(nc)]
+    for j in range(nc, nf):
+        a, b = (int(p) for p in fine.vertex_parents[j])
+        if a < 0 or b < 0 or a >= j or b >= j:
+            raise ValueError(f"fine vertex {j} has no recorded bisection "
+                             "parents; meshes are not a refinement chain")
+        row: dict[int, float] = {}
+        for k, w in rows[a].items():
+            row[k] = row.get(k, 0.0) + 0.5 * w
+        for k, w in rows[b].items():
+            row[k] = row.get(k, 0.0) + 0.5 * w
+        rows.append(row)
+    indptr = [0]
+    indices: list[int] = []
+    data: list[float] = []
+    for row in rows:
+        for k in sorted(row):
+            indices.append(k)
+            data.append(row[k])
+        indptr.append(len(indices))
+    return sp.csr_matrix((data, indices, indptr), shape=(nf, nc))
+
+
+def h1_exact(coarse: Mesh, fine: Mesh, count: int = 2,
+             block: int = 256) -> list[float]:
+    """The ``count`` largest H1 constants of the pair, largest first, by
+    dense linear algebra on the coarse space.
+
+    With C = M_c^-1 B the L2-projection (B the cross mass), C1 = C without
+    column 0 and K1 the fine stiffness pinned at node 0, A = C^T K_c C has
+    rank at most n_c, so the pencil (A1, K1) has the same nonzero
+    eigenvalues as L^T K_c L, where L L^T = G = C1 K1^-1 C1^T.
+    """
+    system = assemble_nested(coarse, fine)
+    b1 = system.cross_mass.tocsr()[:, 1:]
+    k1 = spla.splu(system.stiffness[1:, :][:, 1:].tocsc())
+    nc = coarse.n_vertices
+    h = np.empty((nc, nc))                    # B1 K1^-1 B1^T, in column blocks
+    for j in range(0, nc, block):
+        rhs = b1[j:j + block].T.toarray()
+        h[:, j:j + block] = b1 @ k1.solve(rhs)
+    mass_c = system.coarse.mass.toarray()
+    g = scipy.linalg.solve(mass_c, scipy.linalg.solve(mass_c, h).T,
+                           assume_a="pos")
+    l_fac = scipy.linalg.cholesky(0.5 * (g + g.T), lower=True)
+    s = l_fac.T @ system.coarse.stiffness.toarray() @ l_fac
+    lam = scipy.linalg.eigvalsh(0.5 * (s + s.T),
+                                subset_by_index=[nc - count, nc - 1])
+    return [math.sqrt(max(float(x), 0.0)) for x in lam[::-1]]
+
+
 # -- red/bisec3 correspondence ----------------------------------------------
 
 
@@ -757,11 +835,12 @@ def build_corr(left: Mesh, right: Mesh) -> dict[Pair, Pair]:
     def diamonds(mesh: Mesh, unmatched: set[int], label: str):
         out: dict[frozenset, tuple[int, int]] = {}
         used: set[int] = set()
+        table = edge_table(mesh.elements)
         for t in sorted(unmatched):
             if t in used:
                 continue
             ref = mesh.ref_edge(t)
-            inc = mesh.edge_table[ref]
+            inc = table[ref]
             if len(inc) != 2:
                 raise CorrespondenceError(
                     f"{label} element {t} has no diamond partner")
@@ -854,13 +933,14 @@ def verify_corr(pairs: dict[Pair, Pair], a: Mesh, b: Mesh) -> CorrReport:
 
     # (ii)/(iv)/(v)/(vi) over shared edges, forward
     def shared_relations(mesh: Mesh, mapping, src: Mesh, dst: Mesh, label: str):
-        for e, inc in mesh.edge_table.items():
+        dst_table = edge_table(dst.elements)
+        for e, inc in edge_table(mesh.elements).items():
             if len(inc) != 2:
                 continue
             t1, t2 = inc
             s1, f1 = mapping[(t1, e)]
             s2, f2 = mapping[(t2, e)]
-            if s1 == s2 or f1 != f2 or set(dst.edge_table.get(f1, ())) != {s1, s2}:
+            if s1 == s2 or f1 != f2 or set(dst_table.get(f1, ())) != {s1, s2}:
                 report.add(f"neighbors_preserved_{label}", t1, t2, e)
                 continue
             # (iv): mutual reference neighbors map to mutual reference neighbors

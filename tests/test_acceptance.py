@@ -18,7 +18,7 @@ import numpy as np
 
 from conftest import small_mesh_corpus
 from oracles import (brute_force_closure, brute_force_weight_exponents,
-                     point_strictly_inside_triangle)
+                     edge_table, point_strictly_inside_triangle)
 from nvbmesh.analysis import (closure_accounting, reciprocal_sum_bound,
                               verify_chain_bounds)
 from nvbmesh.correspondence import corresponding_sequence, verify_corr
@@ -102,15 +102,15 @@ def test_criterion_01_closure_minimality():
     t0 = time.time()
     checked = 0
     for name, mesh in small_mesh_corpus().items():
-        assert len(mesh.edge_table) <= 12, name
+        table = edge_table(mesh.elements)
+        assert len(table) <= 12, name
         for t in range(mesh.n_elements):
             plan = close_marks(mesh, MarkingInput.of([t]), mode="nvb")
             assert plan.closed_edges == brute_force_closure(mesh,
                                                             plan.seed_edges)
             checked += 1
-        edges = sorted(mesh.edge_table)
-        for combo in itertools.combinations(edges, 2):
-            elems = frozenset(mesh.edge_table[e][0] for e in combo)
+        for combo in itertools.combinations(sorted(table), 2):
+            elems = frozenset(table[e][0] for e in combo)
             plan = close_marks(mesh, MarkingInput(elems, frozenset(combo)),
                                mode="mnvb")
             assert plan.closed_edges == brute_force_closure(mesh,
@@ -134,10 +134,9 @@ def test_criterion_02_level_jump_law():
                    and structure_flags(run["initial"]).is_bdd)
         bound = 1 if bdd_nvb else 2
         for mesh in run["meshes"]:
-            for e, inc in mesh.edge_table.items():
-                if len(inc) == 2:
-                    if abs(int(mesh.gen[inc[0]]) - int(mesh.gen[inc[1]])) > bound:
-                        violations += 1
+            e2el = mesh.edge_table.edge2elements
+            t1, t2 = e2el[e2el[:, 1] >= 0].T
+            violations += int((np.abs(mesh.gen[t1] - mesh.gen[t2]) > bound).sum())
     assert violations == 0
     elapsed = time.time() - t0
     assert elapsed < 30.0, f"level-jump law took {elapsed:.2f}s"
@@ -332,16 +331,18 @@ def test_criterion_11_h1_stability_measurement():
     assert sanity <= 1.0 + 1e-8
     spec = REGRESSION["corner_run"]
     bound = REGRESSION["h1_sequence"]["max_constant"] * (1.0 + 1e-6)
+    exact_tops = REGRESSION["h1_sequence"]["exact_tops"]
     config = RunConfig(initial=spec["initial"], dialect=spec["dialect"],
                        strategy=spec["strategy"], theta=spec["theta"],
                        alpha=spec["alpha"], corner=tuple(spec["corner"]),
                        steps=spec["steps"], seed=spec["seed"])
     result = run_refinement(config)
+    assert len(result.meshes) == len(exact_tops)
     worst = 0.0
-    for coarse in result.meshes:
+    for step, (coarse, exact) in enumerate(zip(result.meshes, exact_tops)):
         fine = uniform(uniform(coarse, "bisec1"), "bisec1")
         value = measure_h1_stability(coarse, fine)
-        assert math.isfinite(value) and value > 0.0
+        assert abs(value - exact) <= 1e-10 * exact, (step, value, exact)
         worst = max(worst, value)
     assert worst <= bound, f"H1 regression: {worst} > recorded {bound}"
     elapsed = time.time() - t0

@@ -16,7 +16,7 @@ from nvbmesh.mesh import (COMPATIBLY_DIVISIBLE, INCOMPATIBLE, NOT_ADJACENT,
                           Mesh, MeshError, build_edge_table, classify_pair,
                           edge_key, geometry, lshape6,
                           reference_neighbor, restrict, same_mesh, square2,
-                          structure_flags, validate_mesh)
+                          Violation, structure_flags, validate_mesh)
 from nvbmesh.refine import MarkingInput, refine_step, uniform
 
 
@@ -78,6 +78,11 @@ _EDGE_CASES = {
     "overshared_edge": (_SQUARE + [(0.5, -1.0)], [(0, 1, 2), (0, 2, 3), (1, 0, 4),
                                                   (0, 1, 3)]),
     "orphans": (_SQUARE + [(2.0, 2.0), (3.0, 3.0)], [(2, 0, 1), (0, 2, 3)]),
+    # every edge has two incidences, both from the same pair of elements
+    "doubly_covered": (_SQUARE[:3], [(0, 1, 2), (1, 2, 0)]),
+    "doubly_covered_flipped": (_SQUARE[:3], [(0, 1, 2), (0, 2, 1)]),
+    "doubly_covered_pairs": (_SQUARE, [(2, 0, 1), (0, 2, 3), (0, 1, 2),
+                                       (3, 0, 2)]),
     # an edge between coincident vertices has its ends as its midpoint
     "coincident_ends": (_SQUARE + [(1.0, 0.0)], [(2, 0, 1), (0, 2, 3), (1, 4, 2)]),
     "mixed": ([(-0.0, -1.0), (-0.0, 1.0), (0.0, 0.0), (1.0, 0.0), (-1.0, 0.0),
@@ -126,6 +131,13 @@ def test_validate_mesh_matches_oracle_on_refined_and_tampered_meshes():
     assert {"duplicate_vertex", "hanging_node", "inverted_element"} <= kinds
 
 
+def test_doubly_covered_triangle_detected():
+    mesh = Mesh(_SQUARE[:3], [(0, 1, 2), (1, 2, 0)])
+    assert validate_mesh(mesh).violations == [Violation(
+        "duplicate_element", "elements 0 and 1 cover the same triangle",
+        (0, 1))]
+
+
 def test_duplicate_vertex_detected():
     mesh = Mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 0.0)],
                 [(0, 1, 2), (0, 3, 2)], validate=False)
@@ -143,10 +155,11 @@ def test_reference_neighbor_single_triangle_boundary():
 
 def test_reference_neighbor_lshape_boundary_legs(lshape):
     # oracle: boundary edges are exactly the edge-table entries of length 1
-    boundary = {e for e, inc in lshape.edge_table.items() if len(inc) == 1}
+    table = oracles.edge_table(lshape.elements)
+    boundary = {e for e, inc in table.items() if len(inc) == 1}
     for t in range(lshape.n_elements):
         expected = None if lshape.ref_edge(t) in boundary else \
-            next(i for i in lshape.edge_table[lshape.ref_edge(t)] if i != t)
+            next(i for i in table[lshape.ref_edge(t)] if i != t)
         assert reference_neighbor(lshape, t) == expected
 
 
@@ -283,7 +296,10 @@ def test_total_area_preserved_and_area_generation_exact():
 
 def test_edge_table_rebuild_identical():
     for mesh in small_mesh_corpus().values():
-        assert build_edge_table(mesh.elements) == mesh.edge_table
+        rebuilt = build_edge_table(mesh.elements)
+        for name in ("element2edges", "edge2nodes", "edge2elements"):
+            assert np.array_equal(getattr(rebuilt, name),
+                                  getattr(mesh.edge_table, name))
 
 
 def test_incidence_pair_count():

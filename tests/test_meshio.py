@@ -157,6 +157,12 @@ def _mutated(draw) -> str:
 
 
 _TRIANGLES = "nvbm 1\n4 2\n0.0 0.0\n1.0 0.0\n1.0 1.0\n0.0 1.0\n"
+# vertex 4 (line 7) repeats vertex 0; elements 0 and 1 (lines 6, 7) cover
+# one triangle twice
+_DUPLICATE_VERTEX = (_TRIANGLES.replace("4 2", "5 2") + "0.0 0.0\n"
+                     "2 0 1 0 0 0\n0 2 3 0 1 0\n")
+_DOUBLE_COVER = ("nvbm 1\n3 2\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
+                 "0 1 2 0 0 0\n1 2 0 0 1 0\n")
 
 
 @pytest.mark.parametrize("text", [
@@ -180,6 +186,8 @@ _TRIANGLES = "nvbm 1\n4 2\n0.0 0.0\n1.0 0.0\n1.0 1.0\n0.0 1.0\n"
     "nvbm 1\n5 3\n0.0 0.0\n2.0 0.0\n1.0 0.0\n1.0 1.0\n1.0 -1.0\n"
     "0 2 3 0 0 0\n2 1 3 0 1 0\n1 0 4 0 2 0\n",                   # hanging node
     _TRIANGLES + "2 0 1 0 0 0\n0 2 1 0 1 0\n",
+    _DUPLICATE_VERTEX,
+    _DOUBLE_COVER,
     _TRIANGLES + " 2 0 1 0 0\n0 2 3 0 1 0\n",                  # leading space, 5 fields
     # non-ASCII whitespace splits fields: line 3 has three, line 4 one
     _TRIANGLES.replace(" 0.0\n1.0 0.0", "\u00a00.0 1.0\n0.0 \u00a0")
@@ -187,6 +195,16 @@ _TRIANGLES = "nvbm 1\n4 2\n0.0 0.0\n1.0 0.0\n1.0 1.0\n0.0 1.0\n"
 ])
 def test_malformed_corpus_fails_like_the_line_parser(text):
     assert _outcome(loads_mesh, text) == _outcome(oracles.loads_mesh, text)
+
+
+@pytest.mark.parametrize("text,message", [
+    (_DUPLICATE_VERTEX, "in.nvbm:7: non-conforming mesh: vertices 0 and 4 "
+     "coincide"),
+    (_DOUBLE_COVER, "in.nvbm:7: non-conforming mesh: elements 0 and 1 cover "
+     "the same triangle"),
+])
+def test_conformity_errors_name_the_later_line(text, message):
+    assert _outcome(loads_mesh, text).startswith(f"MeshError: {message}")
 
 
 @settings(PROPERTY, max_examples=1000)

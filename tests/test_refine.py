@@ -9,7 +9,8 @@ import pytest
 
 from conftest import (random_trace, single_triangle, small_mesh_corpus,
                       square2_incompatible)
-from oracles import brute_force_closure, point_strictly_inside_triangle
+from oracles import (brute_force_closure, edge_table,
+                     point_strictly_inside_triangle)
 from nvbmesh import _geom
 from nvbmesh.marking import RunConfig, run_refinement
 from nvbmesh.mesh import (PrecisionExhausted, lshape6, same_mesh, square2,
@@ -49,21 +50,22 @@ def test_close_marks_incompatible_square_pulls_in_neighbor():
 def test_close_marks_all_edges_already_closed(sq):
     marking = MarkingInput.all_edges(sq, range(sq.n_elements))
     plan = close_marks(sq, marking, mode="mnvb")
-    assert plan.closed_edges == frozenset(sq.edge_table)
+    assert plan.closed_edges == frozenset(edge_table(sq.elements))
     assert all(p == BISEC3 for p in plan.pattern)
     assert plan.iterations == 0
 
 
 def test_close_marks_minimality_exhaustive_on_small_corpus():
     for name, mesh in small_mesh_corpus().items():
-        if len(mesh.edge_table) > 12:
+        table = edge_table(mesh.elements)
+        if len(table) > 12:
             continue
         for t in range(mesh.n_elements):
             plan = close_marks(mesh, MarkingInput.of([t]), mode="nvb")
             oracle = brute_force_closure(mesh, plan.seed_edges)
             assert plan.closed_edges == oracle, (name, t)
-        for edges in itertools.combinations(sorted(mesh.edge_table), 2):
-            elems = [mesh.edge_table[e][0] for e in edges]
+        for edges in itertools.combinations(sorted(table), 2):
+            elems = [table[e][0] for e in edges]
             marking = MarkingInput.of(elems, edges)
             plan = close_marks(mesh, marking, mode="mnvb")
             oracle = brute_force_closure(mesh, plan.seed_edges)

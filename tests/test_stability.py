@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from conftest import random_trace, single_triangle
 from oracles import brute_force_weight_exponents, conditions, delta_distance
 from nvbmesh.mesh import Mesh, MeshError, lshape6, square2
@@ -345,9 +346,46 @@ def test_prolongation_reproduces_coarse_functions(rng, sq):
     assert np.abs((p.T @ sys.stiffness @ p - sys.coarse.stiffness)).max() < 1e-12
 
 
+def _assert_same_csr(a, b):
+    assert a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_prolongation_matches_loop_oracle_on_nested_pairs():
+    pairs = []
+    for initial in (square2(), lshape6()):
+        coarse = uniform(initial, "bisec3")
+        fine = uniform(uniform(coarse, "bisec1"), "bisec1")
+        pairs += [(coarse, coarse), (coarse, uniform(coarse, "bisec1")),
+                  (coarse, fine)]
+    for dialect, policy in (("refineNVB", None),
+                            ("refine", PatternPolicy.interior_node()),
+                            ("refineNVBred", PatternPolicy.always_red())):
+        meshes, _ = random_trace(lshape6(), 3, 5, dialect, policy)
+        pairs += [(meshes[0], meshes[-1]), (meshes[1], meshes[4])]
+    assert any(m.has_bisec5_history for _, m in pairs)
+    for coarse, fine in pairs:
+        _assert_same_csr(prolongation(coarse, fine),
+                         oracles.prolongation(coarse, fine))
+
+
 def test_prolongation_rejects_non_nested(sq, lshape):
-    with pytest.raises(ValueError):
-        prolongation(sq, lshape)
+    coarse = uniform(sq, "bisec3")
+    fine = uniform(uniform(coarse, "bisec1"), "bisec1")
+    parents = fine.vertex_parents.copy()
+    parents[coarse.n_vertices + 3] = (-1, -1)       # no recorded parents
+    parents[coarse.n_vertices + 7, 1] = coarse.n_vertices + 7   # not earlier
+    cases = [(sq, lshape), (fine, coarse), (coarse, Mesh(fine.vertices,
+                                                        fine.elements)),
+             (coarse, Mesh(fine.vertices, fine.elements,
+                           vertex_parents=parents))]
+    for a, b in cases:
+        with pytest.raises(ValueError) as expected:
+            oracles.prolongation(a, b)
+        with pytest.raises(ValueError) as raised:
+            prolongation(a, b)
+        assert str(raised.value) == str(expected.value)
 
 
 def test_projection_fixes_coarse_space(rng, sq):
@@ -409,14 +447,53 @@ def test_measure_matches_dense_eigensolve(sq):
     evals = sla.eigh(a, k + np.outer(ones, ones), eigvals_only=True)
     dense = math.sqrt(max(evals))
     mine = measure_h1_stability(coarse, fine)
-    assert abs(dense - mine) < 1e-6
+    assert abs(dense - mine) < 1e-10
 
 
-def test_measure_reports_nonconvergence():
+def test_measure_reports_nonconvergence(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.array([]),
+                                       np.zeros((0, 0)))
+
     coarse = uniform(square2(), "bisec3")
     fine = uniform(coarse, "bisec1")
-    with pytest.raises(NumericFailure):
-        measure_h1_stability(coarse, fine, tol=0.0, max_iter=3)
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    with pytest.raises(NumericFailure, match="did not converge"):
+        measure_h1_stability(coarse, fine)
+
+
+def test_measure_rejects_a_ritz_pair_above_the_residual_bound(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    eigsh = spla.eigsh
+
+    def perturbed(*args, **kwargs):
+        values, vectors = eigsh(*args, **kwargs)
+        noise = np.random.default_rng(0).standard_normal(vectors.shape)
+        return values, vectors + 1e-6 * noise
+
+    coarse = uniform(square2(), "bisec3")
+    fine = uniform(coarse, "bisec1")
+    measure_h1_stability(coarse, fine)          # the exact pair passes
+    monkeypatch.setattr(spla, "eigsh", perturbed)
+    with pytest.raises(NumericFailure, match="residual bound"):
+        measure_h1_stability(coarse, fine)
+
+
+def test_measure_matches_exact_reduction_on_corner_run():
+    # the criterion-11 corner run up to step 20 (at most 1,000 coarse
+    # nodes): its maximum at step 16 and the clustered tops at 19-20
+    from nvbmesh.marking import RunConfig, run_refinement
+
+    config = RunConfig(initial="lshape6", dialect="refineNVB",
+                       strategy="dorfler", theta=0.3, corner=(0.0, 0.0),
+                       steps=20)
+    for coarse in run_refinement(config).meshes:
+        fine = uniform(uniform(coarse, "bisec1"), "bisec1")
+        exact = oracles.h1_exact(coarse, fine, count=1)[0]
+        assert abs(measure_h1_stability(coarse, fine) - exact) <= 1e-10 * exact
 
 
 def test_measure_bounded_on_adaptive_sequence():
