@@ -24,9 +24,11 @@ print("BDD:", structure_flags(mesh).is_bdd)
 # sure that whenever any edge of an element is due for refinement, its
 # reference edge is too. Here the neighbor shares the diagonal, so both
 # elements get split.
+# The plan names edges by their ids in the mesh's edge table.
 plan = close_marks(mesh, MarkingInput.of([0]), mode="nvb")
-print("\nclosed edges:", sorted(plan.closed_edges))
-print("patterns:", plan.pattern)
+closed = mesh.edge_table.edge2nodes[plan.closed_edges]
+print("\nclosed edges:", sorted(map(tuple, closed.tolist())))
+print("patterns:", tuple(plan.pattern.tolist()))
 print("marking {0} bisects exactly its chain:", chain(mesh, 0))
 
 step1, refined = refine_step(mesh, MarkingInput.of([0]), "refineNVB")

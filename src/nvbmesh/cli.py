@@ -202,13 +202,16 @@ def _read_trace(path: Path):
 
     records = []
     lines = path.read_text().strip().splitlines()
-    for line in lines[1:]:
-        parts = line.split(",")
-        records.append(StepRecord(step=int(parts[0]), n_marked=int(parts[1]),
-                                  n_marked_edges=0,
-                                  closure_iterations=int(parts[3]),
-                                  n_refined=int(parts[1]),
-                                  n_elements=int(parts[2])))
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            step, marked, elements, iters = (int(x) for x in line.split(",")[:4])
+        except ValueError:
+            raise ValueError(f"{path}:{number}: expected integer step, marked, "
+                             f"elements and closure_iters fields, got {line!r}"
+                             ) from None
+        records.append(StepRecord(step=step, n_marked=marked, n_marked_edges=0,
+                                  closure_iterations=iters, n_refined=marked,
+                                  n_elements=elements))
     return records
 
 
@@ -222,6 +225,9 @@ def cmd_stability(args) -> int:
     weights = stability.compute_weights(coarse)
     if args.debug_tamper:
         node, delta = (int(x) for x in args.debug_tamper.split(":"))
+        if not 0 <= node < coarse.n_vertices:
+            raise ValueError(f"--debug-tamper node {node} is not in "
+                             f"0..{coarse.n_vertices - 1}")
         exps = weights.exponents.copy()
         exps[node] += delta
         weights = stability.NodeWeights(exponents=exps)
@@ -263,11 +269,9 @@ def cmd_corr_check(args) -> int:
     markings: list[MarkingInput] = []
     from .refine import refine_step
 
+    config = marking.RunConfig(strategy="random", fraction=args.fraction)
     for _ in range(args.steps):
-        draws = rng.random(mesh.n_elements)
-        marked = [t for t in range(mesh.n_elements) if draws[t] < args.fraction]
-        if not marked:
-            marked = [int(rng.integers(mesh.n_elements))]
+        marked = marking.select_marked(mesh, config, rng)
         markings.append(MarkingInput.all_edges(mesh, marked))
         mesh, _ = refine_step(mesh, markings[-1], "refineNVBred", policy)
 

@@ -30,7 +30,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .mesh import EdgeKey, Mesh
+from .mesh import Mesh
 from .refine import (MarkingInput, PatternPolicy, UnsupportedRefinementError,
                      refine_step)
 
@@ -47,7 +47,7 @@ def _pair_rows(mesh: Mesh, ids: np.ndarray) -> np.ndarray:
                             table.edge2nodes[table.element2edges.ravel()[ids]]])
 
 
-def _pair_list(mesh: Mesh, ids: np.ndarray) -> list[tuple[int, EdgeKey]]:
+def _pair_list(mesh: Mesh, ids: np.ndarray) -> list[tuple[int, tuple[int, int]]]:
     """(element, edge key) of the incidence pairs with the given ids."""
     return [(t, (a, b)) for t, a, b in _pair_rows(mesh, ids).tolist()]
 
@@ -197,15 +197,15 @@ def transfer_marking(corr: CorrMap, marking: MarkingInput) -> MarkingInput:
     """Push marked elements and edges through the correspondence.
 
     Transfers the pair set {(T, E) : T marked, E marked edge of T}; the
-    image element count is at most twice the marked count.
+    image edges come back as edge ids of ``corr.right``.  The image element
+    count is at most twice the marked count.
     """
-    t = np.array(sorted(marking.elements), dtype=np.int64)
+    t = np.fromiter(marking.elements, np.int64, len(marking.elements))
     src = (3 * t[:, None] + np.arange(3)).ravel()
-    hit = np.array([e in marking.edges for _, e in _pair_list(corr.left, src)],
-                   dtype=bool)
-    images = _pair_list(corr.right, corr.image.ravel()[src[hit]])
-    return MarkingInput(frozenset(s for s, _ in images),
-                        frozenset(f for _, f in images))
+    hit = np.isin(corr.left.edge_table.element2edges.ravel()[src], marking.edges)
+    images = corr.image.ravel()[src[hit]]
+    return MarkingInput(frozenset((images // 3).tolist()),
+                        corr.right.edge_table.element2edges.ravel()[images])
 
 
 @dataclass

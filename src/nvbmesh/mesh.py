@@ -33,8 +33,6 @@ import numpy as np
 
 from . import _geom
 
-EdgeKey = tuple[int, int]
-
 NOT_ADJACENT = "not_adjacent"
 COMPATIBLY_DIVISIBLE = "compatibly_divisible"
 INCOMPATIBLE = "incompatible"
@@ -50,11 +48,6 @@ class MeshError(ValueError):
 
 class PrecisionExhausted(MeshError):
     """Raised when a new midpoint is not exact in double precision."""
-
-
-def edge_key(a: int, b: int) -> EdgeKey:
-    """Canonical (sorted) key for the unordered node pair {a, b}."""
-    return (a, b) if a < b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -195,14 +188,6 @@ class Mesh:
             return self
         raise MeshError("initial mesh unknown for this (loaded) refined mesh")
 
-    def edges_of(self, t: int) -> tuple[EdgeKey, EdgeKey, EdgeKey]:
-        v0, v1, v2 = (int(v) for v in self.elements[t])
-        return (edge_key(v0, v1), edge_key(v1, v2), edge_key(v2, v0))
-
-    def ref_edge(self, t: int) -> EdgeKey:
-        v0, v1 = int(self.elements[t, 0]), int(self.elements[t, 1])
-        return edge_key(v0, v1)
-
     def coords(self, t: int):
         """The three vertex coordinate pairs of element t (convention order)."""
         v = self.elements[t]
@@ -294,7 +279,7 @@ def build_edge_table(elements: np.ndarray) -> EdgeTable:
     return EdgeTable(*arrays)
 
 
-def _overshared(table: EdgeTable) -> list[tuple[EdgeKey, tuple[int, ...]]]:
+def _overshared(table: EdgeTable) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
     """Edges with more than two incident elements, with all of them."""
     flat = table.element2edges.ravel()
     over = np.flatnonzero(np.bincount(flat) > 2)
@@ -438,11 +423,12 @@ def classify_pair(mesh: Mesh, t1: int, t2: int) -> str:
     for t in (t1, t2):
         if not 0 <= t < mesh.n_elements:
             raise ValueError(f"element id {t} out of range")
-    shared = set(mesh.edges_of(t1)) & set(mesh.edges_of(t2))
+    a, b = mesh.edge_table.element2edges[[t1, t2]].tolist()
+    shared = set(a) & set(b)
     if not shared:
         return NOT_ADJACENT
     e = shared.pop()
-    on_ref = (mesh.ref_edge(t1) == e) + (mesh.ref_edge(t2) == e)
+    on_ref = (a[0] == e) + (b[0] == e)
     return COMPATIBLY_DIVISIBLE if on_ref in (0, 2) else INCOMPATIBLE
 
 

@@ -33,7 +33,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import _geom
-from .mesh import EdgeKey, Mesh, PrecisionExhausted, reference_neighbor
+from .mesh import Mesh, PrecisionExhausted, reference_neighbor
 
 PATTERN_NONE = "none"
 BISEC1 = "bisec1"
@@ -61,13 +61,15 @@ _SONS = {
     RED: ((0, 3, 5, 2, 0), (3, 1, 4, 2, 0), (5, 4, 2, 2, 1), (4, 5, 3, 2, 1)),
 }
 _PATTERN_ID = {p: i for i, p in enumerate(_SONS)}
+_FULL_IDS = [_PATTERN_ID[p] for p in FULL_PATTERNS]
 _N_SONS = np.array([len(sons) for sons in _SONS.values()])
 # new nodes each pattern needs: m01, m12, m20, interior
 _NEEDS = np.array([[any(n in son[:3] for son in sons) for n in (3, 4, 5, 6)]
                    for sons in _SONS.values()])
-# pattern by marked edges of an element, bit i for edge i
-_BY_MARKS = (PATTERN_NONE, BISEC1, None, BISEC2_LEFT,
-             None, BISEC2_RIGHT, None, BISEC3)
+# pattern by marked edges of an element, bit i for edge i ('' never occurs:
+# a closed element with a marked edge has its reference edge marked)
+_BY_MARKS = np.array([PATTERN_NONE, BISEC1, "", BISEC2_LEFT,
+                      "", BISEC2_RIGHT, "", BISEC3], dtype="<U12")
 
 DIALECTS = ("refineNVB", "refineNVB3", "refineNVBred", "refine")
 
@@ -76,28 +78,39 @@ class UnsupportedRefinementError(ValueError):
     """Raised for operations outside a dialect's or overlay's scope."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkingInput:
     """Marked elements plus, for the modified dialects, marked edges.
 
-    Every marked edge must lie in at least one marked element.
+    ``edges`` names the marked edges by their ids in the mesh's
+    ``edge_table``, as a read-only, sorted, unique int64 array.  Every
+    marked edge must lie in at least one marked element.
     """
 
     elements: frozenset[int]
-    edges: frozenset[EdgeKey] = frozenset()
+    edges: np.ndarray = ()
+
+    def __post_init__(self):
+        ids = np.asarray(self.edges)
+        if ids.ndim != 1 or ids.size and not np.issubdtype(ids.dtype, np.integer):
+            raise ValueError("marked edges must be a 1-D sequence of edge ids, "
+                             f"got shape {ids.shape} of {ids.dtype}")
+        ids = ids.astype(np.int64)
+        if (ids[1:] <= ids[:-1]).any():
+            ids = np.unique(ids)
+        ids.setflags(write=False)
+        object.__setattr__(self, "edges", ids)
 
     @staticmethod
-    def of(elements: Iterable[int], edges: Iterable[EdgeKey] = ()) -> "MarkingInput":
-        return MarkingInput(frozenset(int(t) for t in elements),
-                            frozenset(edges))
+    def of(elements: Iterable[int], edges=()) -> "MarkingInput":
+        return MarkingInput(frozenset(int(t) for t in elements), edges)
 
     @staticmethod
     def all_edges(mesh: Mesh, elements: Iterable[int]) -> "MarkingInput":
         """Mark the given elements with all three of their edges."""
         elems = frozenset(int(t) for t in elements)
-        ids = mesh.edge_table.element2edges[sorted(elems)].ravel()
-        return MarkingInput(elems, frozenset(
-            map(tuple, mesh.edge_table.edge2nodes[ids].tolist())))
+        idx = np.fromiter(elems, np.int64, len(elems))
+        return MarkingInput(elems, mesh.edge_table.element2edges[idx].ravel())
 
 
 @dataclass(frozen=True)
@@ -132,20 +145,20 @@ class PatternPolicy:
         return PatternPolicy(name, fn)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RefinementPlan:
-    """Closure fixpoint output: the marked-edge set and per-element patterns."""
+    """Closure fixpoint output.
 
-    closed_edges: frozenset[EdgeKey]
-    pattern: tuple[str, ...]
+    ``closed_edges`` and ``seed_edges`` are read-only, sorted, unique int64
+    arrays of ids in the mesh's ``edge_table``; ``pattern`` is a read-only
+    ``'<U12'`` array with the pattern name of every element.
+    """
+
+    closed_edges: np.ndarray
+    pattern: np.ndarray
     iterations: int
     marked_elements: frozenset[int]
-    seed_edges: frozenset[EdgeKey]
-    mode: str
-
-    def refined_elements(self) -> frozenset[int]:
-        return frozenset(t for t, p in enumerate(self.pattern)
-                         if p != PATTERN_NONE)
+    seed_edges: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -187,28 +200,26 @@ def close_marks(mesh: Mesh, marking: MarkingInput, mode: str = "mnvb") -> Refine
         raise ValueError(f"marked element {bad[0]} out of range")
 
     table = mesh.edge_table
-    e2e, e2el = table.element2edges, table.edge2elements
+    e2e, e2el, e2n = table.element2edges, table.edge2elements, table.edge2nodes
     if mode == "nvb":
-        frontier = e2e[elems, 0]
-        seed = frozenset(map(tuple, table.edge2nodes[frontier].tolist()))
+        seed = np.unique(e2e[elems, 0])
     else:
-        near = e2e[elems].ravel()
-        near_id = dict(zip(map(tuple, table.edge2nodes[near].tolist()),
-                           near.tolist()))
-        for e in marking.edges:
-            if e not in near_id:
-                raise ValueError(f"marked edge {e} " + (
-                    "lies in no marked element"
-                    if e in map(tuple, table.edge2nodes.tolist())
-                    else "is not an edge of the mesh"))
-        frontier = np.array([near_id[e] for e in marking.edges],
-                            dtype=np.int64)
-        seed = frozenset(marking.edges)
+        seed = marking.edges
+        bad = seed[(seed < 0) | (seed >= e2n.shape[0])]
+        if bad.size:
+            raise ValueError(f"marked edge {bad[0]} is not an edge of the mesh "
+                             f"(it has {e2n.shape[0]} edges)")
+        near = np.zeros(e2n.shape[0], dtype=bool)
+        near[e2e[elems]] = True
+        lone = seed[~near[seed]]
+        if lone.size:
+            raise ValueError(f"marked edge {lone[0]} {tuple(e2n[lone[0]].tolist())}"
+                             " lies in no marked element")
+    marked = np.zeros(e2n.shape[0], dtype=bool)
+    marked[seed] = True
 
     # frontier edges -> incident elements -> their reference edges
-    marked = np.zeros(table.edge2nodes.shape[0], dtype=bool)
-    marked[frontier] = True
-    iterations = 0
+    frontier, iterations = seed, 0
     while frontier.size:
         inc = e2el[frontier].ravel()
         refs = e2e[inc[inc >= 0], 0]
@@ -221,14 +232,14 @@ def close_marks(mesh: Mesh, marking: MarkingInput, mode: str = "mnvb") -> Refine
     inside = marked[e2e]
     assert not (inside[:, 1:].any(axis=1) & ~inside[:, 0]).any(), \
         "closure fixpoint violated: marked edge without ref"
-    bits = inside[:, 0] + 2 * inside[:, 1] + 4 * inside[:, 2]
-    return RefinementPlan(
-        closed_edges=frozenset(map(tuple, table.edge2nodes[marked].tolist())),
-        pattern=tuple(map(_BY_MARKS.__getitem__, bits.tolist())),
-        iterations=iterations,
-        marked_elements=frozenset(marking.elements),
-        seed_edges=seed,
-        mode=mode)
+    closed = np.flatnonzero(marked)
+    pattern = _BY_MARKS[inside[:, 0] + 2 * inside[:, 1] + 4 * inside[:, 2]]
+    for arr in (seed, closed, pattern):
+        arr.setflags(write=False)
+    return RefinementPlan(closed_edges=closed, pattern=pattern,
+                          iterations=iterations,
+                          marked_elements=frozenset(marking.elements),
+                          seed_edges=seed)
 
 
 # -- splitting ----------------------------------------------------------------
@@ -243,19 +254,21 @@ def split(mesh: Mesh, plan: RefinementPlan, policy: PatternPolicy | None = None)
     by first use in element order, within an element in the order m01,
     m12, m20, interior node.  Raises PrecisionExhausted on an inexact one.
     """
-    m = mesh.n_elements
-    if len(plan.pattern) != m:
+    m, pattern = mesh.n_elements, plan.pattern
+    if pattern.shape != (m,):
         raise ValueError("plan does not match mesh (element count differs)")
-    if not plan.closed_edges:
+    if not plan.closed_edges.size:
         return mesh
-    pid = np.array([_PATTERN_ID.get(p, -1) for p in plan.pattern])
+    pid = np.full(m, -1)
+    for i, name in enumerate(_SONS):
+        pid[pattern == name] = i
     if (pid < 0).any():
-        raise ValueError(f"unknown pattern {plan.pattern[np.argmin(pid)]!r}")
+        raise ValueError(f"unknown pattern {str(pattern[np.argmin(pid)])!r}")
     if policy is None:
         policy = PatternPolicy.always_bisec3()
-    full = [t for t, p in enumerate(plan.pattern) if p in FULL_PATTERNS]
+    full = np.flatnonzero(np.isin(pid, _FULL_IDS))
     pid[full] = [_PATTERN_ID[policy.choose(t, t in plan.marked_elements)]
-                 for t in full]
+                 for t in full.tolist()]
 
     table = mesh.edge_table
     n_edges, n_old = table.edge2nodes.shape[0], mesh.n_vertices
@@ -264,7 +277,7 @@ def split(mesh: Mesh, plan: RefinementPlan, policy: PatternPolicy | None = None)
                            n_edges + np.arange(m)[:, None]], axis=1)
     needs = _NEEDS[pid]
     uniq, first = np.unique(keys[needs], return_index=True)
-    if np.count_nonzero(uniq < n_edges) != len(plan.closed_edges):
+    if not np.array_equal(uniq[uniq < n_edges], plan.closed_edges):
         raise ValueError("plan does not match mesh (closed edges differ)")
     order = np.argsort(first)
     new_keys, first = uniq[order], first[order]
@@ -347,7 +360,7 @@ def step_with_plan(mesh: Mesh, marking: MarkingInput, dialect: str,
             return p
 
         policy = PatternPolicy.custom(no_bisec5, name=guarded.name)
-    refined = plan.refined_elements()
+    refined = frozenset(np.flatnonzero(plan.pattern != PATTERN_NONE).tolist())
     return split(mesh, plan, policy), refined, plan
 
 

@@ -437,12 +437,3 @@ def measure_h1_stability(coarse: Mesh, fine: Mesh, seed: int = 0) -> float:
                              f"{bound:.3e}, above 1e-10 relative")
     return math.sqrt(max(theta, 0.0))
 
-
-def matrix_to_triplet_text(matrix) -> str:
-    """Coordinate (i j value) text dump of a sparse matrix."""
-    coo = sp.coo_matrix(matrix)
-    lines = [f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
-    order = np.lexsort((coo.col, coo.row))
-    for idx in order:
-        lines.append(f"{coo.row[idx]} {coo.col[idx]} {float(coo.data[idx])!r}")
-    return "\n".join(lines) + "\n"

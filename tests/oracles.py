@@ -25,8 +25,11 @@ and ``point_strictly_inside_segment`` are the scalar forms of the
 ``prolongation`` is the row-by-row ``nvbmesh.stability.prolongation``, and
 ``h1_exact`` computes the top H1 constants of a nested pair exactly by a
 reduction to the coarse space (a copy of the benchmark's own).
-``incidence_pairs`` and ``point_strictly_inside_triangle`` are small
-helpers that only the tests use.
+``edge_key``, ``edges_of`` and ``ref_edge`` name edges by sorted node
+pairs, as the loops do; ``edge_keys`` and ``edge_ids`` translate between
+those pairs and the package's ``edge_table`` ids.  ``incidence_pairs`` and
+``point_strictly_inside_triangle`` are small helpers that only the tests
+use.
 """
 
 from __future__ import annotations
@@ -45,9 +48,8 @@ from nvbmesh import _geom
 from nvbmesh.analysis import CheckResult, StructureReport
 from nvbmesh.correspondence import CorrespondenceError, CorrReport
 from nvbmesh.mesh import (_EXHAUSTIVE_LIMIT, COMPATIBLY_DIVISIBLE, ConformityReport,
-                          EdgeKey, Mesh, MeshError, Violation, _overshared,
-                          build_edge_table, classify_pair, edge_key,
-                          reference_neighbor)
+                          Mesh, MeshError, Violation, _overshared,
+                          build_edge_table, classify_pair, reference_neighbor)
 from nvbmesh.meshio import _INT64, FORMAT_TAG, FORMAT_VERSION
 from nvbmesh.refine import (BISEC1, BISEC2_LEFT, BISEC2_RIGHT, BISEC3, BISEC5,
                             FULL_PATTERNS, PATTERN_NONE, RED, MarkingInput,
@@ -55,7 +57,35 @@ from nvbmesh.refine import (BISEC1, BISEC2_LEFT, BISEC2_RIGHT, BISEC3, BISEC5,
 from nvbmesh.stability import (ElementCondition, NodeWeights, StabilityReport,
                                _bhat, assemble_nested)
 
+EdgeKey = tuple[int, int]
 Pair = tuple[int, EdgeKey]
+
+
+def edge_key(a: int, b: int) -> EdgeKey:
+    """Canonical (sorted) key for the unordered node pair {a, b}."""
+    return (a, b) if a < b else (b, a)
+
+
+def edges_of(mesh: Mesh, t: int) -> tuple[EdgeKey, EdgeKey, EdgeKey]:
+    """The edge keys of element t, reference edge first."""
+    v0, v1, v2 = (int(v) for v in mesh.elements[t])
+    return (edge_key(v0, v1), edge_key(v1, v2), edge_key(v2, v0))
+
+
+def ref_edge(mesh: Mesh, t: int) -> EdgeKey:
+    return edge_key(int(mesh.elements[t, 0]), int(mesh.elements[t, 1]))
+
+
+def edge_keys(mesh: Mesh, ids) -> frozenset[EdgeKey]:
+    """The node pairs of the given edge ids of the mesh."""
+    return frozenset((a, b) for a, b in mesh.edge_table.edge2nodes[ids].tolist())
+
+
+def edge_ids(mesh: Mesh, keys) -> list[int]:
+    """The edge ids of the given node pairs, numbered as ``edge_table``
+    numbers them (first touch)."""
+    index = {e: i for i, e in enumerate(edge_table(mesh.elements))}
+    return [index[e] for e in keys]
 
 
 def edge_table(elements: np.ndarray) -> dict[EdgeKey, tuple[int, ...]]:
@@ -81,8 +111,8 @@ def closure(mesh: Mesh, seed: frozenset[EdgeKey]
         new_refs = set()
         for e in frontier:
             for t in table[e]:
-                if mesh.ref_edge(t) not in marked:
-                    new_refs.add(mesh.ref_edge(t))
+                if ref_edge(mesh, t) not in marked:
+                    new_refs.add(ref_edge(mesh, t))
         if not new_refs:
             break
         marked |= new_refs
@@ -93,7 +123,7 @@ def closure(mesh: Mesh, seed: frozenset[EdgeKey]
                 (True, True, False): BISEC2_LEFT,
                 (True, False, True): BISEC2_RIGHT,
                 (True, True, True): BISEC3}
-    patterns = tuple(by_marks[tuple(e in marked for e in mesh.edges_of(t))]
+    patterns = tuple(by_marks[tuple(e in marked for e in edges_of(mesh, t))]
                      for t in range(mesh.n_elements))
     return frozenset(marked), iterations, patterns
 
@@ -109,7 +139,7 @@ def brute_force_closure(mesh: Mesh, seed: frozenset[EdgeKey]) -> frozenset[EdgeK
 
     def closed(edges: frozenset[EdgeKey]) -> bool:
         for t in range(mesh.n_elements):
-            es = mesh.edges_of(t)
+            es = edges_of(mesh, t)
             if any(e in edges for e in es) and es[0] not in edges:
                 return False
         return True
@@ -230,7 +260,7 @@ def split(mesh: Mesh, plan: RefinementPlan, policy: PatternPolicy | None = None)
 
 def incidence_pairs(mesh: Mesh) -> list[tuple[int, EdgeKey]]:
     """All (element, edge) pairs; exactly 3 per element."""
-    return [(t, e) for t in range(mesh.n_elements) for e in mesh.edges_of(t)]
+    return [(t, e) for t in range(mesh.n_elements) for e in edges_of(mesh, t)]
 
 
 def point_strictly_inside_triangle(p, p0, p1, p2) -> bool:
@@ -325,7 +355,7 @@ def verify_neighbor_rules(mesh: Mesh, initial: Mesh | None = None) -> StructureR
 
     # segments of the initial mesh, indexed by ancestor element
     init_segments = [[(initial.point(a), initial.point(b))
-                      for a, b in initial.edges_of(t)]
+                      for a, b in edges_of(initial, t)]
                      for t in range(initial.n_elements)]
 
     def inside_initial_edge(t1: int, t2: int, e) -> bool:
@@ -349,7 +379,7 @@ def verify_neighbor_rules(mesh: Mesh, initial: Mesh | None = None) -> StructureR
         if a1 == a2 and not compat:
             bad_iv.append((t1, t2))
         if a1 != a2 and not compat:
-            anc_shared = (set(initial.edges_of(a1)) & set(initial.edges_of(a2)))
+            anc_shared = (set(edges_of(initial, a1)) & set(edges_of(initial, a2)))
             if anc_shared and classify_pair(initial, a1, a2) == COMPATIBLY_DIVISIBLE:
                 bad_v.append((t1, t2))
         if not compat and not inside_initial_edge(t1, t2, e):
@@ -425,7 +455,7 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
     table = {e: inc[:2] for e, inc in edge_table(mesh.elements).items()}
     for t in range(ne):
         across = [next((u for u in table[e] if u != t), -1)
-                  for e in mesh.edges_of(t)]
+                  for e in edges_of(mesh, t)]
         for s in sorted(set(across)):
             if 0 <= s < t and across.count(s) > 1:
                 violations.append(Violation(
@@ -824,8 +854,8 @@ def build_corr(left: Mesh, right: Mesh) -> dict[Pair, Pair]:
             deferred.append(t)
             continue
         matched_right.add(s)
-        le = left.edges_of(t)
-        re = right.edges_of(s)
+        le = edges_of(left, t)
+        re = edges_of(right, s)
         for i in range(3):
             pairs[(t, le[i])] = (s, re[i])
 
@@ -839,13 +869,13 @@ def build_corr(left: Mesh, right: Mesh) -> dict[Pair, Pair]:
         for t in sorted(unmatched):
             if t in used:
                 continue
-            ref = mesh.ref_edge(t)
+            ref = ref_edge(mesh, t)
             inc = table[ref]
             if len(inc) != 2:
                 raise CorrespondenceError(
                     f"{label} element {t} has no diamond partner")
             other = inc[0] if inc[1] == t else inc[1]
-            if other not in unmatched or mesh.ref_edge(other) != ref:
+            if other not in unmatched or ref_edge(mesh, other) != ref:
                 raise CorrespondenceError(
                     f"{label} elements {t},{other} do not form a diamond")
             used |= {t, other}
@@ -868,11 +898,11 @@ def build_corr(left: Mesh, right: Mesh) -> dict[Pair, Pair]:
         # diamond; the shared diagonal appears twice and is voided
         local: dict[tuple, Pair | None] = {}
         for s in (u, w):
-            for f in right.edges_of(s):
+            for f in edges_of(right, s):
                 key = _geom_edge(right, f)
                 local[key] = None if key in local else (s, f)
         for t in (p, q):
-            e_ref, e1, e2 = left.edges_of(t)
+            e_ref, e1, e2 = edges_of(left, t)
             im1 = local.get(_geom_edge(left, e1))
             im2 = local.get(_geom_edge(left, e2))
             if im1 is None or im2 is None or im1[0] == im2[0]:
@@ -881,7 +911,7 @@ def build_corr(left: Mesh, right: Mesh) -> dict[Pair, Pair]:
             pairs[(t, e1)] = im1
             pairs[(t, e2)] = im2
             s2 = im2[0]
-            pairs[(t, e_ref)] = (s2, right.ref_edge(s2))
+            pairs[(t, e_ref)] = (s2, ref_edge(right, s2))
 
     # the checks of the map's constructor
     if len(pairs) != 3 * left.n_elements:
@@ -897,14 +927,15 @@ def corr_to_json(pairs: dict[Pair, Pair]) -> str:
     return json.dumps(rows, indent=1)
 
 
-def transfer_marking(pairs: dict[Pair, Pair], left: Mesh,
+def transfer_marking(pairs: dict[Pair, Pair], left: Mesh, right: Mesh,
                      marking: MarkingInput) -> MarkingInput:
     """Push marked elements and edges through the correspondence."""
+    marked = edge_keys(left, marking.edges)
     src = [(t, e) for t in sorted(marking.elements)
-           for e in left.edges_of(t) if e in marking.edges]
+           for e in edges_of(left, t) if e in marked]
     images = [pairs[p] for p in src]
-    return MarkingInput(frozenset(s for s, _ in images),
-                        frozenset(f for _, f in images))
+    return MarkingInput.of((s for s, _ in images),
+                           edge_ids(right, (f for _, f in images)))
 
 
 def verify_corr(pairs: dict[Pair, Pair], a: Mesh, b: Mesh) -> CorrReport:
@@ -928,7 +959,7 @@ def verify_corr(pairs: dict[Pair, Pair], a: Mesh, b: Mesh) -> CorrReport:
         if not (0.25 <= ratio <= 4.0):
             report.add("area_band", t, s, ratio)
         # (iii) reference edges map to reference edges, both directions
-        if (e == a.ref_edge(t)) != (f == b.ref_edge(s)):
+        if (e == ref_edge(a, t)) != (f == ref_edge(b, s)):
             report.add("ref_edge_preserved", t, e, s, f)
 
     # (ii)/(iv)/(v)/(vi) over shared edges, forward
@@ -944,10 +975,10 @@ def verify_corr(pairs: dict[Pair, Pair], a: Mesh, b: Mesh) -> CorrReport:
                 report.add(f"neighbors_preserved_{label}", t1, t2, e)
                 continue
             # (iv): mutual reference neighbors map to mutual reference neighbors
-            mutual_src = (e == src.ref_edge(t1) and e == src.ref_edge(t2))
-            mutual_dst = (f1 == dst.ref_edge(s1) and f1 == dst.ref_edge(s2))
-            one_src = (e == src.ref_edge(t1)) + (e == src.ref_edge(t2))
-            one_dst = (f1 == dst.ref_edge(s1)) + (f1 == dst.ref_edge(s2))
+            mutual_src = (e == ref_edge(src, t1) and e == ref_edge(src, t2))
+            mutual_dst = (f1 == ref_edge(dst, s1) and f1 == ref_edge(dst, s2))
+            one_src = (e == ref_edge(src, t1)) + (e == ref_edge(src, t2))
+            one_dst = (f1 == ref_edge(dst, s1)) + (f1 == ref_edge(dst, s2))
             if mutual_src != mutual_dst:
                 report.add(f"mutual_ref_neighbors_{label}", t1, t2, e)
             # (v): compatible divisibility preserved (ref-count 0 or 2 vs 1)
@@ -964,21 +995,21 @@ def verify_corr(pairs: dict[Pair, Pair], a: Mesh, b: Mesh) -> CorrReport:
     # (vii): all image elements of T carry the image of T's reference pair
     # as their own reference edge, and conversely
     for t in range(a.n_elements):
-        s_ref, f_ref = pairs[(t, a.ref_edge(t))]
-        for e in a.edges_of(t):
+        s_ref, f_ref = pairs[(t, ref_edge(a, t))]
+        for e in edges_of(a, t):
             s, f = pairs[(t, e)]
-            if b.ref_edge(s) != f_ref:
+            if ref_edge(b, s) != f_ref:
                 report.add("ref_pair_dominates_fwd", t, e, s)
     for s in range(b.n_elements):
-        t_ref, e_ref = inv[(s, b.ref_edge(s))]
-        for f in b.edges_of(s):
+        t_ref, e_ref = inv[(s, ref_edge(b, s))]
+        for f in edges_of(b, s):
             t, e = inv[(s, f)]
-            if a.ref_edge(t) != e_ref:
+            if ref_edge(a, t) != e_ref:
                 report.add("ref_pair_dominates_bwd", s, f, t)
 
     # no element spreads its incidence pairs over more than 2 images
     for t in range(a.n_elements):
-        images = {pairs[(t, e)][0] for e in a.edges_of(t)}
+        images = {pairs[(t, e)][0] for e in edges_of(a, t)}
         if len(images) > 2:
             report.add("image_spread", t, sorted(images))
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from conftest import small_mesh_corpus
 from oracles import (brute_force_closure, brute_force_weight_exponents,
-                     edge_table, point_strictly_inside_triangle)
+                     edge_ids, edge_keys, edge_table,
+                     point_strictly_inside_triangle)
 from nvbmesh.analysis import (closure_accounting, reciprocal_sum_bound,
                               verify_chain_bounds)
 from nvbmesh.correspondence import corresponding_sequence, verify_corr
@@ -106,15 +107,16 @@ def test_criterion_01_closure_minimality():
         assert len(table) <= 12, name
         for t in range(mesh.n_elements):
             plan = close_marks(mesh, MarkingInput.of([t]), mode="nvb")
-            assert plan.closed_edges == brute_force_closure(mesh,
-                                                            plan.seed_edges)
+            assert edge_keys(mesh, plan.closed_edges) == brute_force_closure(
+                mesh, edge_keys(mesh, plan.seed_edges))
             checked += 1
         for combo in itertools.combinations(sorted(table), 2):
             elems = frozenset(table[e][0] for e in combo)
-            plan = close_marks(mesh, MarkingInput(elems, frozenset(combo)),
+            plan = close_marks(mesh, MarkingInput(elems, edge_ids(mesh, combo)),
                                mode="mnvb")
-            assert plan.closed_edges == brute_force_closure(mesh,
-                                                            plan.seed_edges)
+            assert edge_keys(mesh, plan.seed_edges) == frozenset(combo)
+            assert edge_keys(mesh, plan.closed_edges) == brute_force_closure(
+                mesh, frozenset(combo))
             checked += 1
     elapsed = time.time() - t0
     assert elapsed < 1.0, f"closure minimality took {elapsed:.2f}s"

@@ -130,6 +130,21 @@ def test_analyze_tampered_gen_exits_3(tmp_path):
     assert not report["ok"]
 
 
+@pytest.mark.parametrize("row", ["1,2", "1,2,x,0,", ""])
+def test_analyze_malformed_trace_row_exits_2(tmp_path, capsys, row):
+    mesh = tmp_path / "sq.nvbm"
+    write_mesh(square2(), mesh)
+    trace = tmp_path / "t.csv"
+    trace.write_text(f"step,marked,elements,closure_iters,rho\n0,2,2,0,\n{row}\n"
+                     "2,2,8,0,\n")
+    code = run("analyze", str(mesh), "--trace", str(trace),
+               "--out", str(tmp_path / "rep"))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert f"error: {trace}:3: expected integer step" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_parse_failure_exits_2(tmp_path):
     bad = tmp_path / "bad.nvbm"
     bad.write_text("not a mesh\n")
@@ -219,6 +234,18 @@ def test_stability_tampered_weights_exit_3(tmp_path):
     assert code == EXIT_VIOLATION
 
 
+@pytest.mark.parametrize("tamper", ["4:1", "99:1", "-1:5"])
+def test_stability_tamper_node_out_of_range_exits_2(tmp_path, capsys, tamper):
+    # square2 has nodes 0..3
+    code = run("stability", "square2", "--skip-measure",
+               f"--debug-tamper={tamper}", "--out", str(tmp_path / "s"))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    node = tamper.split(":")[0]
+    assert f"error: --debug-tamper node {node} is not in 0..3" in err
+    assert not (tmp_path / "s" / "stability.json").exists()
+
+
 def test_corr_check_ok(tmp_path):
     code = run("corr-check", "--initial", "square2", "--steps", "4",
                "--seed", "2", "--out", str(tmp_path / "c"))
@@ -245,7 +272,7 @@ def test_corr_check_writes_the_oracle_files(tmp_path):
         if not marked:
             marked = [int(rng.integers(mesh.n_elements))]
         markings.append(MarkingInput.all_edges(mesh, marked))
-        tilde_markings.append(oracles.transfer_marking(pairs[-1], mesh,
+        tilde_markings.append(oracles.transfer_marking(pairs[-1], mesh, tilde[-1],
                                                        markings[-1]))
         red.append(refine_step(mesh, markings[-1], "refineNVBred",
                                PatternPolicy.always_red())[0])
@@ -254,7 +281,7 @@ def test_corr_check_writes_the_oracle_files(tmp_path):
     ok, rows = True, []
     for i, (p, a, b) in enumerate(zip(pairs, red, tilde)):
         rep = oracles.verify_corr(p, a, b)
-        spread = max(len({p[(t, e)][0] for e in a.edges_of(t)})
+        spread = max(len({p[(t, e)][0] for e in oracles.edges_of(a, t)})
                      for t in range(a.n_elements))
         rows.append({"step": i, "elements": a.n_elements,
                      "tilde_elements": b.n_elements, "verified": rep.ok,

@@ -14,7 +14,7 @@ from conftest import (crisscross, random_trace, single_triangle,
                       square2_incompatible)
 from nvbmesh.mesh import (COMPATIBLY_DIVISIBLE, INCOMPATIBLE, NOT_ADJACENT,
                           Mesh, MeshError, build_edge_table, classify_pair,
-                          edge_key, geometry, lshape6,
+                          geometry, lshape6,
                           reference_neighbor, restrict, same_mesh, square2,
                           Violation, structure_flags, validate_mesh)
 from nvbmesh.refine import MarkingInput, refine_step, uniform
@@ -158,8 +158,9 @@ def test_reference_neighbor_lshape_boundary_legs(lshape):
     table = oracles.edge_table(lshape.elements)
     boundary = {e for e, inc in table.items() if len(inc) == 1}
     for t in range(lshape.n_elements):
-        expected = None if lshape.ref_edge(t) in boundary else \
-            next(i for i in table[lshape.ref_edge(t)] if i != t)
+        ref = oracles.ref_edge(lshape, t)
+        expected = None if ref in boundary else \
+            next(i for i in table[ref] if i != t)
         assert reference_neighbor(lshape, t) == expected
 
 
@@ -180,6 +181,16 @@ def test_classify_pair_symmetric():
     for mesh in small_mesh_corpus().values():
         for t1, t2 in itertools.combinations(range(mesh.n_elements), 2):
             assert classify_pair(mesh, t1, t2) == classify_pair(mesh, t2, t1)
+
+
+def test_classify_pair_matches_node_pair_definition():
+    for mesh in small_mesh_corpus().values():
+        for t1, t2 in itertools.permutations(range(mesh.n_elements), 2):
+            shared = set(oracles.edges_of(mesh, t1)) & set(oracles.edges_of(mesh, t2))
+            on_ref = sum(oracles.ref_edge(mesh, t) in shared for t in (t1, t2))
+            expected = (NOT_ADJACENT if not shared else COMPATIBLY_DIVISIBLE
+                        if on_ref in (0, 2) else INCOMPATIBLE)
+            assert classify_pair(mesh, t1, t2) == expected
 
 
 def test_structure_flags_bdd_square(sq):
@@ -334,4 +345,4 @@ def test_lshape_builder(lshape):
 
 
 def test_edge_key_canonical():
-    assert edge_key(3, 1) == edge_key(1, 3) == (1, 3)
+    assert oracles.edge_key(3, 1) == oracles.edge_key(1, 3) == (1, 3)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,13 +10,13 @@ import pytest
 
 from conftest import (random_trace, single_triangle, small_mesh_corpus,
                       square2_incompatible)
-from oracles import (brute_force_closure, edge_table,
-                     point_strictly_inside_triangle)
+from oracles import (brute_force_closure, edge_ids, edge_keys, edge_table,
+                     edges_of, point_strictly_inside_triangle, ref_edge)
 from nvbmesh import _geom
 from nvbmesh.marking import RunConfig, run_refinement
 from nvbmesh.mesh import (PrecisionExhausted, lshape6, same_mesh, square2,
                           validate_mesh)
-from nvbmesh.refine import (BISEC3, BisectionForest, MarkingInput,
+from nvbmesh.refine import (BISEC1, BISEC3, BisectionForest, MarkingInput,
                             PatternPolicy, UnsupportedRefinementError,
                             chain, close_marks, overlay,
                             refine_step, split, trace_to_csv, uniform)
@@ -26,7 +27,7 @@ from nvbmesh.refine import (BISEC3, BisectionForest, MarkingInput,
 
 def test_close_marks_empty(sq):
     plan = close_marks(sq, MarkingInput.of([]), mode="nvb")
-    assert plan.closed_edges == frozenset()
+    assert plan.closed_edges.size == 0
     assert all(p == "none" for p in plan.pattern)
     assert plan.iterations == 0
 
@@ -40,17 +41,18 @@ def test_close_marks_incompatible_square_pulls_in_neighbor():
     plan = close_marks(mesh, MarkingInput.of([1]), mode="nvb")
     # seed: ref edge of T1 = diagonal (0,2); the diagonal is an edge of T0,
     # so E_T0 = (0,1) joins; (0,1) is only in T0: fixpoint
-    assert plan.closed_edges == frozenset({(0, 2), (0, 1)})
+    assert edge_keys(mesh, plan.closed_edges) == frozenset({(0, 2), (0, 1)})
     assert plan.pattern[0] in ("bisec2_left", "bisec2_right")
     assert plan.pattern[1] == "bisec1"
     # brute-force minimality oracle
-    assert plan.closed_edges == brute_force_closure(mesh, plan.seed_edges)
+    assert edge_keys(mesh, plan.closed_edges) == brute_force_closure(
+        mesh, edge_keys(mesh, plan.seed_edges))
 
 
 def test_close_marks_all_edges_already_closed(sq):
     marking = MarkingInput.all_edges(sq, range(sq.n_elements))
     plan = close_marks(sq, marking, mode="mnvb")
-    assert plan.closed_edges == frozenset(edge_table(sq.elements))
+    assert edge_keys(sq, plan.closed_edges) == frozenset(edge_table(sq.elements))
     assert all(p == BISEC3 for p in plan.pattern)
     assert plan.iterations == 0
 
@@ -62,14 +64,14 @@ def test_close_marks_minimality_exhaustive_on_small_corpus():
             continue
         for t in range(mesh.n_elements):
             plan = close_marks(mesh, MarkingInput.of([t]), mode="nvb")
-            oracle = brute_force_closure(mesh, plan.seed_edges)
-            assert plan.closed_edges == oracle, (name, t)
+            oracle = brute_force_closure(mesh, edge_keys(mesh, plan.seed_edges))
+            assert edge_keys(mesh, plan.closed_edges) == oracle, (name, t)
         for edges in itertools.combinations(sorted(table), 2):
             elems = [table[e][0] for e in edges]
-            marking = MarkingInput.of(elems, edges)
+            marking = MarkingInput.of(elems, edge_ids(mesh, edges))
             plan = close_marks(mesh, marking, mode="mnvb")
-            oracle = brute_force_closure(mesh, plan.seed_edges)
-            assert plan.closed_edges == oracle, (name, edges)
+            oracle = brute_force_closure(mesh, frozenset(edges))
+            assert edge_keys(mesh, plan.closed_edges) == oracle, (name, edges)
 
 
 def test_close_marks_iteration_bound():
@@ -80,14 +82,35 @@ def test_close_marks_iteration_bound():
 
 
 def test_close_marks_rejects_foreign_edge(sq):
-    with pytest.raises(ValueError, match="not an edge"):
-        close_marks(sq, MarkingInput.of([0], [(0, 5)]), mode="mnvb")
+    for edge in (5, 99, -1):  # square2 has 5 edges, ids 0..4
+        with pytest.raises(ValueError,
+                           match=f"marked edge {edge} is not an edge of the mesh"):
+            close_marks(sq, MarkingInput.of([0], [0, edge]), mode="mnvb")
 
 
 def test_close_marks_rejects_unmarked_container(sq):
-    edge = sq.edges_of(1)[1]  # edge of T1 only
-    with pytest.raises(ValueError, match="no marked element"):
+    a, b = edges_of(sq, 1)[1]  # edge of T1 only
+    edge = edge_ids(sq, [(a, b)])[0]
+    with pytest.raises(ValueError, match=rf"marked edge {edge} \({a}, {b}\) "
+                                         "lies in no marked element"):
         close_marks(sq, MarkingInput.of([0], [edge]), mode="mnvb")
+
+
+@pytest.mark.parametrize("edges", [[(0, 1)], [(0, 1), (1, 2)], [[0, 1, 2]],
+                                   [0.0, 1.0], [True], 3, "01"])
+def test_marking_rejects_anything_but_edge_ids(edges):
+    with pytest.raises(ValueError, match="1-D sequence of edge ids"):
+        MarkingInput.of([0], edges)
+
+
+def test_marking_edges_are_sorted_unique_read_only_ids(sq):
+    marking = MarkingInput.of([0, 1], [4, 0, 4, np.int32(2)])
+    assert marking.edges.tolist() == [0, 2, 4]
+    assert marking.edges.dtype == np.int64
+    assert not marking.edges.flags.writeable
+    assert MarkingInput.of([0]).edges.tolist() == []
+    assert MarkingInput.all_edges(sq, [1]).edges.tolist() == \
+        sorted(sq.edge_table.element2edges[1].tolist())
 
 
 # -- splitting -----------------------------------------------------------------
@@ -194,7 +217,7 @@ def test_new_nodes_are_closed_edge_midpoints_only():
     plan = close_marks(mesh, marking, mode="mnvb")
     fine = split(mesh, plan, PatternPolicy.always_bisec3())
     expected = set()
-    for (a, b) in plan.closed_edges:
+    for (a, b) in edge_keys(mesh, plan.closed_edges):
         expected.add(_geom.midpoint(mesh.point(a), mesh.point(b)))
     new_nodes = {fine.point(j) for j in range(mesh.n_vertices, fine.n_vertices)}
     assert new_nodes == expected
@@ -206,7 +229,7 @@ def test_bisec5_adds_exactly_one_extra_node_beyond_midpoints():
     plan = close_marks(tri, marking, mode="mnvb")
     fine = split(tri, plan, PatternPolicy.interior_node())
     midpoints = {_geom.midpoint(tri.point(a), tri.point(b))
-                 for (a, b) in plan.closed_edges}
+                 for (a, b) in edge_keys(tri, plan.closed_edges)}
     new_nodes = {fine.point(j) for j in range(tri.n_vertices, fine.n_vertices)}
     assert len(new_nodes - midpoints) == 1
 
@@ -221,8 +244,27 @@ def test_precision_exhaustion_is_typed():
 def test_plan_mesh_mismatch_rejected(sq):
     plan = close_marks(sq, MarkingInput.of([0]), mode="nvb")
     other = uniform(sq, "bisec3")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="element count differs"):
         split(other, plan)
+
+
+def test_plan_with_other_closed_edges_rejected(sq):
+    # the patterns need the diagonal halved; the plan claims other edges
+    plan = close_marks(sq, MarkingInput.of([0]), mode="nvb")
+    for closed in ([0, 1], [1], np.arange(5)):
+        wrong = dataclasses.replace(plan, closed_edges=np.array(closed))
+        with pytest.raises(ValueError, match="closed edges differ"):
+            split(sq, wrong)
+
+
+@pytest.mark.parametrize("pattern,bad", [(["bisec1", "bisec4"], "bisec4"),
+                                         (["", "bisec1"], "")])
+def test_plan_with_unknown_pattern_rejected(sq, pattern, bad):
+    plan = close_marks(sq, MarkingInput.of([0]), mode="nvb")
+    assert plan.pattern.tolist() == [BISEC1, BISEC1]
+    wrong = dataclasses.replace(plan, pattern=np.array(pattern))
+    with pytest.raises(ValueError, match=f"unknown pattern {bad!r}"):
+        split(sq, wrong)
 
 
 # -- dialects ------------------------------------------------------------------
@@ -278,7 +320,7 @@ def test_full_edge_marking_equals_two_reference_edge_passes(rng):
         for t in range(half.n_elements):
             if int(half.parent_elems[t]) not in marked:
                 continue
-            if any(e in marking.edges
+            if any(e in edge_keys(mesh, marking.edges)
                    for e in _geom_edges_as_parent_keys(half, mesh, t)):
                 still_marked.append(t)
         two_step, _ = refine_step(half, MarkingInput.of(still_marked),
@@ -291,7 +333,7 @@ def _geom_edges_as_parent_keys(fine, coarse, t):
     endpoints are original coarse nodes (else dropped)."""
     nc = coarse.n_vertices
     out = []
-    for a, b in fine.edges_of(t):
+    for a, b in edges_of(fine, t):
         if a < nc and b < nc:
             out.append((a, b) if a < b else (b, a))
     return out
@@ -315,13 +357,13 @@ def test_refine_decomposes_into_two_refineNVBred_steps():
         v0, v1, v2 = (int(v) for v in tri.elements[parent])
         median = (_geom.midpoint(tri.point(v0), tri.point(v1)),
                   tri.point(v2))
-        e = half.ref_edge(t)
+        e = ref_edge(half, t)
         ge = (half.point(e[0]), half.point(e[1]))
         if set(ge) == set(median):
             second.append(t)
     assert len(second) == 2 * len(marked)
-    marking2 = MarkingInput(frozenset(second),
-                            frozenset(half.ref_edge(t) for t in second))
+    marking2 = MarkingInput.of(second, edge_ids(half, [ref_edge(half, t)
+                                                       for t in second]))
     two_step, _ = refine_step(half, marking2, "refineNVBred")
     assert same_mesh(direct, two_step)
 

@@ -508,23 +508,3 @@ def test_measure_bounded_on_adaptive_sequence():
         values.append(measure_h1_stability(coarse, fine))
     assert max(values) < 3.0
 
-
-def test_matrix_triplet_export_roundtrip(sq):
-    import scipy.sparse as sp
-
-    from nvbmesh.stability import matrix_to_triplet_text
-
-    system = assemble(uniform(sq, "bisec3"))
-    text = matrix_to_triplet_text(system.mass)
-    lines = text.strip().splitlines()
-    rows, cols, nnz = (int(x) for x in lines[0].split())
-    assert (rows, cols) == system.mass.shape
-    assert nnz == len(lines) - 1
-    data, ij = [], ([], [])
-    for line in lines[1:]:
-        i, j, v = line.split()
-        ij[0].append(int(i))
-        ij[1].append(int(j))
-        data.append(float(v))
-    back = sp.coo_matrix((data, ij), shape=(rows, cols))
-    assert abs(back.tocsr() - system.mass).max() == 0.0

@@ -28,7 +28,8 @@ def assert_topology_matches(mesh):
     assert table.edge2elements.tolist() == [[*inc, -1][:2]
                                             for inc in oracle.values()]
     assert table.element2edges.tolist() == [
-        [edge_id[e] for e in mesh.edges_of(t)] for t in range(mesh.n_elements)]
+        [edge_id[e] for e in oracles.edges_of(mesh, t)]
+        for t in range(mesh.n_elements)]
     for arr in (table.element2edges, table.edge2nodes, table.edge2elements):
         assert arr.dtype == np.int64 and not arr.flags.writeable
 
@@ -46,8 +47,13 @@ def test_topology_and_split_match_oracles(dialect, policy, ref_edges):
         assert_topology_matches(mesh)
         marking = marking_for(mesh, dialect, select_marked(mesh, config, rng))
         fine, _, plan = step_with_plan(mesh, marking, dialect, pattern_policy)
-        assert (plan.closed_edges, plan.iterations, plan.pattern) == \
-            oracles.closure(mesh, plan.seed_edges)
+        for ids in (marking.edges, plan.seed_edges, plan.closed_edges):
+            assert ids.dtype == np.int64 and not ids.flags.writeable
+            assert (np.diff(ids) > 0).all()
+        assert plan.pattern.dtype == "<U12" and not plan.pattern.flags.writeable
+        assert (oracles.edge_keys(mesh, plan.closed_edges), plan.iterations,
+                tuple(plan.pattern.tolist())) == \
+            oracles.closure(mesh, oracles.edge_keys(mesh, plan.seed_edges))
         expect = oracles.split(mesh, plan, pattern_policy)
         assert dumps_mesh(fine) == dumps_mesh(expect)
         assert np.array_equal(fine.vertex_parents, expect.vertex_parents)
