@@ -54,8 +54,7 @@ for policy, label in [(PatternPolicy.always_bisec3(), "bisec(3)"),
 # ancestor's area divided by 2**gen, with no floating-point slack, since
 # all coordinates are iterated exact midpoints.
 fine = uniform(uniform(square2(), "bisec3"), "bisec1")
-anc = square2().areas()
-exact = all(fine.area(t) == anc[fine.ancestor[t]] * 2.0 ** (-int(fine.gen[t]))
-            for t in range(fine.n_elements))
+expect = np.ldexp(square2().areas()[fine.ancestor], -fine.gen)
+exact = bool((fine.areas() == expect).all())
 print("\narea identity |T| = |ancestor| * 2^-gen exact on all",
       fine.n_elements, "elements:", exact)

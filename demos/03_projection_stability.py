@@ -25,7 +25,7 @@ print("step  elements  max d-ratio  max S_T  min lambda   ||grad Pi|| bound")
 for i in range(0, len(result.meshes), 4):
     mesh = result.meshes[i]
     weights = compute_weights(mesh)
-    report = check_conditions(mesh, weights, with_c78=False)
+    report = check_conditions(mesh, weights)
 
     # two uniform bisections define the fine space the projection acts on
     fine = uniform(uniform(mesh, "bisec1"), "bisec1")
@@ -36,7 +36,7 @@ for i in range(0, len(result.meshes), 4):
 
 final = result.final
 weights = compute_weights(final)
-report = check_conditions(final, weights, with_c78=False)
+report = check_conditions(final, weights)
 exps = weights.exponents
 print(f"\nfinal mesh: {final.n_elements} elements, generations "
       f"{int(final.gen.min())}..{int(final.gen.max())}, "

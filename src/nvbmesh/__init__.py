@@ -15,7 +15,7 @@ from .correspondence import (CorrMap, CorrespondenceError, build_corr,
                              corresponding_sequence, verify_corr)
 from .marking import RunConfig, RunResult, run_refinement
 from .mesh import (ConformityReport, Mesh, MeshError, PrecisionExhausted,
-                   StructureFlags, classify_pair, geometry, lshape6,
+                   StructureFlags, classify_pair, lshape6,
                    reference_neighbor, restrict, same_mesh, square2,
                    structure_flags, validate_mesh)
 from .meshio import read_mesh, write_mesh
@@ -39,8 +39,8 @@ __all__ = [
     "UnsupportedRefinementError", "assemble", "assemble_nested",
     "build_corr", "chain", "check_conditions",
     "classify_pair", "close_marks", "closure_accounting", "compute_weights",
-    "corresponding_sequence", "geometry",
-    "lshape6", "measure_h1_stability", "overlay", "project_l2", "prolongation",
+    "corresponding_sequence", "lshape6", "measure_h1_stability", "overlay",
+    "project_l2", "prolongation",
     "read_mesh", "reciprocal_sum_bound", "reference_neighbor", "refine_step",
     "restrict",
     "run_refinement", "same_mesh", "split", "square2", "structure_flags",

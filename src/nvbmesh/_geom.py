@@ -1,8 +1,20 @@
-"""Small exact-friendly geometry helpers shared across the package.
+"""Array kernels for the geometric formulas shared across the package.
+
+Points are float arrays with (x, y) on the last axis; every kernel
+broadcasts over the leading axes, so one call covers all elements of a
+mesh.  The only scalar helpers are ``cross2``, whose arithmetic serves
+scalars and arrays alike, and ``midpoint``, used by the recursive
+bisection-forest and overlay code.
 
 Coordinates in this library are dyadic rationals (iterated exact midpoints
 of the initial vertices), so cross products, areas and midpoints below are
-exact in double precision for any realistic refinement depth.
+exact in double precision for any realistic refinement depth.  Lengths are
+not exact.  ``lengths`` rounds each one as ``math.hypot`` does (the
+rounding of ``math.dist``), mapped over the coordinate differences:
+``np.hypot`` calls the C library, which rounds differently on a small share
+of inputs, and a one-ulp change would move ties in longest-edge rotations,
+corner and Dörfler selections and the recorded chain distances.
+``diameters`` feeds only realized constants and keeps ``np.hypot``.
 """
 
 from __future__ import annotations
@@ -17,16 +29,22 @@ def cross2(ax, ay, bx, by):
     return ax * by - ay * bx
 
 
-def signed_area(p0, p1, p2) -> float:
-    """Signed area of the triangle (p0, p1, p2); positive iff CCW."""
-    return 0.5 * cross2(p1[0] - p0[0], p1[1] - p0[1], p2[0] - p0[0], p2[1] - p0[1])
+def _orient(p0, p1, p2):
+    """(p1 - p0) x (p2 - p0): twice the signed area of (p0, p1, p2)."""
+    return cross2(p1[..., 0] - p0[..., 0], p1[..., 1] - p0[..., 1],
+                  p2[..., 0] - p0[..., 0], p2[..., 1] - p0[..., 1])
 
 
-def signed_areas(coords: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """Vectorized signed areas for an (m,3) triangle index array."""
-    x, y = coords[:, 0][tris], coords[:, 1][tris]
-    return 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-                  - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
+def signed_areas(p0, p1, p2) -> np.ndarray:
+    """Signed areas of the triangles (p0, p1, p2); positive iff CCW."""
+    return 0.5 * _orient(p0, p1, p2)
+
+
+def lengths(dx, dy) -> np.ndarray:
+    """Euclidean lengths of the vectors (dx, dy), each rounded as
+    ``math.hypot``."""
+    return np.fromiter(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()),
+                       np.float64, count=dx.size).reshape(dx.shape)
 
 
 def diameters(coords: np.ndarray, tris: np.ndarray) -> np.ndarray:
@@ -46,11 +64,6 @@ def pow2_half(k: np.ndarray) -> np.ndarray:
 def midpoint(p, q) -> tuple[float, float]:
     """Exact midpoint of two dyadic points."""
     return ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)
-
-
-def diameter(p0, p1, p2) -> float:
-    """Longest edge length of the triangle."""
-    return max(math.dist(p0, p1), math.dist(p1, p2), math.dist(p2, p0))
 
 
 def _along_segment(p, a, b):
@@ -74,52 +87,42 @@ def point_strictly_inside_segment(p, a, b):
     return line & (0.0 < dot) & (dot < length2)
 
 
-def point_in_triangle(p, p0, p1, p2) -> bool:
-    """True iff p lies in the closed CCW triangle."""
-    return (signed_area(p0, p1, p) >= 0.0
-            and signed_area(p1, p2, p) >= 0.0
-            and signed_area(p2, p0, p) >= 0.0)
+def in_triangles(p, p0, p1, p2):
+    """Whether p lies in the closed CCW triangle (p0, p1, p2)."""
+    return ((signed_areas(p0, p1, p) >= 0.0) & (signed_areas(p1, p2, p) >= 0.0)
+            & (signed_areas(p2, p0, p) >= 0.0))
 
 
-def point_segment_distance(p, a, b) -> float:
-    """Euclidean distance from point p to the closed segment [a, b]."""
-    abx, aby = b[0] - a[0], b[1] - a[1]
-    apx, apy = p[0] - a[0], p[1] - a[1]
-    denom = abx * abx + aby * aby
-    if denom == 0.0:
-        return math.dist(p, a)
-    t = (apx * abx + apy * aby) / denom
-    t = min(1.0, max(0.0, t))
-    return math.dist(p, (a[0] + t * abx, a[1] + t * aby))
+def point_segment_distances(p, a, b) -> np.ndarray:
+    """Euclidean distances from points p to the closed segments [a, b]."""
+    _, dot, length2 = _along_segment(p, a, b)
+    t = np.divide(dot, length2, out=np.zeros(np.broadcast(dot, length2).shape),
+                  where=length2 != 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    qx = a[..., 0] + t * (b[..., 0] - a[..., 0])
+    qy = a[..., 1] + t * (b[..., 1] - a[..., 1])
+    return lengths(p[..., 0] - qx, p[..., 1] - qy)
 
 
-def segment_segment_distance(a, b, c, d) -> float:
-    """Distance between closed segments [a,b] and [c,d]."""
-    # Proper intersection means distance zero.
-    d1 = cross2(b[0] - a[0], b[1] - a[1], c[0] - a[0], c[1] - a[1])
-    d2 = cross2(b[0] - a[0], b[1] - a[1], d[0] - a[0], d[1] - a[1])
-    d3 = cross2(d[0] - c[0], d[1] - c[1], a[0] - c[0], a[1] - c[1])
-    d4 = cross2(d[0] - c[0], d[1] - c[1], b[0] - c[0], b[1] - c[1])
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return 0.0
-    return min(point_segment_distance(a, c, d),
-               point_segment_distance(b, c, d),
-               point_segment_distance(c, a, b),
-               point_segment_distance(d, a, b))
+def point_triangle_distances(p, tris) -> np.ndarray:
+    """Distances from the point p to each closed triangle of tris (m, 3, 2)."""
+    d = point_segment_distances(p, tris, tris[:, [1, 2, 0]]).min(axis=1)
+    return np.where(in_triangles(p, tris[:, 0], tris[:, 1], tris[:, 2]), 0.0, d)
 
 
-def triangle_distance(t1, t2) -> float:
-    """Distance between two closed triangles, each a tuple of 3 points.
-
-    Segment-segment distance over the 3x3 edge pairs plus containment
-    checks (one triangle inside the other).
-    """
-    if point_in_triangle(t1[0], *t2) or point_in_triangle(t2[0], *t1):
-        return 0.0
-    best = math.inf
-    edges1 = [(t1[0], t1[1]), (t1[1], t1[2]), (t1[2], t1[0])]
-    edges2 = [(t2[0], t2[1]), (t2[1], t2[2]), (t2[2], t2[0])]
-    for a, b in edges1:
-        for c, d in edges2:
-            best = min(best, segment_segment_distance(a, b, c, d))
-    return best
+def triangle_distances(t1, t2) -> np.ndarray:
+    """Distances between the closed triangles t1 and t2, (..., 3, 2) arrays:
+    zero if the first vertex of one lies in the other, else the least
+    distance over the 3 x 3 edge pairs, zero where two edges cross."""
+    inside = (in_triangles(t1[..., 0, :], t2[..., 0, :], t2[..., 1, :], t2[..., 2, :])
+              | in_triangles(t2[..., 0, :], t1[..., 0, :], t1[..., 1, :], t1[..., 2, :]))
+    a, b = t1[..., :, None, :], t1[..., [1, 2, 0], None, :]   # (..., 3, 1, 2)
+    c, d = t2[..., None, :, :], t2[..., None, [1, 2, 0], :]   # (..., 1, 3, 2)
+    crossing = (((_orient(a, b, c) > 0) != (_orient(a, b, d) > 0))
+                & ((_orient(c, d, a) > 0) != (_orient(c, d, b) > 0)))
+    pair = np.minimum.reduce([point_segment_distances(a, c, d),
+                              point_segment_distances(b, c, d),
+                              point_segment_distances(c, a, b),
+                              point_segment_distances(d, a, b)])
+    pair = np.where(crossing, 0.0, pair)
+    return np.where(inside, 0.0, pair.min(axis=(-2, -1)))

@@ -211,6 +211,7 @@ def verify_chain_bounds(mesh_seq: list[Mesh],
     dist(T, T') * 2**(gen(T')/2) is recorded and its maximum reported.
     """
     report = ChainBoundsReport()
+    marked_tris, son_tris, son_gens = [], [], []
     for mesh, marking in zip(mesh_seq, markings):
         report.max_equal_gen_chain = max(report.max_equal_gen_chain,
                                          max_equal_gen_chain(mesh))
@@ -218,20 +219,22 @@ def verify_chain_bounds(mesh_seq: list[Mesh],
             single, refined = refine_step(mesh, MarkingInput.of([t]), "refineNVB")
             if single is mesh:
                 continue
-            tri_t = mesh.coords(t)
+            sons = np.flatnonzero(np.isin(single.parent_elems, list(refined)))
+            gen = single.gen[sons]
             g_t = int(mesh.gen[t])
-            for s in range(single.n_elements):
-                parent = int(single.parent_elems[s])
-                if parent not in refined:
-                    continue
-                overshoot = int(single.gen[s]) - g_t
-                report.max_gen_overshoot = max(report.max_gen_overshoot, overshoot)
-                if int(single.gen[s]) > g_t + 2:
-                    report.violations.append((t, s, int(single.gen[s]), g_t))
-                d = _geom.triangle_distance(tri_t, single.coords(s))
-                report.max_dist_scaled = max(
-                    report.max_dist_scaled,
-                    d * 2.0 ** (int(single.gen[s]) / 2.0))
+            report.max_gen_overshoot = max(report.max_gen_overshoot,
+                                           int(gen.max()) - g_t)
+            report.violations.extend((t, s, g, g_t) for s, g in zip(
+                sons.tolist(), gen.tolist()) if g > g_t + 2)
+            marked_tris.append(np.broadcast_to(mesh.vertices[mesh.elements[t]],
+                                               (len(sons), 3, 2)))
+            son_tris.append(single.vertices[single.elements[sons]])
+            son_gens.append(gen)
+    if son_tris:
+        d = _geom.triangle_distances(np.concatenate(marked_tris),
+                                     np.concatenate(son_tris))
+        report.max_dist_scaled = float(
+            (d * _geom.pow2_half(np.concatenate(son_gens))).max(initial=0.0))
     return report
 
 

@@ -19,7 +19,8 @@ import numpy as np
 from . import analysis, correspondence, marking, meshio, stability
 from .mesh import (Mesh, MeshError, PrecisionExhausted, structure_flags,
                    validate_mesh)
-from .refine import MarkingInput, PatternPolicy, UnsupportedRefinementError
+from .refine import (DIALECTS, MarkingInput, PatternPolicy,
+                     UnsupportedRefinementError)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -57,9 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("spec", help="square2 | lshape6 | path to .nvbm")
     r.add_argument("--ref-edges", choices=marking.REF_EDGE_POLICIES,
                    default="as-given")
-    r.add_argument("--dialect", choices=("refineNVB", "refineNVB3",
-                                         "refineNVBred", "refine"),
-                   default="refineNVB")
+    r.add_argument("--dialect", choices=DIALECTS, default="refineNVB")
     r.add_argument("--policy", choices=marking.POLICY_NAMES, default="bisec3")
     r.add_argument("--strategy", choices=marking.STRATEGIES, default="all")
     r.add_argument("--fraction", type=float, default=0.25)

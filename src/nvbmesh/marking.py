@@ -8,7 +8,6 @@ flows through one seeded generator and all iteration orders are fixed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -78,22 +77,17 @@ def assign_reference_edges(mesh: Mesh, policy: str, seed: int = 0) -> Mesh:
         raise ValueError("reference-edge assignment applies to initial meshes")
     if policy == "random":
         rot = np.random.default_rng(seed).integers(3, size=mesh.n_elements)
-        tris = np.take_along_axis(mesh.elements, (rot[:, None] + np.arange(3)) % 3,
-                                  axis=1)
-        return Mesh(mesh.vertices.copy(), tris)
-    if policy != "longest-edge":
+    elif policy == "longest-edge":
+        # rotation r puts edge (v[r], v[r+1]) first: the longest edge, ties
+        # broken by the smallest opposite-vertex id
+        d = np.take(mesh.vertices, mesh.elements, axis=0)
+        d = d - d[:, [1, 2, 0]]
+        length = _geom.lengths(d[..., 0], d[..., 1])
+        rot = np.lexsort((mesh.elements[:, [2, 0, 1]], -length))[:, 0]
+    else:
         raise ValueError(f"unknown reference-edge policy {policy!r}")
-    tris = mesh.elements.copy()
-    for t in range(mesh.n_elements):
-        v = [int(x) for x in tris[t]]
-        pts = [mesh.point(i) for i in v]
-        # rotation r puts edge (v[r], v[r+1]) first; tie-break by the
-        # smallest opposite-vertex id
-        def key(r):
-            length = math.dist(pts[r], pts[(r + 1) % 3])
-            return (-length, v[(r + 2) % 3])
-        rot = min(range(3), key=key)
-        tris[t] = [v[rot], v[(rot + 1) % 3], v[(rot + 2) % 3]]
+    tris = np.take_along_axis(mesh.elements, (rot[:, None] + np.arange(3)) % 3,
+                              axis=1)
     return Mesh(mesh.vertices.copy(), tris)
 
 
@@ -113,15 +107,6 @@ def build_initial(config: RunConfig) -> Mesh:
 # -- strategies -----------------------------------------------------------------
 
 
-def _element_point_distance(mesh: Mesh, t: int, p) -> float:
-    tri = mesh.coords(t)
-    if _geom.point_in_triangle(p, *tri):
-        return 0.0
-    return min(_geom.point_segment_distance(p, tri[0], tri[1]),
-               _geom.point_segment_distance(p, tri[1], tri[2]),
-               _geom.point_segment_distance(p, tri[2], tri[0]))
-
-
 def select_marked(mesh: Mesh, config: RunConfig,
                   rng: np.random.Generator) -> list[int]:
     """Pick the elements to mark for one step, per the configured strategy."""
@@ -133,28 +118,33 @@ def select_marked(mesh: Mesh, config: RunConfig,
         if not marked:
             marked = [int(rng.integers(n))]
         return marked
+    p = np.take(mesh.vertices, mesh.elements, axis=0)
+    corner = np.asarray(config.corner, dtype=np.float64)
     if config.strategy == "corner":
-        p = config.corner
-        return [t for t in range(n)
-                if _element_point_distance(mesh, t, p) <= config.radius]
+        dist = _geom.point_triangle_distances(corner, p)
+        return np.flatnonzero(dist <= config.radius).tolist()
     if config.strategy == "dorfler":
         # synthetic corner-singularity indicator with greedy bulk selection
-        x0 = config.corner
-        etas = np.empty(n)
-        for t in range(n):
-            cx = float(mesh.vertices[mesh.elements[t], 0].mean())
-            cy = float(mesh.vertices[mesh.elements[t], 1].mean())
-            dist = math.dist((cx, cy), x0)
-            etas[t] = math.sqrt(mesh.area(t)) * dist ** (-config.alpha)
-        order = sorted(range(n), key=lambda t: (-etas[t], t))
-        total = float(etas.sum())
-        marked, acc = [], 0.0
-        for t in order:
-            marked.append(t)
-            acc += float(etas[t])
-            if acc >= config.theta * total:
-                break
-        return sorted(marked)
+        centroid = p.mean(axis=1)
+        dist = _geom.lengths(centroid[:, 0] - corner[0], centroid[:, 1] - corner[1])
+        # Python's float power, as the indicator is defined; np.power may
+        # take a SIMD path that rounds differently
+        try:
+            weight = np.fromiter(map(pow, dist.tolist(), [-config.alpha] * n),
+                                 np.float64, count=n)
+        except (ZeroDivisionError, OverflowError):
+            t = int(dist.argmin() if config.alpha > 0 else dist.argmax())
+            raise ValueError(
+                f"dorfler indicator is not finite: corner {tuple(config.corner)} "
+                f"lies {float(dist[t])!r} from the centroid of element {t}, "
+                f"raised to the power {-config.alpha!r}") from None
+        etas = np.sqrt(mesh.areas()) * weight
+        # largest first, ties by id; np.cumsum adds in this order one by
+        # one, so the cut is where a running sum first reaches the bulk
+        order = np.argsort(-etas, kind="stable")
+        cut = np.searchsorted(np.cumsum(etas[order]),
+                              config.theta * float(etas.sum())) + 1
+        return np.sort(order[:cut]).tolist()
     raise ValueError(f"unknown strategy {config.strategy!r}; one of {STRATEGIES}")
 
 

@@ -87,13 +87,6 @@ class StructureFlags:
     is_weak_bdd_literal: bool
 
 
-@dataclass(frozen=True)
-class ElementGeometry:
-    area: float
-    diameter: float
-    shape_regularity: float
-
-
 class Mesh:
     """Immutable conforming triangulation.
 
@@ -111,6 +104,14 @@ class Mesh:
     parent_elems : (m,) array of int, optional
         For refined meshes, the id of each element's father in the mesh
         this one was produced from.
+    vertex_parents : (n, 2) array of int, optional
+        The node pair whose midpoint created each vertex, (-1, -1) for
+        vertices that predate any recorded refinement (the default);
+        ``prolongation`` interpolates along these pairs.
+    has_red_history, has_bisec5_history : bool
+        Whether a red or a bisec(5) refinement produced this mesh or one of
+        its ancestors; a red son sets the first by itself.  Bisection
+        forests and overlays refuse such meshes.
     validate : bool
         Enforce orientation/index/edge-sharing invariants at construction.
     """
@@ -197,11 +198,9 @@ class Mesh:
     def point(self, node: int) -> tuple[float, float]:
         return (float(self.vertices[node, 0]), float(self.vertices[node, 1]))
 
-    def area(self, t: int) -> float:
-        return _geom.signed_area(*self.coords(t))
-
     def areas(self) -> np.ndarray:
-        return _geom.signed_areas(self.vertices, self.elements)
+        p = np.take(self.vertices, self.elements, axis=0)
+        return _geom.signed_areas(p[:, 0], p[:, 1], p[:, 2])
 
     def total_area(self) -> float:
         return float(self.areas().sum())
@@ -455,17 +454,6 @@ def structure_flags(mesh: Mesh) -> StructureFlags:
         isolated=frozenset(np.flatnonzero(isolated).tolist()),
         isolated_literal=frozenset(np.flatnonzero(isolated_literal).tolist()),
         is_weak_bdd_literal=weak(isolated_literal))
-
-
-def geometry(mesh: Mesh, t: int) -> ElementGeometry:
-    """Area, diameter (longest edge) and shape regularity of element t."""
-    if not 0 <= t < mesh.n_elements:
-        raise ValueError(f"element id {t} out of range")
-    p0, p1, p2 = mesh.coords(t)
-    area = _geom.signed_area(p0, p1, p2)
-    diam = _geom.diameter(p0, p1, p2)
-    return ElementGeometry(area=area, diameter=diam,
-                           shape_regularity=diam * diam / area)
 
 
 def restrict(mesh: Mesh, initial_subset: Iterable[int]) -> Mesh:

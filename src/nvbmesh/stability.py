@@ -217,16 +217,15 @@ def _mass_pencil_eigvalsh(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_L_INV @ a @ _L_INV.T)
 
 
-def check_conditions(mesh: Mesh, weights: NodeWeights,
-                     with_c78: bool = True) -> StabilityReport:
+def check_conditions(mesh: Mesh, weights: NodeWeights) -> StabilityReport:
     """Evaluate the sufficient stability conditions on every element.
 
     Per element: weight-ratio bound (exponent spread <= 2), the pair sum
     S_T < 25, and positivity of the smallest eigenvalue 5 - sqrt(S_T) of
     the scaled mass matrix, cross-checked against a direct eigensolve.
     Realized global constants are collected, including the quadratic-form
-    constants of the eigenvalue criterion when ``with_c78`` is set.  All
-    elements are evaluated at once as (m, 3) and (m, 3, 3) arrays.
+    constants of the eigenvalue criterion.  All elements are evaluated at
+    once as (m, 3) and (m, 3, 3) arrays.
     """
     report = StabilityReport()
     e = np.asarray(weights.exponents, dtype=np.int64)[mesh.elements]
@@ -255,19 +254,18 @@ def check_conditions(mesh: Mesh, weights: NodeWeights,
     val = weights.values[mesh.elements] / h[:, None]
     report.weight_size_ratio = max(float(val.max()), float((1.0 / val).max()))
 
-    if with_c78:
-        lam2 = h[:, None] * h[:, None] * np.ldexp(1.0, -e)   # (h/d_i)^2
-        quartic = lam2[:, :, None] * _MASS_HAT * lam2[:, None, :]
-        report.scaled_quartic_bound = float(
-            _mass_pencil_eigvalsh(quartic)[:, -1].max())
-        # the symmetrized pencil is positive definite exactly when the
-        # scaled matrix is; skip failing elements
-        ok = lam_closed > 0.0
-        l2 = lam2[ok]
-        sym = 0.5 * (l2[:, :, None] * _MASS_HAT + _MASS_HAT * l2[:, None, :])
-        # top eigenvalue of (mass_hat, sym) = 1 / lowest of (sym, mass_hat)
-        low = _mass_pencil_eigvalsh(sym)[:, 0]
-        report.scaled_mass_bound = float((1.0 / low).max(initial=0.0))
+    lam2 = h[:, None] * h[:, None] * np.ldexp(1.0, -e)   # (h/d_i)^2
+    quartic = lam2[:, :, None] * _MASS_HAT * lam2[:, None, :]
+    report.scaled_quartic_bound = float(
+        _mass_pencil_eigvalsh(quartic)[:, -1].max())
+    # the symmetrized pencil is positive definite exactly when the
+    # scaled matrix is; skip failing elements
+    ok = lam_closed > 0.0
+    l2 = lam2[ok]
+    sym = 0.5 * (l2[:, :, None] * _MASS_HAT + _MASS_HAT * l2[:, None, :])
+    # top eigenvalue of (mass_hat, sym) = 1 / lowest of (sym, mass_hat)
+    low = _mass_pencil_eigvalsh(sym)[:, 0]
+    report.scaled_mass_bound = float((1.0 / low).max(initial=0.0))
     return report
 
 

@@ -5,7 +5,8 @@ versions of ``nvbmesh.mesh.build_edge_table``, the fixpoint of
 ``nvbmesh.refine.close_marks`` and ``nvbmesh.refine.split``;
 ``brute_force_closure`` finds the closure fixpoint by exhaustive search.
 ``area_identity_and_diameter_scale`` and ``max_equal_gen_chain`` are the
-per-element loops of ``nvbmesh.analysis.verify_levels``.  ``DeltaDistance``
+per-element loops of ``nvbmesh.analysis.verify_levels``, and
+``verify_chain_bounds`` is the son-by-son loop of its namesake.  ``DeltaDistance``
 evaluates the element-path distance of the nodal weights by breadth-first
 search, ``brute_force_weight_exponents`` evaluates the weight definition
 directly from all-pairs node-to-element distances, and ``conditions`` is
@@ -17,11 +18,17 @@ the per-element and per-edge loop of ``nvbmesh.analysis.verify_neighbor_rules``
 over ``reference_neighbor``/``classify_pair``; ``validate_mesh`` is the
 dict-and-loop ``nvbmesh.mesh.validate_mesh``; ``loads_mesh`` is the
 line-by-line ``.nvbm`` parser, whose line loops ``nvbmesh.meshio.loads_mesh``
-still runs on a block its array path does not take.  ``point_on_segment``
-and ``point_strictly_inside_segment`` are the scalar forms of the
-``nvbmesh._geom`` array kernels.  ``random_reference_edges`` and
-``random_marked`` are the per-element loops of ``assign_reference_edges(...,
-"random")`` and ``select_marked``'s ``random`` strategy.
+still runs on a block its array path does not take.  ``signed_area``,
+``area``, ``diameter``, ``point_in_triangle``, ``point_on_segment``,
+``point_strictly_inside_segment``, ``point_segment_distance``,
+``segment_segment_distance`` and ``triangle_distance`` are the scalar forms
+of the ``nvbmesh._geom`` array kernels, lengths by ``math.dist``.
+``random_reference_edges``, ``longest_edge_references`` and
+``random_marked`` are the per-element loops of ``assign_reference_edges``
+(``"random"`` and ``"longest-edge"``) and ``select_marked``'s ``random``
+strategy; ``select_marked`` holds the loops of its ``corner`` and
+``dorfler`` strategies, over ``element_point_distance`` and
+``dorfler_indicators``.
 ``prolongation`` is the row-by-row ``nvbmesh.stability.prolongation``, and
 ``h1_exact`` computes the top H1 constants of a nested pair exactly by a
 reduction to the coarse space (a copy of the benchmark's own).
@@ -45,7 +52,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 from nvbmesh import _geom
-from nvbmesh.analysis import CheckResult, StructureReport
+from nvbmesh.analysis import ChainBoundsReport, CheckResult, StructureReport
 from nvbmesh.correspondence import CorrespondenceError, CorrReport
 from nvbmesh.mesh import (_EXHAUSTIVE_LIMIT, COMPATIBLY_DIVISIBLE, ConformityReport,
                           Mesh, MeshError, Violation, _overshared,
@@ -53,7 +60,7 @@ from nvbmesh.mesh import (_EXHAUSTIVE_LIMIT, COMPATIBLY_DIVISIBLE, ConformityRep
 from nvbmesh.meshio import _INT64, FORMAT_TAG, FORMAT_VERSION
 from nvbmesh.refine import (BISEC1, BISEC2_LEFT, BISEC2_RIGHT, BISEC3, BISEC5,
                             FULL_PATTERNS, PATTERN_NONE, RED, MarkingInput,
-                            PatternPolicy, RefinementPlan, chain)
+                            PatternPolicy, RefinementPlan, chain, refine_step)
 from nvbmesh.stability import (ElementCondition, NodeWeights, StabilityReport,
                                _bhat, assemble_nested)
 
@@ -258,6 +265,76 @@ def split(mesh: Mesh, plan: RefinementPlan, policy: PatternPolicy | None = None)
                 has_bisec5_history=mesh.has_bisec5_history or any_b5)
 
 
+# -- scalar geometry ----------------------------------------------------------
+
+
+def signed_area(p0, p1, p2) -> float:
+    """Signed area of the triangle (p0, p1, p2); positive iff CCW."""
+    return 0.5 * _geom.cross2(p1[0] - p0[0], p1[1] - p0[1],
+                              p2[0] - p0[0], p2[1] - p0[1])
+
+
+def area(mesh: Mesh, t: int) -> float:
+    """Signed area of element t."""
+    return signed_area(*mesh.coords(t))
+
+
+def diameter(p0, p1, p2) -> float:
+    """Longest edge length of the triangle."""
+    return max(math.dist(p0, p1), math.dist(p1, p2), math.dist(p2, p0))
+
+
+def point_in_triangle(p, p0, p1, p2) -> bool:
+    """True iff p lies in the closed CCW triangle."""
+    return (signed_area(p0, p1, p) >= 0.0
+            and signed_area(p1, p2, p) >= 0.0
+            and signed_area(p2, p0, p) >= 0.0)
+
+
+def point_segment_distance(p, a, b) -> float:
+    """Euclidean distance from point p to the closed segment [a, b]."""
+    abx, aby = b[0] - a[0], b[1] - a[1]
+    apx, apy = p[0] - a[0], p[1] - a[1]
+    denom = abx * abx + aby * aby
+    if denom == 0.0:
+        return math.dist(p, a)
+    t = (apx * abx + apy * aby) / denom
+    t = min(1.0, max(0.0, t))
+    return math.dist(p, (a[0] + t * abx, a[1] + t * aby))
+
+
+def segment_segment_distance(a, b, c, d) -> float:
+    """Distance between closed segments [a,b] and [c,d]."""
+    # Proper intersection means distance zero.
+    d1 = _geom.cross2(b[0] - a[0], b[1] - a[1], c[0] - a[0], c[1] - a[1])
+    d2 = _geom.cross2(b[0] - a[0], b[1] - a[1], d[0] - a[0], d[1] - a[1])
+    d3 = _geom.cross2(d[0] - c[0], d[1] - c[1], a[0] - c[0], a[1] - c[1])
+    d4 = _geom.cross2(d[0] - c[0], d[1] - c[1], b[0] - c[0], b[1] - c[1])
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
+        return 0.0
+    return min(point_segment_distance(a, c, d),
+               point_segment_distance(b, c, d),
+               point_segment_distance(c, a, b),
+               point_segment_distance(d, a, b))
+
+
+def triangle_distance(t1, t2) -> float:
+    """Distance between two closed triangles, each a tuple of 3 points.
+
+    Segment-segment distance over the 3x3 edge pairs plus containment
+    checks (one triangle inside the other).
+    """
+    if point_in_triangle(t1[0], *t2) or point_in_triangle(t2[0], *t1):
+        return 0.0
+    best = math.inf
+    edges1 = [(t1[0], t1[1]), (t1[1], t1[2]), (t1[2], t1[0])]
+    edges2 = [(t2[0], t2[1]), (t2[1], t2[2]), (t2[2], t2[0])]
+    for a, b in edges1:
+        for c, d in edges2:
+            best = min(best, segment_segment_distance(a, b, c, d))
+    return best
+
+
 def incidence_pairs(mesh: Mesh) -> list[tuple[int, EdgeKey]]:
     """All (element, edge) pairs; exactly 3 per element."""
     return [(t, e) for t in range(mesh.n_elements) for e in edges_of(mesh, t)]
@@ -265,9 +342,9 @@ def incidence_pairs(mesh: Mesh) -> list[tuple[int, EdgeKey]]:
 
 def point_strictly_inside_triangle(p, p0, p1, p2) -> bool:
     """True iff p is interior to the CCW triangle (all barycentrics > 0)."""
-    return (_geom.signed_area(p0, p1, p) > 0.0
-            and _geom.signed_area(p1, p2, p) > 0.0
-            and _geom.signed_area(p2, p0, p) > 0.0)
+    return (signed_area(p0, p1, p) > 0.0
+            and signed_area(p1, p2, p) > 0.0
+            and signed_area(p2, p0, p) > 0.0)
 
 
 # -- verify_levels ----------------------------------------------------------
@@ -295,15 +372,43 @@ def area_identity_and_diameter_scale(mesh: Mesh, initial: Mesh
     bad_area = []
     for t in range(mesh.n_elements):
         expect = float(anc_areas[int(mesh.ancestor[t])]) * 2.0 ** (-int(mesh.gen[t]))
-        if mesh.area(t) != expect:
+        if area(mesh, t) != expect:
             bad_area.append(t)
     lo, hi = math.inf, 0.0
     for t in range(mesh.n_elements):
         scale = 2.0 ** (int(mesh.gen[t]) / 2.0)
         p0, p1, p2 = mesh.coords(t)
-        lo = min(lo, math.sqrt(mesh.area(t)) * scale)
-        hi = max(hi, _geom.diameter(p0, p1, p2) * scale)
+        lo = min(lo, math.sqrt(area(mesh, t)) * scale)
+        hi = max(hi, diameter(p0, p1, p2) * scale)
     return bad_area, lo, hi
+
+
+def verify_chain_bounds(mesh_seq: list[Mesh],
+                        markings: list[MarkingInput]) -> ChainBoundsReport:
+    """The son-by-son loop of ``nvbmesh.analysis.verify_chain_bounds``."""
+    report = ChainBoundsReport()
+    for mesh, marking in zip(mesh_seq, markings):
+        report.max_equal_gen_chain = max(report.max_equal_gen_chain,
+                                         max_equal_gen_chain(mesh))
+        for t in sorted(marking.elements):
+            single, refined = refine_step(mesh, MarkingInput.of([t]), "refineNVB")
+            if single is mesh:
+                continue
+            tri_t = mesh.coords(t)
+            g_t = int(mesh.gen[t])
+            for s in range(single.n_elements):
+                parent = int(single.parent_elems[s])
+                if parent not in refined:
+                    continue
+                overshoot = int(single.gen[s]) - g_t
+                report.max_gen_overshoot = max(report.max_gen_overshoot, overshoot)
+                if int(single.gen[s]) > g_t + 2:
+                    report.violations.append((t, s, int(single.gen[s]), g_t))
+                d = triangle_distance(tri_t, single.coords(s))
+                report.max_dist_scaled = max(
+                    report.max_dist_scaled,
+                    d * 2.0 ** (int(single.gen[s]) / 2.0))
+    return report
 
 
 def point_on_segment(p, a, b) -> bool:
@@ -613,6 +718,64 @@ def random_marked(n: int, fraction: float, rng: np.random.Generator) -> list[int
     if not marked:
         marked = [int(rng.integers(n))]
     return marked
+
+
+def longest_edge_references(mesh: Mesh) -> np.ndarray:
+    """The rotated triples of ``assign_reference_edges(mesh, "longest-edge")``."""
+    tris = mesh.elements.copy()
+    for t in range(mesh.n_elements):
+        v = [int(x) for x in tris[t]]
+        pts = [mesh.point(i) for i in v]
+        # rotation r puts edge (v[r], v[r+1]) first; tie-break by the
+        # smallest opposite-vertex id
+        def key(r):
+            length = math.dist(pts[r], pts[(r + 1) % 3])
+            return (-length, v[(r + 2) % 3])
+        rot = min(range(3), key=key)
+        tris[t] = [v[rot], v[(rot + 1) % 3], v[(rot + 2) % 3]]
+    return tris
+
+
+def element_point_distance(mesh: Mesh, t: int, p) -> float:
+    tri = mesh.coords(t)
+    if point_in_triangle(p, *tri):
+        return 0.0
+    return min(point_segment_distance(p, tri[0], tri[1]),
+               point_segment_distance(p, tri[1], tri[2]),
+               point_segment_distance(p, tri[2], tri[0]))
+
+
+def dorfler_indicators(mesh: Mesh, x0, alpha: float) -> np.ndarray:
+    """The ``dorfler`` indicators sqrt|T| * |centroid(T) - x0|**(-alpha)."""
+    etas = np.empty(mesh.n_elements)
+    for t in range(mesh.n_elements):
+        cx = float(mesh.vertices[mesh.elements[t], 0].mean())
+        cy = float(mesh.vertices[mesh.elements[t], 1].mean())
+        dist = math.dist((cx, cy), x0)
+        etas[t] = math.sqrt(area(mesh, t)) * dist ** (-alpha)
+    return etas
+
+
+def select_marked(mesh: Mesh, config) -> list[int]:
+    """``select_marked``'s per-element loops (``corner`` and ``dorfler``)."""
+    n = mesh.n_elements
+    if config.strategy == "corner":
+        p = config.corner
+        return [t for t in range(n)
+                if element_point_distance(mesh, t, p) <= config.radius]
+    if config.strategy == "dorfler":
+        # synthetic corner-singularity indicator with greedy bulk selection
+        etas = dorfler_indicators(mesh, config.corner, config.alpha)
+        order = sorted(range(n), key=lambda t: (-etas[t], t))
+        total = float(etas.sum())
+        marked, acc = [], 0.0
+        for t in order:
+            marked.append(t)
+            acc += float(etas[t])
+            if acc >= config.theta * total:
+                break
+        return sorted(marked)
+    raise ValueError(f"no loop oracle for strategy {config.strategy!r}")
 
 
 # -- nodal weights and element conditions -----------------------------------
@@ -955,7 +1118,7 @@ def verify_corr(pairs: dict[Pair, Pair], a: Mesh, b: Mesh) -> CorrReport:
     for (t, e), (s, f) in pairs.items():
         if int(a.gen[t]) != int(b.gen[s]):
             report.add("gen_preserved", t, s, int(a.gen[t]), int(b.gen[s]))
-        ratio = a.area(t) / b.area(s)
+        ratio = area(a, t) / area(b, s)
         if not (0.25 <= ratio <= 4.0):
             report.add("area_band", t, s, ratio)
         # (iii) reference edges map to reference edges, both directions

@@ -151,10 +151,11 @@ def test_criterion_03_area_generation_identity():
     for run in corpus():
         anc_areas = run["initial"].areas()
         for mesh in run["meshes"]:
+            areas = mesh.areas()
             for t in range(mesh.n_elements):
                 expect = float(anc_areas[int(mesh.ancestor[t])]) \
                     * 2.0 ** (-int(mesh.gen[t]))
-                assert mesh.area(t) == expect  # exact dyadic equality
+                assert areas[t] == expect  # exact dyadic equality
                 checked += 1
     _report(3, "area-generation-identity", time.time() - t0,
             f"{checked} elements exact")
@@ -267,7 +268,7 @@ def test_criterion_08_nodal_weights():
     for run in runs:
         mesh = run["meshes"][-1]
         weights = compute_weights(mesh)
-        report = check_conditions(mesh, weights, with_c78=False)
+        report = check_conditions(mesh, weights)
         assert report.all_pass
         assert report.max_ratio <= 2.0
         assert report.max_s_sum < 25.0
@@ -275,8 +276,7 @@ def test_criterion_08_nodal_weights():
             assert abs(cond.lam_min_closed - cond.lam_min_eig) < 1e-10
         checked += mesh.n_elements
     equal = check_conditions(square2(),
-                             NodeWeights(exponents=np.zeros(4, dtype=np.int64)),
-                             with_c78=False)
+                             NodeWeights(exponents=np.zeros(4, dtype=np.int64)))
     assert all(c.lam_min_closed == 2.0 for c in equal.elements)
     assert np.allclose(np.linalg.eigvalsh(_bhat([0, 0, 0])), [2.0, 2.0, 8.0])
     _report(8, "nodal-weights", time.time() - t0,

@@ -318,3 +318,18 @@ def test_refine_precision_exhaustion_exits_3(tmp_path, capsys):
     assert code == EXIT_VIOLATION
     assert "not exact in double precision" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("corner,alpha", [
+    ("0.6666666666666666,0.3333333333333333", "1"),   # the centroid of 0
+    ("0.6666666666666667,0.3333333333333333", "40"),  # one ulp off: overflow
+])
+def test_refine_dorfler_indicator_not_finite_exits_2(tmp_path, capsys, corner,
+                                                     alpha):
+    code = run("refine", "square2", "--strategy", "dorfler", "--corner", corner,
+               "--alpha", alpha, "--steps", "2", "--out", str(tmp_path / "run"))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "dorfler indicator is not finite" in err
+    assert "centroid of element 0" in err
+    assert "Traceback" not in err

@@ -158,8 +158,9 @@ def test_area_band_holds_on_all_maps():
     markings = red_trace(lshape6(), 3, 5, PatternPolicy.always_red())
     seq = corresponding_sequence(lshape6(), markings, PatternPolicy.always_red())
     for corr in seq.maps:
+        left, right = corr.left.areas(), corr.right.areas()
         for (t, _), (s, _) in corr.pairs.items():
-            ratio = corr.left.area(t) / corr.right.area(s)
+            ratio = left[t] / right[s]
             assert 0.25 <= ratio <= 4.0
 
 

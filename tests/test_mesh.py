@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import oracles
+from nvbmesh import _geom
 from conftest import (crisscross, random_trace, single_triangle,
                       small_mesh_corpus, square2_boundary_refs,
                       square2_incompatible)
 from nvbmesh.mesh import (COMPATIBLY_DIVISIBLE, INCOMPATIBLE, NOT_ADJACENT,
                           Mesh, MeshError, build_edge_table, classify_pair,
-                          geometry, lshape6,
-                          reference_neighbor, restrict, same_mesh, square2,
+                          lshape6, reference_neighbor, restrict, same_mesh, square2,
                           Violation, structure_flags, validate_mesh)
 from nvbmesh.refine import MarkingInput, refine_step, uniform
 
@@ -224,31 +224,32 @@ def test_boundary_reference_edges_literal_reading():
     assert not flags.is_weak_bdd_literal
 
 
-def test_geometry_right_triangle():
-    g = geometry(single_triangle(), 0)
-    assert g.area == 0.5
-    assert g.diameter == math.sqrt(2.0)
-    assert g.shape_regularity == g.diameter ** 2 / 0.5
+def test_area_and_diameter_right_triangle():
+    tri = single_triangle()
+    assert tri.areas().tolist() == [0.5]
+    assert _geom.diameters(tri.vertices, tri.elements).tolist() == [math.sqrt(2.0)]
 
 
 def test_bisection_halves_area(sq):
     fine, _ = refine_step(sq, MarkingInput.of([0]), "refineNVB")
+    fine_areas, sq_areas = fine.areas(), sq.areas()
     for t in range(fine.n_elements):
         parent = int(fine.parent_elems[t])
         if int(fine.gen[t]) == 1:
-            assert fine.area(t) == sq.area(parent) / 2.0
+            assert fine_areas[t] == sq_areas[parent] / 2.0
 
 
 def test_uniform_bisec3_son_areas(sq):
     fine = uniform(sq, "bisec3")
     assert fine.n_elements == 8
     # oracle: shoelace per son
+    areas = fine.areas()
     for t in range(fine.n_elements):
         p0, p1, p2 = fine.coords(t)
         shoelace = 0.5 * abs(
             p0[0] * (p1[1] - p2[1]) + p1[0] * (p2[1] - p0[1])
             + p2[0] * (p0[1] - p1[1]))
-        assert fine.area(t) == shoelace == 0.125
+        assert areas[t] == shoelace == 0.125
 
 
 def test_restrict_identity(sq):
@@ -278,8 +279,7 @@ def test_restrict_is_conforming_on_random_runs(rng):
     assert validate_mesh(sub).ok
     # generations and areas carried over exactly
     assert sub.total_area() == sum(
-        fine.area(t) for t in range(fine.n_elements)
-        if int(fine.ancestor[t]) in (0, 1, 2))
+        fine.areas()[np.isin(fine.ancestor, (0, 1, 2))].tolist())
 
 
 def test_restrict_empty_subset_rejected(sq):
@@ -300,9 +300,10 @@ def test_total_area_preserved_and_area_generation_exact():
         anc_areas = initial.areas()
         for mesh in meshes:
             assert abs(mesh.total_area() - 1.0) < 1e-12
+            areas = mesh.areas()
             for t in range(mesh.n_elements):
                 expect = anc_areas[int(mesh.ancestor[t])] * 2.0 ** (-int(mesh.gen[t]))
-                assert mesh.area(t) == expect
+                assert areas[t] == expect
 
 
 def test_edge_table_rebuild_identical():

@@ -234,7 +234,7 @@ def test_ratio_two_case_stays_below_pair_sum_bound():
 def test_closed_form_matches_eigensolve_everywhere():
     meshes, _ = random_trace(lshape6(), seed=8, steps=6, dialect="refineNVB")
     mesh = meshes[-1]
-    report = check_conditions(mesh, compute_weights(mesh), with_c78=False)
+    report = check_conditions(mesh, compute_weights(mesh))
     for cond in report.elements:
         assert abs(cond.lam_min_closed - cond.lam_min_eig) < 1e-10
 
@@ -247,7 +247,7 @@ def test_conditions_pass_on_every_dialect():
         meshes, _ = random_trace(lshape6(), seed=40 + seed, steps=5,
                                  dialect=dialect, policy=policy)
         mesh = meshes[-1]
-        report = check_conditions(mesh, compute_weights(mesh), with_c78=False)
+        report = check_conditions(mesh, compute_weights(mesh))
         assert report.all_pass, dialect
         assert report.max_ratio <= 2.0
         assert report.max_s_sum < 25.0
@@ -312,7 +312,7 @@ def test_conditions_match_loop_oracle_on_criterion_8_corpus():
 def test_tampered_weights_fail_conditions(sq):
     exps = compute_weights(sq).exponents.copy()
     exps[0] += 4  # ratio 4 within every element touching node 0
-    report = check_conditions(sq, NodeWeights(exponents=exps), with_c78=False)
+    report = check_conditions(sq, NodeWeights(exponents=exps))
     assert not report.all_pass
 
 
