@@ -12,8 +12,8 @@ conforming bisection mesh of the sub-domain.
 
 import numpy as np
 
-from nvbmesh import (BisectionForest, MarkingInput, lshape6, overlay,
-                     refine_step, restrict, same_mesh, validate_mesh)
+from nvbmesh import (MarkingInput, lshape6, overlay, refine_step, restrict,
+                     same_mesh, validate_mesh)
 
 initial = lshape6()
 rng = np.random.default_rng(0)
@@ -40,11 +40,9 @@ print("overlay(a, a) == a:", same_mesh(overlay(a, a), a))
 print("overlay refines both inputs:",
       ab.n_elements >= max(a.n_elements, b.n_elements))
 
-# the bisection forest behind the overlay: one binary tree per initial
-# element, reconstructed from coordinates alone
-forest = BisectionForest.from_mesh(a)
-print(f"\nforest of a: {len(forest.roots)} trees, "
-      f"{forest.leaf_count()} leaves (= element count)")
+# the overlay refines a: every element of a is a union of overlay
+# elements, so overlaying a again changes nothing
+print("overlay(ab, a) == ab:", same_mesh(overlay(ab, a), ab))
 
 # restrict to the lower-left quadrant of the L-shape (initial elements 0, 1)
 sub = restrict(a, [0, 1])

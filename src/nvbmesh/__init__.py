@@ -19,8 +19,8 @@ from .mesh import (ConformityReport, Mesh, MeshError, PrecisionExhausted,
                    reference_neighbor, restrict, same_mesh, square2,
                    structure_flags, validate_mesh)
 from .meshio import read_mesh, write_mesh
-from .refine import (BisectionForest, MarkingInput, PatternPolicy,
-                     RefinementPlan, StepRecord, UnsupportedRefinementError,
+from .refine import (MarkingInput, PatternPolicy, RefinementPlan,
+                     StepRecord, UnsupportedRefinementError,
                      chain, close_marks, overlay, refine_step, split, uniform)
 from .stability import (NodeWeights, NumericFailure, SparseSystem,
                         StabilityReport, assemble, assemble_nested,
@@ -30,7 +30,7 @@ from .stability import (NodeWeights, NumericFailure, SparseSystem,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BisectionForest", "ChainBoundsReport", "ClosureLedger", "ConformityReport",
+    "ChainBoundsReport", "ClosureLedger", "ConformityReport",
     "CorrMap", "CorrespondenceError", "MarkingInput", "Mesh",
     "MeshError", "NodeWeights", "NumericFailure", "PatternPolicy",
     "PrecisionExhausted", "RefinementPlan", "RunConfig", "RunResult",

@@ -2,9 +2,8 @@
 
 Points are float arrays with (x, y) on the last axis; every kernel
 broadcasts over the leading axes, so one call covers all elements of a
-mesh.  The only scalar helpers are ``cross2``, whose arithmetic serves
-scalars and arrays alike, and ``midpoint``, used by the recursive
-bisection-forest and overlay code.
+mesh.  The only scalar helper is ``cross2``, whose arithmetic serves
+scalars and arrays alike.
 
 Coordinates in this library are dyadic rationals (iterated exact midpoints
 of the initial vertices), so cross products, areas and midpoints below are
@@ -49,7 +48,7 @@ def lengths(dx, dy) -> np.ndarray:
 
 def diameters(coords: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Vectorized longest edge lengths for an (m,3) triangle index array."""
-    p = coords[tris]
+    p = np.take(coords, tris, axis=0)
     d = p[:, [1, 2, 0]] - p
     return np.hypot(d[..., 0], d[..., 1]).max(axis=1)
 
@@ -59,11 +58,6 @@ def pow2_half(k: np.ndarray) -> np.ndarray:
     Python's float power (bit-identical to ``2.0 ** (int(k) / 2.0)``)."""
     values, inverse = np.unique(k, return_inverse=True)
     return np.array([2.0 ** (v / 2.0) for v in values.tolist()])[inverse]
-
-
-def midpoint(p, q) -> tuple[float, float]:
-    """Exact midpoint of two dyadic points."""
-    return ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)
 
 
 def _along_segment(p, a, b):

@@ -131,7 +131,8 @@ def _diamonds(mesh: Mesh, tri: np.ndarray, free: np.ndarray, label: str):
             raise CorrespondenceError(f"{label} element {t0} has no diamond partner")
         if bad[i]:
             raise CorrespondenceError(f"{label} elements {t0},{t1} do not form a diamond")
-        corners = frozenset(mesh.coords(t0)) | frozenset(mesh.coords(t1))
+        xy = mesh.vertices[mesh.elements[[t0, t1]]].tolist()
+        corners = frozenset(map(tuple, xy[0] + xy[1]))
         raise CorrespondenceError(f"{label} diamond at {sorted(corners)} is degenerate")
     return t[first], other[first], key, order
 

@@ -110,8 +110,8 @@ class Mesh:
         ``prolongation`` interpolates along these pairs.
     has_red_history, has_bisec5_history : bool
         Whether a red or a bisec(5) refinement produced this mesh or one of
-        its ancestors; a red son sets the first by itself.  Bisection
-        forests and overlays refuse such meshes.
+        its ancestors; a red son sets the first by itself.  ``overlay``
+        refuses such meshes.
     validate : bool
         Enforce orientation/index/edge-sharing invariants at construction.
     """
@@ -188,15 +188,6 @@ class Mesh:
         if self.is_initial:
             return self
         raise MeshError("initial mesh unknown for this (loaded) refined mesh")
-
-    def coords(self, t: int):
-        """The three vertex coordinate pairs of element t (convention order)."""
-        v = self.elements[t]
-        return (tuple(self.vertices[v[0]]), tuple(self.vertices[v[1]]),
-                tuple(self.vertices[v[2]]))
-
-    def point(self, node: int) -> tuple[float, float]:
-        return (float(self.vertices[node, 0]), float(self.vertices[node, 1]))
 
     def areas(self) -> np.ndarray:
         p = np.take(self.vertices, self.elements, axis=0)
@@ -518,19 +509,18 @@ def lshape6() -> Mesh:
     return Mesh(vertices, elements)
 
 
-def canonical_form(mesh: Mesh):
-    """Renumbering-invariant description: sorted (coords triple, gen, red) list.
-
-    Two meshes describing the same triangulation with the same reference
-    edges compare equal under this form regardless of vertex/element ids.
-    The reference edge is implied by the triple's rotation; CCW triples that
-    differ only by which vertex is listed first denote different reference
-    edges and are deliberately kept distinct.
-    """
-    return sorted((*mesh.coords(t), int(mesh.gen[t]), bool(mesh.red_son[t]))
-                  for t in range(mesh.n_elements))
-
-
 def same_mesh(a: Mesh, b: Mesh) -> bool:
-    """True iff the meshes are identical up to renumbering."""
-    return canonical_form(a) == canonical_form(b)
+    """True iff the meshes are identical up to renumbering.
+
+    Each element is compared as the row of its vertex coordinates in
+    convention order, its generation and its red-son flag, so triples that
+    differ only by which vertex is listed first (by their reference edge)
+    are different elements.
+    """
+    def rows(mesh: Mesh) -> np.ndarray:
+        r = np.column_stack([np.take(mesh.vertices, mesh.elements, axis=0)
+                             .reshape(-1, 6), mesh.gen, mesh.red_son])
+        return r[np.lexsort(r.T[::-1])]
+
+    ra, rb = rows(a), rows(b)
+    return ra.shape == rb.shape and bool((ra == rb).all())

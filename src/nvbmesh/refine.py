@@ -27,7 +27,7 @@ Everything here is a pure function from immutable meshes to new meshes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -398,88 +398,58 @@ def uniform(mesh: Mesh, kind: str) -> Mesh:
     raise ValueError(f"unknown uniform kind {kind!r}")
 
 
-# -- bisection forest and overlay ---------------------------------------------
-
-Triple = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
+# -- overlay --------------------------------------------------------------------
 
 
-@dataclass
-class TreeNode:
-    """Node of a bisection tree: ordered coordinate triple plus level."""
+def _tree_keys(mesh: Mesh, root: Mesh, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Place every element of a pure-bisection mesh in the bisection tree
+    of its ancestor in ``root``.
 
-    triple: Triple
-    gen: int
-    sons: tuple["TreeNode", "TreeNode"] | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.sons is None
-
-
-def _bisect_triple(tri: Triple) -> tuple[Triple, Triple]:
-    p0, p1, p2 = tri
-    m = _geom.midpoint(p0, p1)
-    return (p2, p0, m), (p1, p2, m)
-
-
-@dataclass
-class BisectionForest:
-    """Per initial element, the binary tree of bisections leading to a mesh.
-
-    Reconstructed structurally: a tree node is a leaf iff its coordinate
-    triple appears in the refined mesh.  Exact dyadic midpoint arithmetic
-    makes the coordinate matching exact.
+    Row t of the (m, 1 + width) key array is t's ancestor id, then per
+    level 1 for the son (v2, v0, m), 2 for the son (v1, v2, m) and 0 past
+    t's depth, so a lexsort of the rows is the preorder of the trees.  The
+    son holding t is the one holding its interior point ((v0+v1)/2 + v2)/2.
+    Also returns the (m, 3, 2) coordinates of the descended triples.
     """
+    anc = mesh.ancestor
+    depth = mesh.gen - root.gen[anc]
+    own = np.take(mesh.vertices, mesh.elements, axis=0)
+    inner = ((own[:, 0] + own[:, 1]) / 2.0 + own[:, 2]) / 2.0
+    tri = np.take(root.vertices, root.elements[anc], axis=0)
+    keys = np.zeros((mesh.n_elements, 1 + width), dtype=np.int64)
+    keys[:, 0] = anc
+    for level in range(width):
+        t = np.flatnonzero(depth > level)
+        p0, p1, p2 = tri[t, 0], tri[t, 1], tri[t, 2]
+        m = (p0 + p1) / 2.0
+        right = _geom.signed_areas(p2, m, inner[t]) > 0.0
+        tri[t] = np.where(right[:, None, None], np.stack([p1, p2, m], axis=1),
+                          np.stack([p2, p0, m], axis=1))
+        keys[t, 1 + level] = 1 + right
+    bad = (depth < 0) | (tri != own).any(axis=(1, 2))
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise UnsupportedRefinementError(
+            f"element {t} is no node of the bisection tree of initial "
+            f"element {anc[t]}")
+    return keys, tri
 
-    initial: Mesh
-    roots: list[TreeNode] = field(default_factory=list)
 
-    @staticmethod
-    def from_mesh(mesh: Mesh, initial: Mesh | None = None) -> "BisectionForest":
-        if mesh.has_red_history or mesh.has_bisec5_history:
-            raise UnsupportedRefinementError(
-                "bisection forest requires a pure-bisection refinement")
-        root_mesh = initial if initial is not None else mesh.initial_mesh
-        targets: list[dict[Triple, int]] = [dict() for _ in range(root_mesh.n_elements)]
-        for t in range(mesh.n_elements):
-            targets[int(mesh.ancestor[t])][mesh.coords(t)] = int(mesh.gen[t])
-        max_gen = int(mesh.gen.max())
-        forest = BisectionForest(initial=root_mesh)
-        for i in range(root_mesh.n_elements):
-            if not targets[i]:
-                raise UnsupportedRefinementError(
-                    f"initial element {i} has no descendant in the mesh")
-
-            def grow(tri: Triple, g: int, leaves=targets[i]) -> TreeNode:
-                got = leaves.get(tri)
-                if got is not None:
-                    if got != g:
-                        raise UnsupportedRefinementError(
-                            f"generation mismatch at {tri}: {got} != {g}")
-                    return TreeNode(tri, g)
-                if g > max_gen:
-                    raise UnsupportedRefinementError(
-                        "mesh is not a bisection refinement of the initial mesh")
-                left, right = _bisect_triple(tri)
-                return TreeNode(tri, g, (grow(left, g + 1), grow(right, g + 1)))
-
-            forest.roots.append(grow(root_mesh.coords(i), int(root_mesh.gen[i])))
-        return forest
-
-    def leaf_count(self) -> int:
-        def count(node: TreeNode) -> int:
-            if node.is_leaf:
-                return 1
-            return count(node.sons[0]) + count(node.sons[1])
-
-        return sum(count(r) for r in self.roots)
+def _covers_next(keys: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """For preorder-sorted tree keys, whether each node but the last is the
+    next node or one of its ancestors."""
+    past = np.arange(keys.shape[1]) > depth[:-1, None]
+    return ((keys[1:] == keys[:-1]) | past).all(axis=1)
 
 
 def overlay(a: Mesh, b: Mesh) -> Mesh:
     """Coarsest common refinement of two pure-NVB meshes over one initial mesh.
 
     Per initial element the union of the two bisection trees is taken; the
-    element count satisfies #overlay <= #a + #b - #initial.
+    element count satisfies #overlay <= #a + #b - #initial.  Elements are
+    listed in the preorder of the trees, left son first, and vertices are
+    numbered by first use.  Raises UnsupportedRefinementError unless both
+    inputs tile every initial element with nodes of its bisection tree.
     """
     for m in (a, b):
         if m.has_red_history or m.has_bisec5_history:
@@ -492,52 +462,38 @@ def overlay(a: Mesh, b: Mesh) -> Mesh:
         if not same:
             raise ValueError("overlay requires refinements of the same initial mesh")
 
-    leaves_a: list[set[Triple]] = [set() for _ in range(ra.n_elements)]
-    leaves_b: list[set[Triple]] = [set() for _ in range(ra.n_elements)]
-    for t in range(a.n_elements):
-        leaves_a[int(a.ancestor[t])].add(a.coords(t))
-    for t in range(b.n_elements):
-        leaves_b[int(b.ancestor[t])].add(b.coords(t))
-    depth_cap = int(max(a.gen.max(), b.gen.max()))
+    width = int(max(a.gen.max(), b.gen.max()))
+    (ka, ta), (kb, tb) = _tree_keys(a, ra, width), _tree_keys(b, ra, width)
+    keys, tri = np.concatenate([ka, kb]), np.concatenate([ta, tb])
+    src = np.repeat([0, 1], [a.n_elements, b.n_elements])
+    order = np.lexsort(keys.T[::-1])
+    keys, tri, src = keys[order], tri[order], src[order]
+    depth = np.count_nonzero(keys[:, 1:], axis=1)
 
-    node_id: dict[tuple[float, float], int] = {}
-    coords: list[tuple[float, float]] = []
+    # each input tiles a root iff its nodes there are prefix-free and
+    # sum 2**-depth = 1, summed exactly by carrying counts upwards
+    for s in (0, 1):
+        k, d = keys[src == s], depth[src == s]
+        counts = np.zeros((ra.n_elements, width + 1), dtype=np.int64)
+        np.add.at(counts, (k[:, 0], d), 1)
+        bad = np.zeros(ra.n_elements, dtype=bool)
+        bad[k[:-1, 0][_covers_next(k, d)]] = True
+        for level in range(width, 0, -1):
+            bad |= counts[:, level] % 2 == 1
+            counts[:, level - 1] += counts[:, level] // 2
+        bad |= counts[:, 0] != 1
+        if bad.any():
+            raise UnsupportedRefinementError(
+                f"overlay input {'ab'[s]} does not tile initial element "
+                f"{int(np.argmax(bad))}")
 
-    def nid(p: tuple[float, float]) -> int:
-        i = node_id.get(p)
-        if i is None:
-            i = len(coords)
-            node_id[p] = i
-            coords.append(p)
-        return i
-
-    tris: list[tuple[int, int, int]] = []
-    gens: list[int] = []
-    ancs: list[int] = []
-
-    for i in range(ra.n_elements):
-        la, lb = leaves_a[i], leaves_b[i]
-        stack = [(ra.coords(i), int(ra.gen[i]), True, True)]
-        while stack:
-            tri, g, in_a, in_b = stack.pop()
-            leaf_a = in_a and tri in la
-            leaf_b = in_b and tri in lb
-            interior_a = in_a and not leaf_a
-            interior_b = in_b and not leaf_b
-            if interior_a or interior_b:
-                if g >= depth_cap:
-                    raise ValueError(
-                        "overlay descent exceeded the maximum generation; "
-                        "inputs are not refinements of the given initial mesh")
-                left, right = _bisect_triple(tri)
-                stack.append((right, g + 1, interior_a, interior_b))
-                stack.append((left, g + 1, interior_a, interior_b))
-            else:
-                tris.append((nid(tri[0]), nid(tri[1]), nid(tri[2])))
-                gens.append(g)
-                ancs.append(i)
-
-    return Mesh(np.array(coords, dtype=np.float64),
-                np.array(tris, dtype=np.int64),
-                gen=gens, ancestor=ancs,
-                initial=ra)
+    # a node of both inputs or with a descendant covers the next node
+    leaf = np.append(~_covers_next(keys, depth), True)
+    xy = tri[leaf].reshape(-1, 2)
+    _, first, inverse = np.unique(xy.view(np.complex128).ravel(),
+                                  return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return Mesh(xy[np.sort(first)], rank[inverse].reshape(-1, 3),
+                gen=ra.gen[keys[leaf, 0]] + depth[leaf],
+                ancestor=keys[leaf, 0], initial=ra)

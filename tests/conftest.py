@@ -72,6 +72,15 @@ def random_trace(initial: Mesh, seed: int, steps: int, dialect: str,
     return meshes, markings
 
 
+def same_arrays(a: Mesh, b: Mesh) -> bool:
+    """Whether two meshes have bit-identical vertices (the sign of zero
+    included), elements, generations, ancestors and red-son flags."""
+    return (a.vertices.shape == b.vertices.shape
+            and np.array_equal(a.vertices.view(np.int64), b.vertices.view(np.int64))
+            and all(np.array_equal(getattr(a, k), getattr(b, k))
+                    for k in ("elements", "gen", "ancestor", "red_son")))
+
+
 def small_mesh_corpus():
     """Meshes with at most 12 edges, for exhaustive closure enumeration."""
     return {

@@ -32,9 +32,16 @@ strategy; ``select_marked`` holds the loops of its ``corner`` and
 ``prolongation`` is the row-by-row ``nvbmesh.stability.prolongation``, and
 ``h1_exact`` computes the top H1 constants of a nested pair exactly by a
 reduction to the coarse space (a copy of the benchmark's own).
+``overlay`` is the recursive descent of ``nvbmesh.refine.overlay`` over
+sets of coordinate triples, and ``same_mesh`` compares the sorted tuple
+lists of ``canonical_form``.  ``_bhat`` builds the scaled element mass
+matrices whose smallest eigenvalue ``check_conditions`` evaluates in
+closed form.
 ``edge_key``, ``edges_of`` and ``ref_edge`` name edges by sorted node
 pairs, as the loops do; ``edge_keys`` and ``edge_ids`` translate between
-those pairs and the package's ``edge_table`` ids.  ``incidence_pairs`` and
+those pairs and the package's ``edge_table`` ids.  ``coords`` and
+``point`` give an element's or a node's coordinates as tuples of Python
+floats, ``midpoint`` halves two points, and ``incidence_pairs`` and
 ``point_strictly_inside_triangle`` are small helpers that only the tests
 use.
 """
@@ -60,9 +67,10 @@ from nvbmesh.mesh import (_EXHAUSTIVE_LIMIT, COMPATIBLY_DIVISIBLE, ConformityRep
 from nvbmesh.meshio import _INT64, FORMAT_TAG, FORMAT_VERSION
 from nvbmesh.refine import (BISEC1, BISEC2_LEFT, BISEC2_RIGHT, BISEC3, BISEC5,
                             FULL_PATTERNS, PATTERN_NONE, RED, MarkingInput,
-                            PatternPolicy, RefinementPlan, chain, refine_step)
+                            PatternPolicy, RefinementPlan,
+                            UnsupportedRefinementError, chain, refine_step)
 from nvbmesh.stability import (ElementCondition, NodeWeights, StabilityReport,
-                               _bhat, assemble_nested)
+                               assemble_nested)
 
 EdgeKey = tuple[int, int]
 Pair = tuple[int, EdgeKey]
@@ -178,7 +186,7 @@ def split(mesh: Mesh, plan: RefinementPlan, policy: PatternPolicy | None = None)
     new_parents: list[tuple[int, int]] = []
     midpoint_of: dict[EdgeKey, int] = {}
 
-    def midpoint(a: int, b: int) -> int:
+    def mid_node(a: int, b: int) -> int:
         key = edge_key(a, b)
         node = midpoint_of.get(key)
         if node is None:
@@ -188,7 +196,7 @@ def split(mesh: Mesh, plan: RefinementPlan, policy: PatternPolicy | None = None)
                 else new_coords[a - n_old]
             pb = (mesh.vertices[b, 0], mesh.vertices[b, 1]) if b < n_old \
                 else new_coords[b - n_old]
-            new_coords.append(_geom.midpoint(pa, pb))
+            new_coords.append(midpoint(pa, pb))
             new_parents.append(key)
         return node
 
@@ -209,32 +217,32 @@ def split(mesh: Mesh, plan: RefinementPlan, policy: PatternPolicy | None = None)
         if p == PATTERN_NONE:
             emit(t, (v0, v1, v2), g, bool(mesh.red_son[t]))
             continue
-        m01 = midpoint(v0, v1)
+        m01 = mid_node(v0, v1)
         if p == BISEC1:
             emit(t, (v2, v0, m01), g + 1)
             emit(t, (v1, v2, m01), g + 1)
         elif p == BISEC2_LEFT:
-            m12 = midpoint(v1, v2)
+            m12 = mid_node(v1, v2)
             emit(t, (v2, v0, m01), g + 1)
             emit(t, (m01, v1, m12), g + 2)
             emit(t, (v2, m01, m12), g + 2)
         elif p == BISEC2_RIGHT:
-            m20 = midpoint(v2, v0)
+            m20 = mid_node(v2, v0)
             emit(t, (m01, v2, m20), g + 2)
             emit(t, (v0, m01, m20), g + 2)
             emit(t, (v1, v2, m01), g + 1)
         elif p == BISEC3:
-            m12 = midpoint(v1, v2)
-            m20 = midpoint(v2, v0)
+            m12 = mid_node(v1, v2)
+            m20 = mid_node(v2, v0)
             emit(t, (m01, v2, m20), g + 2)
             emit(t, (v0, m01, m20), g + 2)
             emit(t, (m01, v1, m12), g + 2)
             emit(t, (v2, m01, m12), g + 2)
         elif p == BISEC5:
             any_b5 = True
-            m12 = midpoint(v1, v2)
-            m20 = midpoint(v2, v0)
-            mi = midpoint(m01, v2)  # interior node of T
+            m12 = mid_node(v1, v2)
+            m20 = mid_node(v2, v0)
+            mi = mid_node(m01, v2)  # interior node of T
             emit(t, (m20, m01, mi), g + 3)
             emit(t, (v2, m20, mi), g + 3)
             emit(t, (v0, m01, m20), g + 2)
@@ -243,8 +251,8 @@ def split(mesh: Mesh, plan: RefinementPlan, policy: PatternPolicy | None = None)
             emit(t, (m01, m12, mi), g + 3)
         elif p == RED:
             any_red = True
-            m12 = midpoint(v1, v2)
-            m20 = midpoint(v2, v0)
+            m12 = mid_node(v1, v2)
+            m20 = mid_node(v2, v0)
             emit(t, (v0, m01, m20), g + 2)
             emit(t, (m01, v1, m12), g + 2)
             emit(t, (m20, m12, v2), g + 2, red=True)
@@ -268,6 +276,20 @@ def split(mesh: Mesh, plan: RefinementPlan, policy: PatternPolicy | None = None)
 # -- scalar geometry ----------------------------------------------------------
 
 
+def coords(mesh: Mesh, t: int) -> tuple[tuple[float, float], ...]:
+    """The three vertex coordinate pairs of element t (convention order)."""
+    return tuple(map(tuple, mesh.vertices[mesh.elements[t]].tolist()))
+
+
+def point(mesh: Mesh, node: int) -> tuple[float, float]:
+    return tuple(mesh.vertices[node].tolist())
+
+
+def midpoint(p, q) -> tuple[float, float]:
+    """Exact midpoint of two dyadic points."""
+    return ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)
+
+
 def signed_area(p0, p1, p2) -> float:
     """Signed area of the triangle (p0, p1, p2); positive iff CCW."""
     return 0.5 * _geom.cross2(p1[0] - p0[0], p1[1] - p0[1],
@@ -276,7 +298,7 @@ def signed_area(p0, p1, p2) -> float:
 
 def area(mesh: Mesh, t: int) -> float:
     """Signed area of element t."""
-    return signed_area(*mesh.coords(t))
+    return signed_area(*coords(mesh, t))
 
 
 def diameter(p0, p1, p2) -> float:
@@ -377,7 +399,7 @@ def area_identity_and_diameter_scale(mesh: Mesh, initial: Mesh
     lo, hi = math.inf, 0.0
     for t in range(mesh.n_elements):
         scale = 2.0 ** (int(mesh.gen[t]) / 2.0)
-        p0, p1, p2 = mesh.coords(t)
+        p0, p1, p2 = coords(mesh, t)
         lo = min(lo, math.sqrt(area(mesh, t)) * scale)
         hi = max(hi, diameter(p0, p1, p2) * scale)
     return bad_area, lo, hi
@@ -394,7 +416,7 @@ def verify_chain_bounds(mesh_seq: list[Mesh],
             single, refined = refine_step(mesh, MarkingInput.of([t]), "refineNVB")
             if single is mesh:
                 continue
-            tri_t = mesh.coords(t)
+            tri_t = coords(mesh, t)
             g_t = int(mesh.gen[t])
             for s in range(single.n_elements):
                 parent = int(single.parent_elems[s])
@@ -404,7 +426,7 @@ def verify_chain_bounds(mesh_seq: list[Mesh],
                 report.max_gen_overshoot = max(report.max_gen_overshoot, overshoot)
                 if int(single.gen[s]) > g_t + 2:
                     report.violations.append((t, s, int(single.gen[s]), g_t))
-                d = triangle_distance(tri_t, single.coords(s))
+                d = triangle_distance(tri_t, coords(single, s))
                 report.max_dist_scaled = max(
                     report.max_dist_scaled,
                     d * 2.0 ** (int(single.gen[s]) / 2.0))
@@ -459,12 +481,12 @@ def verify_neighbor_rules(mesh: Mesh, initial: Mesh | None = None) -> StructureR
         tuple(bad_iii[:10])))
 
     # segments of the initial mesh, indexed by ancestor element
-    init_segments = [[(initial.point(a), initial.point(b))
+    init_segments = [[(point(initial, a), point(initial, b))
                       for a, b in edges_of(initial, t)]
                      for t in range(initial.n_elements)]
 
     def inside_initial_edge(t1: int, t2: int, e) -> bool:
-        pa, pb = mesh.point(e[0]), mesh.point(e[1])
+        pa, pb = point(mesh, e[0]), point(mesh, e[1])
         cand = (init_segments[int(mesh.ancestor[t1])]
                 + init_segments[int(mesh.ancestor[t2])])
         for a, b in cand:
@@ -577,7 +599,7 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
     # hanging nodes: midpoint of an existing edge present as a vertex
     coord_to_node = seen
     for (a, b), inc in table.items():
-        mid = _geom.midpoint(mesh.point(a), mesh.point(b))
+        mid = midpoint(point(mesh, a), point(mesh, b))
         j = coord_to_node.get(mid)
         if j is not None and j not in (a, b):
             violations.append(Violation(
@@ -590,11 +612,11 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
     if exhaustive:
         reported = {v.ids for v in violations if v.kind == "hanging_node"}
         for (a, b), inc in table.items():
-            pa, pb = mesh.point(a), mesh.point(b)
+            pa, pb = point(mesh, a), point(mesh, b)
             for j in range(nv):
                 if j in (a, b):
                     continue
-                if point_strictly_inside_segment(mesh.point(j), pa, pb):
+                if point_strictly_inside_segment(point(mesh, j), pa, pb):
                     ids = (j, a, b)
                     if ids not in reported:
                         reported.add(ids)
@@ -725,7 +747,7 @@ def longest_edge_references(mesh: Mesh) -> np.ndarray:
     tris = mesh.elements.copy()
     for t in range(mesh.n_elements):
         v = [int(x) for x in tris[t]]
-        pts = [mesh.point(i) for i in v]
+        pts = [point(mesh, i) for i in v]
         # rotation r puts edge (v[r], v[r+1]) first; tie-break by the
         # smallest opposite-vertex id
         def key(r):
@@ -737,7 +759,7 @@ def longest_edge_references(mesh: Mesh) -> np.ndarray:
 
 
 def element_point_distance(mesh: Mesh, t: int, p) -> float:
-    tri = mesh.coords(t)
+    tri = coords(mesh, t)
     if point_in_triangle(p, *tri):
         return 0.0
     return min(point_segment_distance(p, tri[0], tri[1]),
@@ -866,10 +888,19 @@ def brute_force_weight_exponents(mesh: Mesh) -> np.ndarray:
     return best.astype(np.int64)
 
 
+def _bhat(exps) -> np.ndarray:
+    """Scaled element mass matrices (d_j/d_k + d_k/d_j) * (1 + delta_jk) for
+    exponent triples of shape (..., 3); the smallest eigenvalue of each is
+    the closed form 5 - sqrt(S_T) of ``check_conditions``."""
+    e = np.asarray(exps, dtype=np.float64)
+    r = 2.0 ** ((e[..., :, None] - e[..., None, :]) / 2.0)
+    return (r + 1.0 / r) * (np.ones((3, 3)) + np.eye(3))
+
+
 def conditions(mesh: Mesh, weights: NodeWeights,
                with_c78: bool = True) -> StabilityReport:
-    """Element-by-element evaluation of the stability conditions, with one
-    symmetric eigensolve and two generalized ones per element."""
+    """Element-by-element evaluation of the stability conditions, with two
+    generalized eigensolves per element."""
     report = StabilityReport()
     exps = weights.exponents
     max_spread = 0
@@ -880,11 +911,10 @@ def conditions(mesh: Mesh, weights: NodeWeights,
         ratio = 2.0 ** (spread / 2.0)
         s_sum = float(sum(2.0 ** (a - b) for a in e for b in e))
         lam_closed = 5.0 - math.sqrt(s_sum)
-        lam_eig = float(np.linalg.eigvalsh(_bhat(e))[0])
         passes = (spread <= 2) and (s_sum < 25.0) and (lam_closed > 0.0)
         report.elements.append(ElementCondition(
             elem=t, exponent_spread=spread, ratio=ratio, s_sum=s_sum,
-            lam_min_closed=lam_closed, lam_min_eig=lam_eig, passes=passes))
+            lam_min_closed=lam_closed, passes=passes))
         report.max_s_sum = max(report.max_s_sum, s_sum)
         report.min_lam = min(report.min_lam, lam_closed)
 
@@ -895,7 +925,7 @@ def conditions(mesh: Mesh, weights: NodeWeights,
     c6 = 0.0
     d = weights.values
     for t in range(mesh.n_elements):
-        p0, p1, p2 = mesh.coords(t)
+        p0, p1, p2 = coords(mesh, t)
         h = max(math.dist(p0, p1), math.dist(p1, p2), math.dist(p2, p0))
         for v in mesh.elements[t]:
             val = d[int(v)] / h
@@ -908,7 +938,7 @@ def conditions(mesh: Mesh, weights: NodeWeights,
         for cond in report.elements:
             t = cond.elem
             e = [int(exps[int(v)]) for v in mesh.elements[t]]
-            p0, p1, p2 = mesh.coords(t)
+            p0, p1, p2 = coords(mesh, t)
             h = max(math.dist(p0, p1), math.dist(p1, p2), math.dist(p2, p0))
             lam2 = np.diag([h * h * 2.0 ** (-a) for a in e])  # (h/d_i)^2
             quartic = lam2 @ mass_hat @ lam2
@@ -990,7 +1020,7 @@ def h1_exact(coarse: Mesh, fine: Mesh, count: int = 2,
 
 
 def _geom_edge(mesh: Mesh, e: EdgeKey):
-    a, b = mesh.point(e[0]), mesh.point(e[1])
+    a, b = point(mesh, e[0]), point(mesh, e[1])
     return (a, b) if a <= b else (b, a)
 
 
@@ -1004,7 +1034,7 @@ def build_corr(left: Mesh, right: Mesh) -> dict[Pair, Pair]:
         raise CorrespondenceError(
             f"element counts differ: {left.n_elements} vs {right.n_elements}")
 
-    right_by_triple = {right.coords(s): s for s in range(right.n_elements)}
+    right_by_triple = {coords(right, s): s for s in range(right.n_elements)}
     if len(right_by_triple) != right.n_elements:
         raise CorrespondenceError("right mesh has duplicate coordinate triples")
 
@@ -1012,7 +1042,7 @@ def build_corr(left: Mesh, right: Mesh) -> dict[Pair, Pair]:
     deferred: list[int] = []
     matched_right: set[int] = set()
     for t in range(left.n_elements):
-        s = right_by_triple.get(left.coords(t))
+        s = right_by_triple.get(coords(left, t))
         if s is None:
             deferred.append(t)
             continue
@@ -1042,7 +1072,7 @@ def build_corr(left: Mesh, right: Mesh) -> dict[Pair, Pair]:
                 raise CorrespondenceError(
                     f"{label} elements {t},{other} do not form a diamond")
             used |= {t, other}
-            corners = frozenset(mesh.coords(t)) | frozenset(mesh.coords(other))
+            corners = frozenset(coords(mesh, t)) | frozenset(coords(mesh, other))
             if len(corners) != 4 or corners in out:
                 raise CorrespondenceError(
                     f"{label} diamond at {sorted(corners)} is degenerate")
@@ -1177,3 +1207,95 @@ def verify_corr(pairs: dict[Pair, Pair], a: Mesh, b: Mesh) -> CorrReport:
             report.add("image_spread", t, sorted(images))
 
     return report
+
+
+# -- overlay and mesh identity ---------------------------------------------------
+
+
+def _bisect_triple(tri):
+    p0, p1, p2 = tri
+    m = midpoint(p0, p1)
+    return (p2, p0, m), (p1, p2, m)
+
+
+def overlay(a: Mesh, b: Mesh) -> Mesh:
+    """The recursive ``nvbmesh.refine.overlay``: per initial element, a
+    depth-first descent of the union of the two bisection trees over sets
+    of coordinate triples; raises ValueError where it descends past the
+    deepest input generation."""
+    for m in (a, b):
+        if m.has_red_history or m.has_bisec5_history:
+            raise UnsupportedRefinementError(
+                "overlay is defined for pure-bisection meshes only")
+    ra, rb = a.initial_mesh, b.initial_mesh
+    if ra is not rb:
+        same = (np.array_equal(ra.vertices, rb.vertices)
+                and np.array_equal(ra.elements, rb.elements))
+        if not same:
+            raise ValueError("overlay requires refinements of the same initial mesh")
+
+    leaves_a: list[set] = [set() for _ in range(ra.n_elements)]
+    leaves_b: list[set] = [set() for _ in range(ra.n_elements)]
+    for t in range(a.n_elements):
+        leaves_a[int(a.ancestor[t])].add(coords(a, t))
+    for t in range(b.n_elements):
+        leaves_b[int(b.ancestor[t])].add(coords(b, t))
+    depth_cap = int(max(a.gen.max(), b.gen.max()))
+
+    node_id: dict[tuple[float, float], int] = {}
+    xy: list[tuple[float, float]] = []
+
+    def nid(p: tuple[float, float]) -> int:
+        i = node_id.get(p)
+        if i is None:
+            i = len(xy)
+            node_id[p] = i
+            xy.append(p)
+        return i
+
+    tris: list[tuple[int, int, int]] = []
+    gens: list[int] = []
+    ancs: list[int] = []
+
+    for i in range(ra.n_elements):
+        la, lb = leaves_a[i], leaves_b[i]
+        stack = [(coords(ra, i), int(ra.gen[i]), True, True)]
+        while stack:
+            tri, g, in_a, in_b = stack.pop()
+            leaf_a = in_a and tri in la
+            leaf_b = in_b and tri in lb
+            interior_a = in_a and not leaf_a
+            interior_b = in_b and not leaf_b
+            if interior_a or interior_b:
+                if g >= depth_cap:
+                    raise ValueError(
+                        "overlay descent exceeded the maximum generation; "
+                        "inputs are not refinements of the given initial mesh")
+                left, right = _bisect_triple(tri)
+                stack.append((right, g + 1, interior_a, interior_b))
+                stack.append((left, g + 1, interior_a, interior_b))
+            else:
+                tris.append((nid(tri[0]), nid(tri[1]), nid(tri[2])))
+                gens.append(g)
+                ancs.append(i)
+
+    return Mesh(np.array(xy, dtype=np.float64),
+                np.array(tris, dtype=np.int64),
+                gen=gens, ancestor=ancs,
+                initial=ra)
+
+
+def canonical_form(mesh: Mesh):
+    """Renumbering-invariant description: sorted (coords triple, gen, red) list.
+
+    The reference edge is implied by the triple's rotation; CCW triples that
+    differ only by which vertex is listed first denote different reference
+    edges and are kept distinct.
+    """
+    return sorted((*coords(mesh, t), int(mesh.gen[t]), bool(mesh.red_son[t]))
+                  for t in range(mesh.n_elements))
+
+
+def same_mesh(a: Mesh, b: Mesh) -> bool:
+    """The sorted-tuple ``nvbmesh.mesh.same_mesh``."""
+    return canonical_form(a) == canonical_form(b)

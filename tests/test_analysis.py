@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_trace
 import oracles
-from oracles import area_identity_and_diameter_scale
+from oracles import area_identity_and_diameter_scale, coords
 from nvbmesh.analysis import (closure_accounting, max_equal_gen_chain,
                               reciprocal_sum_bound, verify_chain_bounds,
                               verify_levels, verify_neighbor_rules)
 from nvbmesh.mesh import Mesh, lshape6, reference_neighbor, square2
 from nvbmesh.refine import MarkingInput, StepRecord, refine_step, uniform
 from nvbmesh.marking import RunConfig, assign_reference_edges, run_refinement
+
+REGRESSION = json.loads(
+    (Path(__file__).parent / "data" / "regression.json").read_text())
 
 
 def test_uniform_refinement_has_zero_jump(sq):
@@ -29,7 +34,7 @@ def test_corner_marking_respects_jump_two(sq):
     mesh = sq
     for _ in range(10):
         marked = [t for t in range(mesh.n_elements)
-                  if any(p == (0.0, 0.0) for p in mesh.coords(t))]
+                  if any(p == (0.0, 0.0) for p in coords(mesh, t))]
         mesh, _ = refine_step(mesh, MarkingInput.of(marked), "refineNVB")
         report = verify_levels(mesh, sq)
         assert report.ok
@@ -211,6 +216,8 @@ def test_scaled_creation_distance_does_not_diverge():
     result = run_refinement(config)
     report = verify_chain_bounds(result.meshes[:-1], result.markings)
     assert report.ok
+    assert report.max_dist_scaled == \
+        REGRESSION["chain_distance"]["bdd_corner_20_steps_max_dist_scaled"]
     # two windows of the run: the later one must not blow past the earlier
     early = verify_chain_bounds(result.meshes[:10], result.markings[:10])
     assert report.max_dist_scaled <= max(1.0, 4.0 * max(early.max_dist_scaled,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import coords
 from conftest import (square2_boundary_refs, square2_incompatible,
                       single_triangle)
 from nvbmesh.correspondence import (CorrespondenceError, CorrMap, build_corr,
@@ -38,7 +39,7 @@ def test_bisec3_only_trace_gives_identity_maps(sq):
     for corr in seq.maps:
         assert corr.left.n_elements == corr.right.n_elements
         for t in range(corr.left.n_elements):
-            assert corr.left.coords(t) == corr.right.coords(t)
+            assert coords(corr.left, t) == coords(corr.right, t)
             for e in oracles.edges_of(corr.left, t):
                 assert corr.pairs[(t, e)] == (t, e)
 
@@ -298,6 +299,13 @@ def test_build_corr_errors_match_oracle(case):
     expected = _outcome(oracles.build_corr, left, right)
     assert isinstance(expected, str)
     assert _outcome(build_corr, left, right) == expected
+
+
+def test_degenerate_diamond_message_prints_plain_floats():
+    left, right = _error_cases()["degenerate diamond"]
+    message = _outcome(build_corr, left, right)
+    assert message.startswith("left diamond at [(0.0, 0.0), ")
+    assert "np.float64" not in message
 
 
 def test_build_corr_first_error_matches_oracle_on_rotated_elements():

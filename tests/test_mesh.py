@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import coords, point
 from nvbmesh import _geom
 from conftest import (crisscross, random_trace, single_triangle,
                       small_mesh_corpus, square2_boundary_refs,
@@ -45,10 +46,10 @@ def _tri_intersection_violations(mesh):
         # no shared edge: any vertex of one strictly inside an edge of the
         # other witnesses a non-conforming contact
         for a, b in ((t1, t2), (t2, t1)):
-            tri = mesh.coords(b)
+            tri = coords(mesh, b)
             edges = [(tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])]
             for v in mesh.elements[a]:
-                p = mesh.point(int(v))
+                p = point(mesh, int(v))
                 if any(oracles.point_strictly_inside_segment(p, e0, e1)
                        for e0, e1 in edges):
                     bad.append((t1, t2))
@@ -245,7 +246,7 @@ def test_uniform_bisec3_son_areas(sq):
     # oracle: shoelace per son
     areas = fine.areas()
     for t in range(fine.n_elements):
-        p0, p1, p2 = fine.coords(t)
+        p0, p1, p2 = coords(fine, t)
         shoelace = 0.5 * abs(
             p0[0] * (p1[1] - p2[1]) + p1[0] * (p2[1] - p0[1])
             + p2[0] * (p0[1] - p1[1]))
@@ -262,9 +263,9 @@ def test_restrict_after_refinement(sq):
     fine, _ = refine_step(sq, marking, "refineNVB3")
     sub = restrict(fine, [1])
     # oracle: independent recomputation by ancestor filtering
-    expected = sorted(fine.coords(t) for t in range(fine.n_elements)
+    expected = sorted(coords(fine, t) for t in range(fine.n_elements)
                       if int(fine.ancestor[t]) == 1)
-    got = sorted(sub.coords(t) for t in range(sub.n_elements))
+    got = sorted(coords(sub, t) for t in range(sub.n_elements))
     assert got == expected
     assert validate_mesh(sub).ok
     assert (sub.gen >= 0).all()

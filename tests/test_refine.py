@@ -4,22 +4,28 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (random_trace, single_triangle, small_mesh_corpus,
-                      square2_incompatible)
-from oracles import (brute_force_closure, edge_ids, edge_keys, edge_table,
-                     edges_of, point_strictly_inside_triangle, ref_edge)
-from nvbmesh import _geom
-from nvbmesh.marking import RunConfig, run_refinement
-from nvbmesh.mesh import (PrecisionExhausted, lshape6, same_mesh, square2,
+import oracles
+from conftest import (random_trace, same_arrays, single_triangle,
+                      small_mesh_corpus, square2_incompatible)
+from oracles import (brute_force_closure, coords, edge_ids, edge_keys,
+                     edge_table, edges_of, midpoint, point,
+                     point_strictly_inside_triangle, ref_edge)
+from nvbmesh.marking import RunConfig, assign_reference_edges, run_refinement
+from nvbmesh.mesh import (Mesh, PrecisionExhausted, lshape6, same_mesh, square2,
                           validate_mesh)
-from nvbmesh.refine import (BISEC1, BISEC3, BisectionForest, MarkingInput,
-                            PatternPolicy, UnsupportedRefinementError,
-                            chain, close_marks, overlay,
-                            refine_step, split, trace_to_csv, uniform)
+from nvbmesh.refine import (BISEC1, BISEC3, MarkingInput, PatternPolicy,
+                            UnsupportedRefinementError, _tree_keys, chain,
+                            close_marks, overlay, refine_step, split,
+                            trace_to_csv, uniform)
+
+PROPERTY = settings.get_profile("nvbmesh")
 
 
 # -- closure -------------------------------------------------------------------
@@ -135,20 +141,20 @@ def test_red_refinement_of_single_triangle():
     areas = fine.areas()
     assert np.all(areas == 0.125)  # |T|/4 exactly
     # similar sons: every son has the same angle set as the father
-    def angles(coords):
+    def angles(pts):
         import math
         out = []
         for i in range(3):
-            a, b, c = coords[i], coords[(i + 1) % 3], coords[(i + 2) % 3]
+            a, b, c = pts[i], pts[(i + 1) % 3], pts[(i + 2) % 3]
             v1 = (b[0] - a[0], b[1] - a[1])
             v2 = (c[0] - a[0], c[1] - a[1])
             dot = v1[0] * v2[0] + v1[1] * v2[1]
             cross = abs(v1[0] * v2[1] - v1[1] * v2[0])
             out.append(round(math.atan2(cross, dot), 12))
         return sorted(out)
-    father_angles = angles(tri.coords(0))
+    father_angles = angles(coords(tri, 0))
     for t in range(4):
-        assert angles(fine.coords(t)) == father_angles
+        assert angles(coords(fine, t)) == father_angles
 
 
 def test_bisec5_interior_node_and_generations():
@@ -158,9 +164,9 @@ def test_bisec5_interior_node_and_generations():
     assert fine.n_elements == 6
     assert sorted(fine.gen.tolist()) == [2, 2, 3, 3, 3, 3]
     # exactly one new node strictly inside the father
-    father = tri.coords(0)
+    father = coords(tri, 0)
     interior = [j for j in range(fine.n_vertices)
-                if point_strictly_inside_triangle(fine.point(j), *father)]
+                if point_strictly_inside_triangle(point(fine, j), *father)]
     assert len(interior) == 1
     # area bookkeeping: |T| * (2/4 + 4/8) = |T|
     assert fine.total_area() == tri.total_area()
@@ -218,8 +224,8 @@ def test_new_nodes_are_closed_edge_midpoints_only():
     fine = split(mesh, plan, PatternPolicy.always_bisec3())
     expected = set()
     for (a, b) in edge_keys(mesh, plan.closed_edges):
-        expected.add(_geom.midpoint(mesh.point(a), mesh.point(b)))
-    new_nodes = {fine.point(j) for j in range(mesh.n_vertices, fine.n_vertices)}
+        expected.add(midpoint(point(mesh, a), point(mesh, b)))
+    new_nodes = {point(fine, j) for j in range(mesh.n_vertices, fine.n_vertices)}
     assert new_nodes == expected
 
 
@@ -228,9 +234,9 @@ def test_bisec5_adds_exactly_one_extra_node_beyond_midpoints():
     marking = MarkingInput.all_edges(tri, [0])
     plan = close_marks(tri, marking, mode="mnvb")
     fine = split(tri, plan, PatternPolicy.interior_node())
-    midpoints = {_geom.midpoint(tri.point(a), tri.point(b))
+    midpoints = {midpoint(point(tri, a), point(tri, b))
                  for (a, b) in edge_keys(tri, plan.closed_edges)}
-    new_nodes = {fine.point(j) for j in range(tri.n_vertices, fine.n_vertices)}
+    new_nodes = {point(fine, j) for j in range(tri.n_vertices, fine.n_vertices)}
     assert len(new_nodes - midpoints) == 1
 
 
@@ -355,10 +361,10 @@ def test_refine_decomposes_into_two_refineNVBred_steps():
         if parent not in marked:
             continue
         v0, v1, v2 = (int(v) for v in tri.elements[parent])
-        median = (_geom.midpoint(tri.point(v0), tri.point(v1)),
-                  tri.point(v2))
+        median = (midpoint(point(tri, v0), point(tri, v1)),
+                  point(tri, v2))
         e = ref_edge(half, t)
-        ge = (half.point(e[0]), half.point(e[1]))
+        ge = (point(half, e[0]), point(half, e[1]))
         if set(ge) == set(median):
             second.append(t)
     assert len(second) == 2 * len(marked)
@@ -475,11 +481,124 @@ def test_overlay_rejects_mismatched_initial_meshes(sq, lshape):
         overlay(a, b)
 
 
-def test_bisection_forest_reconstruction(sq):
+def test_tree_keys_place_every_element_once(sq):
     meshes, _ = random_trace(sq, seed=9, steps=4, dialect="refineNVB")
-    forest = BisectionForest.from_mesh(meshes[-1])
-    assert forest.leaf_count() == meshes[-1].n_elements
-    assert len(forest.roots) == sq.n_elements
+    mesh = meshes[-1]
+    width = int(mesh.gen.max())
+    keys, tri = _tree_keys(mesh, sq, width)
+    assert keys.shape == (mesh.n_elements, 1 + width)
+    assert np.array_equal(tri, np.take(mesh.vertices, mesh.elements, axis=0))
+    assert np.array_equal(np.count_nonzero(keys[:, 1:], axis=1), mesh.gen)
+    assert np.unique(keys, axis=0).shape[0] == mesh.n_elements
+    assert np.array_equal(np.unique(keys[:, 0]), np.arange(sq.n_elements))
+
+
+_TRACES = st.tuples(st.sampled_from(["refineNVB", "refineNVB3"]),
+                    st.integers(0, 2**16), st.integers(1, 4))
+
+
+@settings(PROPERTY)
+@given(st.sampled_from([square2, lshape6]),
+       st.sampled_from(["as-given", "longest-edge", "random"]),
+       st.integers(0, 2**16), st.booleans(), _TRACES, _TRACES)
+def test_overlay_properties(make_initial, refs, ref_seed, negative_zeros,
+                            trace_a, trace_b):
+    initial = assign_reference_edges(make_initial(), refs, seed=ref_seed)
+    if negative_zeros:  # the sign of zero survives into the overlay's bits
+        xy = initial.vertices.copy()
+        xy[xy == 0.0] = -0.0
+        initial = Mesh(xy, initial.elements)
+    a, b = (random_trace(initial, seed=seed, steps=steps, dialect=dialect)[0][-1]
+            for dialect, seed, steps in (trace_a, trace_b))
+    ov = overlay(a, b)
+    assert same_arrays(ov, oracles.overlay(a, b))
+    assert same_mesh(ov, overlay(b, a))
+    assert same_mesh(overlay(ov, a), ov) and same_mesh(overlay(ov, b), ov)
+    assert validate_mesh(ov).ok
+    assert ov.n_elements <= a.n_elements + b.n_elements - initial.n_elements
+    assert math.fsum(ov.areas()) == math.fsum(initial.areas())
+
+
+def test_overlay_matches_oracle_on_corner_runs():
+    # 40 steps towards the reentrant corner and towards (-1, -1)
+    a, b = (run_refinement(RunConfig(initial="lshape6", strategy="corner",
+                                     corner=corner, steps=40)).final
+            for corner in ((0.0, 0.0), (-1.0, -1.0)))
+    assert int(a.gen.max()) == int(b.gen.max()) == 40
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert same_arrays(overlay(x, y), oracles.overlay(x, y))
+
+
+def _rotated(mesh, t):
+    elements = mesh.elements.copy()
+    elements[t] = np.roll(elements[t], 1)
+    return Mesh(mesh.vertices, elements, gen=mesh.gen, ancestor=mesh.ancestor,
+                initial=mesh.initial)
+
+
+def _dropped(mesh, t):
+    keep = np.arange(mesh.n_elements) != t
+    return Mesh(mesh.vertices, mesh.elements[keep], gen=mesh.gen[keep],
+                ancestor=mesh.ancestor[keep], initial=mesh.initial)
+
+
+def _without_root(mesh, t):
+    keep = mesh.ancestor != mesh.ancestor[t]
+    return Mesh(mesh.vertices, mesh.elements[keep], gen=mesh.gen[keep],
+                ancestor=mesh.ancestor[keep], initial=mesh.initial)
+
+
+@pytest.mark.parametrize("tamper", [_rotated, _dropped, _without_root])
+def test_overlay_rejects_inputs_that_do_not_tile(tamper):
+    fine = random_trace(lshape6(), seed=2, steps=3, dialect="refineNVB")[0][-1]
+    for t in (0, fine.n_elements // 2, fine.n_elements - 1):
+        bad = tamper(fine, t)
+        for x, y in ((bad, fine), (fine, bad)):
+            with pytest.raises(UnsupportedRefinementError):
+                overlay(x, y)
+            with pytest.raises(ValueError):
+                oracles.overlay(x, y)
+
+
+def test_overlay_rejects_an_element_of_the_wrong_generation():
+    fine = uniform(uniform(lshape6(), "bisec1"), "bisec1")
+    for shift in (-1, 1):
+        gen = fine.gen.copy()
+        gen[3] += shift
+        bad = Mesh(fine.vertices, fine.elements, gen=gen,
+                   ancestor=fine.ancestor, initial=fine.initial)
+        with pytest.raises(UnsupportedRefinementError, match="element 3 "):
+            overlay(bad, fine)
+
+
+def _same_mesh_cases():
+    mesh = random_trace(lshape6(), seed=4, steps=3, dialect="refineNVB")[0][-1]
+    rng = np.random.default_rng(0)
+    perm_v = rng.permutation(mesh.n_vertices)
+    perm_e = rng.permutation(mesh.n_elements)
+    inv = np.argsort(perm_v)
+    renumbered = Mesh(mesh.vertices[perm_v], inv[mesh.elements][perm_e],
+                      gen=mesh.gen[perm_e], ancestor=mesh.ancestor[perm_e],
+                      initial=mesh.initial)
+
+    elements, gen, red = mesh.elements.copy(), mesh.gen.copy(), mesh.red_son.copy()
+    elements[2] = np.roll(elements[2], 1)
+    gen[5] += 1
+    red[7] = True
+    return {"itself": (mesh, mesh), "renumbered": (mesh, renumbered),
+            "rotated": (mesh, Mesh(mesh.vertices, elements, gen=mesh.gen)),
+            "gen changed": (mesh, Mesh(mesh.vertices, mesh.elements, gen=gen)),
+            "red flag flipped": (mesh, Mesh(mesh.vertices, mesh.elements,
+                                            gen=mesh.gen, red_son=red)),
+            "other mesh": (mesh, uniform(lshape6(), "bisec1"))}
+
+
+@pytest.mark.parametrize("case", sorted(_same_mesh_cases()))
+def test_same_mesh_matches_oracle(case):
+    a, b = _same_mesh_cases()[case]
+    expected = oracles.same_mesh(a, b)
+    assert expected == (case in ("itself", "renumbered"))
+    assert same_mesh(a, b) == same_mesh(b, a) == expected
 
 
 def test_trace_csv_format():
