@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="only check the per-element weight conditions")
     s.add_argument("--debug-tamper", type=str, default=None,
                    metavar="NODE:DELTA",
-                   help="debug: shift one weight exponent before checking")
+                   help="debug: shift one weight exponent by DELTA in -256..256")
     _common(s)
 
     c = sub.add_parser("corr-check",
@@ -227,6 +227,8 @@ def cmd_stability(args) -> int:
         if not 0 <= node < coarse.n_vertices:
             raise ValueError(f"--debug-tamper node {node} is not in "
                              f"0..{coarse.n_vertices - 1}")
+        if abs(delta) > 256:  # 2**e_j of a larger shift leaves float64
+            raise ValueError(f"--debug-tamper delta {delta} is not in -256..256")
         exps = weights.exponents.copy()
         exps[node] += delta
         weights = stability.NodeWeights(exponents=exps)
@@ -244,12 +246,12 @@ def cmd_stability(args) -> int:
     (out / "stability.json").write_text(
         json.dumps(report.to_dict(), indent=1) + "\n")
     if args.format == "csv":
-        lines = ["elem,exponent_spread,ratio,s_sum,lam_min,passes"]
-        for cond in report.elements:
-            lines.append(f"{cond.elem},{cond.exponent_spread},{cond.ratio!r},"
-                         f"{cond.s_sum!r},{cond.lam_min_closed!r},"
-                         f"{int(cond.passes)}")
-        (out / "conditions.csv").write_text("\n".join(lines) + "\n")
+        columns = (report.exponent_spread, report.ratio, report.s_sum,
+                   report.lam_min_closed, report.passes.astype(np.int64))
+        (out / "conditions.csv").write_text(
+            "elem,exponent_spread,ratio,s_sum,lam_min,passes\n" + "".join(
+                f"{t},{k},{r!r},{s!r},{lam!r},{ok}\n" for t, (k, r, s, lam, ok)
+                in enumerate(zip(*(c.tolist() for c in columns)))))
     status = "pass" if report.all_pass else "FAIL"
     measured = report.measured_h1_constant
     print(f"stability {status}: max ratio {report.max_ratio:g}, "

@@ -42,6 +42,13 @@ INCOMPATIBLE = "incompatible"
 _EXHAUSTIVE_LIMIT = 3000
 
 
+def _readonly(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark the arrays read-only and return them."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 class MeshError(ValueError):
     """Raised when mesh construction or parsing encounters invalid data."""
 
@@ -69,9 +76,9 @@ class ConformityReport:
         return {v.kind for v in self.violations}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureFlags:
-    """BDD / weak-BDD certificates and isolated-element sets.
+    """BDD / weak-BDD certificates and isolated elements.
 
     ``isolated`` and ``is_weak_bdd`` use the boundary-exempt reading (only
     elements with an existing reference neighbor can be isolated), under
@@ -82,8 +89,8 @@ class StructureFlags:
 
     is_bdd: bool
     is_weak_bdd: bool
-    isolated: frozenset[int]
-    isolated_literal: frozenset[int]
+    isolated: np.ndarray             # read-only sorted int64 element ids
+    isolated_literal: np.ndarray     # read-only sorted int64 element ids
     is_weak_bdd_literal: bool
 
 
@@ -156,9 +163,8 @@ class Mesh:
         if validate:
             self._check_basic()
 
-        for arr in (self.vertices, self.elements, self.gen,
-                    self.ancestor, self.red_son, self.vertex_parents):
-            arr.setflags(write=False)
+        _readonly(self.vertices, self.elements, self.gen, self.ancestor,
+                  self.red_son, self.vertex_parents)
         if self.parent_elems is not None:
             self.parent_elems.setflags(write=False)
 
@@ -225,8 +231,10 @@ class Mesh:
             n_init = None  # loaded refined mesh: initial count unknown
         if n_init is not None and self.ancestor.max() >= n_init:
             raise MeshError("ancestor id out of range of the initial mesh")
-        for e, inc in _overshared(self.edge_table)[:1]:
-            raise MeshError(f"edge {e} shared by {len(inc)} elements")
+        count = np.bincount(self.edge_table.element2edges.ravel())
+        for e in np.flatnonzero(count > 2)[:1].tolist():
+            raise MeshError(f"edge {tuple(self.edge_table.edge2nodes[e].tolist())} "
+                            f"shared by {count[e]} elements")
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,18 +271,18 @@ def build_edge_table(elements: np.ndarray) -> EdgeTable:
     second = np.where(size > 1, order[np.minimum(runs[:-1] + 1, n - 1)], -3)
     ends = np.empty((edge.size, 2), dtype=np.int64)
     ends[edge] = np.stack([first, second], axis=1)
-    arrays = (ids.reshape(m, 3), pairs[ends[:, 0]], ends // 3)
-    for arr in arrays:
-        arr.setflags(write=False)
-    return EdgeTable(*arrays)
+    return EdgeTable(*_readonly(ids.reshape(m, 3), pairs[ends[:, 0]], ends // 3))
 
 
-def _overshared(table: EdgeTable) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
-    """Edges with more than two incident elements, with all of them."""
+def _overshared(table: EdgeTable) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Ids of the edges with more than two incident elements, ascending,
+    and each one's elements, ascending, one entry per slot."""
     flat = table.element2edges.ravel()
-    over = np.flatnonzero(np.bincount(flat) > 2)
-    return [(tuple(table.edge2nodes[e].tolist()),
-             tuple((np.flatnonzero(flat == e) // 3).tolist())) for e in over]
+    count = np.bincount(flat)
+    over = np.flatnonzero(count > 2)
+    slots = np.flatnonzero(count[flat] > 2)
+    slots = slots[np.argsort(flat[slots], kind="stable")]  # by edge, then slot
+    return over, np.split(slots // 3, np.cumsum(count[over]))[:-1]
 
 
 # -- structural operations --------------------------------------------------
@@ -331,10 +339,10 @@ def _conformity(mesh: Mesh, rebuilt: EdgeTable,
                for a in ("element2edges", "edge2nodes", "edge2elements")):
         violations.append(Violation("edge_table_mismatch",
                                     "stored edge table differs from rebuild"))
-    for e, inc in _overshared(rebuilt):
+    for e, inc in zip(*_overshared(rebuilt)):
+        e, inc = tuple(rebuilt.edge2nodes[e].tolist()), tuple(inc.tolist())
         violations.append(Violation("overshared_edge",
-                                    f"edge {e} shared by elements {inc}",
-                                    inc))
+                                    f"edge {e} shared by elements {inc}", inc))
     # an element that meets one neighbour across two edges covers the same
     # triangle; each pair is reported once, at its later element
     t = np.arange(ne)
@@ -423,7 +431,7 @@ def classify_pair(mesh: Mesh, t1: int, t2: int) -> str:
 
 
 def structure_flags(mesh: Mesh) -> StructureFlags:
-    """BDD and weak-BDD certificates plus isolated-element sets."""
+    """BDD and weak-BDD certificates plus isolated elements."""
     table = mesh.edge_table
     inner = np.flatnonzero(table.edge2elements[:, 1] >= 0)
     t1, t2 = table.edge2elements[inner].T
@@ -439,12 +447,10 @@ def structure_flags(mesh: Mesh) -> StructureFlags:
     def weak(iso: np.ndarray) -> bool:
         return not (iso[t1] & iso[t2]).any()
 
-    return StructureFlags(
-        is_bdd=is_bdd,
-        is_weak_bdd=weak(isolated),
-        isolated=frozenset(np.flatnonzero(isolated).tolist()),
-        isolated_literal=frozenset(np.flatnonzero(isolated_literal).tolist()),
-        is_weak_bdd_literal=weak(isolated_literal))
+    ids = _readonly(np.flatnonzero(isolated), np.flatnonzero(isolated_literal))
+    return StructureFlags(is_bdd=is_bdd, is_weak_bdd=weak(isolated),
+                          isolated=ids[0], isolated_literal=ids[1],
+                          is_weak_bdd_literal=weak(isolated_literal))
 
 
 def restrict(mesh: Mesh, initial_subset: Iterable[int]) -> Mesh:

@@ -33,7 +33,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import _geom
-from .mesh import Mesh, PrecisionExhausted, reference_neighbor
+from .mesh import Mesh, PrecisionExhausted, _readonly, reference_neighbor
 
 PATTERN_NONE = "none"
 BISEC1 = "bisec1"
@@ -234,8 +234,7 @@ def close_marks(mesh: Mesh, marking: MarkingInput, mode: str = "mnvb") -> Refine
         "closure fixpoint violated: marked edge without ref"
     closed = np.flatnonzero(marked)
     pattern = _BY_MARKS[inside[:, 0] + 2 * inside[:, 1] + 4 * inside[:, 2]]
-    for arr in (seed, closed, pattern):
-        arr.setflags(write=False)
+    _readonly(seed, closed, pattern)
     return RefinementPlan(closed_edges=closed, pattern=pattern,
                           iterations=iterations,
                           marked_elements=frozenset(marking.elements),

@@ -29,9 +29,9 @@ The factor-2 ratio bound caps the per-element pair sum at 13.5 < 25 and
 keeps the smallest eigenvalue of every scaled element mass matrix above
 5 - sqrt(13.5) > 1.3, which is the mechanism certifying H1-stability of
 the L2-projection onto the P1 space.  This module evaluates those
-per-element conditions as array expressions over all elements at once,
-and measures the realized stability constant on nested mesh pairs with a
-certified sparse eigensolve.
+per-element conditions over all elements at once, one array column per
+quantity, and measures the realized stability constant on nested mesh
+pairs with a certified sparse eigensolve.
 """
 
 from __future__ import annotations
@@ -45,9 +45,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 from . import _geom
-from .mesh import Mesh
-
-INFINITE = math.inf
+from .mesh import Mesh, _readonly
 
 
 class NumericFailure(RuntimeError):
@@ -152,38 +150,45 @@ def compute_weights(mesh: Mesh) -> NodeWeights:
 # -- per-element stability conditions --------------------------------------------
 
 
-@dataclass
-class ElementCondition:
-    elem: int
-    exponent_spread: int      # max_j e_j - min_j e_j within the element
-    ratio: float              # 2**(spread/2)
-    s_sum: float              # sum over j,k of d_j^2 / d_k^2
-    lam_min_closed: float     # 5 - sqrt(s_sum)
-    passes: bool
-
-
-@dataclass
+@dataclass(eq=False)
 class StabilityReport:
-    """Per-element condition checks and realized global constants."""
+    """Per-element columns (read-only, length m) and realized constants."""
 
-    elements: list[ElementCondition] = field(default_factory=list)
-    max_ratio: float = 0.0               # realized max weight ratio
-    weight_size_ratio: float = 0.0       # max of d_j/h(T) and h(T)/d_j
-    scaled_quartic_bound: float = 0.0    # top eigenvalue of the quartic pencil
-    scaled_mass_bound: float = 0.0       # top eigenvalue of the mass pencil
-    relaxed_ratio_value: float = 0.0     # 1 + r^2 + r^-2 at the realized ratio
-    max_s_sum: float = 0.0
-    min_lam: float = INFINITE
+    exponent_spread: np.ndarray          # int64: max_j e_j - min_j e_j
+    ratio: np.ndarray                    # 2**(spread/2)
+    s_sum: np.ndarray                    # sum over j,k of d_j^2 / d_k^2
+    lam_min_closed: np.ndarray           # 5 - sqrt(s_sum)
+    passes: np.ndarray                   # bool: all three conditions hold
+    weight_size_ratio: float             # max of d_j/h(T) and h(T)/d_j
+    scaled_quartic_bound: float          # top eigenvalue of the quartic pencil
+    scaled_mass_bound: float             # top eigenvalue of the mass pencil
     measured_h1_constant: float | None = None
 
     @property
+    def max_ratio(self) -> float:  # realized max weight ratio
+        return float(self.ratio.max())
+
+    @property
+    def relaxed_ratio_value(self) -> float:  # 1 + r^2 + r^-2, r the max ratio
+        r = max(self.max_ratio, 1.0)
+        return 1.0 + r * r + 1.0 / (r * r)
+
+    @property
+    def max_s_sum(self) -> float:
+        return float(self.s_sum.max())
+
+    @property
+    def min_lam(self) -> float:
+        return float(self.lam_min_closed.min())
+
+    @property
     def all_pass(self) -> bool:
-        return all(e.passes for e in self.elements)
+        return bool(self.passes.all())
 
     def to_dict(self) -> dict:
         return {
             "all_pass": self.all_pass,
-            "n_elements": len(self.elements),
+            "n_elements": self.passes.size,
             "max_ratio": self.max_ratio,
             "weight_size_ratio": self.weight_size_ratio,
             "scaled_quartic_bound": self.scaled_quartic_bound,
@@ -192,7 +197,7 @@ class StabilityReport:
             "max_s_sum": self.max_s_sum,
             "min_lam": self.min_lam,
             "measured_h1_constant": self.measured_h1_constant,
-            "failing_elements": [e.elem for e in self.elements if not e.passes],
+            "failing_elements": np.flatnonzero(~self.passes).tolist(),
         }
 
 
@@ -213,50 +218,37 @@ def check_conditions(mesh: Mesh, weights: NodeWeights) -> StabilityReport:
 
     Per element: weight-ratio bound (exponent spread <= 2), the pair sum
     S_T < 25, and positivity of the smallest eigenvalue 5 - sqrt(S_T) of
-    the scaled mass matrix, in closed form.
-    Realized global constants are collected, including the quadratic-form
-    constants of the eigenvalue criterion.  All elements are evaluated at
-    once as (m, 3) and (m, 3, 3) arrays.
+    the scaled mass matrix, in closed form, each a column of the report.
+    Realized global constants are reduced from them, including the
+    quadratic-form constants of the eigenvalue criterion.  All elements are
+    evaluated at once as (m, 3) and (m, 3, 3) arrays.
     """
-    report = StabilityReport()
     e = np.asarray(weights.exponents, dtype=np.int64)[mesh.elements]
     spread = e.max(axis=1) - e.min(axis=1)
-    ratio = _geom.pow2_half(spread)
-    # the nine dyadic terms 2**(e_a - e_b), added in row-major order
+    # the nine terms 2**(e_a - e_b), summed sequentially in row-major order
     terms = np.ldexp(1.0, e[:, :, None] - e[:, None, :]).reshape(-1, 9)
-    s_sum = np.zeros(len(e))
-    for k in range(9):
-        s_sum = s_sum + terms[:, k]
+    s_sum = terms.cumsum(axis=1)[:, -1].copy()
     lam_closed = 5.0 - np.sqrt(s_sum)
     passes = (spread <= 2) & (s_sum < 25.0) & (lam_closed > 0.0)
-    # Python scalars, so the fields print as before (no np.float64(...))
-    report.elements = [ElementCondition(t, *row) for t, row in enumerate(zip(
-        spread.tolist(), ratio.tolist(), s_sum.tolist(), lam_closed.tolist(),
-        passes.tolist()))]
-    report.max_s_sum = float(s_sum.max())
-    report.min_lam = float(lam_closed.min())
-
-    report.max_ratio = 2.0 ** (int(spread.max()) / 2.0)
-    r = max(report.max_ratio, 1.0)
-    report.relaxed_ratio_value = 1.0 + r * r + 1.0 / (r * r)
+    columns = _readonly(spread, _geom.pow2_half(spread), s_sum, lam_closed,
+                        passes)
 
     h = _geom.diameters(mesh.vertices, mesh.elements)
     val = weights.values[mesh.elements] / h[:, None]
-    report.weight_size_ratio = max(float(val.max()), float((1.0 / val).max()))
-
     lam2 = h[:, None] * h[:, None] * np.ldexp(1.0, -e)   # (h/d_i)^2
-    quartic = lam2[:, :, None] * _MASS_HAT * lam2[:, None, :]
-    report.scaled_quartic_bound = float(
-        _mass_pencil_eigvalsh(quartic)[:, -1].max())
+    quartic_bound = float(_mass_pencil_eigvalsh(
+        lam2[:, :, None] * _MASS_HAT * lam2[:, None, :])[:, -1].max())
     # the symmetrized pencil is positive definite exactly when the
     # scaled matrix is; skip failing elements
-    ok = lam_closed > 0.0
-    l2 = lam2[ok]
+    l2 = lam2[lam_closed > 0.0]
     sym = 0.5 * (l2[:, :, None] * _MASS_HAT + _MASS_HAT * l2[:, None, :])
     # top eigenvalue of (mass_hat, sym) = 1 / lowest of (sym, mass_hat)
     low = _mass_pencil_eigvalsh(sym)[:, 0]
-    report.scaled_mass_bound = float((1.0 / low).max(initial=0.0))
-    return report
+    return StabilityReport(
+        *columns,
+        weight_size_ratio=max(float(val.max()), float((1.0 / val).max())),
+        scaled_quartic_bound=quartic_bound,
+        scaled_mass_bound=float((1.0 / low).max(initial=0.0)))
 
 
 def weights_to_csv(mesh: Mesh, weights: NodeWeights) -> str:

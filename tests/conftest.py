@@ -72,6 +72,19 @@ def random_trace(initial: Mesh, seed: int, steps: int, dialect: str,
     return meshes, markings
 
 
+def only_builtin_types(value) -> bool:
+    """Whether value is built of Python's bool, int, float, str and None
+    through lists, tuples and str-keyed dicts.  A NumPy scalar fails:
+    json.dumps refuses np.bool_ and np.int64, and np.float64, a float
+    subclass it accepts, would hide an array leaking into a report."""
+    if isinstance(value, (list, tuple)):
+        return all(map(only_builtin_types, value))
+    if isinstance(value, dict):
+        return all(type(k) is str and only_builtin_types(v)
+                   for k, v in value.items())
+    return type(value) in (bool, int, float, str, type(None))
+
+
 def same_arrays(a: Mesh, b: Mesh) -> bool:
     """Whether two meshes have bit-identical vertices (the sign of zero
     included), elements, generations, ancestors and red-son flags."""

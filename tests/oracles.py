@@ -10,13 +10,17 @@ per-element loops of ``nvbmesh.analysis.verify_levels``, and
 evaluates the element-path distance of the nodal weights by breadth-first
 search, ``brute_force_weight_exponents`` evaluates the weight definition
 directly from all-pairs node-to-element distances, and ``conditions`` is
-the per-element loop of ``nvbmesh.stability.check_conditions``.
+the per-element loop of ``nvbmesh.stability.check_conditions``: one
+``ElementCondition`` per element where the package holds one column per
+field.
 ``build_corr``, ``corr_to_json``, ``transfer_marking`` and ``verify_corr``
 are the dict versions of the red/bisec3 correspondence: maps are dicts
 {(element, edge key): (element, edge key)}.  ``verify_neighbor_rules`` is
 the per-element and per-edge loop of ``nvbmesh.analysis.verify_neighbor_rules``
 over ``reference_neighbor``/``classify_pair``; ``validate_mesh`` is the
-dict-and-loop ``nvbmesh.mesh.validate_mesh``; ``loads_mesh`` is the
+dict-and-loop ``nvbmesh.mesh.validate_mesh``, whose over-shared edges are
+the entries of ``edge_table`` with more than two elements, in place of the
+package's sort of ``_overshared``; ``loads_mesh`` is the
 line-by-line ``.nvbm`` parser, whose line loops ``nvbmesh.meshio.loads_mesh``
 still runs on a block its array path does not take.  ``signed_area``,
 ``area``, ``diameter``, ``point_in_triangle``, ``point_on_segment``,
@@ -51,6 +55,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -62,15 +67,14 @@ from nvbmesh import _geom
 from nvbmesh.analysis import ChainBoundsReport, CheckResult, StructureReport
 from nvbmesh.correspondence import CorrespondenceError, CorrReport
 from nvbmesh.mesh import (_EXHAUSTIVE_LIMIT, COMPATIBLY_DIVISIBLE, ConformityReport,
-                          Mesh, MeshError, Violation, _overshared,
-                          build_edge_table, classify_pair, reference_neighbor)
+                          Mesh, MeshError, Violation, build_edge_table,
+                          classify_pair, reference_neighbor)
 from nvbmesh.meshio import _INT64, FORMAT_TAG, FORMAT_VERSION
 from nvbmesh.refine import (BISEC1, BISEC2_LEFT, BISEC2_RIGHT, BISEC3, BISEC5,
                             FULL_PATTERNS, PATTERN_NONE, RED, MarkingInput,
                             PatternPolicy, RefinementPlan,
                             UnsupportedRefinementError, chain, refine_step)
-from nvbmesh.stability import (ElementCondition, NodeWeights, StabilityReport,
-                               assemble_nested)
+from nvbmesh.stability import NodeWeights, assemble_nested
 
 EdgeKey = tuple[int, int]
 Pair = tuple[int, EdgeKey]
@@ -571,15 +575,18 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
                for a in ("element2edges", "edge2nodes", "edge2elements")):
         violations.append(Violation("edge_table_mismatch",
                                     "stored edge table differs from rebuild"))
-    for e, inc in _overshared(rebuilt):
-        violations.append(Violation("overshared_edge",
-                                    f"edge {e} shared by elements {inc}",
-                                    inc))
+    # edges in first-touch order, which is the order of their ids
+    incident = edge_table(mesh.elements)
+    for e, inc in incident.items():
+        if len(inc) > 2:
+            violations.append(Violation("overshared_edge",
+                                        f"edge {e} shared by elements {inc}",
+                                        inc))
 
     # an element meeting the same neighbour across two of its edges; the
     # table lists the first two incident elements of an edge, as the
     # package's edge table does
-    table = {e: inc[:2] for e, inc in edge_table(mesh.elements).items()}
+    table = {e: inc[:2] for e, inc in incident.items()}
     for t in range(ne):
         across = [next((u for u in table[e] if u != t), -1)
                   for e in edges_of(mesh, t)]
@@ -897,13 +904,26 @@ def _bhat(exps) -> np.ndarray:
     return (r + 1.0 / r) * (np.ones((3, 3)) + np.eye(3))
 
 
-def conditions(mesh: Mesh, weights: NodeWeights,
-               with_c78: bool = True) -> StabilityReport:
+@dataclass
+class ElementCondition:
+    elem: int
+    exponent_spread: int      # max_j e_j - min_j e_j within the element
+    ratio: float              # 2**(spread/2)
+    s_sum: float              # sum over j,k of d_j^2 / d_k^2
+    lam_min_closed: float     # 5 - sqrt(s_sum)
+    passes: bool
+
+
+def conditions(mesh: Mesh, weights: NodeWeights, with_c78: bool = True
+               ) -> tuple[list[ElementCondition], dict[str, float]]:
     """Element-by-element evaluation of the stability conditions, with two
-    generalized eigensolves per element."""
-    report = StabilityReport()
+    generalized eigensolves per element: the conditions, one per element,
+    and the realized constants, keyed as ``StabilityReport`` names them
+    (the two quadratic-form constants only ``with_c78``)."""
+    elements: list[ElementCondition] = []
     exps = weights.exponents
     max_spread = 0
+    max_s_sum, min_lam = 0.0, math.inf
     for t in range(mesh.n_elements):
         e = [int(exps[int(v)]) for v in mesh.elements[t]]
         spread = max(e) - min(e)
@@ -912,15 +932,17 @@ def conditions(mesh: Mesh, weights: NodeWeights,
         s_sum = float(sum(2.0 ** (a - b) for a in e for b in e))
         lam_closed = 5.0 - math.sqrt(s_sum)
         passes = (spread <= 2) and (s_sum < 25.0) and (lam_closed > 0.0)
-        report.elements.append(ElementCondition(
+        elements.append(ElementCondition(
             elem=t, exponent_spread=spread, ratio=ratio, s_sum=s_sum,
             lam_min_closed=lam_closed, passes=passes))
-        report.max_s_sum = max(report.max_s_sum, s_sum)
-        report.min_lam = min(report.min_lam, lam_closed)
+        max_s_sum = max(max_s_sum, s_sum)
+        min_lam = min(min_lam, lam_closed)
 
-    report.max_ratio = 2.0 ** (max_spread / 2.0)
-    r = max(report.max_ratio, 1.0)
-    report.relaxed_ratio_value = 1.0 + r * r + 1.0 / (r * r)
+    max_ratio = 2.0 ** (max_spread / 2.0)
+    r = max(max_ratio, 1.0)
+    constants = {"max_ratio": max_ratio,
+                 "relaxed_ratio_value": 1.0 + r * r + 1.0 / (r * r),
+                 "max_s_sum": max_s_sum, "min_lam": min_lam}
 
     c6 = 0.0
     d = weights.values
@@ -930,12 +952,12 @@ def conditions(mesh: Mesh, weights: NodeWeights,
         for v in mesh.elements[t]:
             val = d[int(v)] / h
             c6 = max(c6, val, 1.0 / val)
-    report.weight_size_ratio = c6
+    constants["weight_size_ratio"] = c6
 
     if with_c78:
         c7 = c8 = 0.0
         mass_hat = np.ones((3, 3)) + np.eye(3)
-        for cond in report.elements:
+        for cond in elements:
             t = cond.elem
             e = [int(exps[int(v)]) for v in mesh.elements[t]]
             p0, p1, p2 = coords(mesh, t)
@@ -950,9 +972,9 @@ def conditions(mesh: Mesh, weights: NodeWeights,
                 sym = 0.5 * (lam2 @ mass_hat + mass_hat @ lam2)
                 c8 = max(c8, float(scipy.linalg.eigh(
                     mass_hat, sym, eigvals_only=True)[-1]))
-        report.scaled_quartic_bound = c7
-        report.scaled_mass_bound = c8
-    return report
+        constants["scaled_quartic_bound"] = c7
+        constants["scaled_mass_bound"] = c8
+    return elements, constants
 
 
 # -- prolongation and the exact H1 constant ---------------------------------

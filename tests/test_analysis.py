@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_trace
+from conftest import only_builtin_types, random_trace
 import oracles
 from oracles import area_identity_and_diameter_scale, coords
 from nvbmesh.analysis import (closure_accounting, max_equal_gen_chain,
@@ -93,6 +93,7 @@ def test_area_identity_and_diameter_scale_match_loop_oracle():
         assert check.witnesses == tuple(bad[:10])
         assert report.diam_scale_lower.hex() == lo.hex()
         assert report.diam_scale_upper.hex() == hi.hex()
+        assert only_builtin_types(report.to_dict())
     assert len(bad) > 10
 
 
@@ -177,6 +178,7 @@ def test_neighbor_rules_match_loop_oracle():
         report = verify_neighbor_rules(mesh, initial)
         expect = oracles.verify_neighbor_rules(mesh, initial)
         assert report.to_dict() == expect.to_dict()
+        assert only_builtin_types(report.to_dict())
         failed |= {c.name for c in report.failed()}
         assert all(len(c.witnesses) <= 10 for c in report.checks)
     # every check fails on some tampered mesh, so every mask is compared

@@ -218,14 +218,19 @@ def test_stability_csv_matches_oracles(tmp_path, tamper):
         f"{j},{x!r},{y!r},{e}"
         for j, ((x, y), e) in enumerate(zip(mesh.vertices.tolist(),
                                             exps.tolist()))]
-    report = conditions(mesh, NodeWeights(exponents=exps), with_c78=False)
+    conds, _ = conditions(mesh, NodeWeights(exponents=exps), with_c78=False)
     rows = ["elem,exponent_spread,ratio,s_sum,lam_min,passes"] + [
         f"{c.elem},{c.exponent_spread},{c.ratio!r},{c.s_sum!r},"
-        f"{c.lam_min_closed!r},{int(c.passes)}" for c in report.elements]
-    assert report.all_pass == (tamper is None)
+        f"{c.lam_min_closed!r},{int(c.passes)}" for c in conds]
+    failing = [c.elem for c in conds if not c.passes]
+    assert bool(failing) == (tamper is not None)
     out = tmp_path / "s"
     assert (out / "weights.csv").read_text() == "\n".join(weights) + "\n"
     assert (out / "conditions.csv").read_text() == "\n".join(rows) + "\n"
+    report = json.loads((out / "stability.json").read_text())
+    assert report["all_pass"] == (tamper is None)
+    assert report["n_elements"] == len(conds) == mesh.n_elements
+    assert report["failing_elements"] == failing
 
 
 def test_stability_tampered_weights_exit_3(tmp_path):
@@ -244,6 +249,28 @@ def test_stability_tamper_node_out_of_range_exits_2(tmp_path, capsys, tamper):
     node = tamper.split(":")[0]
     assert f"error: --debug-tamper node {node} is not in 0..3" in err
     assert not (tmp_path / "s" / "stability.json").exists()
+
+
+@pytest.mark.parametrize("spec", ["square2", "lshape6"])
+@pytest.mark.parametrize("delta,code", [("3000", EXIT_USAGE),
+                                        ("99999999999999999999", EXIT_USAGE),
+                                        ("-257", EXIT_USAGE),
+                                        ("256", EXIT_VIOLATION),
+                                        ("-256", EXIT_VIOLATION)])
+def test_stability_tamper_delta_range(tmp_path, capsys, spec, delta, code):
+    # beyond |DELTA| 256 the conditions' powers of two leave float64, where
+    # they raised OverflowError or warned; within it they run (warnings are
+    # errors under the test settings) and fail the ratio bound
+    out = tmp_path / "s"
+    assert run("stability", spec, "--skip-measure",
+               f"--debug-tamper=0:{delta}", "--out", str(out)) == code
+    err = capsys.readouterr().err
+    if code == EXIT_USAGE:
+        assert err == (f"error: --debug-tamper delta {delta} is not in "
+                       "-256..256\n")
+        assert not (out / "stability.json").exists()
+    else:
+        assert not json.loads((out / "stability.json").read_text())["all_pass"]
 
 
 def test_corr_check_ok(tmp_path):

@@ -197,7 +197,7 @@ def test_classify_pair_matches_node_pair_definition():
 def test_structure_flags_bdd_square(sq):
     flags = structure_flags(sq)
     assert flags.is_bdd and flags.is_weak_bdd
-    assert not flags.isolated
+    assert flags.isolated.size == 0
 
 
 def test_structure_flags_incompatible_square():
@@ -221,7 +221,9 @@ def test_boundary_reference_edges_literal_reading():
     flags = structure_flags(mesh)
     assert flags.is_bdd
     assert flags.is_weak_bdd
-    assert flags.isolated_literal == frozenset({0, 1})
+    assert flags.isolated_literal.tolist() == [0, 1]
+    for ids in (flags.isolated, flags.isolated_literal):
+        assert ids.dtype == np.int64 and not ids.flags.writeable
     assert not flags.is_weak_bdd_literal
 
 

@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from conftest import random_trace, single_triangle
+from conftest import only_builtin_types, random_trace, single_triangle
 from oracles import (brute_force_weight_exponents, conditions, coords,
                      delta_distance)
+from nvbmesh.marking import assign_reference_edges
 from nvbmesh.mesh import Mesh, MeshError, lshape6, square2
 from nvbmesh.refine import PatternPolicy, uniform
 from nvbmesh.stability import (NodeWeights, NumericFailure,
@@ -213,9 +216,8 @@ def test_weights_csv_format(sq):
 def test_equal_weights_give_lambda_two(sq):
     w = NodeWeights(exponents=np.zeros(sq.n_vertices, dtype=np.int64))
     report = check_conditions(sq, w)
-    for cond in report.elements:
-        assert cond.s_sum == 9.0
-        assert cond.lam_min_closed == 2.0
+    assert report.s_sum.tolist() == [9.0] * sq.n_elements
+    assert report.lam_min_closed.tolist() == [2.0] * sq.n_elements
     # eigenvalues of the equal-weight matrix are {8, 2, 2}
     evals = np.linalg.eigvalsh(oracles._bhat([0, 0, 0]))
     assert np.allclose(evals, [2.0, 2.0, 8.0])
@@ -234,10 +236,9 @@ def test_closed_form_matches_eigensolve_everywhere():
     mesh = meshes[-1]
     weights = compute_weights(mesh)
     report = check_conditions(mesh, weights)
-    closed = np.array([cond.lam_min_closed for cond in report.elements])
     lam_eig = np.linalg.eigvalsh(
         oracles._bhat(weights.exponents[mesh.elements]))[:, 0]
-    assert np.abs(closed - lam_eig).max() < 1e-10
+    assert np.abs(report.lam_min_closed - lam_eig).max() < 1e-10
 
 
 def test_conditions_pass_on_every_dialect():
@@ -285,6 +286,21 @@ def _bits(value):
     return value.hex() if isinstance(value, float) else repr(value)
 
 
+_COLUMNS = {"exponent_spread": np.int64, "ratio": np.float64,
+            "s_sum": np.float64, "lam_min_closed": np.float64,
+            "passes": np.bool_}
+
+
+def assert_columns_match_oracle(report, conds):
+    """Each column of the report holds the oracle's per-element values bit
+    for bit, as a read-only array of its dtype."""
+    for name, dtype in _COLUMNS.items():
+        column = getattr(report, name)
+        assert column.dtype == dtype and not column.flags.writeable, name
+        assert list(map(_bits, column.tolist())) == \
+            [_bits(getattr(c, name)) for c in conds], name
+
+
 def test_conditions_match_loop_oracle_on_criterion_8_corpus():
     from test_acceptance import corpus
 
@@ -296,18 +312,49 @@ def test_conditions_match_loop_oracle_on_criterion_8_corpus():
     cases.append((mesh, NodeWeights(exponents=exps)))
     for mesh, weights in cases:
         fast = check_conditions(mesh, weights)
-        slow = conditions(mesh, weights)
-        # repr is exact for Python floats and shows numpy scalars as such
-        assert list(map(repr, fast.elements)) == list(map(repr, slow.elements))
-        fast_d, slow_d = fast.to_dict(), slow.to_dict()
+        conds, constants = conditions(mesh, weights)
+        assert_columns_match_oracle(fast, conds)
+        fast_d = fast.to_dict()
+        assert only_builtin_types(fast_d)
+        slow_d = {"all_pass": all(c.passes for c in conds),
+                  "n_elements": len(conds), **constants,
+                  "measured_h1_constant": None,
+                  "failing_elements": [c.elem for c in conds if not c.passes]}
         for key in ("scaled_quartic_bound", "scaled_mass_bound"):
             a, b = fast_d.pop(key), slow_d.pop(key)
             assert abs(a - b) <= 1e-12 * b, key
         assert {k: _bits(v) for k, v in fast_d.items()} == \
             {k: _bits(v) for k, v in slow_d.items()}
     # the tampered case has elements with lam_min_closed <= 0, which c8 skips
-    assert any(c.lam_min_closed <= 0.0 for c in fast.elements)
+    assert (fast.lam_min_closed <= 0.0).any()
     assert fast.scaled_mass_bound > 0.0
+
+
+@settings(settings.get_profile("nvbmesh"))
+@given(st.sampled_from([square2, lshape6]),
+       st.sampled_from(["as-given", "longest-edge", "random"]),
+       st.sampled_from([("refineNVB", None), ("refineNVB3", None),
+                        ("refineNVBred", PatternPolicy.always_red),
+                        ("refine", PatternPolicy.interior_node)]),
+       st.integers(0, 2**16), st.integers(1, 4),
+       st.none() | st.tuples(st.integers(0, 2**16), st.integers(-8, 8)))
+def test_condition_columns_properties(make_initial, refs, dialect_policy, seed,
+                                      steps, tamper):
+    initial = assign_reference_edges(make_initial(), refs, seed=seed)
+    dialect, policy = dialect_policy
+    mesh = random_trace(initial, seed=seed, steps=steps, dialect=dialect,
+                        policy=policy and policy())[0][-1]
+    exps = compute_weights(mesh).exponents.copy()
+    if tamper is not None:
+        exps[tamper[0] % mesh.n_vertices] += tamper[1]
+    weights = NodeWeights(exponents=exps)
+    report = check_conditions(mesh, weights)
+    conds, constants = conditions(mesh, weights, with_c78=False)
+    assert_columns_match_oracle(report, conds)
+    assert {k: _bits(getattr(report, k)) for k in constants} == \
+        {k: _bits(v) for k, v in constants.items()}
+    lam_eig = np.linalg.eigvalsh(oracles._bhat(exps[mesh.elements]))[:, 0]
+    assert np.abs(report.lam_min_closed - lam_eig).max() < 1e-10
 
 
 def test_tampered_weights_fail_conditions(sq):

@@ -3,14 +3,17 @@ loop oracles."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 import oracles
 from nvbmesh.marking import (RunConfig, assign_reference_edges, build_initial,
                              make_policy, marking_for, select_marked)
-from nvbmesh.mesh import Mesh, build_edge_table, lshape6, square2, validate_mesh
-from nvbmesh.meshio import dumps_mesh
+from nvbmesh.mesh import (Mesh, MeshError, build_edge_table, lshape6, square2,
+                          validate_mesh)
+from nvbmesh.meshio import dumps_mesh, loads_mesh
 from nvbmesh.refine import step_with_plan, uniform
 
 # every dialect with each pattern policy it admits
@@ -75,6 +78,24 @@ def test_overshared_edge_is_reported_with_every_element():
     over = [v for v in validate_mesh(mesh).violations
             if v.kind == "overshared_edge"]
     assert [v.ids for v in over] == [(0, 1, 2)]
+
+
+def test_triplicated_mesh_is_rejected_like_the_oracle():
+    # every triangle three times, rows shuffled: every edge is over-shared
+    fine = uniform(uniform(lshape6(), "bisec1"), "bisec1")
+    order = np.random.default_rng(0).permutation(3 * fine.n_elements)
+    elements = np.tile(fine.elements, (3, 1))[order]
+    mesh = Mesh(fine.vertices, elements, validate=False)
+    over, expect = ([v for v in report.violations if v.kind == "overshared_edge"]
+                    for report in (validate_mesh(mesh), oracles.validate_mesh(mesh)))
+    assert over == expect and len(over) > 1
+    e, inc = next((e, inc) for e, inc in oracles.edge_table(elements).items()
+                  if len(inc) > 2)
+    message = re.escape(f"edge {e} shared by {len(inc)} elements") + "$"
+    with pytest.raises(MeshError, match="^" + message):
+        Mesh(fine.vertices, elements)
+    with pytest.raises(MeshError, match="^<string>: non-conforming mesh: " + message):
+        loads_mesh(dumps_mesh(mesh))
 
 
 def test_random_reference_edges_and_marking_match_oracles():
