@@ -42,6 +42,15 @@ def _parse_point(text: str) -> tuple[float, float]:
     return (float(parts[0]), float(parts[1]))
 
 
+def _parse_tamper(text: str) -> tuple[int, int]:
+    try:
+        node, delta = map(int, text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected NODE:DELTA, two integers, got {text!r}") from None
+    return node, delta
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nvbmesh",
@@ -54,7 +63,13 @@ def build_parser() -> argparse.ArgumentParser:
                    default="as-given")
     _common(g)
 
-    r = sub.add_parser("refine", help="run a refinement sequence")
+    r = sub.add_parser(
+        "refine", help="run a refinement sequence",
+        description="Run a refinement sequence.  Each step_NNN.nvbm is "
+                    "written as soon as its step completes, and trace.csv "
+                    "after the last step.  A run that fails (exit 2 or 3) "
+                    "leaves the files of the steps it completed and no "
+                    "trace.csv.")
     r.add_argument("spec", help="square2 | lshape6 | path to .nvbm")
     r.add_argument("--ref-edges", choices=marking.REF_EDGE_POLICIES,
                    default="as-given")
@@ -85,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="uniform refinements defining the fine space")
     s.add_argument("--skip-measure", action="store_true",
                    help="only check the per-element weight conditions")
-    s.add_argument("--debug-tamper", type=str, default=None,
+    s.add_argument("--debug-tamper", type=_parse_tamper, default=None,
                    metavar="NODE:DELTA",
                    help="debug: shift one weight exponent by DELTA in -256..256")
     _common(s)
@@ -128,20 +143,22 @@ def cmd_refine(args) -> int:
         policy=args.policy, strategy=args.strategy, fraction=args.fraction,
         corner=tuple(args.corner), radius=args.radius, theta=args.theta,
         alpha=args.alpha, steps=args.steps, seed=args.seed)
-    result = marking.run_refinement(config)
-    out = _outdir(args)
-    for i, mesh in enumerate(result.meshes):
-        meshio.write_mesh(mesh, out / f"step_{i:03d}.nvbm")
-    ledger = analysis.closure_accounting(result.records,
-                                         result.initial.n_elements)
+    records = []
+    for mesh, _, record in marking.iter_refinement(config):
+        if record is None:
+            out, n_initial = _outdir(args), mesh.n_elements
+        else:
+            records.append(record)
+        meshio.write_mesh(mesh, out / f"step_{len(records):03d}.nvbm")
+    ledger = analysis.closure_accounting(records, n_initial)
     lines = ["step,marked,elements,closure_iters,rho"]
-    for rec, row in zip(result.records, ledger.rows):
+    for rec, row in zip(records, ledger.rows):
         rho = "" if row.rho is None else repr(row.rho)
         lines.append(f"{rec.step},{rec.n_marked},{rec.n_elements},"
                      f"{rec.closure_iterations},{rho}")
     (out / "trace.csv").write_text("\n".join(lines) + "\n")
-    print(f"wrote {len(result.meshes)} meshes and trace.csv to {out} "
-          f"(final: {result.final.n_elements} elements)")
+    print(f"wrote {len(records) + 1} meshes and trace.csv to {out} "
+          f"(final: {mesh.n_elements} elements)")
     return EXIT_OK
 
 
@@ -219,11 +236,10 @@ def cmd_stability(args) -> int:
     if not stability.is_element_connected(coarse):
         print("error: mesh is not connected", file=sys.stderr)
         return EXIT_USAGE
-    out = _outdir(args)
 
     weights = stability.compute_weights(coarse)
-    if args.debug_tamper:
-        node, delta = (int(x) for x in args.debug_tamper.split(":"))
+    if args.debug_tamper is not None:
+        node, delta = args.debug_tamper
         if not 0 <= node < coarse.n_vertices:
             raise ValueError(f"--debug-tamper node {node} is not in "
                              f"0..{coarse.n_vertices - 1}")
@@ -232,6 +248,7 @@ def cmd_stability(args) -> int:
         exps = weights.exponents.copy()
         exps[node] += delta
         weights = stability.NodeWeights(exponents=exps)
+    out = _outdir(args)
 
     report = stability.check_conditions(coarse, weights)
     if not args.skip_measure:

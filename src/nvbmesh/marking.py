@@ -4,10 +4,13 @@ A run is fully specified by a ``RunConfig``: initial mesh, reference-edge
 assignment, dialect, pattern policy, marking strategy, step count, and
 seed.  Identical configs produce byte-identical outputs; all randomness
 flows through one seeded generator and all iteration orders are fixed.
+``iter_refinement`` yields the states of a run one at a time, and
+``run_refinement`` collects them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -156,25 +159,43 @@ def marking_for(mesh: Mesh, dialect: str, marked: list[int]) -> MarkingInput:
     return MarkingInput.all_edges(mesh, marked)
 
 
-def run_refinement(config: RunConfig) -> RunResult:
-    """Execute the configured run; deterministic for a fixed config."""
+def iter_refinement(config: RunConfig
+                    ) -> Iterator[tuple[Mesh, MarkingInput | None,
+                                        StepRecord | None]]:
+    """Execute the configured run one state at a time.
+
+    Yields ``(initial, None, None)``, then ``(mesh, marking, record)`` after
+    each step.  The generator holds no earlier mesh than the latest (and
+    the initial mesh, which refined meshes refer to), so a caller that
+    keeps none holds one mesh at a time.  Deterministic for a fixed config.
+    """
     mesh = build_initial(config)
     rng = np.random.default_rng(config.seed)
     policy = make_policy(config.policy)
-    result = RunResult(config=config, meshes=[mesh], markings=[])
-    for step in range(config.steps):
-        marked = select_marked(mesh, config, rng)
-        marking = marking_for(mesh, config.dialect, marked)
+    yield mesh, None, None
+    for step in range(1, config.steps + 1):
+        marking = marking_for(mesh, config.dialect,
+                              select_marked(mesh, config, rng))
         mesh, refined, plan = step_with_plan(mesh, marking, config.dialect, policy)
-        result.meshes.append(mesh)
-        result.markings.append(marking)
-        result.records.append(StepRecord(
-            step=step + 1,
+        record = StepRecord(
+            step=step,
             n_marked=len(marking.elements),
             n_marked_edges=len(plan.seed_edges),
             closure_iterations=plan.iterations,
             n_refined=len(refined),
-            n_elements=mesh.n_elements))
+            n_elements=mesh.n_elements)
+        del refined, plan   # not held while the caller writes the mesh
+        yield mesh, marking, record
+
+
+def run_refinement(config: RunConfig) -> RunResult:
+    """Execute the configured run and keep every state of it."""
+    result = RunResult(config=config, meshes=[], markings=[])
+    for mesh, marking, record in iter_refinement(config):
+        result.meshes.append(mesh)
+        if record is not None:
+            result.markings.append(marking)
+            result.records.append(record)
     return result
 
 

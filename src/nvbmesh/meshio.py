@@ -12,6 +12,14 @@ so write -> read reproduces the mesh bit-identically.  The reference edge
 of each element is implied as (v0, v1).  The parser rejects malformed and
 non-conforming input with line-numbered diagnostics.
 
+The writer formats each block with one ``%`` call over the Python values of
+the stacked columns (``%r`` is ``repr``).  It keeps the vertex block of the
+last mesh it wrote, and a mesh whose leading vertices have the same bit
+patterns formats only the vertices past them: the meshes of a refinement
+run share their vertices as a prefix.  Bits, not values, decide, since
+``-0.0 == 0.0`` while their reprs differ.  Any other mesh is formatted
+whole, so the bytes never depend on what was written before.
+
 A mesh loaded from a file knows red history only through its red_son
 flags; bisec5 history is not represented in the format and is assumed
 absent.
@@ -38,14 +46,31 @@ def write_mesh(mesh: Mesh, path) -> None:
 
 
 def dump_mesh(mesh: Mesh, f) -> None:
-    lines = [f"{FORMAT_TAG} {FORMAT_VERSION}\n",
-             f"{mesh.n_vertices} {mesh.n_elements}\n"]
-    lines += [f"{x!r} {y!r}\n" for x, y in mesh.vertices.tolist()]
-    lines += [f"{v0} {v1} {v2} {g} {a} {r:d}\n"
-              for (v0, v1, v2), g, a, r in zip(
-                  mesh.elements.tolist(), mesh.gen.tolist(),
-                  mesh.ancestor.tolist(), mesh.red_son.tolist())]
-    f.write("".join(lines))
+    f.write(f"{FORMAT_TAG} {FORMAT_VERSION}\n"
+            f"{mesh.n_vertices} {mesh.n_elements}\n")
+    f.write(_vertex_lines(mesh.vertices))
+    rows = np.column_stack((mesh.elements, mesh.gen, mesh.ancestor,
+                            mesh.red_son))
+    f.write(("%d %d %d %d %d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
+
+
+# bit patterns and lines of the vertex block dump_mesh wrote last
+_last_vertices = (np.empty((0, 2), dtype=np.uint64), "")
+
+
+def _vertex_lines(vertices: np.ndarray) -> str:
+    """The vertex block of dump_mesh, reusing the last block's lines for a
+    bit-identical prefix."""
+    global _last_vertices
+    bits = vertices.view(np.uint64)
+    done, text = _last_vertices
+    k = len(done)
+    if not np.array_equal(bits[:k], done):   # unequal shapes if len(bits) < k
+        k, text = 0, ""
+    new = vertices[k:]
+    text += ("%r %r\n" * len(new)) % tuple(new.ravel().tolist())
+    _last_vertices = (bits.copy(), text)
+    return text
 
 
 def dumps_mesh(mesh: Mesh) -> str:

@@ -22,7 +22,9 @@ dict-and-loop ``nvbmesh.mesh.validate_mesh``, whose over-shared edges are
 the entries of ``edge_table`` with more than two elements, in place of the
 package's sort of ``_overshared``; ``loads_mesh`` is the
 line-by-line ``.nvbm`` parser, whose line loops ``nvbmesh.meshio.loads_mesh``
-still runs on a block its array path does not take.  ``signed_area``,
+still runs on a block its array path does not take, and ``dumps_mesh`` the
+line-by-line writer, one f-string per line, that ``nvbmesh.meshio``'s
+one-call block formatting must reproduce byte for byte.  ``signed_area``,
 ``area``, ``diameter``, ``point_in_triangle``, ``point_on_segment``,
 ``point_strictly_inside_segment``, ``point_segment_distance``,
 ``segment_segment_distance`` and ``triangle_distance`` are the scalar forms
@@ -727,6 +729,17 @@ def loads_mesh(text: str, source: str = "<string>") -> Mesh:
 
 
 # -- marking ------------------------------------------------------------------
+
+
+def dumps_mesh(mesh: Mesh) -> str:
+    lines = [f"{FORMAT_TAG} {FORMAT_VERSION}\n",
+             f"{mesh.n_vertices} {mesh.n_elements}\n"]
+    lines += [f"{x!r} {y!r}\n" for x, y in mesh.vertices.tolist()]
+    lines += [f"{v0} {v1} {v2} {g} {a} {r:d}\n"
+              for (v0, v1, v2), g, a, r in zip(
+                  mesh.elements.tolist(), mesh.gen.tolist(),
+                  mesh.ancestor.tolist(), mesh.red_son.tolist())]
+    return "".join(lines)
 
 
 def random_reference_edges(mesh: Mesh, seed: int) -> np.ndarray:

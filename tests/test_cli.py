@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +12,12 @@ import pytest
 import oracles
 from conftest import random_trace
 from oracles import brute_force_weight_exponents, conditions
+from nvbmesh import meshio
 from nvbmesh.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
-from nvbmesh.mesh import lshape6, square2
-from nvbmesh.refine import MarkingInput, PatternPolicy, refine_step
+from nvbmesh.marking import (REF_EDGE_POLICIES, STRATEGIES, RunConfig,
+                             run_refinement)
+from nvbmesh.mesh import Mesh, PrecisionExhausted, lshape6, square2
+from nvbmesh.refine import DIALECTS, MarkingInput, PatternPolicy, refine_step
 from nvbmesh.meshio import read_mesh, write_mesh
 from nvbmesh.stability import NodeWeights
 
@@ -71,6 +76,60 @@ def test_refine_zero_steps_echoes_initial(tmp_path):
     assert (out / "step_000.nvbm").exists()
     trace = (out / "trace.csv").read_text().strip().splitlines()
     assert len(trace) == 1  # header only
+
+
+def _written_files(meshes, directory) -> dict[str, bytes]:
+    directory.mkdir()
+    for i, mesh in enumerate(meshes):
+        write_mesh(mesh, directory / f"step_{i:03d}.nvbm")
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+# a pattern policy each dialect admits, the default where it admits only one
+_POLICY_OF = {"refineNVB": "bisec3", "refineNVB3": "bisec3",
+              "refineNVBred": "red", "refine": "interior-node"}
+
+
+@pytest.mark.parametrize("dialect,policy", [(d, _POLICY_OF[d]) for d in DIALECTS])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("ref_edges", REF_EDGE_POLICIES)
+def test_refine_streams_the_files_of_the_batch_run(tmp_path, dialect, policy,
+                                                   strategy, ref_edges):
+    config = RunConfig(initial="lshape6", ref_edges=ref_edges, dialect=dialect,
+                       policy=policy, strategy=strategy, corner=(0.0, 0.0),
+                       radius=0.5, steps=3, seed=4)
+    out = tmp_path / "run"
+    assert run("refine", "lshape6", "--ref-edges", ref_edges, "--dialect",
+               dialect, "--policy", policy, "--strategy", strategy,
+               "--radius", "0.5", "--steps", "3", "--seed", "4",
+               "--out", str(out)) == EXIT_OK
+    streamed = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert streamed.pop("trace.csv")
+    assert streamed == _written_files(run_refinement(config).meshes,
+                                      tmp_path / "batch")
+
+
+def test_refine_holds_one_mesh_at_a_time(tmp_path, monkeypatch):
+    alive = []
+    init, write = Mesh.__init__, meshio.write_mesh
+
+    def registering_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        alive.append(weakref.ref(self))
+
+    counts = []
+
+    def counting_write(mesh, path):
+        # the mesh being written, and the initial mesh it refers to
+        counts.append(sum(ref() is not None for ref in alive))
+        write(mesh, path)
+
+    monkeypatch.setattr(Mesh, "__init__", registering_init)
+    monkeypatch.setattr(meshio, "write_mesh", counting_write)
+    assert run("refine", "square2", "--strategy", "all", "--steps", "6",
+               "--out", str(tmp_path / "run")) == EXIT_OK
+    assert len(counts) == 7
+    assert max(counts) <= 2
 
 
 def test_refine_corner_run_monotone(tmp_path):
@@ -248,7 +307,19 @@ def test_stability_tamper_node_out_of_range_exits_2(tmp_path, capsys, tamper):
     assert code == EXIT_USAGE
     node = tamper.split(":")[0]
     assert f"error: --debug-tamper node {node} is not in 0..3" in err
-    assert not (tmp_path / "s" / "stability.json").exists()
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("tamper", ["1", "abc:1", "1:2:3", ":"])
+def test_stability_tamper_malformed_exits_2(tmp_path, capsys, tamper):
+    out = tmp_path / "s"
+    code = run("stability", "square2", "--skip-measure",
+               f"--debug-tamper={tamper}", "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "--debug-tamper" in err.splitlines()[-1]
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("spec", ["square2", "lshape6"])
@@ -268,7 +339,7 @@ def test_stability_tamper_delta_range(tmp_path, capsys, spec, delta, code):
     if code == EXIT_USAGE:
         assert err == (f"error: --debug-tamper delta {delta} is not in "
                        "-256..256\n")
-        assert not (out / "stability.json").exists()
+        assert not out.exists()
     else:
         assert not json.loads((out / "stability.json").read_text())["all_pass"]
 
@@ -339,12 +410,22 @@ def test_unknown_subcommand_exits_2():
 def test_refine_precision_exhaustion_exits_3(tmp_path, capsys):
     # corner refinement toward (0.3, 0.7) runs out of double-precision
     # mantissa bits near generation 105
+    out = tmp_path / "run"
     code = run("refine", "square2", "--strategy", "corner", "--corner",
-               "0.3,0.7", "--steps", "120", "--out", str(tmp_path / "run"))
+               "0.3,0.7", "--steps", "120", "--out", str(out))
     err = capsys.readouterr().err
     assert code == EXIT_VIOLATION
     assert "not exact in double precision" in err
     assert "Traceback" not in err
+    # the steps completed before the failure stay on disk; no trace.csv
+    streamed = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "trace.csv" not in streamed
+    config = RunConfig(initial="square2", strategy="corner",
+                       corner=(0.3, 0.7), steps=len(streamed) - 1)
+    assert streamed == _written_files(run_refinement(config).meshes,
+                                      tmp_path / "batch")
+    with pytest.raises(PrecisionExhausted):
+        run_refinement(replace(config, steps=config.steps + 1))
 
 
 @pytest.mark.parametrize("corner,alpha", [

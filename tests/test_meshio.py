@@ -240,3 +240,70 @@ def test_write_read_is_identity_on_finite_floats(points, rot, gen, ancestor, red
     for name in ("vertices", "elements", "gen", "ancestor", "red_son"):
         assert getattr(back, name).tobytes() == getattr(mesh, name).tobytes()
     assert dumps_mesh(back) == text
+
+
+_EDGE_FLOATS = _FLOATS | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+     2.225073858507201e-308, 1.7976931348623157e308, -1.7976931348623157e308])
+_INT64_FIELDS = st.integers(0, 2**63 - 1)
+
+
+@st.composite
+def _mesh_pair(draw) -> tuple[Mesh, Mesh]:
+    """A mesh of arbitrary finite vertices and int64 fields (not validated),
+    and a mesh written before it: a prefix of its vertices, possibly with one
+    coordinate changed by a sign or an ulp, possibly extended past its end."""
+    n = draw(st.integers(1, 6))
+    vertices = np.array(draw(st.lists(st.tuples(_EDGE_FLOATS, _EDGE_FLOATS),
+                                      min_size=n, max_size=n)))
+    m = draw(st.integers(1, 4))
+    fields = st.lists(st.tuples(*[st.integers(0, n - 1)] * 3, _INT64_FIELDS,
+                                _INT64_FIELDS, st.booleans()),
+                      min_size=m, max_size=m)
+    rows = draw(fields)
+    mesh = Mesh(vertices, [r[:3] for r in rows], gen=[r[3] for r in rows],
+                ancestor=[r[4] for r in rows], red_son=[r[5] for r in rows],
+                validate=False)
+    before = vertices[:draw(st.integers(1, n))].copy()
+    i, c = draw(st.integers(0, len(before) - 1)), draw(st.integers(0, 1))
+    change = draw(st.sampled_from(["none", "sign", "ulp"]))
+    if change == "sign":
+        before[i, c] = -before[i, c]
+    elif change == "ulp":
+        before[i, c] = np.nextafter(before[i, c], 0.0)
+    extra = draw(st.lists(st.tuples(_EDGE_FLOATS, _EDGE_FLOATS), max_size=3))
+    if extra:
+        before = np.concatenate([before, extra])
+    return mesh, Mesh(before, [(0, 0, 0)], validate=False)
+
+
+@settings(PROPERTY)
+@given(_mesh_pair())
+def test_writer_matches_the_line_oracle(pair):
+    mesh, before = pair
+    assert dumps_mesh(before) == oracles.dumps_mesh(before)
+    assert dumps_mesh(mesh) == oracles.dumps_mesh(mesh)
+
+
+def _changed(mesh: Mesh, node: int, coord: int, value: float) -> Mesh:
+    vertices = mesh.vertices.copy()
+    vertices[node, coord] = value
+    return Mesh(vertices, mesh.elements, validate=False)
+
+
+_FINE = random_trace(square2(), seed=2, steps=3, dialect="refineNVB")[0][-1]
+
+
+@pytest.mark.parametrize("first,second", [
+    (square2(), _FINE),                                   # prefix: reused
+    (_FINE, square2()),                                   # shorter after longer
+    (square2(), _changed(square2(), 0, 1, -0.0)),         # -0.0 == 0.0
+    (_FINE, _changed(_FINE, 4, 0, np.nextafter(_FINE.vertices[4, 0], 1.0))),
+    (_changed(_FINE, 0, 0, -0.0), _FINE),
+])
+def test_writer_reuses_only_a_bit_identical_vertex_prefix(tmp_path, first,
+                                                           second):
+    write_mesh(first, tmp_path / "a.nvbm")
+    write_mesh(second, tmp_path / "b.nvbm")
+    assert (tmp_path / "a.nvbm").read_text() == oracles.dumps_mesh(first)
+    assert (tmp_path / "b.nvbm").read_text() == oracles.dumps_mesh(second)
