@@ -36,10 +36,34 @@ def _common(parser: argparse.ArgumentParser):
 
 
 def _parse_point(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected 'x,y'")
-    return (float(parts[0]), float(parts[1]))
+    try:
+        x, y = map(float, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected X,Y, two numbers, got {text!r}") from None
+    return x, y
+
+
+def _parse_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return count
+
+
+def _parse_fraction(text: str) -> float:
+    try:
+        fraction = float(text)
+    except ValueError:
+        fraction = -1.0
+    if not 0.0 <= fraction <= 1.0:      # also refuses nan
+        raise argparse.ArgumentTypeError(
+            f"expected a number in [0, 1], got {text!r}")
+    return fraction
 
 
 def _parse_tamper(text: str) -> tuple[int, int]:
@@ -76,12 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--dialect", choices=DIALECTS, default="refineNVB")
     r.add_argument("--policy", choices=marking.POLICY_NAMES, default="bisec3")
     r.add_argument("--strategy", choices=marking.STRATEGIES, default="all")
-    r.add_argument("--fraction", type=float, default=0.25)
+    r.add_argument("--fraction", type=_parse_fraction, default=0.25)
     r.add_argument("--corner", type=_parse_point, default=(0.0, 0.0))
     r.add_argument("--radius", type=float, default=0.0)
     r.add_argument("--theta", type=float, default=0.5)
     r.add_argument("--alpha", type=float, default=1.0)
-    r.add_argument("--steps", type=int, default=5)
+    r.add_argument("--steps", type=_parse_count, default=5)
     _common(r)
 
     a = sub.add_parser("analyze", help="verify structural invariants of mesh files")
@@ -96,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("stability", help="nodal weights and projection stability")
     s.add_argument("spec", help="square2 | lshape6 | path to .nvbm")
-    s.add_argument("--levels", type=int, default=2,
+    s.add_argument("--levels", type=_parse_count, default=2,
                    help="uniform refinements defining the fine space")
     s.add_argument("--skip-measure", action="store_true",
                    help="only check the per-element weight conditions")
@@ -108,9 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("corr-check",
                        help="build and verify a red/bisec3 correspondence")
     c.add_argument("--initial", default="square2")
-    c.add_argument("--steps", type=int, default=5)
+    c.add_argument("--steps", type=_parse_count, default=5)
     c.add_argument("--policy", choices=("red", "mixed"), default="red")
-    c.add_argument("--fraction", type=float, default=0.3)
+    c.add_argument("--fraction", type=_parse_fraction, default=0.3)
     _common(c)
 
     return parser
@@ -255,7 +279,7 @@ def cmd_stability(args) -> int:
         from .refine import uniform
 
         fine = coarse
-        for _ in range(max(0, args.levels)):
+        for _ in range(args.levels):
             fine = uniform(fine, "bisec1")
         report.measured_h1_constant = stability.measure_h1_stability(coarse, fine)
 

@@ -12,13 +12,23 @@ so write -> read reproduces the mesh bit-identically.  The reference edge
 of each element is implied as (v0, v1).  The parser rejects malformed and
 non-conforming input with line-numbered diagnostics.
 
-The writer formats each block with one ``%`` call over the Python values of
-the stacked columns (``%r`` is ``repr``).  It keeps the vertex block of the
-last mesh it wrote, and a mesh whose leading vertices have the same bit
-patterns formats only the vertices past them: the meshes of a refinement
-run share their vertices as a prefix.  Bits, not values, decide, since
-``-0.0 == 0.0`` while their reprs differ.  Any other mesh is formatted
-whole, so the bytes never depend on what was written before.
+The writer formats the vertex block with one ``%`` call over the Python
+floats, ``"%r %r"`` a line (``%r`` is ``repr``).  It keeps the vertex block
+of the last mesh it wrote, and a mesh whose leading vertices have the same
+bit patterns formats only the vertices past them: the meshes of a
+refinement run share their vertices as a prefix.  Bits, not values, decide,
+since ``-0.0 == 0.0`` while their reprs differ.  Any other mesh is
+formatted whole, so the bytes never depend on what was written before.
+
+The element block is one numpy kernel with the bytes of ``%d``.  Each
+integer becomes a fixed-width byte field (sign, right-aligned digits from
+one division by the powers of ten, a space) with 0 bytes where ``%d``
+writes nothing; the last space of a row becomes the newline and the
+non-zero bytes are the text.  When every field lies in 0..size-1, as the
+vertex ids, generations, ancestors and flags of real meshes do, the
+distinct values 0..max are formatted once and the rows gathered from that
+table; any other block (a loaded or unvalidated mesh with large or
+negative fields) formats its fields one by one.
 
 A mesh loaded from a file knows red history only through its red_son
 flags; bisec5 history is not represented in the format and is assumed
@@ -49,9 +59,41 @@ def dump_mesh(mesh: Mesh, f) -> None:
     f.write(f"{FORMAT_TAG} {FORMAT_VERSION}\n"
             f"{mesh.n_vertices} {mesh.n_elements}\n")
     f.write(_vertex_lines(mesh.vertices))
-    rows = np.column_stack((mesh.elements, mesh.gen, mesh.ancestor,
-                            mesh.red_son))
-    f.write(("%d %d %d %d %d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
+    f.write(_element_lines(np.column_stack((mesh.elements, mesh.gen,
+                                            mesh.ancestor, mesh.red_son))))
+
+
+def _element_lines(rows: np.ndarray) -> str:
+    """The text of ``%d`` over an int64 array: a line per row, its fields
+    apart by single spaces."""
+    if rows.size == 0:
+        return ""
+    if rows.min() >= 0 and rows.max() < rows.size:
+        # the fields of real meshes: no table longer than the fields it serves
+        buf = np.take(_fields(np.arange(rows.max() + 1)), rows, axis=0)
+    else:
+        buf = _fields(rows.ravel()).reshape(*rows.shape, -1)
+    buf[:, -1, -1] = ord("\n")
+    return buf[buf != 0].tobytes().decode("ascii")
+
+
+def _fields(x: np.ndarray) -> np.ndarray:
+    """The fields ``"%d "`` of an int64 vector as a (len(x), w + 2) uint8
+    array: a sign byte, w right-aligned digits and a space, with 0 bytes
+    where ``%d`` writes nothing."""
+    neg = x < 0
+    mag = x.astype(np.uint64)
+    mag[neg] = -mag[neg]                 # through uint64: -(-2**63) fits
+    w = len(str(int(mag.max())))
+    if w <= 9:
+        mag = mag.astype(np.uint32)
+    digits = mag[:, None] // 10 ** np.arange(w - 1, -1, -1, dtype=mag.dtype)
+    out = np.zeros((len(x), w + 2), dtype=np.uint8)
+    out[:, 1:-1] = digits % 10 + ord("0")
+    out[:, 1:-2][digits[:, :-1] == 0] = 0    # leading zeros
+    out[neg, 0] = ord("-")
+    out[:, -1] = ord(" ")
+    return out
 
 
 # bit patterns and lines of the vertex block dump_mesh wrote last

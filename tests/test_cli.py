@@ -109,6 +109,20 @@ def test_refine_streams_the_files_of_the_batch_run(tmp_path, dialect, policy,
                                       tmp_path / "batch")
 
 
+def test_refine_files_match_the_line_oracle(tmp_path):
+    # four-digit vertex ids; the writer is checked against the line writer,
+    # not against itself
+    config = RunConfig(initial="square2", strategy="all", steps=12)
+    out = tmp_path / "run"
+    assert run("refine", "square2", "--strategy", "all", "--steps", "12",
+               "--out", str(out)) == EXIT_OK
+    meshes = run_refinement(config).meshes
+    assert meshes[-1].n_vertices > 1000
+    for i, mesh in enumerate(meshes):
+        text = (out / f"step_{i:03d}.nvbm").read_text(encoding="ascii")
+        assert text == oracles.dumps_mesh(mesh)
+
+
 def test_refine_holds_one_mesh_at_a_time(tmp_path, monkeypatch):
     alive = []
     init, write = Mesh.__init__, meshio.write_mesh
@@ -405,6 +419,33 @@ def test_corr_check_mixed_policy(tmp_path):
 
 def test_unknown_subcommand_exits_2():
     assert run("frobnicate") == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("refine", "square2", "--steps", "-3"), "--steps: expected an integer >= 0"),
+    (("refine", "square2", "--steps", "2.5"), "--steps: expected an integer >= 0"),
+    (("corr-check", "--steps", "-2"), "--steps: expected an integer >= 0"),
+    (("stability", "square2", "--levels", "-1"),
+     "--levels: expected an integer >= 0"),
+    (("refine", "square2", "--fraction", "-1"),
+     "--fraction: expected a number in [0, 1]"),
+    (("refine", "square2", "--fraction", "1.5"),
+     "--fraction: expected a number in [0, 1]"),
+    (("refine", "square2", "--fraction", "nan"),
+     "--fraction: expected a number in [0, 1]"),
+    (("corr-check", "--fraction", "inf"),
+     "--fraction: expected a number in [0, 1]"),
+    (("refine", "square2", "--corner", "a,b"),
+     "--corner: expected X,Y, two numbers, got 'a,b'"),
+    (("refine", "square2", "--corner", "1"),
+     "--corner: expected X,Y, two numbers, got '1'"),
+])
+def test_out_of_range_arguments_exit_2_naming_the_option(tmp_path, capsys, argv,
+                                                         expected):
+    out = tmp_path / "run"
+    assert run(*argv, "--out", str(out)) == EXIT_USAGE
+    assert f"error: argument {expected}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_refine_precision_exhaustion_exits_3(tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_trace
+from nvbmesh import meshio
 from nvbmesh.mesh import Mesh, MeshError, lshape6, same_mesh, square2, validate_mesh
 from nvbmesh.meshio import dumps_mesh, loads_mesh, read_mesh, write_mesh
 
@@ -283,6 +284,35 @@ def test_writer_matches_the_line_oracle(pair):
     mesh, before = pair
     assert dumps_mesh(before) == oracles.dumps_mesh(before)
     assert dumps_mesh(mesh) == oracles.dumps_mesh(mesh)
+
+
+# the int64 ends and every digit-count boundary, 13 rows of 6
+_EDGE_INTS = np.array([-2**63, 2**63 - 1] + [v for k in range(19) for v in (
+    10**k, 10**k - 1, -10**k, 1 - 10**k)], dtype=np.int64).reshape(-1, 6)
+
+
+@st.composite
+def _int_rows(draw) -> np.ndarray:
+    """An (m, 6) int64 array, m = 0..5: fields in 0..6m-1, the range the
+    writer formats once as a table, or anywhere in int64."""
+    m = draw(st.integers(0, 5))
+    fields = (st.integers(0, max(6 * m - 1, 0)) if draw(st.booleans())
+              else st.integers(-2**63, 2**63 - 1) | st.sampled_from(
+                  _EDGE_INTS.ravel().tolist()))
+    rows = draw(st.lists(st.lists(fields, min_size=6, max_size=6),
+                         min_size=m, max_size=m))
+    return np.array(rows, dtype=np.int64).reshape(m, 6)
+
+
+@settings(PROPERTY, max_examples=500)
+@given(_int_rows())
+@example(np.zeros((0, 6), dtype=np.int64))
+@example(_EDGE_INTS)
+@example(np.arange(60, dtype=np.int64).reshape(10, 6))  # table: max = size - 1
+@example(np.full((1, 6), 6, dtype=np.int64))            # max = size: no table
+def test_element_block_matches_percent_d(rows):
+    expected = ("%d %d %d %d %d %d\n" * len(rows)) % tuple(rows.ravel().tolist())
+    assert meshio._element_lines(rows) == expected
 
 
 def _changed(mesh: Mesh, node: int, coord: int, value: float) -> Mesh:
