@@ -31,15 +31,10 @@ class CheckResult:
 
 
 @dataclass
-class StructureReport:
-    """Outcome of the structural checks, with realized constants."""
+class CheckReport:
+    """Outcome of a list of named checks."""
 
     checks: list[CheckResult] = field(default_factory=list)
-    max_level_jump: int = 0
-    diam_scale_lower: float = math.inf   # min |T|^(1/2) * 2^(gen/2)
-    diam_scale_upper: float = 0.0        # max diam(T) * 2^(gen/2)
-    max_equal_gen_chain: int = 0
-    notes: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -51,13 +46,31 @@ class StructureReport:
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,
+            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail,
+                        "witnesses": list(c.witnesses)} for c in self.checks],
+        }
+
+
+@dataclass
+class StructureReport(CheckReport):
+    """Outcome of the level checks, with realized constants."""
+
+    max_level_jump: int = 0
+    diam_scale_lower: float = math.inf   # min |T|^(1/2) * 2^(gen/2)
+    diam_scale_upper: float = 0.0        # max diam(T) * 2^(gen/2)
+    max_equal_gen_chain: int = 0
+    notes: list[str] = field(default_factory=list)
+
+    def to_dict(self) -> dict:
+        # "ok" first; the base's entries then update it in place and add "checks"
+        return {
+            "ok": self.ok,
             "max_level_jump": self.max_level_jump,
             "diam_scale_lower": self.diam_scale_lower,
             "diam_scale_upper": self.diam_scale_upper,
             "max_equal_gen_chain": self.max_equal_gen_chain,
             "notes": list(self.notes),
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail,
-                        "witnesses": list(c.witnesses)} for c in self.checks],
+            **super().to_dict(),
         }
 
 
@@ -123,7 +136,7 @@ def verify_levels(mesh: Mesh, initial: Mesh, nvb_dialect: bool = False) -> Struc
     return report
 
 
-def verify_neighbor_rules(mesh: Mesh, initial: Mesh | None = None) -> StructureReport:
+def verify_neighbor_rules(mesh: Mesh, initial: Mesh | None = None) -> CheckReport:
     """Reference-neighbor structure of bisection meshes.
 
     Checks, over all shared edges: a reference neighbor of strictly larger
@@ -168,7 +181,7 @@ def verify_neighbor_rules(mesh: Mesh, initial: Mesh | None = None) -> StructureR
     outside = np.zeros(e.size, dtype=bool)
     outside[rows] = ~on.all(axis=1).any(axis=1)
 
-    report = StructureReport()
+    report = CheckReport()
     for name, detail, bad, columns in [
             ("deeper_reference_neighbor",
              "gen(N(T)) > gen(T) implies compatibly divisible with gap 1",

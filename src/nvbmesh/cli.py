@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,52 +29,30 @@ EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 
 
-def _common(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=0, help="run seed")
-    parser.add_argument("--out", type=str, default=".",
-                        help="output file or directory")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="preferred report format where applicable")
+def _checked(convert, domain: str, accept):
+    """An argparse type: ``convert(text)`` where ``accept`` holds for it,
+    else an error naming the domain."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {domain}, got {text!r}")
+    return parse
 
 
-def _parse_point(text: str) -> tuple[float, float]:
-    try:
-        x, y = map(float, text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected X,Y, two numbers, got {text!r}") from None
-    return x, y
-
-
-def _parse_count(text: str) -> int:
-    try:
-        count = int(text)
-    except ValueError:
-        count = -1
-    if count < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 0, got {text!r}")
-    return count
-
-
-def _parse_fraction(text: str) -> float:
-    try:
-        fraction = float(text)
-    except ValueError:
-        fraction = -1.0
-    if not 0.0 <= fraction <= 1.0:      # also refuses nan
-        raise argparse.ArgumentTypeError(
-            f"expected a number in [0, 1], got {text!r}")
-    return fraction
-
-
-def _parse_tamper(text: str) -> tuple[int, int]:
-    try:
-        node, delta = map(int, text.split(":"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected NODE:DELTA, two integers, got {text!r}") from None
-    return node, delta
+# nan fails every comparison, so the bounds below refuse it
+_COUNT = _checked(int, "an integer >= 0", lambda v: v >= 0)
+_FRACTION = _checked(float, "a number in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_NONNEGATIVE = _checked(float, "a number >= 0", lambda v: v >= 0.0)
+_FINITE = _checked(float, "a finite number", math.isfinite)
+_POINT = _checked(lambda text: tuple(map(float, text.split(","))),
+                  "X,Y, two numbers",
+                  lambda p: len(p) == 2 and all(map(math.isfinite, p)))
+_TAMPER = _checked(lambda text: tuple(map(int, text.split(":"))),
+                   "NODE:DELTA, two integers", lambda p: len(p) == 2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,12 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nvbmesh",
         description="newest-vertex-bisection mesh refinement toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = marking.RunConfig()
 
     g = sub.add_parser("generate", help="write a built-in or re-labeled mesh")
     g.add_argument("spec", help="square2 | lshape6 | path to .nvbm")
     g.add_argument("--ref-edges", choices=marking.REF_EDGE_POLICIES,
-                   default="as-given")
-    _common(g)
+                   default=defaults.ref_edges)
 
     r = sub.add_parser(
         "refine", help="run a refinement sequence",
@@ -94,55 +74,59 @@ def build_parser() -> argparse.ArgumentParser:
                     "after the last step.  A run that fails (exit 2 or 3) "
                     "leaves the files of the steps it completed and no "
                     "trace.csv.")
-    r.add_argument("spec", help="square2 | lshape6 | path to .nvbm")
-    r.add_argument("--ref-edges", choices=marking.REF_EDGE_POLICIES,
-                   default="as-given")
-    r.add_argument("--dialect", choices=DIALECTS, default="refineNVB")
-    r.add_argument("--policy", choices=marking.POLICY_NAMES, default="bisec3")
-    r.add_argument("--strategy", choices=marking.STRATEGIES, default="all")
-    r.add_argument("--fraction", type=_parse_fraction, default=0.25)
-    r.add_argument("--corner", type=_parse_point, default=(0.0, 0.0))
-    r.add_argument("--radius", type=float, default=0.0)
-    r.add_argument("--theta", type=float, default=0.5)
-    r.add_argument("--alpha", type=float, default=1.0)
-    r.add_argument("--steps", type=_parse_count, default=5)
-    _common(r)
+    # one option per RunConfig field, each defaulting to the field's value
+    r.set_defaults(**vars(defaults))
+    r.add_argument("initial", metavar="spec",
+                   help="square2 | lshape6 | path to .nvbm")
+    r.add_argument("--ref-edges", choices=marking.REF_EDGE_POLICIES)
+    r.add_argument("--dialect", choices=DIALECTS)
+    r.add_argument("--policy", choices=marking.POLICY_NAMES)
+    r.add_argument("--strategy", choices=marking.STRATEGIES)
+    r.add_argument("--fraction", type=_FRACTION)
+    r.add_argument("--corner", type=_POINT)
+    r.add_argument("--radius", type=_NONNEGATIVE)
+    r.add_argument("--theta", type=_FRACTION)
+    r.add_argument("--alpha", type=_FINITE)
+    r.add_argument("--steps", type=_COUNT)
 
     a = sub.add_parser("analyze", help="verify structural invariants of mesh files")
     a.add_argument("files", nargs="+", help="initial mesh first, then refinements")
-    a.add_argument("--trace", type=str, default=None,
+    a.add_argument("--trace",
                    help="trace.csv from a refine run, for the closure ledger")
     a.add_argument("--nvb", action="store_true",
                    help="meshes come from refineNVB: check neighbor rules "
                         "and the sharper BDD level-jump bound")
-    a.add_argument("--rho-bound", type=float, default=None)
-    _common(a)
+    a.add_argument("--rho-bound", type=_NONNEGATIVE)
 
     s = sub.add_parser("stability", help="nodal weights and projection stability")
     s.add_argument("spec", help="square2 | lshape6 | path to .nvbm")
-    s.add_argument("--levels", type=_parse_count, default=2,
+    s.add_argument("--levels", type=_COUNT, default=2,
                    help="uniform refinements defining the fine space")
     s.add_argument("--skip-measure", action="store_true",
                    help="only check the per-element weight conditions")
-    s.add_argument("--debug-tamper", type=_parse_tamper, default=None,
-                   metavar="NODE:DELTA",
+    s.add_argument("--debug-tamper", type=_TAMPER, metavar="NODE:DELTA",
                    help="debug: shift one weight exponent by DELTA in -256..256")
-    _common(s)
 
     c = sub.add_parser("corr-check",
                        help="build and verify a red/bisec3 correspondence")
     c.add_argument("--initial", default="square2")
-    c.add_argument("--steps", type=_parse_count, default=5)
+    c.add_argument("--steps", type=_COUNT, default=5)
     c.add_argument("--policy", choices=("red", "mixed"), default="red")
-    c.add_argument("--fraction", type=_parse_fraction, default=0.3)
-    _common(c)
+    c.add_argument("--fraction", type=_FRACTION, default=0.3)
 
+    for p in (g, r, c):
+        p.add_argument("--seed", type=_COUNT, default=defaults.seed,
+                       help="run seed")
+    for p in (a, s):
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="csv also writes the per-file or per-element rows as CSV")
+    for p in (g, r, a, s, c):
+        p.add_argument("--out", default=".", help="output file or directory")
     return parser
 
 
-def _load_spec(spec: str, ref_edges: str = "as-given", seed: int = 0) -> Mesh:
-    config = marking.RunConfig(initial=spec, ref_edges=ref_edges, seed=seed)
-    return marking.build_initial(config)
+def _load_spec(spec: str, **config) -> Mesh:
+    return marking.build_initial(marking.RunConfig(initial=spec, **config))
 
 
 def _outdir(args) -> Path:
@@ -152,7 +136,7 @@ def _outdir(args) -> Path:
 
 
 def cmd_generate(args) -> int:
-    mesh = _load_spec(args.spec, args.ref_edges, args.seed)
+    mesh = _load_spec(args.spec, ref_edges=args.ref_edges, seed=args.seed)
     out = Path(args.out)
     if out.is_dir():
         out = out / f"{Path(args.spec).stem}.nvbm"
@@ -162,11 +146,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    config = marking.RunConfig(
-        initial=args.spec, ref_edges=args.ref_edges, dialect=args.dialect,
-        policy=args.policy, strategy=args.strategy, fraction=args.fraction,
-        corner=tuple(args.corner), radius=args.radius, theta=args.theta,
-        alpha=args.alpha, steps=args.steps, seed=args.seed)
+    config = marking.RunConfig(**{f.name: getattr(args, f.name)
+                                  for f in fields(marking.RunConfig)})
     records = []
     for mesh, _, record in marking.iter_refinement(config):
         if record is None:
@@ -256,7 +237,7 @@ def _read_trace(path: Path):
 
 
 def cmd_stability(args) -> int:
-    coarse = _load_spec(args.spec, seed=args.seed)
+    coarse = _load_spec(args.spec)
     if not stability.is_element_connected(coarse):
         print("error: mesh is not connected", file=sys.stderr)
         return EXIT_USAGE
@@ -302,7 +283,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_corr_check(args) -> int:
-    initial = _load_spec(args.initial, seed=args.seed)
+    initial = _load_spec(args.initial)
     policy = (PatternPolicy.always_red() if args.policy == "red"
               else PatternPolicy.custom(
                   lambda t, m: "red" if t % 2 == 0 else "bisec3", name="mixed"))

@@ -228,7 +228,7 @@ class Mesh:
         elif (self.gen == 0).all():
             n_init = m
         else:
-            n_init = None  # loaded refined mesh: initial count unknown
+            n_init = None  # refined mesh without its initial mesh: count unknown
         if n_init is not None and self.ancestor.max() >= n_init:
             raise MeshError("ancestor id out of range of the initial mesh")
         count = np.bincount(self.edge_table.element2edges.ravel())

@@ -198,17 +198,21 @@ def loads_mesh(text: str, source: str = "<string>") -> Mesh:
                 fail(3 + nv + i, f"ancestor id {anc} is negative")
         rows = np.array(rows, dtype=np.int64)
 
-    try:
-        mesh = Mesh(vertices, rows[:, :3], gen=rows[:, 3], ancestor=rows[:, 4],
-                    red_son=rows[:, 5], validate=True)
-    except MeshError as exc:
-        raise MeshError(f"{source}: non-conforming mesh: {exc}") from exc
+    if not rows[:, 3].any():    # an initial mesh: its elements are the ancestors
+        over = np.flatnonzero(rows[:, 4] >= ne)
+        if over.size:
+            fail(3 + nv + over[0], f"ancestor id {rows[over[0], 4]} out of "
+                 f"range 0..{ne - 1}")
 
+    # with the ancestor check above, _conformity covers what validate=True
+    # would check, and its violations name their elements' lines
+    mesh = Mesh(vertices, rows[:, :3], gen=rows[:, 3], ancestor=rows[:, 4],
+                red_son=rows[:, 5], validate=False)
     report = _conformity(mesh, mesh.edge_table)
     if not report.ok:
         v = report.violations[0]
         lineno = None
-        if v.kind in ("inverted_element", "duplicate_element"):
+        if v.kind in ("inverted_element", "duplicate_element", "overshared_edge"):
             lineno = 3 + nv + v.ids[-1]
         elif v.kind in ("duplicate_vertex", "orphan_vertex", "bad_coordinate"):
             lineno = 3 + v.ids[-1]

@@ -66,7 +66,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 from nvbmesh import _geom
-from nvbmesh.analysis import ChainBoundsReport, CheckResult, StructureReport
+from nvbmesh.analysis import ChainBoundsReport, CheckReport, CheckResult
 from nvbmesh.correspondence import CorrespondenceError, CorrReport
 from nvbmesh.mesh import (_EXHAUSTIVE_LIMIT, COMPATIBLY_DIVISIBLE, ConformityReport,
                           Mesh, MeshError, Violation, build_edge_table,
@@ -459,7 +459,7 @@ def point_strictly_inside_segment(p, a, b) -> bool:
     return 0.0 < dot < abx * abx + aby * aby
 
 
-def verify_neighbor_rules(mesh: Mesh, initial: Mesh | None = None) -> StructureReport:
+def verify_neighbor_rules(mesh: Mesh, initial: Mesh | None = None) -> CheckReport:
     """Reference-neighbor structure of bisection meshes.
 
     Checks, over all shared edges: a reference neighbor of strictly larger
@@ -470,7 +470,7 @@ def verify_neighbor_rules(mesh: Mesh, initial: Mesh | None = None) -> StructureR
     """
     if initial is None:
         initial = mesh.initial_mesh
-    report = StructureReport()
+    report = CheckReport()
 
     bad_iii = []
     for t in range(mesh.n_elements):
@@ -707,18 +707,18 @@ def loads_mesh(text: str, source: str = "<string>") -> Mesh:
     for i, anc in enumerate(ancestors):
         if anc < 0:
             fail(3 + nv + i, f"ancestor id {anc} is negative")
+    if not any(gens):
+        for i, anc in enumerate(ancestors):
+            if anc >= ne:
+                fail(3 + nv + i, f"ancestor id {anc} out of range 0..{ne - 1}")
 
-    try:
-        mesh = Mesh(vertices, elements, gen=gens,
-                    ancestor=ancestors, red_son=reds, validate=True)
-    except MeshError as exc:
-        raise MeshError(f"{source}: non-conforming mesh: {exc}") from exc
-
+    mesh = Mesh(vertices, elements, gen=gens,
+                ancestor=ancestors, red_son=reds, validate=False)
     report = validate_mesh(mesh)
     if not report.ok:
         v = report.violations[0]
         lineno = None
-        if v.kind in ("inverted_element", "duplicate_element"):
+        if v.kind in ("inverted_element", "duplicate_element", "overshared_edge"):
             lineno = 3 + nv + v.ids[-1]
         elif v.kind in ("duplicate_vertex", "orphan_vertex", "bad_coordinate"):
             lineno = 3 + v.ids[-1]

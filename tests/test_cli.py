@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ import pytest
 import oracles
 from conftest import random_trace
 from oracles import brute_force_weight_exponents, conditions
-from nvbmesh import meshio
-from nvbmesh.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from nvbmesh import cli, meshio
+from nvbmesh.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, build_parser, main
 from nvbmesh.marking import (REF_EDGE_POLICIES, STRATEGIES, RunConfig,
                              run_refinement)
 from nvbmesh.mesh import Mesh, PrecisionExhausted, lshape6, square2
@@ -24,6 +25,14 @@ from nvbmesh.stability import NodeWeights
 
 def run(*argv):
     return main(list(argv))
+
+
+def load_json(path):
+    """A JSON file the CLI wrote, refusing Infinity, -Infinity and NaN,
+    which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 def test_generate_square2(tmp_path):
@@ -178,9 +187,12 @@ def test_analyze_clean_run_exits_0(tmp_path):
     code = run("analyze", *files, "--nvb", "--trace", str(out / "trace.csv"),
                "--out", str(tmp_path / "rep"))
     assert code == EXIT_OK
-    report = json.loads((tmp_path / "rep" / "analysis.json").read_text())
+    report = load_json(tmp_path / "rep" / "analysis.json")
     assert report["ok"]
     assert report["max_level_jump"] <= 1  # BDD initial mesh + refineNVB
+    # the neighbor-rule verifier measures no level constants
+    assert all(sorted(entry["neighbor_rules"]) == ["checks", "ok"]
+               for entry in report["meshes"])
     assert (tmp_path / "rep" / "ledger.csv").exists()
 
 
@@ -199,7 +211,7 @@ def test_analyze_tampered_gen_exits_3(tmp_path):
     code = run("analyze", str(out / "step_000.nvbm"), str(victim),
                "--out", str(tmp_path / "rep"))
     assert code == EXIT_VIOLATION
-    report = json.loads((tmp_path / "rep" / "analysis.json").read_text())
+    report = load_json(tmp_path / "rep" / "analysis.json")
     assert not report["ok"]
 
 
@@ -243,7 +255,7 @@ def test_analyze_reports_maximal_level_jump_two(tmp_path):
     files = [str(out / f"step_{i:03d}.nvbm") for i in range(7)]
     code = run("analyze", *files, "--out", str(tmp_path / "rep"))
     assert code == EXIT_OK
-    report = json.loads((tmp_path / "rep" / "analysis.json").read_text())
+    report = load_json(tmp_path / "rep" / "analysis.json")
     assert report["ok"]
     assert report["max_level_jump"] == 2
 
@@ -252,7 +264,7 @@ def test_stability_square2_initial(tmp_path):
     code = run("stability", "square2", "--skip-measure",
                "--out", str(tmp_path / "s"))
     assert code == EXIT_OK
-    report = json.loads((tmp_path / "s" / "stability.json").read_text())
+    report = load_json(tmp_path / "s" / "stability.json")
     assert report["all_pass"]
     assert report["min_lam"] == 2.0  # equal weights on the initial mesh
     weights = (tmp_path / "s" / "weights.csv").read_text().strip().splitlines()
@@ -266,7 +278,7 @@ def test_stability_deep_corner_run(tmp_path):
     code = run("stability", str(out / "step_025.nvbm"), "--levels", "2",
                "--out", str(tmp_path / "s"))
     assert code == EXIT_OK
-    report = json.loads((tmp_path / "s" / "stability.json").read_text())
+    report = load_json(tmp_path / "s" / "stability.json")
     assert report["all_pass"]
     assert report["measured_h1_constant"] is not None
     assert report["max_ratio"] <= 2.0
@@ -300,7 +312,7 @@ def test_stability_csv_matches_oracles(tmp_path, tamper):
     out = tmp_path / "s"
     assert (out / "weights.csv").read_text() == "\n".join(weights) + "\n"
     assert (out / "conditions.csv").read_text() == "\n".join(rows) + "\n"
-    report = json.loads((out / "stability.json").read_text())
+    report = load_json(out / "stability.json")
     assert report["all_pass"] == (tamper is None)
     assert report["n_elements"] == len(conds) == mesh.n_elements
     assert report["failing_elements"] == failing
@@ -355,17 +367,17 @@ def test_stability_tamper_delta_range(tmp_path, capsys, spec, delta, code):
                        "-256..256\n")
         assert not out.exists()
     else:
-        assert not json.loads((out / "stability.json").read_text())["all_pass"]
+        assert not load_json(out / "stability.json")["all_pass"]
 
 
 def test_corr_check_ok(tmp_path):
     code = run("corr-check", "--initial", "square2", "--steps", "4",
                "--seed", "2", "--out", str(tmp_path / "c"))
     assert code == EXIT_OK
-    report = json.loads((tmp_path / "c" / "corr_check.json").read_text())
+    report = load_json(tmp_path / "c" / "corr_check.json")
     assert report["ok"]
     assert len(report["steps"]) == 5
-    assert (tmp_path / "c" / "corr_map_final.json").exists()
+    assert load_json(tmp_path / "c" / "corr_map_final.json")
 
 
 def test_corr_check_writes_the_oracle_files(tmp_path):
@@ -439,6 +451,29 @@ def test_unknown_subcommand_exits_2():
      "--corner: expected X,Y, two numbers, got 'a,b'"),
     (("refine", "square2", "--corner", "1"),
      "--corner: expected X,Y, two numbers, got '1'"),
+    (("refine", "square2", "--corner", "nan,0"),
+     "--corner: expected X,Y, two numbers, got 'nan,0'"),
+    (("refine", "square2", "--corner", "0,inf"),
+     "--corner: expected X,Y, two numbers, got '0,inf'"),
+    (("refine", "square2", "--theta", "2"),
+     "--theta: expected a number in [0, 1], got '2'"),
+    (("refine", "square2", "--theta", "nan"),
+     "--theta: expected a number in [0, 1], got 'nan'"),
+    (("refine", "square2", "--radius", "nan"),
+     "--radius: expected a number >= 0, got 'nan'"),
+    (("refine", "square2", "--radius", "-1"),
+     "--radius: expected a number >= 0, got '-1'"),
+    (("refine", "square2", "--alpha", "inf"),
+     "--alpha: expected a finite number, got 'inf'"),
+    (("refine", "square2", "--alpha", "nan"),
+     "--alpha: expected a finite number, got 'nan'"),
+    (("refine", "square2", "--seed", "-1"), "--seed: expected an integer >= 0"),
+    (("generate", "square2", "--seed", "-1"), "--seed: expected an integer >= 0"),
+    (("corr-check", "--seed", "-1"), "--seed: expected an integer >= 0"),
+    (("analyze", "m.nvbm", "--rho-bound", "nan"),
+     "--rho-bound: expected a number >= 0, got 'nan'"),
+    (("analyze", "m.nvbm", "--rho-bound", "-1"),
+     "--rho-bound: expected a number >= 0, got '-1'"),
 ])
 def test_out_of_range_arguments_exit_2_naming_the_option(tmp_path, capsys, argv,
                                                          expected):
@@ -446,6 +481,71 @@ def test_out_of_range_arguments_exit_2_naming_the_option(tmp_path, capsys, argv,
     assert run(*argv, "--out", str(out)) == EXIT_USAGE
     assert f"error: argument {expected}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "m.nvbm", "--seed", "1"),
+    ("stability", "square2", "--seed", "1"),
+    ("generate", "square2", "--format", "json"),
+    ("refine", "square2", "--format", "json"),
+    ("corr-check", "--format", "json"),
+])
+def test_removed_no_op_options_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert run(*argv, "--out", str(out)) == EXIT_USAGE
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the names of the attributes read from it
+    once ``reads`` is set."""
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("reads")
+        if reads is not None and name != "reads":
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_declared_option_is_read_by_its_handler(tmp_path):
+    mesh = tmp_path / "m.nvbm"
+    run_dir = tmp_path / "run"
+    assert run("refine", "square2", "--steps", "1", "--out", str(run_dir)) == EXIT_OK
+    # every option given, except --skip-measure: a flag is read whether or
+    # not it is given, and giving it leaves --levels unread
+    argvs = [
+        ["generate", "square2", "--ref-edges", "random", "--seed", "1",
+         "--out", str(mesh)],
+        ["refine", "lshape6", "--ref-edges", "longest-edge", "--dialect",
+         "refineNVB3", "--policy", "bisec3", "--strategy", "dorfler",
+         "--fraction", "0.5", "--corner", "0.5,0.5", "--radius", "0.5",
+         "--theta", "0.4", "--alpha", "2", "--steps", "1", "--seed", "1",
+         "--out", str(tmp_path / "r")],
+        ["analyze", str(run_dir / "step_000.nvbm"), str(run_dir / "step_001.nvbm"),
+         "--trace", str(run_dir / "trace.csv"), "--nvb", "--rho-bound", "0.5",
+         "--format", "json", "--out", str(tmp_path / "a")],
+        ["stability", "square2", "--levels", "1", "--debug-tamper", "0:1",
+         "--format", "json", "--out", str(tmp_path / "s")],
+        ["corr-check", "--initial", "lshape6", "--steps", "1", "--policy",
+         "mixed", "--fraction", "0.5", "--seed", "1", "--out", str(tmp_path / "c")],
+    ]
+    parser = build_parser()
+    for argv in argvs:
+        args = parser.parse_args(argv, namespace=ReadRecorder())
+        declared = set(vars(args)) - {"command"}
+        args.reads = set()
+        handler = getattr(cli, "cmd_" + args.command.replace("-", "_"))
+        assert handler(args) in (EXIT_OK, EXIT_VIOLATION)
+        assert declared <= args.reads, (argv[0], declared - args.reads)
+
+
+def test_refine_defaults_are_the_run_config_defaults():
+    args = build_parser().parse_args(["refine", "square2"])
+    names = [f.name for f in fields(RunConfig)]
+    assert sorted(set(vars(args)) - {"command", "out"}) == sorted(names)
+    assert RunConfig(**{name: getattr(args, name) for name in names}) == RunConfig()
 
 
 def test_refine_precision_exhaustion_exits_3(tmp_path, capsys):

@@ -164,6 +164,12 @@ _DUPLICATE_VERTEX = (_TRIANGLES.replace("4 2", "5 2") + "0.0 0.0\n"
                      "2 0 1 0 0 0\n0 2 3 0 1 0\n")
 _DOUBLE_COVER = ("nvbm 1\n3 2\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
                  "0 1 2 0 0 0\n1 2 0 0 1 0\n")
+# element 1 (line 8) is clockwise, or has ancestor 2 in a 2-element initial mesh
+_INVERTED = _TRIANGLES + "2 0 1 0 0 0\n0 3 2 0 1 0\n"
+_ANCESTOR_OUT_OF_RANGE = _TRIANGLES + "2 0 1 0 0 0\n0 2 3 0 2 0\n"
+# edge (0, 1) of elements 0..2 (lines 8..10) is shared by all three
+_OVERSHARED = ("nvbm 1\n5 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n0.5 1.0\n-0.5 1.0\n"
+               "0 1 2 0 0 0\n0 1 3 0 1 0\n0 1 4 0 2 0\n")
 
 
 @pytest.mark.parametrize("text", [
@@ -189,6 +195,10 @@ _DOUBLE_COVER = ("nvbm 1\n3 2\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
     _TRIANGLES + "2 0 1 0 0 0\n0 2 1 0 1 0\n",
     _DUPLICATE_VERTEX,
     _DOUBLE_COVER,
+    _INVERTED,
+    _ANCESTOR_OUT_OF_RANGE,
+    _OVERSHARED,
+    _TRIANGLES + "2 0 1 1 0 0\n0 2 3 0 2 0\n",                  # gen 1: not initial
     _TRIANGLES + " 2 0 1 0 0\n0 2 3 0 1 0\n",                  # leading space, 5 fields
     # non-ASCII whitespace splits fields: line 3 has three, line 4 one
     _TRIANGLES.replace(" 0.0\n1.0 0.0", "\u00a00.0 1.0\n0.0 \u00a0")
@@ -203,6 +213,10 @@ def test_malformed_corpus_fails_like_the_line_parser(text):
      "coincide"),
     (_DOUBLE_COVER, "in.nvbm:7: non-conforming mesh: elements 0 and 1 cover "
      "the same triangle"),
+    (_INVERTED, "in.nvbm:8: non-conforming mesh: element 1 has signed area -0.5"),
+    (_ANCESTOR_OUT_OF_RANGE, "in.nvbm:8: ancestor id 2 out of range 0..1"),
+    (_OVERSHARED, "in.nvbm:10: non-conforming mesh: edge (0, 1) shared by "
+     "elements (0, 1, 2)"),
 ])
 def test_conformity_errors_name_the_later_line(text, message):
     assert _outcome(loads_mesh, text).startswith(f"MeshError: {message}")

@@ -94,7 +94,11 @@ def test_triplicated_mesh_is_rejected_like_the_oracle():
     message = re.escape(f"edge {e} shared by {len(inc)} elements") + "$"
     with pytest.raises(MeshError, match="^" + message):
         Mesh(fine.vertices, elements)
-    with pytest.raises(MeshError, match="^<string>: non-conforming mesh: " + message):
+    # the file names the line of the last element on the first such edge
+    line = 3 + mesh.n_vertices + over[0].ids[-1]
+    message = re.escape(f"<string>:{line}: non-conforming mesh: {over[0].detail} "
+                        f"({len(validate_mesh(mesh).violations)} violation(s) total)")
+    with pytest.raises(MeshError, match="^" + message + "$"):
         loads_mesh(dumps_mesh(mesh))
 
 
