@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _geom
-from .mesh import Mesh, _reference_neighbors, structure_flags
+from .mesh import Mesh, _neighbors, _shared_edges, _walk, structure_flags
 from .refine import MarkingInput, StepRecord, refine_step
 
 
@@ -76,16 +76,9 @@ class StructureReport(CheckReport):
 
 def max_equal_gen_chain(mesh: Mesh) -> int:
     """Longest reference-neighbor run of elements sharing one generation."""
-    n1 = _reference_neighbors(mesh)  # -1 ends a run
+    n1 = _neighbors(mesh.edge_table)[:, 0]  # -1 ends a run
     n1 = np.where((n1 >= 0) & (mesh.gen[n1] == mesh.gen), n1, -1).tolist()
-    best = 0
-    for t in range(len(n1)):
-        run, cur = {t}, n1[t]
-        while cur >= 0 and cur not in run:
-            run.add(cur)
-            cur = n1[cur]
-        best = max(best, len(run))
-    return best
+    return max((len(_walk(n1, t)) for t in range(len(n1))), default=0)
 
 
 def verify_levels(mesh: Mesh, initial: Mesh, nvb_dialect: bool = False) -> StructureReport:
@@ -120,11 +113,10 @@ def verify_levels(mesh: Mesh, initial: Mesh, nvb_dialect: bool = False) -> Struc
                 "level-jump bound 1 requested but initial mesh is not BDD; "
                 "checking the general bound 2")
 
-    inner = mesh.edge_table.edge2elements
-    inner = inner[inner[:, 1] >= 0]
-    jump = np.abs(mesh.gen[inner[:, 0]] - mesh.gen[inner[:, 1]])
-    bad_jump = [(t1, t2, d) for (t1, t2), d in zip(
-        inner[jump > jump_bound].tolist(), jump[jump > jump_bound].tolist())]
+    _, t1, t2, _ = _shared_edges(mesh.edge_table)
+    jump = np.abs(mesh.gen[t1] - mesh.gen[t2])
+    over = jump > jump_bound
+    bad_jump = list(zip(t1[over].tolist(), t2[over].tolist(), jump[over].tolist()))
     report.max_level_jump = int(jump.max(initial=0))
     name = "level_jump_le_1" if sharp else "level_jump_le_2"
     report.checks.append(CheckResult(
@@ -151,25 +143,20 @@ def verify_neighbor_rules(mesh: Mesh, initial: Mesh | None = None) -> CheckRepor
     ref = table.element2edges[:, 0]
 
     # N(T) is compatibly divisible with T iff T's reference edge is its own too
-    n1 = _reference_neighbors(mesh)
+    n1 = _neighbors(table)[:, 0]
     gap = np.where(n1 >= 0, gen[n1] - gen, 0)
     deeper = (gap > 0) & ((gap != 1) | (ref[n1] != ref))
 
     # equal-generation pairs across shared edges, in edge-id order
-    e = np.flatnonzero(table.edge2elements[:, 1] >= 0)
-    t1, t2 = table.edge2elements[e].T
+    e, t1, t2, compatible = _shared_edges(table)
     keep = gen[t1] == gen[t2]
-    e, t1, t2 = e[keep], t1[keep], t2[keep]
-    incompatible = (ref[t1] == e) != (ref[t2] == e)
+    e, t1, t2, incompatible = e[keep], t1[keep], t2[keep], ~compatible[keep]
     a1, a2 = mesh.ancestor[t1], mesh.ancestor[t2]
 
-    # compatibly divisible neighbor pairs of the initial mesh, as codes lo*n + hi
+    # compatibly divisible neighbor pairs p < q of the initial mesh, as codes
     itable, n = initial.edge_table, initial.n_elements
-    ie = np.flatnonzero(itable.edge2elements[:, 1] >= 0)
-    p, q = itable.edge2elements[ie].T
-    iref = itable.element2edges[:, 0]
-    codes = np.minimum(p, q) * n + np.maximum(p, q)
-    codes = codes[(iref[p] == ie) == (iref[q] == ie)]
+    _, p, q, icompatible = _shared_edges(itable)
+    codes = (p * n + q)[icompatible]
     anc_compatible = np.isin(np.minimum(a1, a2) * n + np.maximum(a1, a2), codes)
 
     # the shared edge lies inside one of the six edges of the two ancestors
@@ -207,7 +194,6 @@ class ChainBoundsReport:
 
     max_gen_overshoot: int = 0
     max_dist_scaled: float = 0.0
-    max_equal_gen_chain: int = 0
     violations: list[tuple] = field(default_factory=list)
 
     @property
@@ -226,8 +212,6 @@ def verify_chain_bounds(mesh_seq: list[Mesh],
     report = ChainBoundsReport()
     marked_tris, son_tris, son_gens = [], [], []
     for mesh, marking in zip(mesh_seq, markings):
-        report.max_equal_gen_chain = max(report.max_equal_gen_chain,
-                                         max_equal_gen_chain(mesh))
         for t in sorted(marking.elements):
             single, refined = refine_step(mesh, MarkingInput.of([t]), "refineNVB")
             if single is mesh:

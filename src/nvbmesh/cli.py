@@ -238,10 +238,6 @@ def _read_trace(path: Path):
 
 def cmd_stability(args) -> int:
     coarse = _load_spec(args.spec)
-    if not stability.is_element_connected(coarse):
-        print("error: mesh is not connected", file=sys.stderr)
-        return EXIT_USAGE
-
     weights = stability.compute_weights(coarse)
     if args.debug_tamper is not None:
         node, delta = args.debug_tamper

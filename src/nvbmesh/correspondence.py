@@ -30,7 +30,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import Mesh, _shared_edges
 from .refine import (MarkingInput, PatternPolicy, UnsupportedRefinementError,
                      refine_step)
 
@@ -147,10 +147,10 @@ def build_corr(left: Mesh, right: Mesh) -> CorrMap:
     if m != right.n_elements:
         raise CorrespondenceError(
             f"element counts differ: {left.n_elements} vs {right.n_elements}")
-    # common vertex ids by coordinates; np.unique, like ==, merges -0.0 and 0.0
+    # common vertex ids by the coordinate rows as complex keys, which
+    # compare as floats do: -0.0 equals 0.0
     xy = np.concatenate([left.vertices, right.vertices])
-    vid = _row_ids(np.stack([np.unique(c, return_inverse=True)[1].reshape(-1)
-                             for c in xy.T], axis=1))
+    vid = np.unique(xy.view(np.complex128).ravel(), return_inverse=True)[1]
     tri_l = vid[:left.n_vertices][left.elements]
     tri_r = vid[left.n_vertices:][right.elements]
     tid = _row_ids(np.concatenate([tri_l, tri_r]))
@@ -306,8 +306,7 @@ def verify_corr(corr: CorrMap) -> CorrReport:
     # neighbors are preserved
     for src, dst, im, label in ((a, b, image, "fwd"), (b, a, inv, "bwd")):
         table = src.edge_table
-        e = np.flatnonzero(table.edge2elements[:, 1] >= 0)
-        t1, t2 = table.edge2elements[e].T
+        e, t1, t2, compatible = _shared_edges(table)
         p1 = 3 * t1 + (table.element2edges[t1] == e[:, None]).argmax(1)
         p2 = 3 * t2 + (table.element2edges[t2] == e[:, None]).argmax(1)
         i1, i2 = im.ravel()[p1], im.ravel()[p2]
@@ -316,9 +315,9 @@ def verify_corr(corr: CorrMap) -> CorrReport:
         inc = dst.edge_table.edge2elements[f1]
         broken = ((s1 == s2) | (f1 != f2) | (np.minimum(s1, s2) != inc[:, 0])
                   | (np.maximum(s1, s2) != inc[:, 1]))
-        on_src = (p1 % 3 == 0).astype(int) + (p2 % 3 == 0)
+        mutual = (p1 % 3 == 0) & (p2 % 3 == 0)
         on_dst = (i1 % 3 == 0).astype(int) + (i2 % 3 == 0)
-        changed = ((on_src == 2) != (on_dst == 2), (on_src != 1) != (on_dst != 1),
+        changed = (mutual != (on_dst == 2), compatible != (on_dst != 1),
                    (src.ancestor[t1] == src.ancestor[t2])
                    != (dst.ancestor[s1] == dst.ancestor[s2]))
         emit(np.stack([broken] + [x & ~broken for x in changed], axis=1),

@@ -198,9 +198,3 @@ def run_refinement(config: RunConfig) -> RunResult:
             result.records.append(record)
     return result
 
-
-def corner_run(initial: str = "lshape6", steps: int = 25,
-               dialect: str = "refineNVB", seed: int = 0) -> RunConfig:
-    """The fixed corner-singularity run used for regression data."""
-    return RunConfig(initial=initial, dialect=dialect, strategy="corner",
-                     corner=(0.0, 0.0), radius=0.0, steps=steps, seed=seed)

@@ -17,7 +17,10 @@ edge ids, column 0 the reference edge (v0, v1), then (v1, v2), (v2, v0);
 ``edge2nodes`` (E, 2) the sorted node pairs; ``edge2elements`` (E, 2) the
 incident elements in ascending id, -1 in column 1 on the boundary.  Edges
 are numbered in first-touch order: as a sweep over the elements and their
-edges 0, 1, 2 first meets them.
+edges 0, 1, 2 first meets them.  Every reader of its adjacency goes
+through one kernel per relation: ``_neighbors`` (the element across each
+slot), ``_shared_edges`` (interior edges, their element pairs and their
+compatible divisibility) and ``_walk`` (a reference-neighbour run).
 
 Meshes are immutable after construction (the backing arrays are marked
 read-only); every operation in this module is read-only and safe for
@@ -274,6 +277,40 @@ def build_edge_table(elements: np.ndarray) -> EdgeTable:
     return EdgeTable(*_readonly(ids.reshape(m, 3), pairs[ends[:, 0]], ends // 3))
 
 
+def _neighbors(table: EdgeTable) -> np.ndarray:
+    """The element across each ``element2edges`` slot, (m, 3), -1 on the
+    boundary; column 0 is the reference neighbour N(T)."""
+    e2e, e2el = table.element2edges, table.edge2elements
+    t = np.arange(e2e.shape[0])[:, None]
+    # column by column: two contiguous (m, 3) gathers beat one (m, 3, 2)
+    a, b = e2el[:, 0][e2e], e2el[:, 1][e2e]
+    n = np.where(a != t, a, b)
+    n[n == t] = -1
+    return n
+
+
+def _shared_edges(table: EdgeTable) -> tuple[np.ndarray, ...]:
+    """Interior edge ids ``e``, their elements ``t1 < t2`` and whether each
+    pair is compatibly divisible: ``e`` is the reference edge of both or of
+    neither."""
+    e = np.flatnonzero(table.edge2elements[:, 1] >= 0)
+    t1, t2 = table.edge2elements[e].T
+    ref = table.element2edges[:, 0]
+    return e, t1, t2, (ref[t1] == e) == (ref[t2] == e)
+
+
+def _walk(successor: list[int], t: int) -> list[int]:
+    """t, successor[t], successor[successor[t]], ... up to -1 or the first
+    repeat; the seen-set keeps a long walk linear."""
+    out, seen = [t], {t}
+    t = successor[t]
+    while t >= 0 and t not in seen:
+        out.append(t)
+        seen.add(t)
+        t = successor[t]
+    return out
+
+
 def _overshared(table: EdgeTable) -> tuple[np.ndarray, list[np.ndarray]]:
     """Ids of the edges with more than two incident elements, ascending,
     and each one's elements, ascending, one entry per slot."""
@@ -346,8 +383,7 @@ def _conformity(mesh: Mesh, rebuilt: EdgeTable,
     # an element that meets one neighbour across two edges covers the same
     # triangle; each pair is reported once, at its later element
     t = np.arange(ne)
-    inc = rebuilt.edge2elements[rebuilt.element2edges]
-    n0, n1, n2 = np.where(inc[..., 0] == t[:, None], inc[..., 1], inc[..., 0]).T
+    n0, n1, n2 = _neighbors(rebuilt).T
     twice = np.where((n0 == n1) | (n0 == n2), n0, np.where(n1 == n2, n1, -1))
     for i in np.flatnonzero((0 <= twice) & (twice < t)).tolist():
         s = int(twice[i])
@@ -396,17 +432,8 @@ def reference_neighbor(mesh: Mesh, t: int) -> int | None:
     """The element sharing t's reference edge, or None on the boundary."""
     if not 0 <= t < mesh.n_elements:
         raise ValueError(f"element id {t} out of range")
-    table = mesh.edge_table
-    a, b = table.edge2elements[table.element2edges[t, 0]].tolist()
-    return a if a != t else (None if b in (-1, t) else b)
-
-
-def _reference_neighbors(mesh: Mesh) -> np.ndarray:
-    """reference_neighbor of every element, -1 on the boundary."""
-    table, t = mesh.edge_table, np.arange(mesh.n_elements)
-    a, b = table.edge2elements[table.element2edges[:, 0]].T
-    n1 = np.where(a != t, a, b)
-    return np.where(n1 == t, -1, n1)
+    n = int(_neighbors(mesh.edge_table)[t, 0])
+    return None if n < 0 else n
 
 
 def classify_pair(mesh: Mesh, t1: int, t2: int) -> str:
@@ -432,15 +459,10 @@ def classify_pair(mesh: Mesh, t1: int, t2: int) -> str:
 
 def structure_flags(mesh: Mesh) -> StructureFlags:
     """BDD and weak-BDD certificates plus isolated elements."""
-    table = mesh.edge_table
-    inner = np.flatnonzero(table.edge2elements[:, 1] >= 0)
-    t1, t2 = table.edge2elements[inner].T
-    ref = table.element2edges[:, 0]
-    # incompatible: the shared edge is the reference edge of exactly one
-    is_bdd = not ((ref[t1] == inner) != (ref[t2] == inner)).any()
+    _, t1, t2, compatible = _shared_edges(mesh.edge_table)
+    is_bdd = bool(compatible.all())
 
-    # reference neighbor N(T), -1 on the boundary
-    t, n1 = np.arange(mesh.n_elements), _reference_neighbors(mesh)
+    t, n1 = np.arange(mesh.n_elements), _neighbors(mesh.edge_table)[:, 0]
     isolated_literal = ~((n1 >= 0) & (n1[n1] == t))  # N(N(T)) != T
     isolated = isolated_literal & (n1 >= 0)
 

@@ -216,6 +216,8 @@ def loads_mesh(text: str, source: str = "<string>") -> Mesh:
             lineno = 3 + nv + v.ids[-1]
         elif v.kind in ("duplicate_vertex", "orphan_vertex", "bad_coordinate"):
             lineno = 3 + v.ids[-1]
+        elif v.kind == "hanging_node":  # ids (j, a, b): vertex j is at fault
+            lineno = 3 + v.ids[0]
         where = f"{source}:{lineno}: " if lineno else f"{source}: "
         raise MeshError(f"{where}non-conforming mesh: {v.detail} "
                         f"({len(report.violations)} violation(s) total)")

@@ -33,7 +33,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import _geom
-from .mesh import Mesh, PrecisionExhausted, _readonly, reference_neighbor
+from .mesh import Mesh, PrecisionExhausted, _neighbors, _readonly, _walk
 
 PATTERN_NONE = "none"
 BISEC1 = "bisec1"
@@ -371,16 +371,7 @@ def chain(mesh: Mesh, t: int) -> list[int]:
     """
     if not 0 <= t < mesh.n_elements:
         raise ValueError(f"element id {t} out of range")
-    out = [t]
-    seen = {t}
-    cur = t
-    while True:
-        nxt = reference_neighbor(mesh, cur)
-        if nxt is None or nxt in seen:
-            return out
-        out.append(nxt)
-        seen.add(nxt)
-        cur = nxt
+    return _walk(_neighbors(mesh.edge_table)[:, 0].tolist(), t)
 
 
 def uniform(mesh: Mesh, kind: str) -> Mesh:

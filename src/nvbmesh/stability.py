@@ -138,7 +138,7 @@ def compute_weights(mesh: Mesh) -> NodeWeights:
     offset = int(beta0.min()) - 1
     graph = _incidence_graph(mesh, beta0 - offset)
     if not _elements_connected(graph, mesh.n_elements):
-        raise ValueError("compute_weights requires a connected mesh")
+        raise ValueError("mesh is not connected")
     dist = csgraph.dijkstra(graph, directed=True, indices=graph.shape[0] - 1)
     beta = dist[:mesh.n_elements].astype(np.int64) + offset
 

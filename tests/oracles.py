@@ -416,8 +416,6 @@ def verify_chain_bounds(mesh_seq: list[Mesh],
     """The son-by-son loop of ``nvbmesh.analysis.verify_chain_bounds``."""
     report = ChainBoundsReport()
     for mesh, marking in zip(mesh_seq, markings):
-        report.max_equal_gen_chain = max(report.max_equal_gen_chain,
-                                         max_equal_gen_chain(mesh))
         for t in sorted(marking.elements):
             single, refined = refine_step(mesh, MarkingInput.of([t]), "refineNVB")
             if single is mesh:
@@ -722,6 +720,8 @@ def loads_mesh(text: str, source: str = "<string>") -> Mesh:
             lineno = 3 + nv + v.ids[-1]
         elif v.kind in ("duplicate_vertex", "orphan_vertex", "bad_coordinate"):
             lineno = 3 + v.ids[-1]
+        elif v.kind == "hanging_node":  # ids (j, a, b): vertex j is at fault
+            lineno = 3 + v.ids[0]
         where = f"{source}:{lineno}: " if lineno else f"{source}: "
         raise MeshError(f"{where}non-conforming mesh: {v.detail} "
                         f"({len(report.violations)} violation(s) total)")

@@ -324,6 +324,16 @@ def test_stability_tampered_weights_exit_3(tmp_path):
     assert code == EXIT_VIOLATION
 
 
+def test_stability_disconnected_mesh_exits_2(tmp_path, capsys):
+    path, out = tmp_path / "islands.nvbm", tmp_path / "s"
+    path.write_text("nvbm 1\n6 2\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
+                    "5.0 5.0\n6.0 5.0\n5.0 6.0\n0 1 2 0 0 0\n3 4 5 0 1 0\n")
+    code = run("stability", str(path), "--skip-measure", "--out", str(out))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: mesh is not connected\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tamper", ["4:1", "99:1", "-1:5"])
 def test_stability_tamper_node_out_of_range_exits_2(tmp_path, capsys, tamper):
     # square2 has nodes 0..3

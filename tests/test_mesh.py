@@ -15,9 +15,11 @@ from conftest import (crisscross, random_trace, single_triangle,
                       small_mesh_corpus, square2_boundary_refs,
                       square2_incompatible)
 from nvbmesh.mesh import (COMPATIBLY_DIVISIBLE, INCOMPATIBLE, NOT_ADJACENT,
-                          Mesh, MeshError, build_edge_table, classify_pair,
+                          Mesh, MeshError, _neighbors, _shared_edges,
+                          build_edge_table, classify_pair,
                           lshape6, reference_neighbor, restrict, same_mesh, square2,
                           Violation, structure_flags, validate_mesh)
+from nvbmesh.marking import assign_reference_edges
 from nvbmesh.refine import MarkingInput, refine_step, uniform
 
 
@@ -154,15 +156,35 @@ def test_reference_neighbor_single_triangle_boundary():
     assert reference_neighbor(single_triangle(), 0) is None
 
 
-def test_reference_neighbor_lshape_boundary_legs(lshape):
+_NEIGHBOR_MESHES = {
+    **small_mesh_corpus(), "lshape6": lshape6(),
+    "random_trace": random_trace(assign_reference_edges(lshape6(), "random", seed=3),
+                                 seed=3, steps=4, dialect="refineNVB")[0][-1]}
+
+
+@pytest.mark.parametrize("name", list(_NEIGHBOR_MESHES))
+def test_reference_neighbor_lshape_boundary_legs(name):
     # oracle: boundary edges are exactly the edge-table entries of length 1
-    table = oracles.edge_table(lshape.elements)
+    mesh = _NEIGHBOR_MESHES[name]
+    table = oracles.edge_table(mesh.elements)
     boundary = {e for e, inc in table.items() if len(inc) == 1}
-    for t in range(lshape.n_elements):
-        ref = oracles.ref_edge(lshape, t)
+    neighbors = _neighbors(mesh.edge_table)
+    for t in range(mesh.n_elements):
+        ref = oracles.ref_edge(mesh, t)
         expected = None if ref in boundary else \
             next(i for i in table[ref] if i != t)
-        assert reference_neighbor(lshape, t) == expected
+        assert reference_neighbor(mesh, t) == expected
+        assert neighbors[t].tolist() == [
+            -1 if e in boundary else next(i for i in table[e] if i != t)
+            for e in oracles.edges_of(mesh, t)]
+    # interior edges in id (first-touch) order, compatibly divisible iff the
+    # reference edge of both elements or of neither
+    e, t1, t2, compatible = _shared_edges(mesh.edge_table)
+    shared = {key: inc for key, inc in table.items() if len(inc) == 2}
+    assert list(zip(map(tuple, mesh.edge_table.edge2nodes[e].tolist()),
+                    t1.tolist(), t2.tolist(), compatible.tolist())) == [
+        (key, p, q, (oracles.ref_edge(mesh, p) == key)
+         == (oracles.ref_edge(mesh, q) == key)) for key, (p, q) in shared.items()]
 
 
 def test_reference_neighbor_bad_id(sq):

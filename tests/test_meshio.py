@@ -170,6 +170,9 @@ _ANCESTOR_OUT_OF_RANGE = _TRIANGLES + "2 0 1 0 0 0\n0 2 3 0 2 0\n"
 # edge (0, 1) of elements 0..2 (lines 8..10) is shared by all three
 _OVERSHARED = ("nvbm 1\n5 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n0.5 1.0\n-0.5 1.0\n"
                "0 1 2 0 0 0\n0 1 3 0 1 0\n0 1 4 0 2 0\n")
+# vertex 2 (line 5) is the midpoint of element 2's edge (0, 1)
+_HANGING_NODE = ("nvbm 1\n5 3\n0.0 0.0\n2.0 0.0\n1.0 0.0\n1.0 1.0\n1.0 -1.0\n"
+                 "0 2 3 0 0 0\n2 1 3 0 1 0\n1 0 4 0 2 0\n")
 
 
 @pytest.mark.parametrize("text", [
@@ -190,8 +193,7 @@ _OVERSHARED = ("nvbm 1\n5 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n0.5 1.0\n-0.5 1.0\n"
     _TRIANGLES.replace("1.0 0.0", "1e400 0.0") + "2 0 x 0 0 0\n0 2 3 0 1 0\n",
     _TRIANGLES.replace("1.0 0.0", "1_0 nan") + "2 0 1 0 0 0\n0 2 3 0 1 0\n",
     _TRIANGLES.replace("4 2", "6 2") + "2.0 2.0\n-0.0 0.0\n2 0 1 0 0 0\n0 2 3 0 1 0\n",
-    "nvbm 1\n5 3\n0.0 0.0\n2.0 0.0\n1.0 0.0\n1.0 1.0\n1.0 -1.0\n"
-    "0 2 3 0 0 0\n2 1 3 0 1 0\n1 0 4 0 2 0\n",                   # hanging node
+    _HANGING_NODE,
     _TRIANGLES + "2 0 1 0 0 0\n0 2 1 0 1 0\n",
     _DUPLICATE_VERTEX,
     _DOUBLE_COVER,
@@ -217,6 +219,7 @@ def test_malformed_corpus_fails_like_the_line_parser(text):
     (_ANCESTOR_OUT_OF_RANGE, "in.nvbm:8: ancestor id 2 out of range 0..1"),
     (_OVERSHARED, "in.nvbm:10: non-conforming mesh: edge (0, 1) shared by "
      "elements (0, 1, 2)"),
+    (_HANGING_NODE, "in.nvbm:5: non-conforming mesh: vertex 2 splits edge (0, 1)"),
 ])
 def test_conformity_errors_name_the_later_line(text, message):
     assert _outcome(loads_mesh, text).startswith(f"MeshError: {message}")
