@@ -76,7 +76,7 @@ class StructureReport(CheckReport):
 
 def max_equal_gen_chain(mesh: Mesh) -> int:
     """Longest reference-neighbor run of elements sharing one generation."""
-    n1 = _neighbors(mesh.edge_table)[:, 0]  # -1 ends a run
+    n1 = _neighbors(mesh.edge_table, 0)  # -1 ends a run
     n1 = np.where((n1 >= 0) & (mesh.gen[n1] == mesh.gen), n1, -1).tolist()
     return max((len(_walk(n1, t)) for t in range(len(n1))), default=0)
 
@@ -143,7 +143,7 @@ def verify_neighbor_rules(mesh: Mesh, initial: Mesh | None = None) -> CheckRepor
     ref = table.element2edges[:, 0]
 
     # N(T) is compatibly divisible with T iff T's reference edge is its own too
-    n1 = _neighbors(table)[:, 0]
+    n1 = _neighbors(table, 0)
     gap = np.where(n1 >= 0, gen[n1] - gen, 0)
     deeper = (gap > 0) & ((gap != 1) | (ref[n1] != ref))
 

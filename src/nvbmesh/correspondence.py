@@ -147,10 +147,10 @@ def build_corr(left: Mesh, right: Mesh) -> CorrMap:
     if m != right.n_elements:
         raise CorrespondenceError(
             f"element counts differ: {left.n_elements} vs {right.n_elements}")
-    # common vertex ids by the coordinate rows as complex keys, which
-    # compare as floats do: -0.0 equals 0.0
+    # common vertex ids by coordinates; np.unique, like ==, merges -0.0 and 0.0
     xy = np.concatenate([left.vertices, right.vertices])
-    vid = np.unique(xy.view(np.complex128).ravel(), return_inverse=True)[1]
+    vid = _row_ids(np.stack([np.unique(c, return_inverse=True)[1].reshape(-1)
+                             for c in xy.T], axis=1))
     tri_l = vid[:left.n_vertices][left.elements]
     tri_r = vid[left.n_vertices:][right.elements]
     tid = _row_ids(np.concatenate([tri_l, tri_r]))

@@ -18,9 +18,10 @@ edge ids, column 0 the reference edge (v0, v1), then (v1, v2), (v2, v0);
 incident elements in ascending id, -1 in column 1 on the boundary.  Edges
 are numbered in first-touch order: as a sweep over the elements and their
 edges 0, 1, 2 first meets them.  Every reader of its adjacency goes
-through one kernel per relation: ``_neighbors`` (the element across each
-slot), ``_shared_edges`` (interior edges, their element pairs and their
-compatible divisibility) and ``_walk`` (a reference-neighbour run).
+through one kernel per relation: ``_neighbors`` (the element across a
+slot; ``_ReferenceNeighbors`` reads one row of slot 0), ``_shared_edges``
+(interior edges, their element pairs and their compatible divisibility)
+and ``_walk`` (a reference-neighbour run).
 
 Meshes are immutable after construction (the backing arrays are marked
 read-only); every operation in this module is read-only and safe for
@@ -30,7 +31,7 @@ concurrent readers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -277,16 +278,26 @@ def build_edge_table(elements: np.ndarray) -> EdgeTable:
     return EdgeTable(*_readonly(ids.reshape(m, 3), pairs[ends[:, 0]], ends // 3))
 
 
-def _neighbors(table: EdgeTable) -> np.ndarray:
-    """The element across each ``element2edges`` slot, (m, 3), -1 on the
-    boundary; column 0 is the reference neighbour N(T)."""
-    e2e, e2el = table.element2edges, table.edge2elements
-    t = np.arange(e2e.shape[0])[:, None]
-    # column by column: two contiguous (m, 3) gathers beat one (m, 3, 2)
-    a, b = e2el[:, 0][e2e], e2el[:, 1][e2e]
+def _neighbors(table: EdgeTable, slot: int) -> np.ndarray:
+    """The element across slot ``slot`` of each element, -1 on the
+    boundary; slot 0 gives the reference neighbour N(T)."""
+    e = table.element2edges[:, slot]
+    t = np.arange(e.shape[0])
+    a, b = table.edge2elements[e].T
     n = np.where(a != t, a, b)
-    n[n == t] = -1
-    return n
+    return np.where(n == t, -1, n)
+
+
+class _ReferenceNeighbors:
+    """N(t) as ``[t]``, -1 on the boundary: row t of ``_neighbors(table, 0)``
+    read in O(1), so that a ``_walk`` over it costs its own length."""
+
+    def __init__(self, table: EdgeTable):
+        self.table = table
+
+    def __getitem__(self, t: int) -> int:
+        a, b = self.table.edge2elements[self.table.element2edges[t, 0]].tolist()
+        return a if a != t else (-1 if b == t else b)
 
 
 def _shared_edges(table: EdgeTable) -> tuple[np.ndarray, ...]:
@@ -299,7 +310,7 @@ def _shared_edges(table: EdgeTable) -> tuple[np.ndarray, ...]:
     return e, t1, t2, (ref[t1] == e) == (ref[t2] == e)
 
 
-def _walk(successor: list[int], t: int) -> list[int]:
+def _walk(successor: Sequence[int], t: int) -> list[int]:
     """t, successor[t], successor[successor[t]], ... up to -1 or the first
     repeat; the seen-set keeps a long walk linear."""
     out, seen = [t], {t}
@@ -383,7 +394,7 @@ def _conformity(mesh: Mesh, rebuilt: EdgeTable,
     # an element that meets one neighbour across two edges covers the same
     # triangle; each pair is reported once, at its later element
     t = np.arange(ne)
-    n0, n1, n2 = _neighbors(rebuilt).T
+    n0, n1, n2 = (_neighbors(rebuilt, slot) for slot in range(3))
     twice = np.where((n0 == n1) | (n0 == n2), n0, np.where(n1 == n2, n1, -1))
     for i in np.flatnonzero((0 <= twice) & (twice < t)).tolist():
         s = int(twice[i])
@@ -432,7 +443,7 @@ def reference_neighbor(mesh: Mesh, t: int) -> int | None:
     """The element sharing t's reference edge, or None on the boundary."""
     if not 0 <= t < mesh.n_elements:
         raise ValueError(f"element id {t} out of range")
-    n = int(_neighbors(mesh.edge_table)[t, 0])
+    n = _ReferenceNeighbors(mesh.edge_table)[t]
     return None if n < 0 else n
 
 
@@ -462,7 +473,7 @@ def structure_flags(mesh: Mesh) -> StructureFlags:
     _, t1, t2, compatible = _shared_edges(mesh.edge_table)
     is_bdd = bool(compatible.all())
 
-    t, n1 = np.arange(mesh.n_elements), _neighbors(mesh.edge_table)[:, 0]
+    t, n1 = np.arange(mesh.n_elements), _neighbors(mesh.edge_table, 0)
     isolated_literal = ~((n1 >= 0) & (n1[n1] == t))  # N(N(T)) != T
     isolated = isolated_literal & (n1 >= 0)
 

@@ -33,7 +33,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import _geom
-from .mesh import Mesh, PrecisionExhausted, _neighbors, _readonly, _walk
+from .mesh import (Mesh, PrecisionExhausted, _readonly, _ReferenceNeighbors,
+                   _walk)
 
 PATTERN_NONE = "none"
 BISEC1 = "bisec1"
@@ -371,7 +372,7 @@ def chain(mesh: Mesh, t: int) -> list[int]:
     """
     if not 0 <= t < mesh.n_elements:
         raise ValueError(f"element id {t} out of range")
-    return _walk(_neighbors(mesh.edge_table)[:, 0].tolist(), t)
+    return _walk(_ReferenceNeighbors(mesh.edge_table), t)
 
 
 def uniform(mesh: Mesh, kind: str) -> Mesh:

@@ -55,40 +55,22 @@ class NumericFailure(RuntimeError):
 # -- element-node incidence graph -------------------------------------------------
 
 
-def _incidence_graph(mesh: Mesh, source_weights=None) -> sp.csr_matrix:
-    """Element-node incidence graph with unit edges both ways.
+def _incidence_graph(mesh: Mesh, source_weights: np.ndarray) -> sp.csr_matrix:
+    """Element-node incidence graph with unit edges both ways, plus a
+    super-source with a directed edge of weight ``source_weights[t]`` to
+    each element t.
 
-    Vertices 0..m-1 are the elements, m..m+n-1 the nodes.  Given
-    ``source_weights``, a super-source vertex m+n gets a directed edge of
-    that weight to each element.
+    Vertices 0..m-1 are the elements, m..m+n-1 the nodes, m+n the source.
     """
     m, n = mesh.n_elements, mesh.n_vertices
     el = np.repeat(np.arange(m), 3)
     nd = m + mesh.elements.ravel()
-    rows, cols = [el, nd], [nd, el]
-    data = [np.ones(6 * m)]
-    size = m + n
-    if source_weights is not None:
-        rows.append(np.full(m, size))
-        cols.append(np.arange(m))
-        data.append(np.asarray(source_weights, dtype=np.float64))
-        size += 1
-    return sp.csr_matrix((np.concatenate(data),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(size, size))
-
-
-def _elements_connected(graph: sp.csr_matrix, n_elements: int) -> bool:
-    # strong components: a super-source has only outgoing edges, so it
-    # stays a component of its own and joins nothing
-    _, labels = csgraph.connected_components(graph, directed=True,
-                                             connection="strong")
-    return bool((labels[:n_elements] == labels[0]).all())
-
-
-def is_element_connected(mesh: Mesh) -> bool:
-    """True iff the elements form one component under node-sharing."""
-    return _elements_connected(_incidence_graph(mesh), mesh.n_elements)
+    src = np.full(m, m + n)
+    rows = np.concatenate([el, nd, src])
+    cols = np.concatenate([nd, el, np.arange(m)])
+    data = np.concatenate([np.ones(6 * m),
+                           np.asarray(source_weights, dtype=np.float64)])
+    return sp.csr_matrix((data, (rows, cols)), shape=(m + n + 1, m + n + 1))
 
 
 # -- nodal weights ---------------------------------------------------------------
@@ -137,7 +119,11 @@ def compute_weights(mesh: Mesh) -> NodeWeights:
     beta0 = 2 - maxgen_node[elements].max(axis=1)
     offset = int(beta0.min()) - 1
     graph = _incidence_graph(mesh, beta0 - offset)
-    if not _elements_connected(graph, mesh.n_elements):
+    # strong components: the super-source has only outgoing edges, so it
+    # stays a component of its own and joins nothing
+    _, labels = csgraph.connected_components(graph, directed=True,
+                                             connection="strong")
+    if (labels[:mesh.n_elements] != labels[0]).any():
         raise ValueError("mesh is not connected")
     dist = csgraph.dijkstra(graph, directed=True, indices=graph.shape[0] - 1)
     beta = dist[:mesh.n_elements].astype(np.int64) + offset

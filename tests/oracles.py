@@ -17,7 +17,9 @@ field.
 are the dict versions of the red/bisec3 correspondence: maps are dicts
 {(element, edge key): (element, edge key)}.  ``verify_neighbor_rules`` is
 the per-element and per-edge loop of ``nvbmesh.analysis.verify_neighbor_rules``
-over ``reference_neighbor``/``classify_pair``; ``validate_mesh`` is the
+over ``reference_neighbors``/``classify_pair``; ``reference_neighbors``,
+which it shares with ``max_equal_gen_chain``, reads N(T) from the
+``edge_table`` dict, not from the package.  ``validate_mesh`` is the
 dict-and-loop ``nvbmesh.mesh.validate_mesh``, whose over-shared edges are
 the entries of ``edge_table`` with more than two elements, in place of the
 package's sort of ``_overshared``; ``loads_mesh`` is the
@@ -70,12 +72,12 @@ from nvbmesh.analysis import ChainBoundsReport, CheckReport, CheckResult
 from nvbmesh.correspondence import CorrespondenceError, CorrReport
 from nvbmesh.mesh import (_EXHAUSTIVE_LIMIT, COMPATIBLY_DIVISIBLE, ConformityReport,
                           Mesh, MeshError, Violation, build_edge_table,
-                          classify_pair, reference_neighbor)
+                          classify_pair)
 from nvbmesh.meshio import _INT64, FORMAT_TAG, FORMAT_VERSION
 from nvbmesh.refine import (BISEC1, BISEC2_LEFT, BISEC2_RIGHT, BISEC3, BISEC5,
                             FULL_PATTERNS, PATTERN_NONE, RED, MarkingInput,
                             PatternPolicy, RefinementPlan,
-                            UnsupportedRefinementError, chain, refine_step)
+                            UnsupportedRefinementError, refine_step)
 from nvbmesh.stability import NodeWeights, assemble_nested
 
 EdgeKey = tuple[int, int]
@@ -378,17 +380,27 @@ def point_strictly_inside_triangle(p, p0, p1, p2) -> bool:
 # -- verify_levels ----------------------------------------------------------
 
 
+def reference_neighbors(mesh: Mesh) -> list[int | None]:
+    """N(T) of every element, read from the ``edge_table`` dict at its
+    ``ref_edge``; None on the boundary."""
+    table = edge_table(mesh.elements)
+    return [next((s for s in table[ref_edge(mesh, t)] if s != t), None)
+            for t in range(mesh.n_elements)]
+
+
 def max_equal_gen_chain(mesh: Mesh) -> int:
-    """Longest reference-neighbor run of elements sharing one generation."""
+    """Longest reference-neighbor run of elements sharing one generation:
+    from each element, follow N(T) until the boundary, a generation change
+    or an element already in the run."""
+    n1 = reference_neighbors(mesh)
     best = 0
     for t in range(mesh.n_elements):
-        g = int(mesh.gen[t])
-        n = 0
-        for e in chain(mesh, t):
-            if int(mesh.gen[e]) != g:
-                break
-            n += 1
-        best = max(best, n)
+        run, cur = {t}, n1[t]
+        while (cur is not None and cur not in run
+               and int(mesh.gen[cur]) == int(mesh.gen[t])):
+            run.add(cur)
+            cur = n1[cur]
+        best = max(best, len(run))
     return best
 
 
@@ -471,8 +483,7 @@ def verify_neighbor_rules(mesh: Mesh, initial: Mesh | None = None) -> CheckRepor
     report = CheckReport()
 
     bad_iii = []
-    for t in range(mesh.n_elements):
-        n1 = reference_neighbor(mesh, t)
+    for t, n1 in enumerate(reference_neighbors(mesh)):
         if n1 is None:
             continue
         if int(mesh.gen[n1]) > int(mesh.gen[t]):

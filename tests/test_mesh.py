@@ -168,7 +168,8 @@ def test_reference_neighbor_lshape_boundary_legs(name):
     mesh = _NEIGHBOR_MESHES[name]
     table = oracles.edge_table(mesh.elements)
     boundary = {e for e, inc in table.items() if len(inc) == 1}
-    neighbors = _neighbors(mesh.edge_table)
+    neighbors = np.stack([_neighbors(mesh.edge_table, slot) for slot in range(3)],
+                         axis=1)
     for t in range(mesh.n_elements):
         ref = oracles.ref_edge(mesh, t)
         expected = None if ref in boundary else \

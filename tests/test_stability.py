@@ -18,9 +18,8 @@ from nvbmesh.mesh import Mesh, MeshError, lshape6, square2
 from nvbmesh.refine import PatternPolicy, uniform
 from nvbmesh.stability import (NodeWeights, NumericFailure,
                                assemble, assemble_nested, check_conditions,
-                               compute_weights, is_element_connected,
-                               measure_h1_stability, project_l2, prolongation,
-                               weights_to_csv)
+                               compute_weights, measure_h1_stability,
+                               project_l2, prolongation, weights_to_csv)
 
 # 7-point Gauss rule on the triangle, exact through degree 5
 _G7 = [
@@ -140,7 +139,9 @@ def test_delta_chains_connect_through_shared_nodes():
                   [(0, 1, 2), (0, 3, 4)])
     dd = delta_distance(bowtie)
     assert dd.dist(1, 3) == 2
-    assert is_element_connected(bowtie)
+    # connected: compute_weights accepts it and matches the brute force
+    assert compute_weights(bowtie).exponents.tolist() == \
+        brute_force_weight_exponents(bowtie).tolist()
 
 
 def test_delta_disconnected_reports_infinity():
@@ -149,8 +150,7 @@ def test_delta_disconnected_reports_infinity():
                        [(0, 1, 2), (3, 4, 5)])
     dd = delta_distance(two_islands)
     assert dd.dist(1, 4) == math.inf
-    assert not is_element_connected(two_islands)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mesh is not connected$"):
         compute_weights(two_islands)
 
 
