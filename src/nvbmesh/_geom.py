@@ -54,10 +54,11 @@ def diameters(coords: np.ndarray, tris: np.ndarray) -> np.ndarray:
 
 
 def pow2_half(k: np.ndarray) -> np.ndarray:
-    """2**(k/2) for an integer array k, each distinct value evaluated by
-    Python's float power (bit-identical to ``2.0 ** (int(k) / 2.0)``)."""
-    values, inverse = np.unique(k, return_inverse=True)
-    return np.array([2.0 ** (v / 2.0) for v in values.tolist()])[inverse]
+    """2**(k/2) for an integer array k, as sqrt(2)**(k mod 2) * 2**(k // 2):
+    bit-identical to ``2.0 ** (int(k) / 2.0)`` wherever that is finite, and
+    inf past the float range."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.where(k % 2 == 1, math.sqrt(2.0), 1.0), k // 2)
 
 
 def _along_segment(p, a, b):

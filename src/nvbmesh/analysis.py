@@ -62,12 +62,15 @@ class StructureReport(CheckReport):
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        # "ok" first; the base's entries then update it in place and add "checks"
+        # "ok" first; the base's entries then update it in place and add
+        # "checks"; a scale past the float range (2**(gen/2) overflows from
+        # generation 2048 on) is None, as JSON has no infinity
         return {
             "ok": self.ok,
             "max_level_jump": self.max_level_jump,
-            "diam_scale_lower": self.diam_scale_lower,
-            "diam_scale_upper": self.diam_scale_upper,
+            **{name: value if math.isfinite(value) else None
+               for name, value in (("diam_scale_lower", self.diam_scale_lower),
+                                   ("diam_scale_upper", self.diam_scale_upper))},
             "max_equal_gen_chain": self.max_equal_gen_chain,
             "notes": list(self.notes),
             **super().to_dict(),
@@ -81,14 +84,26 @@ def max_equal_gen_chain(mesh: Mesh) -> int:
     return max((len(_walk(n1, t)) for t in range(len(n1))), default=0)
 
 
+def _check_ancestors(mesh: Mesh, initial: Mesh) -> None:
+    """Raise ValueError naming the first element of ``mesh`` whose ancestor
+    is no element of ``initial``."""
+    over = np.flatnonzero(mesh.ancestor >= initial.n_elements)
+    if over.size:
+        t = int(over[0])
+        raise ValueError(f"element {t} has ancestor id {mesh.ancestor[t]}, but "
+                         f"the initial mesh has {initial.n_elements} elements")
+
+
 def verify_levels(mesh: Mesh, initial: Mesh, nvb_dialect: bool = False) -> StructureReport:
     """Area-generation identity, diameter scaling, level-jump bounds.
 
     The jump bound over shared edges is 2 in general; if ``nvb_dialect``
     is set and the initial mesh is BDD, the sharper bound 1 is checked.
     Applying the sharper check to a non-BDD initial mesh is reported as
-    misuse in the notes, not as a failure.
+    misuse in the notes, not as a failure.  Raises ValueError if an
+    element's ancestor id is not below ``initial.n_elements``.
     """
+    _check_ancestors(mesh, initial)
     report = StructureReport()
     areas = mesh.areas()
     expect = initial.areas()[mesh.ancestor] * np.ldexp(1.0, -mesh.gen)
@@ -128,17 +143,17 @@ def verify_levels(mesh: Mesh, initial: Mesh, nvb_dialect: bool = False) -> Struc
     return report
 
 
-def verify_neighbor_rules(mesh: Mesh, initial: Mesh | None = None) -> CheckReport:
+def verify_neighbor_rules(mesh: Mesh, initial: Mesh) -> CheckReport:
     """Reference-neighbor structure of bisection meshes.
 
     Checks, over all shared edges: a reference neighbor of strictly larger
     generation is compatibly divisible with gap exactly 1; equal-generation
     neighbors under a common ancestor (or under compatibly divisible
     ancestors) are compatibly divisible; an equal-generation incompatible
-    pair shares an edge lying inside an edge of the initial mesh.
+    pair shares an edge lying inside an edge of the initial mesh.  Raises
+    ValueError as ``verify_levels`` does.
     """
-    if initial is None:
-        initial = mesh.initial_mesh
+    _check_ancestors(mesh, initial)
     table, gen, t = mesh.edge_table, mesh.gen, np.arange(mesh.n_elements)
     ref = table.element2edges[:, 0]
 

@@ -19,10 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, correspondence, marking, meshio, stability
-from .mesh import (Mesh, MeshError, PrecisionExhausted, structure_flags,
-                   validate_mesh)
-from .refine import (DIALECTS, MarkingInput, PatternPolicy,
-                     UnsupportedRefinementError)
+from .mesh import Mesh, PrecisionExhausted, structure_flags, validate_mesh
+from .refine import (DIALECTS, MarkingInput, PatternPolicy, StepRecord,
+                     refine_step, uniform)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -219,8 +218,6 @@ def cmd_analyze(args) -> int:
 
 
 def _read_trace(path: Path):
-    from .refine import StepRecord
-
     records = []
     lines = path.read_text().strip().splitlines()
     for number, line in enumerate(lines[1:], start=2):
@@ -253,8 +250,6 @@ def cmd_stability(args) -> int:
 
     report = stability.check_conditions(coarse, weights)
     if not args.skip_measure:
-        from .refine import uniform
-
         fine = coarse
         for _ in range(args.levels):
             fine = uniform(fine, "bisec1")
@@ -286,8 +281,6 @@ def cmd_corr_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     mesh = initial
     markings: list[MarkingInput] = []
-    from .refine import refine_step
-
     config = marking.RunConfig(strategy="random", fraction=args.fraction)
     for _ in range(args.steps):
         marked = marking.select_marked(mesh, config, rng)
@@ -341,8 +334,7 @@ def main(argv=None) -> int:
     except (stability.NumericFailure, PrecisionExhausted) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (MeshError, FileNotFoundError, OSError, ValueError,
-            UnsupportedRefinementError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -31,8 +31,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .mesh import Mesh, _shared_edges
-from .refine import (MarkingInput, PatternPolicy, UnsupportedRefinementError,
-                     refine_step)
+from .refine import MarkingInput, PatternPolicy, refine_step
 
 
 class CorrespondenceError(ValueError):
@@ -226,13 +225,11 @@ def corresponding_sequence(initial: Mesh, markings: list[MarkingInput],
     Runs ``refineNVBred`` on the given markings and, in lockstep,
     ``refineNVB3`` on the transferred markings.  Returns the red-side and
     bisection-side meshes, the per-step correspondence maps and the
-    transferred markings.  Traces using bisec(5) are rejected.
+    transferred markings.  ``refineNVBred`` rejects a trace that applies
+    bisec(5) with UnsupportedRefinementError.
     """
     if policy is None:
         policy = PatternPolicy.always_red()
-    if policy.name == "interior_node":
-        raise UnsupportedRefinementError(
-            "correspondence is defined for bisec(3)/red traces only")
     seq = CorrSequence(red=[initial], tilde=[initial],
                        maps=[identity_corr(initial)])
     for marking in markings:

@@ -91,7 +91,7 @@ def assign_reference_edges(mesh: Mesh, policy: str, seed: int = 0) -> Mesh:
         raise ValueError(f"unknown reference-edge policy {policy!r}")
     tris = np.take_along_axis(mesh.elements, (rot[:, None] + np.arange(3)) % 3,
                               axis=1)
-    return Mesh(mesh.vertices.copy(), tris)
+    return Mesh(mesh.vertices, tris)
 
 
 def build_initial(config: RunConfig) -> Mesh:

@@ -23,9 +23,14 @@ slot; ``_ReferenceNeighbors`` reads one row of slot 0), ``_shared_edges``
 (interior edges, their element pairs and their compatible divisibility)
 and ``_walk`` (a reference-neighbour run).
 
-Meshes are immutable after construction (the backing arrays are marked
-read-only); every operation in this module is read-only and safe for
-concurrent readers.
+A mesh owns its arrays.  The constructor keeps an input array only if it
+is already read-only and owns its memory, as another mesh's arrays and the
+arrays ``split`` hands over are; any other input is copied and the copy
+marked read-only.  A caller's array is never frozen in place, and nothing
+a caller holds can change a mesh.  So the edge table built once by the
+constructor stays the table of the mesh's elements, and ``validate_mesh``
+checks that table.  Every operation in this module is read-only and safe
+for concurrent readers.
 """
 
 from __future__ import annotations
@@ -51,6 +56,17 @@ def _readonly(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for arr in arrays:
         arr.setflags(write=False)
     return arrays
+
+
+def _kept(arr, dtype) -> np.ndarray:
+    """``arr`` as a read-only C-ordered ``dtype`` array: ``arr`` itself if it
+    is one already and owns its memory, else a read-only copy."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
+            and arr.flags.owndata and arr.flags.c_contiguous
+            and not arr.flags.writeable):
+        arr = np.array(arr, dtype=dtype, order="C", ndmin=1)
+        arr.setflags(write=False)
+    return arr
 
 
 class MeshError(ValueError):
@@ -131,34 +147,28 @@ class Mesh:
                  red_son=None, initial=None, parent_elems=None,
                  vertex_parents=None, has_red_history=False,
                  has_bisec5_history=False, validate=True):
-        self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
-        self.elements = np.ascontiguousarray(elements, dtype=np.int64)
+        self.vertices = _kept(vertices, np.float64)
+        self.elements = _kept(elements, np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (n, 2) array")
         if self.elements.ndim != 2 or self.elements.shape[1] != 3:
             raise MeshError("elements must be an (m, 3) array")
-        m = self.elements.shape[0]
-        self.gen = (np.zeros(m, dtype=np.int64) if gen is None
-                    else np.ascontiguousarray(gen, dtype=np.int64))
-        self.ancestor = (np.arange(m, dtype=np.int64) if ancestor is None
-                         else np.ascontiguousarray(ancestor, dtype=np.int64))
-        self.red_son = (np.zeros(m, dtype=bool) if red_son is None
-                        else np.ascontiguousarray(red_son, dtype=bool))
+        m, n = self.elements.shape[0], self.vertices.shape[0]
+        self.gen = _kept(np.zeros(m) if gen is None else gen, np.int64)
+        self.ancestor = _kept(np.arange(m) if ancestor is None else ancestor,
+                              np.int64)
+        self.red_son = _kept(np.zeros(m) if red_son is None else red_son, bool)
         if not (len(self.gen) == len(self.ancestor) == len(self.red_son) == m):
             raise MeshError("per-element arrays must all have length m")
         self.initial = initial
         self.parent_elems = (None if parent_elems is None
-                             else np.ascontiguousarray(parent_elems, dtype=np.int64))
+                             else _kept(parent_elems, np.int64))
         # (a, b) node pair whose midpoint created each vertex; (-1, -1) for
         # vertices that predate any recorded refinement
-        if vertex_parents is None:
-            self.vertex_parents = np.full((self.vertices.shape[0], 2), -1,
-                                          dtype=np.int64)
-        else:
-            self.vertex_parents = np.ascontiguousarray(vertex_parents,
-                                                       dtype=np.int64)
-            if self.vertex_parents.shape != (self.vertices.shape[0], 2):
-                raise MeshError("vertex_parents must be an (n, 2) array")
+        self.vertex_parents = _kept(np.full((n, 2), -1) if vertex_parents is None
+                                    else vertex_parents, np.int64)
+        if self.vertex_parents.shape != (n, 2):
+            raise MeshError("vertex_parents must be an (n, 2) array")
         self.has_red_history = bool(has_red_history or self.red_son.any())
         self.has_bisec5_history = bool(has_bisec5_history)
 
@@ -166,11 +176,6 @@ class Mesh:
 
         if validate:
             self._check_basic()
-
-        _readonly(self.vertices, self.elements, self.gen, self.ancestor,
-                  self.red_son, self.vertex_parents)
-        if self.parent_elems is not None:
-            self.parent_elems.setflags(write=False)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -342,14 +347,10 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
     Hanging nodes are detected by the exact midpoint test on every edge
     (complete for meshes produced by bisection/red refinement) and, for
     meshes below ``_EXHAUSTIVE_LIMIT`` elements or with ``exhaustive=True``,
-    additionally by a full vertex-against-edge betweenness scan.
+    additionally by a full vertex-against-edge betweenness scan.  The edge
+    checks read ``mesh.edge_table``, built once by the constructor.
     """
-    return _conformity(mesh, build_edge_table(mesh.elements), exhaustive)
-
-
-def _conformity(mesh: Mesh, rebuilt: EdgeTable,
-                exhaustive: bool | None = None) -> ConformityReport:
-    """validate_mesh's checks, with ``rebuilt`` as the rebuilt edge table."""
+    table = mesh.edge_table
     violations: list[Violation] = []
     nv, ne = mesh.n_vertices, mesh.n_elements
 
@@ -383,18 +384,14 @@ def _conformity(mesh: Mesh, rebuilt: EdgeTable,
                                     f"element {int(t)} has signed area {areas[t]:g}",
                                     (int(t),)))
 
-    if not all(np.array_equal(getattr(rebuilt, a), getattr(mesh.edge_table, a))
-               for a in ("element2edges", "edge2nodes", "edge2elements")):
-        violations.append(Violation("edge_table_mismatch",
-                                    "stored edge table differs from rebuild"))
-    for e, inc in zip(*_overshared(rebuilt)):
-        e, inc = tuple(rebuilt.edge2nodes[e].tolist()), tuple(inc.tolist())
+    for e, inc in zip(*_overshared(table)):
+        e, inc = tuple(table.edge2nodes[e].tolist()), tuple(inc.tolist())
         violations.append(Violation("overshared_edge",
                                     f"edge {e} shared by elements {inc}", inc))
     # an element that meets one neighbour across two edges covers the same
     # triangle; each pair is reported once, at its later element
     t = np.arange(ne)
-    n0, n1, n2 = (_neighbors(rebuilt, slot) for slot in range(3))
+    n0, n1, n2 = (_neighbors(table, slot) for slot in range(3))
     twice = np.where((n0 == n1) | (n0 == n2), n0, np.where(n1 == n2, n1, -1))
     for i in np.flatnonzero((0 <= twice) & (twice < t)).tolist():
         s = int(twice[i])
@@ -408,10 +405,10 @@ def _conformity(mesh: Mesh, rebuilt: EdgeTable,
                                     f"vertex {int(i)} belongs to no element",
                                     (int(i),)))
 
-    e2n, xy = rebuilt.edge2nodes, mesh.vertices
+    e2n, xy = table.edge2nodes, mesh.vertices
 
     def hanging(j: int, e: int, where: str) -> None:
-        (a, b), (c, d) = e2n[e].tolist(), rebuilt.edge2elements[e].tolist()
+        (a, b), (c, d) = e2n[e].tolist(), table.edge2elements[e].tolist()
         violations.append(Violation(
             "hanging_node", f"vertex {j} {where} edge {(a, b)} of elements "
             f"{(c,) if d < 0 else (c, d)}", (j, a, b)))

@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import Mesh, MeshError, _conformity
+from .mesh import Mesh, MeshError, validate_mesh
 
 FORMAT_TAG = "nvbm"
 FORMAT_VERSION = 1
@@ -102,7 +102,8 @@ _last_vertices = (np.empty((0, 2), dtype=np.uint64), "")
 
 def _vertex_lines(vertices: np.ndarray) -> str:
     """The vertex block of dump_mesh, reusing the last block's lines for a
-    bit-identical prefix."""
+    bit-identical prefix; a mesh's vertices never change, so the last
+    block's bits are a view of them."""
     global _last_vertices
     bits = vertices.view(np.uint64)
     done, text = _last_vertices
@@ -111,7 +112,7 @@ def _vertex_lines(vertices: np.ndarray) -> str:
         k, text = 0, ""
     new = vertices[k:]
     text += ("%r %r\n" * len(new)) % tuple(new.ravel().tolist())
-    _last_vertices = (bits.copy(), text)
+    _last_vertices = (bits, text)
     return text
 
 
@@ -204,11 +205,11 @@ def loads_mesh(text: str, source: str = "<string>") -> Mesh:
             fail(3 + nv + over[0], f"ancestor id {rows[over[0], 4]} out of "
                  f"range 0..{ne - 1}")
 
-    # with the ancestor check above, _conformity covers what validate=True
+    # with the ancestor check above, validate_mesh covers what validate=True
     # would check, and its violations name their elements' lines
     mesh = Mesh(vertices, rows[:, :3], gen=rows[:, 3], ancestor=rows[:, 4],
                 red_son=rows[:, 5], validate=False)
-    report = _conformity(mesh, mesh.edge_table)
+    report = validate_mesh(mesh)
     if not report.ok:
         v = report.violations[0]
         lineno = None

@@ -318,9 +318,12 @@ def split(mesh: Mesh, plan: RefinementPlan, policy: PatternPolicy | None = None)
             gens[rows] += dgen
             reds[rows] = reds[rows] if red < 0 else red
     root = mesh if mesh.initial is None and mesh.is_initial else mesh.initial
-    return Mesh(verts, tris, gen=gens, ancestor=mesh.ancestor[parents],
-                red_son=reds, initial=root, parent_elems=parents,
-                vertex_parents=np.concatenate([mesh.vertex_parents, vparents]),
+    ancestor = mesh.ancestor[parents]
+    vparents = np.concatenate([mesh.vertex_parents, vparents])
+    # handed over read-only, so the new mesh keeps them instead of copying
+    _readonly(verts, tris, gens, ancestor, reds, parents, vparents)
+    return Mesh(verts, tris, gen=gens, ancestor=ancestor, red_son=reds,
+                initial=root, parent_elems=parents, vertex_parents=vparents,
                 has_red_history=mesh.has_red_history or _PATTERN_ID[RED] in pid,
                 has_bisec5_history=(mesh.has_bisec5_history
                                     or _PATTERN_ID[BISEC5] in pid))
@@ -346,7 +349,7 @@ def step_with_plan(mesh: Mesh, marking: MarkingInput, dialect: str,
     if dialect in ("refineNVB", "refineNVB3"):
         if policy is not None and policy.name != "always_bisec3":
             raise ValueError(f"{dialect} admits only three-bisection refinement")
-        policy = PatternPolicy.always_bisec3()
+        policy = None  # split's default: three bisections
     mode = "nvb" if dialect == "refineNVB" else "mnvb"
     plan = close_marks(mesh, marking, mode=mode)
     if dialect == "refineNVBred" and policy is not None:
@@ -383,9 +386,9 @@ def uniform(mesh: Mesh, kind: str) -> Mesh:
         new, _ = refine_step(mesh, MarkingInput.of(everything), "refineNVB")
         return new
     if kind == "bisec3":
-        marking = MarkingInput.all_edges(mesh, everything)
-        plan = close_marks(mesh, marking, mode="mnvb")
-        return split(mesh, plan, PatternPolicy.always_bisec3())
+        new, _ = refine_step(mesh, MarkingInput.all_edges(mesh, everything),
+                             "refineNVB3")
+        return new
     raise ValueError(f"unknown uniform kind {kind!r}")
 
 

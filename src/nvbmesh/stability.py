@@ -52,27 +52,6 @@ class NumericFailure(RuntimeError):
     """Raised when an iterative solve does not reach its tolerance."""
 
 
-# -- element-node incidence graph -------------------------------------------------
-
-
-def _incidence_graph(mesh: Mesh, source_weights: np.ndarray) -> sp.csr_matrix:
-    """Element-node incidence graph with unit edges both ways, plus a
-    super-source with a directed edge of weight ``source_weights[t]`` to
-    each element t.
-
-    Vertices 0..m-1 are the elements, m..m+n-1 the nodes, m+n the source.
-    """
-    m, n = mesh.n_elements, mesh.n_vertices
-    el = np.repeat(np.arange(m), 3)
-    nd = m + mesh.elements.ravel()
-    src = np.full(m, m + n)
-    rows = np.concatenate([el, nd, src])
-    cols = np.concatenate([nd, el, np.arange(m)])
-    data = np.concatenate([np.ones(6 * m),
-                           np.asarray(source_weights, dtype=np.float64)])
-    return sp.csr_matrix((data, (rows, cols)), shape=(m + n + 1, m + n + 1))
-
-
 # -- nodal weights ---------------------------------------------------------------
 
 
@@ -84,7 +63,7 @@ class NodeWeights:
 
     @property
     def values(self) -> np.ndarray:
-        return 2.0 ** (self.exponents.astype(np.float64) / 2.0)
+        return _geom.pow2_half(self.exponents)
 
 
 def compute_weights(mesh: Mesh) -> NodeWeights:
@@ -108,27 +87,33 @@ def compute_weights(mesh: Mesh) -> NodeWeights:
     assert this against the oracle in ``tests/oracles.py``.
     """
     elements, gen = mesh.elements, mesh.gen
-    if np.bincount(elements.ravel(), minlength=mesh.n_vertices).min() == 0:
+    m, n = mesh.n_elements, mesh.n_vertices
+    if np.bincount(elements.ravel(), minlength=n).min() == 0:
         raise ValueError("compute_weights requires every node to lie in an "
                          "element")
     # maximal generation among elements touching each node
-    maxgen_node = np.zeros(mesh.n_vertices, dtype=np.int64)
+    maxgen_node = np.zeros(n, dtype=np.int64)
     np.maximum.at(maxgen_node, elements.ravel(), np.repeat(gen, 3))
     # beta0 = omega + 2, omega(S) the negated maximal generation in the
     # node neighborhood of S
     beta0 = 2 - maxgen_node[elements].max(axis=1)
     offset = int(beta0.min()) - 1
-    graph = _incidence_graph(mesh, beta0 - offset)
+    # graph vertices: 0..m-1 the elements, m..m+n-1 the nodes, m+n the source
+    el, nd = np.repeat(np.arange(m), 3), m + elements.ravel()
+    graph = sp.csr_matrix(
+        (np.concatenate([np.ones(6 * m), beta0 - offset]),
+         (np.concatenate([el, nd, np.full(m, m + n)]),
+          np.concatenate([nd, el, np.arange(m)]))), shape=(m + n + 1, m + n + 1))
     # strong components: the super-source has only outgoing edges, so it
     # stays a component of its own and joins nothing
     _, labels = csgraph.connected_components(graph, directed=True,
                                              connection="strong")
-    if (labels[:mesh.n_elements] != labels[0]).any():
+    if (labels[:m] != labels[0]).any():
         raise ValueError("mesh is not connected")
-    dist = csgraph.dijkstra(graph, directed=True, indices=graph.shape[0] - 1)
-    beta = dist[:mesh.n_elements].astype(np.int64) + offset
+    dist = csgraph.dijkstra(graph, directed=True, indices=m + n)
+    beta = dist[:m].astype(np.int64) + offset
 
-    exps = np.full(mesh.n_vertices, np.iinfo(np.int64).max, dtype=np.int64)
+    exps = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(exps, elements.ravel(), np.repeat(np.minimum(-gen, beta), 3))
     return NodeWeights(exponents=exps)
 
@@ -251,7 +236,6 @@ class SparseSystem:
     """Assembled P1 system; for nested pairs also the coarse system,
     the prolongation P (fine x coarse) and the cross mass B (coarse x fine)."""
 
-    mesh: Mesh
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
     coarse: "SparseSystem | None" = None
@@ -293,7 +277,7 @@ def assemble(mesh: Mesh) -> SparseSystem:
     n = mesh.n_vertices
     mass = sp.coo_matrix((mass_vals, (rows, cols)), shape=(n, n)).tocsr()
     stiffness = sp.coo_matrix((stiff_vals, (rows, cols)), shape=(n, n)).tocsr()
-    return SparseSystem(mesh=mesh, mass=mass, stiffness=stiffness)
+    return SparseSystem(mass=mass, stiffness=stiffness)
 
 
 def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:

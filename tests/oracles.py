@@ -71,8 +71,7 @@ from nvbmesh import _geom
 from nvbmesh.analysis import ChainBoundsReport, CheckReport, CheckResult
 from nvbmesh.correspondence import CorrespondenceError, CorrReport
 from nvbmesh.mesh import (_EXHAUSTIVE_LIMIT, COMPATIBLY_DIVISIBLE, ConformityReport,
-                          Mesh, MeshError, Violation, build_edge_table,
-                          classify_pair)
+                          Mesh, MeshError, Violation, classify_pair)
 from nvbmesh.meshio import _INT64, FORMAT_TAG, FORMAT_VERSION
 from nvbmesh.refine import (BISEC1, BISEC2_LEFT, BISEC2_RIGHT, BISEC3, BISEC5,
                             FULL_PATTERNS, PATTERN_NONE, RED, MarkingInput,
@@ -581,11 +580,6 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
                                     f"element {int(t)} has signed area {areas[t]:g}",
                                     (int(t),)))
 
-    rebuilt = build_edge_table(mesh.elements)
-    if not all(np.array_equal(getattr(rebuilt, a), getattr(mesh.edge_table, a))
-               for a in ("element2edges", "edge2nodes", "edge2elements")):
-        violations.append(Violation("edge_table_mismatch",
-                                    "stored edge table differs from rebuild"))
     # edges in first-touch order, which is the order of their ids
     incident = edge_table(mesh.elements)
     for e, inc in incident.items():

@@ -145,6 +145,14 @@ def test_neighbor_rules_report_corrupted_generation(sq):
     assert any(c.witnesses for c in report.failed())
 
 
+@pytest.mark.parametrize("verify", [verify_levels, verify_neighbor_rules])
+def test_foreign_initial_mesh_is_a_value_error(sq, verify):
+    fine = uniform(uniform(lshape6(), "bisec1"), "bisec1")
+    with pytest.raises(ValueError, match="^element 8 has ancestor id 2, but "
+                       "the initial mesh has 2 elements$"):
+        verify(fine, sq)
+
+
 def _neighbor_rule_cases():
     """Random-reference-edge runs, BDD runs and their tampered copies."""
     flat = uniform(uniform(uniform(lshape6(), "bisec1"), "bisec1"), "bisec1")
@@ -260,6 +268,22 @@ def test_rho_undefined_until_marks_accumulate():
         [StepRecord(step=1, n_marked=0, n_marked_edges=0,
                     closure_iterations=0, n_refined=0, n_elements=6)], 6)
     assert ledger.rows[0].rho is None
+
+
+def _record(step, marked, refined, elements):
+    return StepRecord(step=step, n_marked=marked, n_marked_edges=0,
+                      closure_iterations=0, n_refined=refined,
+                      n_elements=elements)
+
+
+@pytest.mark.parametrize("records,sum_bound_ok", [
+    ([_record(1, 5, 5, 4)], False),                       # 5 marks, 2 new
+    ([_record(1, 1, 1, 4), _record(2, 5, 5, 6)], False),  # 6 marks, 4 new
+    ([_record(1, 5, 3, 4)], True),   # a marked element left unrefined
+])
+def test_sum_bound_fails_when_marks_outnumber_new_elements(records,
+                                                           sum_bound_ok):
+    assert closure_accounting(records, 2).sum_bound_ok == sum_bound_ok
 
 
 def test_corner_run_rho_stays_single_digit():

@@ -18,7 +18,8 @@ from nvbmesh.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, build_parser, main
 from nvbmesh.marking import (REF_EDGE_POLICIES, STRATEGIES, RunConfig,
                              run_refinement)
 from nvbmesh.mesh import Mesh, PrecisionExhausted, lshape6, square2
-from nvbmesh.refine import DIALECTS, MarkingInput, PatternPolicy, refine_step
+from nvbmesh.refine import (DIALECTS, MarkingInput, PatternPolicy,
+                            refine_step, uniform)
 from nvbmesh.meshio import read_mesh, write_mesh
 from nvbmesh.stability import NodeWeights
 
@@ -228,6 +229,64 @@ def test_analyze_malformed_trace_row_exits_2(tmp_path, capsys, row):
     assert code == EXIT_USAGE
     assert f"error: {trace}:3: expected integer step" in err
     assert "Traceback" not in err
+
+
+def test_analyze_deep_generation_exits_3(tmp_path, capsys):
+    # 2**(3000/2) is past the float range: the diameter scales are null
+    initial, deep = tmp_path / "sq.nvbm", tmp_path / "deep.nvbm"
+    write_mesh(square2(), initial)
+    write_mesh(Mesh(square2().vertices, square2().elements, gen=[3000, 0],
+                    validate=False), deep)
+    code = run("analyze", str(initial), str(deep), "--out", str(tmp_path))
+    assert code == EXIT_VIOLATION
+    assert "Traceback" not in capsys.readouterr().err
+    entry = load_json(tmp_path / "analysis.json")["meshes"][1]
+    assert entry["diam_scale_lower"] == 0.5 ** 0.5   # element 1, generation 0
+    assert entry["diam_scale_upper"] is None
+    assert entry["max_level_jump"] == 3000
+
+
+def test_analyze_foreign_initial_mesh_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    run("refine", "lshape6", "--steps", "2", "--out", str(out))
+    initial = tmp_path / "sq.nvbm"
+    write_mesh(square2(), initial)
+    code = run("analyze", str(initial), str(out / "step_002.nvbm"),
+               "--out", str(tmp_path / "rep"))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: element 8 has ancestor id 2, but the initial mesh has 2 "
+        "elements\n")
+
+
+def test_analyze_trace_with_more_marks_than_new_elements_exits_3(tmp_path):
+    mesh, trace = tmp_path / "sq.nvbm", tmp_path / "t.csv"
+    write_mesh(square2(), mesh)
+    trace.write_text("step,marked,elements,closure_iters,rho\n1,5,4,0,\n")
+    code = run("analyze", str(mesh), "--trace", str(trace),
+               "--out", str(tmp_path))
+    assert code == EXIT_VIOLATION
+    report = load_json(tmp_path / "analysis.json")
+    assert not report["ok"] and not report["closure_sum_bound_ok"]
+    assert report["meshes"][0]["ok"]
+
+
+def test_analyze_nvb_reports_failed_neighbor_rules(tmp_path):
+    fine = uniform(uniform(lshape6(), "bisec1"), "bisec1")
+    gen = fine.gen.copy()
+    gen[5] += 2
+    initial, bad = tmp_path / "l.nvbm", tmp_path / "bad.nvbm"
+    write_mesh(lshape6(), initial)
+    write_mesh(Mesh(fine.vertices, fine.elements, gen=gen,
+                    ancestor=fine.ancestor, initial=lshape6()), bad)
+    code = run("analyze", str(initial), str(bad), "--nvb",
+               "--out", str(tmp_path))
+    assert code == EXIT_VIOLATION
+    report = load_json(tmp_path / "analysis.json")
+    rules = report["meshes"][1]["neighbor_rules"]
+    assert not rules["ok"]
+    assert [c["name"] for c in rules["checks"] if not c["passed"]] == [
+        "deeper_reference_neighbor"]
 
 
 def test_analyze_parse_failure_exits_2(tmp_path):

@@ -40,6 +40,20 @@ def test_lengths_round_as_math_dist():
         np.reshape(expect, (100, 200)).tolist()
 
 
+def test_pow2_half_is_python_power_and_inf_past_the_float_range():
+    k = np.arange(-2200, 2300)
+    expect = []
+    for v in k.tolist():
+        try:
+            expect.append(2.0 ** (v / 2.0))
+        except OverflowError:
+            expect.append(math.inf)
+    assert math.inf in expect
+    found = _geom.pow2_half(k)
+    assert found.view(np.uint64).tolist() == \
+        np.array(expect).view(np.uint64).tolist()
+
+
 def test_distance_kernels_match_scalar_loops():
     rng = np.random.default_rng(1)
     t1, t2 = random_triangles(rng, 2000), random_triangles(rng, 2000)

@@ -352,6 +352,40 @@ def test_mesh_is_immutable(sq):
         sq.elements[0, 0] = 2
 
 
+def test_mesh_owns_its_arrays(sq):
+    fine = uniform(uniform(sq, "bisec1"), "bisec3")
+    v, e = fine.vertices.copy(), fine.elements.copy()
+    view = e[:]
+    mesh = Mesh(v, e)
+    assert v.flags.writeable and e.flags.writeable
+    before = (mesh.vertices.copy(), mesh.elements.copy(),
+              validate_mesh(mesh).violations)
+    view[0] = view[1]
+    e[2] = e[3, [1, 2, 0]]
+    v[:] = 0.0
+    assert np.array_equal(mesh.vertices, before[0])
+    assert np.array_equal(mesh.elements, before[1])
+    assert validate_mesh(mesh).violations == before[2] == []
+    # read-only arrays that own their memory, as another mesh's, are kept
+    kept = Mesh(fine.vertices, fine.elements)
+    assert np.shares_memory(kept.vertices, fine.vertices)
+    assert np.shares_memory(kept.elements, fine.elements)
+    assert not kept.vertices.flags.writeable
+
+
+@pytest.mark.parametrize("elements,kwargs,message", [
+    (np.zeros((0, 3), dtype=np.int64), {}, "mesh has no elements"),
+    ([(2, 0, 1), (0, 2, 4)], {}, "element vertex index out of range"),
+    ([(2, 0, 1), (0, 2, 3)], {"gen": [0, -1]}, "negative generation"),
+    ([(2, 0, 1), (0, 2, 3)], {"ancestor": [-1, 0]}, "negative ancestor id"),
+    ([(2, 0, 1), (0, 2, 3)], {"ancestor": [0, 2]},
+     "ancestor id out of range of the initial mesh"),
+])
+def test_construction_errors(sq, elements, kwargs, message):
+    with pytest.raises(MeshError, match=f"^{message}$"):
+        Mesh(sq.vertices, elements, **kwargs)
+
+
 def test_construction_rejects_cw():
     with pytest.raises(MeshError):
         Mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 2, 1)])
