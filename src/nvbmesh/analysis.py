@@ -19,6 +19,7 @@ import numpy as np
 
 from . import _geom
 from .mesh import Mesh, _neighbors, _shared_edges, _walk, structure_flags
+from .meshio import _csv
 from .refine import MarkingInput, StepRecord, refine_step
 
 
@@ -271,11 +272,9 @@ class ClosureLedger:
     max_rho: float = 0.0
 
     def to_csv(self) -> str:
-        lines = ["step,marked,elements,cum_marked,rho"]
-        for r in self.rows:
-            rho = "" if r.rho is None else repr(r.rho)
-            lines.append(f"{r.step},{r.n_marked},{r.n_elements},{r.cum_marked},{rho}")
-        return "\n".join(lines) + "\n"
+        return _csv("step,marked,elements,cum_marked,rho",
+                    ((r.step, r.n_marked, r.n_elements, r.cum_marked, r.rho)
+                     for r in self.rows))
 
 
 def closure_accounting(records: list[StepRecord], n_initial: int,

@@ -155,12 +155,10 @@ def cmd_refine(args) -> int:
             records.append(record)
         meshio.write_mesh(mesh, out / f"step_{len(records):03d}.nvbm")
     ledger = analysis.closure_accounting(records, n_initial)
-    lines = ["step,marked,elements,closure_iters,rho"]
-    for rec, row in zip(records, ledger.rows):
-        rho = "" if row.rho is None else repr(row.rho)
-        lines.append(f"{rec.step},{rec.n_marked},{rec.n_elements},"
-                     f"{rec.closure_iterations},{rho}")
-    (out / "trace.csv").write_text("\n".join(lines) + "\n")
+    (out / "trace.csv").write_text(meshio._csv(
+        "step,marked,elements,closure_iters,rho",
+        ((rec.step, rec.n_marked, rec.n_elements, rec.closure_iterations,
+          row.rho) for rec, row in zip(records, ledger.rows))))
     print(f"wrote {len(records) + 1} meshes and trace.csv to {out} "
           f"(final: {mesh.n_elements} elements)")
     return EXIT_OK
@@ -178,14 +176,12 @@ def cmd_analyze(args) -> int:
         entry = {"file": str(path), "conforming": conf.ok,
                  "conformity_violations": [v.detail for v in conf.violations],
                  **level.to_dict()}
+        ok = ok and conf.ok and level.ok
         if args.nvb:
-            entry["neighbor_rules"] = analysis.verify_neighbor_rules(
-                mesh, initial).to_dict()
-            if not entry["neighbor_rules"]["ok"]:
-                ok = False
+            rules = analysis.verify_neighbor_rules(mesh, initial)
+            entry["neighbor_rules"] = rules.to_dict()
+            ok = ok and rules.ok
         reports.append(entry)
-        if not conf.ok or not level.ok:
-            ok = False
     summary = {
         "ok": ok,
         "initial_bdd": structure_flags(initial).is_bdd,
@@ -206,11 +202,10 @@ def cmd_analyze(args) -> int:
 
     (out / "analysis.json").write_text(json.dumps(summary, indent=1) + "\n")
     if args.format == "csv":
-        lines = ["file,conforming,ok,max_level_jump"]
-        for r in reports:
-            lines.append(f"{r['file']},{int(r['conforming'])},{int(r['ok'])},"
-                         f"{r['max_level_jump']}")
-        (out / "analysis.csv").write_text("\n".join(lines) + "\n")
+        (out / "analysis.csv").write_text(meshio._csv(
+            "file,conforming,ok,max_level_jump",
+            ((r["file"], r["conforming"], r["ok"], r["max_level_jump"])
+             for r in reports)))
     print(f"analyzed {len(meshes)} meshes: "
           f"{'all invariants hold' if ok else 'VIOLATIONS FOUND'} "
           f"(max level jump {summary['max_level_jump']})")
@@ -260,11 +255,10 @@ def cmd_stability(args) -> int:
         json.dumps(report.to_dict(), indent=1) + "\n")
     if args.format == "csv":
         columns = (report.exponent_spread, report.ratio, report.s_sum,
-                   report.lam_min_closed, report.passes.astype(np.int64))
-        (out / "conditions.csv").write_text(
-            "elem,exponent_spread,ratio,s_sum,lam_min,passes\n" + "".join(
-                f"{t},{k},{r!r},{s!r},{lam!r},{ok}\n" for t, (k, r, s, lam, ok)
-                in enumerate(zip(*(c.tolist() for c in columns)))))
+                   report.lam_min_closed, report.passes)
+        (out / "conditions.csv").write_text(meshio._csv(
+            "elem,exponent_spread,ratio,s_sum,lam_min,passes",
+            zip(range(report.passes.size), *(c.tolist() for c in columns))))
     status = "pass" if report.all_pass else "FAIL"
     measured = report.measured_h1_constant
     print(f"stability {status}: max ratio {report.max_ratio:g}, "

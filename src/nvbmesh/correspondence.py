@@ -30,7 +30,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .mesh import Mesh, _shared_edges
+from .mesh import Mesh, _frozen, _shared_edges
 from .refine import MarkingInput, PatternPolicy, refine_step
 
 
@@ -60,7 +60,7 @@ class CorrMap:
     image: np.ndarray
 
     def __post_init__(self):
-        self.image = np.array(self.image, dtype=np.int64)
+        self.image = _frozen(self.image, np.int64)
         if self.image.shape != (self.left.n_elements, 3):
             raise CorrespondenceError("map does not cover all incidence pairs")
         flat = self.image.ravel()
@@ -68,7 +68,6 @@ class CorrMap:
             raise CorrespondenceError("map leaves the right incidence pairs")
         if np.bincount(flat).max() > 1:
             raise CorrespondenceError("map is not injective")
-        self.image.setflags(write=False)
 
     @property
     def pairs(self) -> MappingProxyType:

@@ -23,14 +23,13 @@ slot; ``_ReferenceNeighbors`` reads one row of slot 0), ``_shared_edges``
 (interior edges, their element pairs and their compatible divisibility)
 and ``_walk`` (a reference-neighbour run).
 
-A mesh owns its arrays.  The constructor keeps an input array only if it
-is already read-only and owns its memory, as another mesh's arrays and the
-arrays ``split`` hands over are; any other input is copied and the copy
-marked read-only.  A caller's array is never frozen in place, and nothing
-a caller holds can change a mesh.  So the edge table built once by the
-constructor stays the table of the mesh's elements, and ``validate_mesh``
-checks that table.  Every operation in this module is read-only and safe
-for concurrent readers.
+A mesh copies what it is given.  The constructor copies every input array,
+another mesh's and its own defaults included, and marks each copy
+read-only; a caller's array is never frozen in place, and nothing a caller
+holds, nor any view of it, can change a mesh.  So the edge table built
+once by the constructor stays the table of the mesh's elements, and
+``validate_mesh`` checks that table.  Every operation in this module is
+read-only and safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -58,14 +57,10 @@ def _readonly(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _kept(arr, dtype) -> np.ndarray:
-    """``arr`` as a read-only C-ordered ``dtype`` array: ``arr`` itself if it
-    is one already and owns its memory, else a read-only copy."""
-    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
-            and arr.flags.owndata and arr.flags.c_contiguous
-            and not arr.flags.writeable):
-        arr = np.array(arr, dtype=dtype, order="C", ndmin=1)
-        arr.setflags(write=False)
+def _frozen(arr, dtype) -> np.ndarray:
+    """A read-only C-ordered ``dtype`` copy of ``arr``, never ``arr`` itself."""
+    arr = np.array(arr, dtype=dtype, order="C", ndmin=1)
+    arr.setflags(write=False)
     return arr
 
 
@@ -117,6 +112,8 @@ class StructureFlags:
 class Mesh:
     """Immutable conforming triangulation.
 
+    Every input array, defaults included, is copied and frozen.
+
     Parameters
     ----------
     vertices : (n, 2) array_like
@@ -147,32 +144,36 @@ class Mesh:
                  red_son=None, initial=None, parent_elems=None,
                  vertex_parents=None, has_red_history=False,
                  has_bisec5_history=False, validate=True):
-        self.vertices = _kept(vertices, np.float64)
-        self.elements = _kept(elements, np.int64)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
+        vertices = np.asarray(vertices, dtype=np.float64)
+        elements = np.asarray(elements, dtype=np.int64)
+        if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise MeshError("vertices must be an (n, 2) array")
-        if self.elements.ndim != 2 or self.elements.shape[1] != 3:
+        if elements.ndim != 2 or elements.shape[1] != 3:
             raise MeshError("elements must be an (m, 3) array")
-        m, n = self.elements.shape[0], self.vertices.shape[0]
-        self.gen = _kept(np.zeros(m) if gen is None else gen, np.int64)
-        self.ancestor = _kept(np.arange(m) if ancestor is None else ancestor,
-                              np.int64)
-        self.red_son = _kept(np.zeros(m) if red_son is None else red_son, bool)
+        m, n = elements.shape[0], vertices.shape[0]
+        # the table is built from the inputs and the copies made after it:
+        # copies made first are held through the sort's temporaries, which
+        # raised the peak memory of 16 uniform bisections of square2 by 8 MB
+        self.edge_table = build_edge_table(elements)
+        self.vertices = _frozen(vertices, np.float64)
+        self.elements = _frozen(elements, np.int64)
+        self.gen = _frozen(np.zeros(m) if gen is None else gen, np.int64)
+        self.ancestor = _frozen(np.arange(m) if ancestor is None else ancestor,
+                                np.int64)
+        self.red_son = _frozen(np.zeros(m) if red_son is None else red_son, bool)
         if not (len(self.gen) == len(self.ancestor) == len(self.red_son) == m):
             raise MeshError("per-element arrays must all have length m")
         self.initial = initial
         self.parent_elems = (None if parent_elems is None
-                             else _kept(parent_elems, np.int64))
+                             else _frozen(parent_elems, np.int64))
         # (a, b) node pair whose midpoint created each vertex; (-1, -1) for
         # vertices that predate any recorded refinement
-        self.vertex_parents = _kept(np.full((n, 2), -1) if vertex_parents is None
-                                    else vertex_parents, np.int64)
+        self.vertex_parents = _frozen(np.full((n, 2), -1) if vertex_parents is None
+                                      else vertex_parents, np.int64)
         if self.vertex_parents.shape != (n, 2):
             raise MeshError("vertex_parents must be an (n, 2) array")
         self.has_red_history = bool(has_red_history or self.red_son.any())
         self.has_bisec5_history = bool(has_bisec5_history)
-
-        self.edge_table = build_edge_table(self.elements)
 
         if validate:
             self._check_basic()

@@ -122,6 +122,15 @@ def dumps_mesh(mesh: Mesh) -> str:
     return buf.getvalue()
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then a line per row.  A field is its
+    ``str`` (a float's shortest round-trip repr), a bool 0 or 1 and None
+    an empty field."""
+    return header + "\n" + "".join(
+        ",".join(["" if v is None else str(int(v) if isinstance(v, bool) else v)
+                  for v in row]) + "\n" for row in rows)
+
+
 def read_mesh(path) -> Mesh:
     """Parse a .nvbm file; raises MeshError with line numbers on bad input."""
     text = Path(path).read_text(encoding="ascii")

@@ -33,8 +33,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import _geom
-from .mesh import (Mesh, PrecisionExhausted, _readonly, _ReferenceNeighbors,
-                   _walk)
+from .mesh import (Mesh, PrecisionExhausted, _frozen, _readonly,
+                   _ReferenceNeighbors, _walk)
+from .meshio import _csv
 
 PATTERN_NONE = "none"
 BISEC1 = "bisec1"
@@ -96,11 +97,10 @@ class MarkingInput:
         if ids.ndim != 1 or ids.size and not np.issubdtype(ids.dtype, np.integer):
             raise ValueError("marked edges must be a 1-D sequence of edge ids, "
                              f"got shape {ids.shape} of {ids.dtype}")
-        ids = ids.astype(np.int64)
+        ids = ids.astype(np.int64, copy=False)
         if (ids[1:] <= ids[:-1]).any():
             ids = np.unique(ids)
-        ids.setflags(write=False)
-        object.__setattr__(self, "edges", ids)
+        object.__setattr__(self, "edges", _frozen(ids, np.int64))
 
     @staticmethod
     def of(elements: Iterable[int], edges=()) -> "MarkingInput":
@@ -175,11 +175,9 @@ class StepRecord:
 
 
 def trace_to_csv(records: Iterable[StepRecord]) -> str:
-    lines = ["step,marked,marked_edges,closure_iters,refined,elements"]
-    for r in records:
-        lines.append(f"{r.step},{r.n_marked},{r.n_marked_edges},"
-                     f"{r.closure_iterations},{r.n_refined},{r.n_elements}")
-    return "\n".join(lines) + "\n"
+    return _csv("step,marked,marked_edges,closure_iters,refined,elements",
+                ((r.step, r.n_marked, r.n_marked_edges, r.closure_iterations,
+                  r.n_refined, r.n_elements) for r in records))
 
 
 # -- closure ------------------------------------------------------------------
@@ -264,11 +262,12 @@ def split(mesh: Mesh, plan: RefinementPlan, policy: PatternPolicy | None = None)
         pid[pattern == name] = i
     if (pid < 0).any():
         raise ValueError(f"unknown pattern {str(pattern[np.argmin(pid)])!r}")
-    if policy is None:
-        policy = PatternPolicy.always_bisec3()
     full = np.flatnonzero(np.isin(pid, _FULL_IDS))
-    pid[full] = [_PATTERN_ID[policy.choose(t, t in plan.marked_elements)]
-                 for t in full.tolist()]
+    if policy is None:
+        pid[full] = _PATTERN_ID[BISEC3]
+    else:
+        pid[full] = [_PATTERN_ID[policy.choose(t, t in plan.marked_elements)]
+                     for t in full.tolist()]
 
     table = mesh.edge_table
     n_edges, n_old = table.edge2nodes.shape[0], mesh.n_vertices
@@ -318,12 +317,9 @@ def split(mesh: Mesh, plan: RefinementPlan, policy: PatternPolicy | None = None)
             gens[rows] += dgen
             reds[rows] = reds[rows] if red < 0 else red
     root = mesh if mesh.initial is None and mesh.is_initial else mesh.initial
-    ancestor = mesh.ancestor[parents]
-    vparents = np.concatenate([mesh.vertex_parents, vparents])
-    # handed over read-only, so the new mesh keeps them instead of copying
-    _readonly(verts, tris, gens, ancestor, reds, parents, vparents)
-    return Mesh(verts, tris, gen=gens, ancestor=ancestor, red_son=reds,
-                initial=root, parent_elems=parents, vertex_parents=vparents,
+    return Mesh(verts, tris, gen=gens, ancestor=mesh.ancestor[parents],
+                red_son=reds, initial=root, parent_elems=parents,
+                vertex_parents=np.concatenate([mesh.vertex_parents, vparents]),
                 has_red_history=mesh.has_red_history or _PATTERN_ID[RED] in pid,
                 has_bisec5_history=(mesh.has_bisec5_history
                                     or _PATTERN_ID[BISEC5] in pid))
@@ -353,16 +349,12 @@ def step_with_plan(mesh: Mesh, marking: MarkingInput, dialect: str,
     mode = "nvb" if dialect == "refineNVB" else "mnvb"
     plan = close_marks(mesh, marking, mode=mode)
     if dialect == "refineNVBred" and policy is not None:
-        guarded = policy
-
-        def no_bisec5(t, m, _inner=guarded):
-            p = _inner.choose(t, m)
-            if p == BISEC5:
+        def no_bisec5(t, m, inner=policy):
+            if (p := inner.choose(t, m)) == BISEC5:
                 raise UnsupportedRefinementError(
                     "refineNVBred forbids bisec(5) refinement")
             return p
-
-        policy = PatternPolicy.custom(no_bisec5, name=guarded.name)
+        policy = PatternPolicy.custom(no_bisec5, name=policy.name)
     refined = frozenset(np.flatnonzero(plan.pattern != PATTERN_NONE).tolist())
     return split(mesh, plan, policy), refined, plan
 

@@ -45,11 +45,12 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 from . import _geom
-from .mesh import Mesh, _readonly
+from .mesh import Mesh, _frozen, _readonly
+from .meshio import _csv
 
 
 class NumericFailure(RuntimeError):
-    """Raised when an iterative solve does not reach its tolerance."""
+    """Raised when a result leaves float64 or a solve misses its tolerance."""
 
 
 # -- nodal weights ---------------------------------------------------------------
@@ -57,9 +58,16 @@ class NumericFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class NodeWeights:
-    """Per-node dyadic weights d_j = 2**(exponents_j / 2)."""
+    """Per-node dyadic weights d_j = 2**(exponents_j / 2), read-only int64."""
 
     exponents: np.ndarray
+
+    def __post_init__(self):
+        exps = np.asarray(self.exponents)
+        if exps.ndim != 1 or exps.size and not np.issubdtype(exps.dtype, np.integer):
+            raise ValueError("weight exponents must be a 1-D integer array, "
+                             f"got shape {exps.shape} of {exps.dtype}")
+        object.__setattr__(self, "exponents", _frozen(exps, np.int64))
 
     @property
     def values(self) -> np.ndarray:
@@ -194,7 +202,7 @@ def check_conditions(mesh: Mesh, weights: NodeWeights) -> StabilityReport:
     quadratic-form constants of the eigenvalue criterion.  All elements are
     evaluated at once as (m, 3) and (m, 3, 3) arrays.
     """
-    e = np.asarray(weights.exponents, dtype=np.int64)[mesh.elements]
+    e = weights.exponents[mesh.elements]
     spread = e.max(axis=1) - e.min(axis=1)
     # the nine terms 2**(e_a - e_b), summed sequentially in row-major order
     terms = np.ldexp(1.0, e[:, :, None] - e[:, None, :]).reshape(-1, 9)
@@ -205,10 +213,16 @@ def check_conditions(mesh: Mesh, weights: NodeWeights) -> StabilityReport:
                         passes)
 
     h = _geom.diameters(mesh.vertices, mesh.elements)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam2 = h[:, None] * h[:, None] * np.ldexp(1.0, -e)   # (h/d_i)^2
+        quartic = lam2[:, :, None] * _MASS_HAT * lam2[:, None, :]
+    bad = np.flatnonzero(~np.isfinite(quartic).all(axis=(1, 2)))
+    if bad.size:
+        raise NumericFailure(f"the scaled quartic matrix of element {bad[0]} "
+                             f"(generation {mesh.gen[bad[0]]}) overflows float64")
+    quartic_bound = float(_mass_pencil_eigvalsh(quartic)[:, -1].max())
+    del quartic   # nine floats per element, not held through the next solve
     val = weights.values[mesh.elements] / h[:, None]
-    lam2 = h[:, None] * h[:, None] * np.ldexp(1.0, -e)   # (h/d_i)^2
-    quartic_bound = float(_mass_pencil_eigvalsh(
-        lam2[:, :, None] * _MASS_HAT * lam2[:, None, :])[:, -1].max())
     # the symmetrized pencil is positive definite exactly when the
     # scaled matrix is; skip failing elements
     l2 = lam2[lam_closed > 0.0]
@@ -223,9 +237,9 @@ def check_conditions(mesh: Mesh, weights: NodeWeights) -> StabilityReport:
 
 
 def weights_to_csv(mesh: Mesh, weights: NodeWeights) -> str:
-    return "node,x,y,exponent\n" + "".join(
-        f"{j},{x!r},{y!r},{e}\n" for j, ((x, y), e) in enumerate(zip(
-            mesh.vertices.tolist(), weights.exponents.tolist())))
+    return _csv("node,x,y,exponent", (
+        (j, x, y, e) for j, ((x, y), e) in enumerate(zip(
+            mesh.vertices.tolist(), weights.exponents.tolist()))))
 
 
 # -- assembly ---------------------------------------------------------------------
@@ -252,19 +266,13 @@ class SparseSystem:
 
 def assemble(mesh: Mesh) -> SparseSystem:
     """Assemble global mass and stiffness by element summation."""
-    coords = mesh.vertices
-    tris = mesh.elements
-    m = mesh.n_elements
-    p0 = coords[tris[:, 0]]
-    p1 = coords[tris[:, 1]]
-    p2 = coords[tris[:, 2]]
+    tris, m = mesh.elements, mesh.n_elements
+    p0, p1, p2 = np.take(mesh.vertices, tris, axis=0).transpose(1, 0, 2)
     area = mesh.areas()
 
     rows = np.repeat(tris, 3, axis=1).ravel()          # i index, 9 per element
     cols = np.tile(tris, (1, 3)).ravel()               # j index
-
-    mass_hat = _MASS_HAT.ravel() / 12.0
-    mass_vals = (area[:, None] * mass_hat[None, :]).ravel()
+    mass_vals = np.outer(area, _MASS_HAT.ravel() / 12.0).ravel()
 
     b = np.stack([p1[:, 1] - p2[:, 1], p2[:, 1] - p0[:, 1], p0[:, 1] - p1[:, 1]],
                  axis=1)
@@ -314,13 +322,10 @@ def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
 
 def assemble_nested(coarse: Mesh, fine: Mesh) -> SparseSystem:
     """Assemble the fine system together with the nested-space operators."""
-    fine_sys = assemble(fine)
-    coarse_sys = assemble(coarse)
-    p = prolongation(coarse, fine)
-    fine_sys.coarse = coarse_sys
-    fine_sys.prolong = p
-    fine_sys.cross_mass = (p.T @ fine_sys.mass).tocsr()
-    return fine_sys
+    system, p = assemble(fine), prolongation(coarse, fine)
+    system.coarse, system.prolong = assemble(coarse), p
+    system.cross_mass = (p.T @ system.mass).tocsr()
+    return system
 
 
 def project_l2(system: SparseSystem, fine_coefficients: np.ndarray) -> np.ndarray:

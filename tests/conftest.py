@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import oracles
 from nvbmesh.mesh import Mesh, lshape6, square2
 from nvbmesh.refine import MarkingInput, PatternPolicy, refine_step
 
@@ -92,6 +93,22 @@ def same_arrays(a: Mesh, b: Mesh) -> bool:
             and np.array_equal(a.vertices.view(np.int64), b.vertices.view(np.int64))
             and all(np.array_equal(getattr(a, k), getattr(b, k))
                     for k in ("elements", "gen", "ancestor", "red_son")))
+
+
+def assert_topology_matches(mesh):
+    """``mesh.edge_table`` equals the dict oracle's table of its elements
+    and holds read-only int64 arrays."""
+    oracle = oracles.edge_table(mesh.elements)
+    table = mesh.edge_table
+    edge_id = {e: i for i, e in enumerate(oracle)}
+    assert table.edge2nodes.tolist() == [list(e) for e in oracle]
+    assert table.edge2elements.tolist() == [[*inc, -1][:2]
+                                            for inc in oracle.values()]
+    assert table.element2edges.tolist() == [
+        [edge_id[e] for e in oracles.edges_of(mesh, t)]
+        for t in range(mesh.n_elements)]
+    for arr in (table.element2edges, table.edge2nodes, table.edge2elements):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
 
 
 def small_mesh_corpus():

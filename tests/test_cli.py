@@ -377,6 +377,17 @@ def test_stability_csv_matches_oracles(tmp_path, tamper):
     assert report["failing_elements"] == failing
 
 
+@pytest.mark.parametrize("skip", [[], ["--skip-measure"]])
+def test_stability_overflow_exits_3(tmp_path, capsys, skip):
+    path, out = tmp_path / "deep.nvbm", tmp_path / "s"
+    write_mesh(Mesh(square2().vertices, square2().elements, gen=[600, 0]), path)
+    code = run("stability", str(path), *skip, "--out", str(out))
+    assert code == EXIT_VIOLATION
+    assert capsys.readouterr().err == (
+        "numeric failure: the scaled quartic matrix of element 0 "
+        "(generation 600) overflows float64\n")
+
+
 def test_stability_tampered_weights_exit_3(tmp_path):
     code = run("stability", "lshape6", "--skip-measure",
                "--debug-tamper", "2:5", "--out", str(tmp_path / "s"))

@@ -11,16 +11,18 @@ import pytest
 import oracles
 from oracles import coords, point
 from nvbmesh import _geom
-from conftest import (crisscross, random_trace, single_triangle,
-                      small_mesh_corpus, square2_boundary_refs,
-                      square2_incompatible)
+from conftest import (assert_topology_matches, crisscross, random_trace,
+                      single_triangle, small_mesh_corpus,
+                      square2_boundary_refs, square2_incompatible)
 from nvbmesh.mesh import (COMPATIBLY_DIVISIBLE, INCOMPATIBLE, NOT_ADJACENT,
                           Mesh, MeshError, _neighbors, _shared_edges,
-                          build_edge_table, classify_pair,
+                          classify_pair,
                           lshape6, reference_neighbor, restrict, same_mesh, square2,
                           Violation, structure_flags, validate_mesh)
 from nvbmesh.marking import assign_reference_edges
+from nvbmesh.correspondence import CorrMap
 from nvbmesh.refine import MarkingInput, refine_step, uniform
+from nvbmesh.stability import NodeWeights, compute_weights
 
 
 def test_valid_square_reports_clean(sq):
@@ -332,12 +334,9 @@ def test_total_area_preserved_and_area_generation_exact():
                 assert areas[t] == expect
 
 
-def test_edge_table_rebuild_identical():
+def test_edge_table_matches_dict_oracle():
     for mesh in small_mesh_corpus().values():
-        rebuilt = build_edge_table(mesh.elements)
-        for name in ("element2edges", "edge2nodes", "edge2elements"):
-            assert np.array_equal(getattr(rebuilt, name),
-                                  getattr(mesh.edge_table, name))
+        assert_topology_matches(mesh)
 
 
 def test_incidence_pair_count():
@@ -366,11 +365,71 @@ def test_mesh_owns_its_arrays(sq):
     assert np.array_equal(mesh.vertices, before[0])
     assert np.array_equal(mesh.elements, before[1])
     assert validate_mesh(mesh).violations == before[2] == []
-    # read-only arrays that own their memory, as another mesh's, are kept
-    kept = Mesh(fine.vertices, fine.elements)
-    assert np.shares_memory(kept.vertices, fine.vertices)
-    assert np.shares_memory(kept.elements, fine.elements)
-    assert not kept.vertices.flags.writeable
+    # a frozen input is copied too, so a writable view taken before it was
+    # frozen cannot lay a second triangle over element 0 behind the table
+    e = np.array(sq.elements)
+    view = e[:]
+    e.setflags(write=False)
+    m = Mesh(sq.vertices, e)
+    before = m.elements.copy(), validate_mesh(m).violations
+    view[1] = [0, 1, 2]
+    assert np.array_equal(m.elements, before[0])
+    assert validate_mesh(m).violations == before[1] == []
+    # another mesh's arrays are copied as well
+    names = ("vertices", "elements", "gen", "ancestor", "red_son",
+             "parent_elems", "vertex_parents")
+    again = Mesh(**{name: getattr(fine, name) for name in names},
+                 initial=fine.initial)
+    for name in names:
+        assert np.array_equal(getattr(again, name), getattr(fine, name))
+        assert not np.shares_memory(getattr(again, name), getattr(fine, name))
+
+
+def _value_and_inputs(kind: str, sq: Mesh):
+    """A constructor of ``kind`` over fresh writable input arrays, the
+    inputs by keyword and the names of the value's arrays."""
+    fine = uniform(sq, "bisec1")
+    if kind == "Mesh":
+        names = ("vertices", "elements", "gen", "ancestor", "red_son",
+                 "parent_elems", "vertex_parents")
+        inputs = {name: np.array(getattr(fine, name)) for name in names}
+        return lambda **kw: Mesh(**kw, initial=sq), inputs, names
+    if kind == "NodeWeights":
+        inputs = {"exponents": np.array(compute_weights(fine).exponents)}
+        return NodeWeights, inputs, ("exponents",)
+    if kind == "MarkingInput":
+        inputs = {"edges": np.array(fine.edge_table.element2edges[1])}
+        inputs["edges"].sort()
+        return (lambda **kw: MarkingInput(frozenset([1]), **kw), inputs,
+                ("edges",))
+    inputs = {"image": np.arange(3 * fine.n_elements).reshape(-1, 3)}
+    return (lambda **kw: CorrMap(fine, fine, **kw), inputs, ("image",))
+
+
+@pytest.mark.parametrize("frozen", [False, True],
+                         ids=["writable", "frozen_after_a_view"])
+@pytest.mark.parametrize("kind", ["Mesh", "NodeWeights", "MarkingInput",
+                                  "CorrMap"])
+def test_values_copy_and_freeze_their_input_arrays(sq, kind, frozen):
+    make, inputs, names = _value_and_inputs(kind, sq)
+    writable = list(inputs.values())
+    if frozen:
+        writable = [arr[:] for arr in writable]
+        for arr in inputs.values():
+            arr.setflags(write=False)
+    value = make(**inputs)
+    before = [getattr(value, name).copy() for name in names]
+    for arr in writable:
+        if arr.dtype == bool:
+            np.logical_not(arr, out=arr)
+        else:
+            arr += 1
+    for name, old in zip(names, before):
+        arr = getattr(value, name)
+        assert np.array_equal(arr, old), name
+        assert not arr.flags.writeable, name
+        assert not any(np.shares_memory(arr, given)
+                       for given in inputs.values()), name
 
 
 @pytest.mark.parametrize("elements,kwargs,message", [

@@ -13,7 +13,7 @@ import oracles
 from conftest import random_trace
 from nvbmesh import meshio
 from nvbmesh.mesh import Mesh, MeshError, lshape6, same_mesh, square2, validate_mesh
-from nvbmesh.meshio import dumps_mesh, loads_mesh, read_mesh, write_mesh
+from nvbmesh.meshio import _csv, dumps_mesh, loads_mesh, read_mesh, write_mesh
 
 PROPERTY = settings.get_profile("nvbmesh")
 
@@ -354,3 +354,13 @@ def test_writer_reuses_only_a_bit_identical_vertex_prefix(tmp_path, first,
     write_mesh(second, tmp_path / "b.nvbm")
     assert (tmp_path / "a.nvbm").read_text() == oracles.dumps_mesh(first)
     assert (tmp_path / "b.nvbm").read_text() == oracles.dumps_mesh(second)
+
+
+def test_csv_fields():
+    # a float is its shortest round-trip repr, None an empty field and a
+    # bool 0 or 1; every line ends in a newline
+    rows = [(1, 0.1, None, True, "a"), (-2, 1e-300, 2.0, False, ""),
+            (0, -0.0, float("inf"), 3, "b")]
+    assert _csv("n,x,y,flag,s", rows) == ("n,x,y,flag,s\n1,0.1,,1,a\n"
+                                          "-2,1e-300,2.0,0,\n0,-0.0,inf,3,b\n")
+    assert _csv("n,x", []) == "n,x\n"

@@ -247,6 +247,23 @@ def test_precision_exhaustion_is_typed():
         run_refinement(config)
 
 
+def test_split_without_policy_bisects_every_full_pattern_three_times(lshape):
+    # a hand-made plan may name red or bisec(5) for a fully marked element;
+    # without a policy each of them is refined by three bisections
+    plan = close_marks(lshape, MarkingInput.all_edges(lshape, [0, 3, 4]))
+    full = np.flatnonzero(plan.pattern == BISEC3)
+    assert full.size >= 3 and (plan.pattern != BISEC3).any()
+    pattern = plan.pattern.copy()
+    pattern[full] = np.resize(["red", "bisec5", BISEC3], full.size)
+    named = dataclasses.replace(plan, pattern=pattern)
+    expect = split(lshape, plan, PatternPolicy.always_bisec3())
+    for fine in (split(lshape, named), split(lshape, plan)):
+        assert same_arrays(fine, expect)
+        assert np.array_equal(fine.vertex_parents, expect.vertex_parents)
+        assert np.array_equal(fine.parent_elems, expect.parent_elems)
+        assert not (fine.has_red_history or fine.has_bisec5_history)
+
+
 def test_plan_mesh_mismatch_rejected(sq):
     plan = close_marks(sq, MarkingInput.of([0]), mode="nvb")
     other = uniform(sq, "bisec3")

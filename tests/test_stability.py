@@ -357,6 +357,37 @@ def test_condition_columns_properties(make_initial, refs, dialect_policy, seed,
     assert np.abs(report.lam_min_closed - lam_eig).max() < 1e-10
 
 
+def test_weights_are_a_read_only_copy():
+    mesh = uniform(square2(), "bisec1")
+    weights = compute_weights(mesh)
+    with pytest.raises(ValueError, match="read-only"):
+        weights.exponents[0] = 40
+    assert check_conditions(mesh, weights).all_pass
+    exps = compute_weights(mesh).exponents.copy()
+    given = NodeWeights(exponents=exps)
+    exps[0] = 40
+    assert given.exponents[0] != 40
+    assert check_conditions(mesh, given).all_pass
+
+
+@pytest.mark.parametrize("exps", [np.zeros(4), np.zeros(4, dtype=bool),
+                                  np.zeros((4, 1), dtype=np.int64), 0,
+                                  ["0", "1"]],
+                         ids=["float", "bool", "2-D", "scalar", "str"])
+def test_weights_refuse_anything_but_integer_exponents(exps):
+    with pytest.raises(ValueError, match="weight exponents must be a 1-D "
+                                         "integer array"):
+        NodeWeights(exponents=exps)
+
+
+def test_conditions_overflow_is_a_numeric_failure(sq):
+    # (h/d)**4 of an element at generation 600 is 2**1200, past float64
+    deep = Mesh(sq.vertices, sq.elements, gen=[600, 0])
+    with pytest.raises(NumericFailure, match=r"^the scaled quartic matrix of "
+                       r"element 0 \(generation 600\) overflows float64$"):
+        check_conditions(deep, compute_weights(deep))
+
+
 def test_tampered_weights_fail_conditions(sq):
     exps = compute_weights(sq).exponents.copy()
     exps[0] += 4  # ratio 4 within every element touching node 0

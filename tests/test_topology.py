@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import assert_topology_matches
 from nvbmesh.marking import (RunConfig, assign_reference_edges, build_initial,
                              make_policy, marking_for, select_marked)
 from nvbmesh.mesh import (Mesh, MeshError, build_edge_table, lshape6, square2,
@@ -21,20 +22,6 @@ COMBOS = [("refineNVB", "bisec3"), ("refineNVB3", "bisec3"),
           ("refineNVBred", "bisec3"), ("refineNVBred", "red"),
           ("refine", "bisec3"), ("refine", "red"),
           ("refine", "interior-node")]
-
-
-def assert_topology_matches(mesh):
-    oracle = oracles.edge_table(mesh.elements)
-    table = mesh.edge_table
-    edge_id = {e: i for i, e in enumerate(oracle)}
-    assert table.edge2nodes.tolist() == [list(e) for e in oracle]
-    assert table.edge2elements.tolist() == [[*inc, -1][:2]
-                                            for inc in oracle.values()]
-    assert table.element2edges.tolist() == [
-        [edge_id[e] for e in oracles.edges_of(mesh, t)]
-        for t in range(mesh.n_elements)]
-    for arr in (table.element2edges, table.edge2nodes, table.edge2elements):
-        assert arr.dtype == np.int64 and not arr.flags.writeable
 
 
 @pytest.mark.parametrize("ref_edges", ["as-given", "random"])
