@@ -30,7 +30,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .mesh import Mesh, _frozen, _shared_edges
+from .mesh import Mesh, _frozen, _neighbors, _shared_edges
 from .refine import MarkingInput, PatternPolicy, refine_step
 
 
@@ -51,7 +51,7 @@ def _pair_list(mesh: Mesh, ids: np.ndarray) -> list[tuple[int, tuple[int, int]]]
     return [(t, (a, b)) for t, a, b in _pair_rows(mesh, ids).tolist()]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CorrMap:
     """Bijection between the incidence pairs of two meshes."""
 
@@ -60,7 +60,7 @@ class CorrMap:
     image: np.ndarray
 
     def __post_init__(self):
-        self.image = _frozen(self.image, np.int64)
+        object.__setattr__(self, "image", _frozen(self.image, np.int64))
         if self.image.shape != (self.left.n_elements, 3):
             raise CorrespondenceError("map does not cover all incidence pairs")
         flat = self.image.ravel()
@@ -105,11 +105,10 @@ def _diamonds(mesh: Mesh, tri: np.ndarray, free: np.ndarray, label: str):
     """Pair the free elements into diamonds: two elements sharing their
     reference edge.  Returns both halves and the sorted corner ids of every
     diamond, in the order of their first halves, and the key sort order."""
-    e2e, e2el = mesh.edge_table.element2edges, mesh.edge_table.edge2elements
+    e2e = mesh.edge_table.element2edges
     t = np.flatnonzero(free)
-    a, b = e2el[e2e[t, 0]].T
-    other = np.where(b == t, a, b)
-    lone = b < 0
+    other = _neighbors(mesh.edge_table, 0)[t]
+    lone = other < 0
     bad = lone | ~free[other] | (e2e[other, 0] != e2e[t, 0])
     first = np.flatnonzero(~bad & (other > t))
     corners = np.sort(np.concatenate([tri[t[first]], tri[other[first]]], 1), 1)

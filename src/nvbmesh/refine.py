@@ -11,9 +11,11 @@ The dialects are
 
 A closure pass extends the marked-edge set to the unique minimal fixpoint
 with the property that whenever any edge of an element is marked, so is
-its reference edge.  The splitter then refines every element according to
-its marked edges in a single sweep; by the closure property the resulting
-partition is conforming.
+its reference edge, and names every element's pattern: bisec(1) or
+bisec(2) from its marked edges, and for a fully marked element the pattern
+policy's choice among bisec(3), red and bisec(5).  The splitter then
+refines every element by the pattern its plan names in a single sweep; by
+the closure property the resulting partition is conforming.
 
 Son ordering and generation bookkeeping (T = (v0, v1, v2), reference edge
 (v0, v1), m = midpoint(v0, v1)): bisecting T yields (v2, v0, m) and
@@ -33,8 +35,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import _geom
-from .mesh import (Mesh, PrecisionExhausted, _frozen, _readonly,
-                   _ReferenceNeighbors, _walk)
+from .mesh import Mesh, PrecisionExhausted, _frozen, _ReferenceNeighbors, _walk
 from .meshio import _csv
 
 PATTERN_NONE = "none"
@@ -63,7 +64,6 @@ _SONS = {
     RED: ((0, 3, 5, 2, 0), (3, 1, 4, 2, 0), (5, 4, 2, 2, 1), (4, 5, 3, 2, 1)),
 }
 _PATTERN_ID = {p: i for i, p in enumerate(_SONS)}
-_FULL_IDS = [_PATTERN_ID[p] for p in FULL_PATTERNS]
 _N_SONS = np.array([len(sons) for sons in _SONS.values()])
 # new nodes each pattern needs: m01, m12, m20, interior
 _NEEDS = np.array([[any(n in son[:3] for son in sons) for n in (3, 4, 5, 6)]
@@ -150,16 +150,21 @@ class PatternPolicy:
 class RefinementPlan:
     """Closure fixpoint output.
 
-    ``closed_edges`` and ``seed_edges`` are read-only, sorted, unique int64
-    arrays of ids in the mesh's ``edge_table``; ``pattern`` is a read-only
-    ``'<U12'`` array with the pattern name of every element.
+    ``closed_edges`` and ``seed_edges`` are sorted, unique int64 arrays of
+    ids in the mesh's ``edge_table``; ``pattern`` is a string array with
+    the name of the pattern ``split`` applies to every element.  The plan
+    holds read-only copies of the arrays it is given.
     """
 
     closed_edges: np.ndarray
     pattern: np.ndarray
     iterations: int
-    marked_elements: frozenset[int]
     seed_edges: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("closed_edges", np.int64), ("pattern", str),
+                            ("seed_edges", np.int64)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
 
 
 @dataclass(frozen=True)
@@ -183,13 +188,16 @@ def trace_to_csv(records: Iterable[StepRecord]) -> str:
 # -- closure ------------------------------------------------------------------
 
 
-def close_marks(mesh: Mesh, marking: MarkingInput, mode: str = "mnvb") -> RefinementPlan:
-    """Extend the marked-edge seed to the minimal conforming fixpoint.
+def close_marks(mesh: Mesh, marking: MarkingInput, mode: str = "mnvb",
+                policy: PatternPolicy | None = None) -> RefinementPlan:
+    """Extend the marked-edge seed to the minimal conforming fixpoint and
+    name every element's pattern.
 
     In ``nvb`` mode the seed is the set of reference edges of the marked
     elements and ``marking.edges`` is ignored; in ``mnvb`` mode the seed is
-    ``marking.edges``.  The returned plan assigns ``bisec3`` to fully
-    marked elements as a placeholder for the pattern policy.
+    ``marking.edges``.  A fully marked element gets the policy's choice for
+    it (default: three bisections), every other element the bisections
+    its marked edges call for.
     """
     if mode not in ("nvb", "mnvb"):
         raise ValueError(f"unknown closure mode {mode!r}")
@@ -233,24 +241,24 @@ def close_marks(mesh: Mesh, marking: MarkingInput, mode: str = "mnvb") -> Refine
         "closure fixpoint violated: marked edge without ref"
     closed = np.flatnonzero(marked)
     pattern = _BY_MARKS[inside[:, 0] + 2 * inside[:, 1] + 4 * inside[:, 2]]
-    _readonly(seed, closed, pattern)
+    if policy is not None:
+        full = np.flatnonzero(pattern == BISEC3)
+        pattern[full] = [policy.choose(t, t in marking.elements)
+                         for t in full.tolist()]
     return RefinementPlan(closed_edges=closed, pattern=pattern,
-                          iterations=iterations,
-                          marked_elements=frozenset(marking.elements),
-                          seed_edges=seed)
+                          iterations=iterations, seed_edges=seed)
 
 
 # -- splitting ----------------------------------------------------------------
 
 
-def split(mesh: Mesh, plan: RefinementPlan, policy: PatternPolicy | None = None) -> Mesh:
-    """Refine every element according to the plan; returns a new mesh.
+def split(mesh: Mesh, plan: RefinementPlan) -> Mesh:
+    """Refine every element by the pattern its plan names; returns a new mesh.
 
-    Fully marked elements get their final pattern from the policy
-    (default: three bisections).  Every closed edge is halved; the only
-    other new nodes are bisec(5) interior nodes.  New nodes are numbered
-    by first use in element order, within an element in the order m01,
-    m12, m20, interior node.  Raises PrecisionExhausted on an inexact one.
+    Every closed edge is halved; the only other new nodes are bisec(5)
+    interior nodes.  New nodes are numbered by first use in element order,
+    within an element in the order m01, m12, m20, interior node.  Raises
+    PrecisionExhausted on an inexact one.
     """
     m, pattern = mesh.n_elements, plan.pattern
     if pattern.shape != (m,):
@@ -262,12 +270,6 @@ def split(mesh: Mesh, plan: RefinementPlan, policy: PatternPolicy | None = None)
         pid[pattern == name] = i
     if (pid < 0).any():
         raise ValueError(f"unknown pattern {str(pattern[np.argmin(pid)])!r}")
-    full = np.flatnonzero(np.isin(pid, _FULL_IDS))
-    if policy is None:
-        pid[full] = _PATTERN_ID[BISEC3]
-    else:
-        pid[full] = [_PATTERN_ID[policy.choose(t, t in plan.marked_elements)]
-                     for t in full.tolist()]
 
     table = mesh.edge_table
     n_edges, n_old = table.edge2nodes.shape[0], mesh.n_vertices
@@ -327,7 +329,7 @@ def split(mesh: Mesh, plan: RefinementPlan, policy: PatternPolicy | None = None)
 
 def refine_step(mesh: Mesh, marking: MarkingInput, dialect: str,
                 policy: PatternPolicy | None = None) -> tuple[Mesh, frozenset[int]]:
-    """One step of the chosen dialect: closure, policy override, split.
+    """One step of the chosen dialect: closure and patterns, then split.
 
     Returns the refined mesh and the set of refined element ids
     (elements of the input mesh that were split).
@@ -339,24 +341,21 @@ def refine_step(mesh: Mesh, marking: MarkingInput, dialect: str,
 def step_with_plan(mesh: Mesh, marking: MarkingInput, dialect: str,
                    policy: PatternPolicy | None = None
                    ) -> tuple[Mesh, frozenset[int], RefinementPlan]:
-    """refine_step variant that also hands back the closure plan."""
+    """refine_step variant that also hands back the closure plan; refuses a
+    policy other than three bisections under refineNVB and refineNVB3, and
+    a plan naming bisec(5) under refineNVBred."""
     if dialect not in DIALECTS:
         raise ValueError(f"unknown dialect {dialect!r}; one of {DIALECTS}")
     if dialect in ("refineNVB", "refineNVB3"):
         if policy is not None and policy.name != "always_bisec3":
             raise ValueError(f"{dialect} admits only three-bisection refinement")
-        policy = None  # split's default: three bisections
+        policy = None  # close_marks' default: three bisections
     mode = "nvb" if dialect == "refineNVB" else "mnvb"
-    plan = close_marks(mesh, marking, mode=mode)
-    if dialect == "refineNVBred" and policy is not None:
-        def no_bisec5(t, m, inner=policy):
-            if (p := inner.choose(t, m)) == BISEC5:
-                raise UnsupportedRefinementError(
-                    "refineNVBred forbids bisec(5) refinement")
-            return p
-        policy = PatternPolicy.custom(no_bisec5, name=policy.name)
+    plan = close_marks(mesh, marking, mode=mode, policy=policy)
+    if dialect == "refineNVBred" and (plan.pattern == BISEC5).any():
+        raise UnsupportedRefinementError("refineNVBred forbids bisec(5) refinement")
     refined = frozenset(np.flatnonzero(plan.pattern != PATTERN_NONE).tolist())
-    return split(mesh, plan, policy), refined, plan
+    return split(mesh, plan), refined, plan
 
 
 def chain(mesh: Mesh, t: int) -> list[int]:

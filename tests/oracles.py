@@ -2,7 +2,8 @@
 
 ``edge_table``, ``closure`` and ``split`` are the straightforward dict/loop
 versions of ``nvbmesh.mesh.build_edge_table``, the fixpoint of
-``nvbmesh.refine.close_marks`` and ``nvbmesh.refine.split``;
+``nvbmesh.refine.close_marks`` (with three bisections for every fully
+marked element) and ``nvbmesh.refine.split``;
 ``brute_force_closure`` finds the closure fixpoint by exhaustive search.
 ``area_identity_and_diameter_scale`` and ``max_equal_gen_chain`` are the
 per-element loops of ``nvbmesh.analysis.verify_levels``, and
@@ -74,8 +75,7 @@ from nvbmesh.mesh import (_EXHAUSTIVE_LIMIT, COMPATIBLY_DIVISIBLE, ConformityRep
                           Mesh, MeshError, Violation, classify_pair)
 from nvbmesh.meshio import _INT64, FORMAT_TAG, FORMAT_VERSION
 from nvbmesh.refine import (BISEC1, BISEC2_LEFT, BISEC2_RIGHT, BISEC3, BISEC5,
-                            FULL_PATTERNS, PATTERN_NONE, RED, MarkingInput,
-                            PatternPolicy, RefinementPlan,
+                            PATTERN_NONE, RED, MarkingInput, RefinementPlan,
                             UnsupportedRefinementError, refine_step)
 from nvbmesh.stability import NodeWeights, assemble_nested
 
@@ -179,14 +179,10 @@ def brute_force_closure(mesh: Mesh, seed: frozenset[EdgeKey]) -> frozenset[EdgeK
     return best
 
 
-def split(mesh: Mesh, plan: RefinementPlan, policy: PatternPolicy | None = None) -> Mesh:
-    """Element-by-element splitter with a midpoint dict."""
-    if policy is None:
-        policy = PatternPolicy.always_bisec3()
-    patterns = list(plan.pattern)
-    for t, p in enumerate(patterns):
-        if p in FULL_PATTERNS:
-            patterns[t] = policy.choose(t, t in plan.marked_elements)
+def split(mesh: Mesh, plan: RefinementPlan) -> Mesh:
+    """Element-by-element splitter with a midpoint dict; refines each
+    element by the pattern name its plan gives."""
+    patterns = plan.pattern.tolist()
 
     n_old = mesh.n_vertices
     new_coords: list[tuple[float, float]] = []

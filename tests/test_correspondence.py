@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -85,6 +86,13 @@ def test_single_red_refinement_matches_template():
 def test_identity_map_verifies(sq):
     report = verify_corr(identity_corr(sq))
     assert report.ok
+
+
+def test_map_is_frozen(sq):
+    corr = identity_corr(sq)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        corr.image = np.array([[3, 4, 5], [3, 4, 5]])
+    assert verify_corr(corr).ok
 
 
 def test_swapped_pair_detected(sq):

@@ -22,6 +22,10 @@ EXPECTED = {
         "  25    1036      5780        4589   1.258",
         "lower bound (sum of marked <= growth) holds: True",
     ],
+    "03_projection_stability.py": [
+        "final mesh: 1782 elements, generations 4..19, weight exponents -19..-4",
+        "every element passes ratio <= 2, S_T < 25, lambda_min > 0: True",
+    ],
     "04_red_correspondence.py": [
         "   6       667          667                101  True",
         "final state: 202 red sons",

@@ -12,18 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import (random_trace, same_arrays, single_triangle,
-                      small_mesh_corpus, square2_incompatible)
+from conftest import (random_marking, random_trace, same_arrays,
+                      single_triangle, small_mesh_corpus, square2_incompatible)
 from oracles import (brute_force_closure, coords, edge_ids, edge_keys,
                      edge_table, edges_of, midpoint, point,
                      point_strictly_inside_triangle, ref_edge)
-from nvbmesh.marking import RunConfig, assign_reference_edges, run_refinement
+from nvbmesh.marking import (RunConfig, assign_reference_edges, make_policy,
+                             run_refinement)
 from nvbmesh.mesh import (Mesh, PrecisionExhausted, lshape6, same_mesh, square2,
                           validate_mesh)
 from nvbmesh.refine import (BISEC1, BISEC3, MarkingInput, PatternPolicy,
                             UnsupportedRefinementError, _tree_keys, chain,
                             close_marks, overlay, refine_step, split,
-                            trace_to_csv, uniform)
+                            step_with_plan, trace_to_csv, uniform)
 
 PROPERTY = settings.get_profile("nvbmesh")
 
@@ -220,8 +221,9 @@ def test_split_validates_for_every_dialect_and_policy(rng):
 def test_new_nodes_are_closed_edge_midpoints_only():
     mesh = lshape6()
     marking = MarkingInput.all_edges(mesh, [0, 3])
-    plan = close_marks(mesh, marking, mode="mnvb")
-    fine = split(mesh, plan, PatternPolicy.always_bisec3())
+    plan = close_marks(mesh, marking, mode="mnvb",
+                       policy=PatternPolicy.always_bisec3())
+    fine = split(mesh, plan)
     expected = set()
     for (a, b) in edge_keys(mesh, plan.closed_edges):
         expected.add(midpoint(point(mesh, a), point(mesh, b)))
@@ -232,8 +234,9 @@ def test_new_nodes_are_closed_edge_midpoints_only():
 def test_bisec5_adds_exactly_one_extra_node_beyond_midpoints():
     tri = single_triangle()
     marking = MarkingInput.all_edges(tri, [0])
-    plan = close_marks(tri, marking, mode="mnvb")
-    fine = split(tri, plan, PatternPolicy.interior_node())
+    plan = close_marks(tri, marking, mode="mnvb",
+                       policy=PatternPolicy.interior_node())
+    fine = split(tri, plan)
     midpoints = {midpoint(point(tri, a), point(tri, b))
                  for (a, b) in edge_keys(tri, plan.closed_edges)}
     new_nodes = {point(fine, j) for j in range(tri.n_vertices, fine.n_vertices)}
@@ -247,21 +250,66 @@ def test_precision_exhaustion_is_typed():
         run_refinement(config)
 
 
-def test_split_without_policy_bisects_every_full_pattern_three_times(lshape):
-    # a hand-made plan may name red or bisec(5) for a fully marked element;
-    # without a policy each of them is refined by three bisections
+# sons per pattern, counted by hand from the templates, not read from refine
+SONS = {"none": 1, "bisec1": 2, "bisec2_left": 3, "bisec2_right": 3,
+        "bisec3": 4, "red": 4, "bisec5": 6}
+
+
+def assert_split_follows_plan(mesh, plan, fine):
+    names = plan.pattern.tolist()
+    assert np.bincount(fine.parent_elems).tolist() == [SONS[p] for p in names]
+    assert fine.has_red_history == (mesh.has_red_history or "red" in names)
+    assert fine.has_bisec5_history == (mesh.has_bisec5_history
+                                       or "bisec5" in names)
+
+
+def test_split_refines_a_hand_made_plan_as_named(lshape):
+    # a plan naming red or bisec(5) for fully marked elements is refined by
+    # those patterns, whatever the closure's own default would be
     plan = close_marks(lshape, MarkingInput.all_edges(lshape, [0, 3, 4]))
     full = np.flatnonzero(plan.pattern == BISEC3)
     assert full.size >= 3 and (plan.pattern != BISEC3).any()
     pattern = plan.pattern.copy()
     pattern[full] = np.resize(["red", "bisec5", BISEC3], full.size)
     named = dataclasses.replace(plan, pattern=pattern)
-    expect = split(lshape, plan, PatternPolicy.always_bisec3())
-    for fine in (split(lshape, named), split(lshape, plan)):
-        assert same_arrays(fine, expect)
-        assert np.array_equal(fine.vertex_parents, expect.vertex_parents)
-        assert np.array_equal(fine.parent_elems, expect.parent_elems)
-        assert not (fine.has_red_history or fine.has_bisec5_history)
+    fine, expect = split(lshape, named), oracles.split(lshape, named)
+    assert same_arrays(fine, expect)
+    assert np.array_equal(fine.vertex_parents, expect.vertex_parents)
+    assert np.array_equal(fine.parent_elems, expect.parent_elems)
+    assert fine.has_red_history and fine.has_bisec5_history
+    assert_split_follows_plan(lshape, named, fine)
+
+
+@pytest.mark.parametrize("dialect,policy", [
+    ("refineNVB", "bisec3"), ("refineNVB3", "bisec3"),
+    ("refineNVBred", "bisec3"), ("refineNVBred", "red"),
+    ("refine", "bisec3"), ("refine", "red"), ("refine", "interior-node")])
+def test_split_does_what_the_plan_names(dialect, policy):
+    pattern_policy = make_policy(policy)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        mesh = square2()
+        for _ in range(4):
+            marking = random_marking(mesh, rng, dialect)
+            fine, _, plan = step_with_plan(mesh, marking, dialect,
+                                           pattern_policy)
+            assert_split_follows_plan(mesh, plan, fine)
+            mesh = fine
+
+
+def test_plan_holds_read_only_copies(sq):
+    plan = close_marks(sq, MarkingInput.of([0]), mode="nvb")
+    for name in ("closed_edges", "pattern", "seed_edges"):
+        given = np.array(getattr(plan, name))
+        held = getattr(dataclasses.replace(plan, **{name: given}), name)
+        before = held.tolist()
+        given[:] = "red" if name == "pattern" else given + 1
+        assert held.tolist() == before and not held.flags.writeable
+        assert not np.shares_memory(held, given)
+    # a str array is not cut to the length of the known names
+    long = dataclasses.replace(plan, pattern=["bisec1", "bisec2_rightX"])
+    with pytest.raises(ValueError, match="unknown pattern 'bisec2_rightX'"):
+        split(sq, long)
 
 
 def test_plan_mesh_mismatch_rejected(sq):
@@ -314,12 +362,21 @@ def test_refineNVB_rejects_red_policy(sq):
     with pytest.raises(ValueError):
         refine_step(sq, MarkingInput.of([0]), "refineNVB",
                     PatternPolicy.always_red())
+    # before the closure looks at the marking
+    for dialect in ("refineNVB", "refineNVB3"):
+        with pytest.raises(ValueError, match="admits only three-bisection"):
+            refine_step(sq, MarkingInput.of([99]), dialect,
+                        PatternPolicy.interior_node())
 
 
 def test_refineNVBred_rejects_bisec5(sq):
     with pytest.raises(UnsupportedRefinementError):
         refine_step(sq, MarkingInput.all_edges(sq, [0, 1]), "refineNVBred",
                     PatternPolicy.interior_node())
+    with pytest.raises(UnsupportedRefinementError,
+                       match=r"^refineNVBred forbids bisec\(5\) refinement$"):
+        refine_step(sq, MarkingInput.all_edges(sq, [0]), "refineNVBred",
+                    PatternPolicy.custom(lambda t, m: "bisec5"))
 
 
 def test_full_edge_marking_equals_two_reference_edge_passes(rng):
@@ -442,8 +499,9 @@ def test_uniform_bisec3_twice_matches_full_marking_twice(sq):
     b = sq
     for _ in range(2):
         marking = MarkingInput.all_edges(b, range(b.n_elements))
-        plan = close_marks(b, marking, mode="mnvb")
-        b = split(b, plan, PatternPolicy.always_bisec3())
+        plan = close_marks(b, marking, mode="mnvb",
+                           policy=PatternPolicy.always_bisec3())
+        b = split(b, plan)
     assert a.n_elements == b.n_elements == 16 * sq.n_elements
     assert same_mesh(a, b)
 
