@@ -8,12 +8,16 @@ union of the two bisection trees. Its size obeys the counting law
 #(a + b) <= #a + #b - #initial. Restriction goes the other way: carve out
 the sub-mesh over a subset of initial elements; the result is again a
 conforming bisection mesh of the sub-domain.
+
+Overlay takes any mesh whose elements are nodes of the bisection trees:
+bisec(5) refinements included, since bisec(5) is five bisections, but no
+mesh that still holds a red son.
 """
 
 import numpy as np
 
-from nvbmesh import (MarkingInput, lshape6, overlay, refine_step, restrict,
-                     same_mesh, validate_mesh)
+from nvbmesh import (MarkingInput, PatternPolicy, lshape6, overlay,
+                     refine_step, restrict, same_mesh, validate_mesh)
 
 initial = lshape6()
 rng = np.random.default_rng(0)
@@ -49,3 +53,12 @@ sub = restrict(a, [0, 1])
 print(f"\nrestriction to 2 initial elements: {sub.n_elements} elements, "
       f"area {sub.total_area()} (one quadrant), conforming: "
       f"{validate_mesh(sub).ok}")
+
+# a bisec(5) refinement of two initial elements, overlaid with a
+c, _ = refine_step(initial, MarkingInput.all_edges(initial, [0, 3]), "refine",
+                   PatternPolicy.interior_node())
+ac = overlay(a, c)
+print(f"\nbisec(5) refinement: {c.n_elements} elements; overlay with a: "
+      f"{ac.n_elements} elements, conforming: {validate_mesh(ac).ok}, "
+      "refines both inputs: "
+      f"{same_mesh(overlay(ac, a), ac) and same_mesh(overlay(ac, c), ac)}")

@@ -202,7 +202,7 @@ def transfer_marking(corr: CorrMap, marking: MarkingInput) -> MarkingInput:
     src = (3 * t[:, None] + np.arange(3)).ravel()
     hit = np.isin(corr.left.edge_table.element2edges.ravel()[src], marking.edges)
     images = corr.image.ravel()[src[hit]]
-    return MarkingInput(frozenset((images // 3).tolist()),
+    return MarkingInput(images // 3,
                         corr.right.edge_table.element2edges.ravel()[images])
 
 

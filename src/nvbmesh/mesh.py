@@ -132,18 +132,14 @@ class Mesh:
         The node pair whose midpoint created each vertex, (-1, -1) for
         vertices that predate any recorded refinement (the default);
         ``prolongation`` interpolates along these pairs.
-    has_red_history, has_bisec5_history : bool
-        Whether a red or a bisec(5) refinement produced this mesh or one of
-        its ancestors; a red son sets the first by itself.  ``overlay``
-        refuses such meshes.
     validate : bool
-        Enforce orientation/index/edge-sharing invariants at construction.
+        Enforce finite coordinates and the orientation/index/edge-sharing
+        invariants at construction.
     """
 
     def __init__(self, vertices, elements, gen=None, ancestor=None,
                  red_son=None, initial=None, parent_elems=None,
-                 vertex_parents=None, has_red_history=False,
-                 has_bisec5_history=False, validate=True):
+                 vertex_parents=None, validate=True):
         vertices = np.asarray(vertices, dtype=np.float64)
         elements = np.asarray(elements, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -172,8 +168,6 @@ class Mesh:
                                       else vertex_parents, np.int64)
         if self.vertex_parents.shape != (n, 2):
             raise MeshError("vertex_parents must be an (n, 2) array")
-        self.has_red_history = bool(has_red_history or self.red_son.any())
-        self.has_bisec5_history = bool(has_bisec5_history)
 
         if validate:
             self._check_basic()
@@ -224,6 +218,10 @@ class Mesh:
             raise MeshError("mesh has no elements")
         if self.elements.min() < 0 or self.elements.max() >= self.n_vertices:
             raise MeshError("element vertex index out of range")
+        # checked first: a NaN area passes the orientation test below
+        bad = ~np.isfinite(self.vertices).all(axis=1)
+        if bad.any():
+            raise MeshError(f"vertex {int(np.argmax(bad))} has non-finite coordinates")
         areas = self.areas()
         bad = np.nonzero(areas <= 0.0)[0]
         if bad.size:
@@ -509,9 +507,7 @@ def restrict(mesh: Mesh, initial_subset: Iterable[int]) -> Mesh:
                     ancestor=new_ancestor,
                     red_son=src.red_son[elems],
                     initial=new_initial,
-                    vertex_parents=vparents,
-                    has_red_history=src.has_red_history,
-                    has_bisec5_history=src.has_bisec5_history)
+                    vertex_parents=vparents)
 
     if mesh.initial is None:
         return extract(mesh, subset, np.arange(len(subset)), None)

@@ -29,10 +29,6 @@ vertex ids, generations, ancestors and flags of real meshes do, the
 distinct values 0..max are formatted once and the rows gathered from that
 table; any other block (a loaded or unvalidated mesh with large or
 negative fields) formats its fields one by one.
-
-A mesh loaded from a file knows red history only through its red_son
-flags; bisec5 history is not represented in the format and is assumed
-absent.
 """
 
 from __future__ import annotations

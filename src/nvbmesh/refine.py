@@ -63,7 +63,6 @@ _SONS = {
              (3, 1, 4, 2, 0), (4, 2, 6, 3, 0), (3, 4, 6, 3, 0)),
     RED: ((0, 3, 5, 2, 0), (3, 1, 4, 2, 0), (5, 4, 2, 2, 1), (4, 5, 3, 2, 1)),
 }
-_PATTERN_ID = {p: i for i, p in enumerate(_SONS)}
 _N_SONS = np.array([len(sons) for sons in _SONS.values()])
 # new nodes each pattern needs: m01, m12, m20, interior
 _NEEDS = np.array([[any(n in son[:3] for son in sons) for n in (3, 4, 5, 6)]
@@ -84,32 +83,37 @@ class UnsupportedRefinementError(ValueError):
 class MarkingInput:
     """Marked elements plus, for the modified dialects, marked edges.
 
-    ``edges`` names the marked edges by their ids in the mesh's
-    ``edge_table``, as a read-only, sorted, unique int64 array.  Every
-    marked edge must lie in at least one marked element.
+    ``elements`` is given as any iterable of integer element ids and held
+    as a frozenset of ints.  ``edges`` names the marked edges by their ids
+    in the mesh's ``edge_table``, as a read-only, sorted, unique int64
+    array.  Every marked edge must lie in at least one marked element.
     """
 
     elements: frozenset[int]
     edges: np.ndarray = ()
 
     def __post_init__(self):
-        ids = np.asarray(self.edges)
-        if ids.ndim != 1 or ids.size and not np.issubdtype(ids.dtype, np.integer):
-            raise ValueError("marked edges must be a 1-D sequence of edge ids, "
-                             f"got shape {ids.shape} of {ids.dtype}")
+        elems, ids = np.asarray(self.elements), np.asarray(self.edges)
+        if elems.ndim == 0 and elems.dtype == object:  # a set or a generator
+            elems = np.asarray(list(self.elements))
+        for name, x in (("element", elems), ("edge", ids)):
+            if x.ndim != 1 or x.size and not np.issubdtype(x.dtype, np.integer):
+                raise ValueError(f"marked {name}s must be a 1-D sequence of "
+                                 f"{name} ids, got shape {x.shape} of {x.dtype}")
         ids = ids.astype(np.int64, copy=False)
         if (ids[1:] <= ids[:-1]).any():
             ids = np.unique(ids)
+        object.__setattr__(self, "elements", frozenset(elems.tolist()))
         object.__setattr__(self, "edges", _frozen(ids, np.int64))
 
     @staticmethod
     def of(elements: Iterable[int], edges=()) -> "MarkingInput":
-        return MarkingInput(frozenset(int(t) for t in elements), edges)
+        return MarkingInput(elements, edges)
 
     @staticmethod
     def all_edges(mesh: Mesh, elements: Iterable[int]) -> "MarkingInput":
         """Mark the given elements with all three of their edges."""
-        elems = frozenset(int(t) for t in elements)
+        elems = MarkingInput(elements).elements
         idx = np.fromiter(elems, np.int64, len(elems))
         return MarkingInput(elems, mesh.edge_table.element2edges[idx].ravel())
 
@@ -321,10 +325,7 @@ def split(mesh: Mesh, plan: RefinementPlan) -> Mesh:
     root = mesh if mesh.initial is None and mesh.is_initial else mesh.initial
     return Mesh(verts, tris, gen=gens, ancestor=mesh.ancestor[parents],
                 red_son=reds, initial=root, parent_elems=parents,
-                vertex_parents=np.concatenate([mesh.vertex_parents, vparents]),
-                has_red_history=mesh.has_red_history or _PATTERN_ID[RED] in pid,
-                has_bisec5_history=(mesh.has_bisec5_history
-                                    or _PATTERN_ID[BISEC5] in pid))
+                vertex_parents=np.concatenate([mesh.vertex_parents, vparents]))
 
 
 def refine_step(mesh: Mesh, marking: MarkingInput, dialect: str,
@@ -387,8 +388,9 @@ def uniform(mesh: Mesh, kind: str) -> Mesh:
 
 
 def _tree_keys(mesh: Mesh, root: Mesh, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Place every element of a pure-bisection mesh in the bisection tree
-    of its ancestor in ``root``.
+    """Place every element of a mesh in the bisection tree of its ancestor
+    in ``root``; raises UnsupportedRefinementError for an element that is
+    no node of it, such as a red son that was not bisected further.
 
     Row t of the (m, 1 + width) key array is t's ancestor id, then per
     level 1 for the son (v2, v0, m), 2 for the son (v1, v2, m) and 0 past
@@ -428,7 +430,8 @@ def _covers_next(keys: np.ndarray, depth: np.ndarray) -> np.ndarray:
 
 
 def overlay(a: Mesh, b: Mesh) -> Mesh:
-    """Coarsest common refinement of two pure-NVB meshes over one initial mesh.
+    """Coarsest common refinement of two meshes over one initial mesh, each
+    tiled by bisection-tree nodes (bisec(5) included, no surviving red son).
 
     Per initial element the union of the two bisection trees is taken; the
     element count satisfies #overlay <= #a + #b - #initial.  Elements are
@@ -436,10 +439,6 @@ def overlay(a: Mesh, b: Mesh) -> Mesh:
     numbered by first use.  Raises UnsupportedRefinementError unless both
     inputs tile every initial element with nodes of its bisection tree.
     """
-    for m in (a, b):
-        if m.has_red_history or m.has_bisec5_history:
-            raise UnsupportedRefinementError(
-                "overlay is defined for pure-bisection meshes only")
     ra, rb = a.initial_mesh, b.initial_mesh
     if ra is not rb:
         same = (np.array_equal(ra.vertices, rb.vertices)

@@ -47,6 +47,12 @@ def single_triangle() -> Mesh:
 ALL_POLICIES = (PatternPolicy.always_bisec3, PatternPolicy.always_red,
                 PatternPolicy.interior_node)
 
+# every dialect with each pattern policy it admits, by RunConfig names
+COMBOS = [("refineNVB", "bisec3"), ("refineNVB3", "bisec3"),
+          ("refineNVBred", "bisec3"), ("refineNVBred", "red"),
+          ("refine", "bisec3"), ("refine", "red"),
+          ("refine", "interior-node")]
+
 
 def random_marking(mesh: Mesh, rng: np.random.Generator, dialect: str,
                    fraction: float = 0.3) -> MarkingInput:

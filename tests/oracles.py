@@ -76,7 +76,7 @@ from nvbmesh.mesh import (_EXHAUSTIVE_LIMIT, COMPATIBLY_DIVISIBLE, ConformityRep
 from nvbmesh.meshio import _INT64, FORMAT_TAG, FORMAT_VERSION
 from nvbmesh.refine import (BISEC1, BISEC2_LEFT, BISEC2_RIGHT, BISEC3, BISEC5,
                             PATTERN_NONE, RED, MarkingInput, RefinementPlan,
-                            UnsupportedRefinementError, refine_step)
+                            refine_step)
 from nvbmesh.stability import NodeWeights, assemble_nested
 
 EdgeKey = tuple[int, int]
@@ -204,7 +204,6 @@ def split(mesh: Mesh, plan: RefinementPlan) -> Mesh:
         return node
 
     tris, gens, ancs, reds, parents = [], [], [], [], []
-    any_red = any_b5 = False
 
     def emit(t, triple, gen, red=False):
         tris.append(triple)
@@ -242,7 +241,6 @@ def split(mesh: Mesh, plan: RefinementPlan) -> Mesh:
             emit(t, (m01, v1, m12), g + 2)
             emit(t, (v2, m01, m12), g + 2)
         elif p == BISEC5:
-            any_b5 = True
             m12 = mid_node(v1, v2)
             m20 = mid_node(v2, v0)
             mi = mid_node(m01, v2)  # interior node of T
@@ -253,7 +251,6 @@ def split(mesh: Mesh, plan: RefinementPlan) -> Mesh:
             emit(t, (m12, v2, mi), g + 3)
             emit(t, (m01, m12, mi), g + 3)
         elif p == RED:
-            any_red = True
             m12 = mid_node(v1, v2)
             m20 = mid_node(v2, v0)
             emit(t, (v0, m01, m20), g + 2)
@@ -271,9 +268,7 @@ def split(mesh: Mesh, plan: RefinementPlan) -> Mesh:
     root = mesh if mesh.initial is None and mesh.is_initial else mesh.initial
     return Mesh(verts, np.array(tris, dtype=np.int64),
                 gen=gens, ancestor=ancs, red_son=reds,
-                initial=root, parent_elems=parents, vertex_parents=vparents,
-                has_red_history=mesh.has_red_history or any_red,
-                has_bisec5_history=mesh.has_bisec5_history or any_b5)
+                initial=root, parent_elems=parents, vertex_parents=vparents)
 
 
 # -- scalar geometry ----------------------------------------------------------
@@ -1258,11 +1253,7 @@ def overlay(a: Mesh, b: Mesh) -> Mesh:
     """The recursive ``nvbmesh.refine.overlay``: per initial element, a
     depth-first descent of the union of the two bisection trees over sets
     of coordinate triples; raises ValueError where it descends past the
-    deepest input generation."""
-    for m in (a, b):
-        if m.has_red_history or m.has_bisec5_history:
-            raise UnsupportedRefinementError(
-                "overlay is defined for pure-bisection meshes only")
+    deepest input generation, as it does below a red son."""
     ra, rb = a.initial_mesh, b.initial_mesh
     if ra is not rb:
         same = (np.array_equal(ra.vertices, rb.vertices)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import same_arrays, small_mesh_corpus
+from conftest import COMBOS, same_arrays, small_mesh_corpus
 import oracles
 from oracles import (brute_force_closure, brute_force_weight_exponents,
                      coords, edge_ids, edge_keys, edge_table, point,
@@ -45,18 +45,6 @@ def _report(num: int, name: str, elapsed: float, detail: str = ""):
 
 _CORPUS = None
 
-# every dialect appears, and every pattern policy appears on the dialects
-# that admit it
-_COMBOS = [
-    ("refineNVB", "bisec3"),
-    ("refineNVB3", "bisec3"),
-    ("refineNVBred", "bisec3"),
-    ("refineNVBred", "red"),
-    ("refine", "bisec3"),
-    ("refine", "red"),
-    ("refine", "interior-node"),
-]
-
 _POLICY_BY_NAME = {
     "bisec3": PatternPolicy.always_bisec3,
     "red": PatternPolicy.always_red,
@@ -75,7 +63,7 @@ def corpus():
         runs = []
         seed = 0
         for repeat in range(15):
-            for dialect, policy_name in _COMBOS:
+            for dialect, policy_name in COMBOS:
                 initial = square2() if seed % 2 else lshape6()
                 rng = np.random.default_rng(seed)
                 policy = _POLICY_BY_NAME[policy_name]()

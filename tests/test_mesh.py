@@ -109,6 +109,21 @@ def test_validate_mesh_edge_cases_match_oracle(name):
     assert got, name
 
 
+@pytest.mark.parametrize("vertices,bad", [
+    ([(0.0, 0.0), (1.0, 0.0), (_NAN, 1.0), (0.0, 1.0)], 2),
+    ([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, _INF)], 3),
+    (_SQUARE + [(_NAN, 0.5)], 4),  # orphan: in no element
+], ids=["nan", "inf", "orphan_nan"])
+def test_mesh_refuses_non_finite_coordinates(vertices, bad):
+    elements = [(0, 1, 3), (1, 2, 3)]
+    message = f"vertex {bad} has non-finite coordinates"
+    with pytest.raises(MeshError, match=message):
+        Mesh(vertices, elements)
+    unchecked = Mesh(vertices, elements, validate=False)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert message in [v.detail for v in validate_mesh(unchecked).violations]
+
+
 def test_validate_mesh_matches_oracle_on_refined_and_tampered_meshes():
     meshes = []
     for seed in range(4):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import (random_marking, random_trace, same_arrays,
+from conftest import (COMBOS, random_marking, random_trace, same_arrays,
                       single_triangle, small_mesh_corpus, square2_incompatible)
 from oracles import (brute_force_closure, coords, edge_ids, edge_keys,
                      edge_table, edges_of, midpoint, point,
@@ -108,6 +108,25 @@ def test_close_marks_rejects_unmarked_container(sq):
 def test_marking_rejects_anything_but_edge_ids(edges):
     with pytest.raises(ValueError, match="1-D sequence of edge ids"):
         MarkingInput.of([0], edges)
+
+
+@pytest.mark.parametrize("elements", [[0.9], [True], frozenset({0.5}),
+                                      np.array([1.0]), [[0, 1]], "01", 3])
+def test_marking_rejects_anything_but_element_ids(sq, elements):
+    # a truncated float or a bool would mark some other element
+    with pytest.raises(ValueError, match="1-D sequence of element ids"):
+        MarkingInput(elements)
+    with pytest.raises(ValueError, match="1-D sequence of element ids"):
+        MarkingInput.all_edges(sq, elements)
+
+
+def test_marking_elements_are_a_frozenset_of_ints():
+    for given in ([2, 0, 2], (0, 2), range(0, 3, 2), np.array([2, 0], np.int32),
+                  frozenset({np.int64(0), 2}), (t for t in (0, 2))):
+        elements = MarkingInput.of(given).elements
+        assert elements == frozenset({0, 2})
+        assert {type(t) for t in elements} == {int}
+    assert MarkingInput.of([]).elements == frozenset()
 
 
 def test_marking_edges_are_sorted_unique_read_only_ids(sq):
@@ -255,12 +274,9 @@ SONS = {"none": 1, "bisec1": 2, "bisec2_left": 3, "bisec2_right": 3,
         "bisec3": 4, "red": 4, "bisec5": 6}
 
 
-def assert_split_follows_plan(mesh, plan, fine):
+def assert_split_follows_plan(plan, fine):
     names = plan.pattern.tolist()
     assert np.bincount(fine.parent_elems).tolist() == [SONS[p] for p in names]
-    assert fine.has_red_history == (mesh.has_red_history or "red" in names)
-    assert fine.has_bisec5_history == (mesh.has_bisec5_history
-                                       or "bisec5" in names)
 
 
 def test_split_refines_a_hand_made_plan_as_named(lshape):
@@ -276,14 +292,10 @@ def test_split_refines_a_hand_made_plan_as_named(lshape):
     assert same_arrays(fine, expect)
     assert np.array_equal(fine.vertex_parents, expect.vertex_parents)
     assert np.array_equal(fine.parent_elems, expect.parent_elems)
-    assert fine.has_red_history and fine.has_bisec5_history
-    assert_split_follows_plan(lshape, named, fine)
+    assert_split_follows_plan(named, fine)
 
 
-@pytest.mark.parametrize("dialect,policy", [
-    ("refineNVB", "bisec3"), ("refineNVB3", "bisec3"),
-    ("refineNVBred", "bisec3"), ("refineNVBred", "red"),
-    ("refine", "bisec3"), ("refine", "red"), ("refine", "interior-node")])
+@pytest.mark.parametrize("dialect,policy", COMBOS)
 def test_split_does_what_the_plan_names(dialect, policy):
     pattern_policy = make_policy(policy)
     for seed in range(3):
@@ -293,7 +305,7 @@ def test_split_does_what_the_plan_names(dialect, policy):
             marking = random_marking(mesh, rng, dialect)
             fine, _, plan = step_with_plan(mesh, marking, dialect,
                                            pattern_policy)
-            assert_split_follows_plan(mesh, plan, fine)
+            assert_split_follows_plan(plan, fine)
             mesh = fine
 
 
@@ -538,15 +550,31 @@ def test_overlay_bound_on_random_pairs():
 def test_overlay_rejects_red_meshes(sq):
     red, _ = refine_step(sq, MarkingInput.all_edges(sq, [0, 1]),
                          "refineNVBred", PatternPolicy.always_red())
-    with pytest.raises(UnsupportedRefinementError):
+    with pytest.raises(UnsupportedRefinementError,
+                       match="no node of the bisection tree"):
         overlay(red, sq)
 
 
-def test_overlay_rejects_bisec5_meshes(sq):
+def test_overlay_accepts_bisec5_meshes(sq):
     b5, _ = refine_step(sq, MarkingInput.all_edges(sq, [0, 1]),
                         "refine", PatternPolicy.interior_node())
-    with pytest.raises(UnsupportedRefinementError):
-        overlay(b5, sq)
+    ov = overlay(b5, sq)
+    assert same_arrays(ov, oracles.overlay(b5, sq))
+    assert same_mesh(ov, b5)
+
+
+def test_overlay_accepts_red_meshes_once_every_red_son_is_bisected(sq):
+    red, _ = refine_step(sq, MarkingInput.all_edges(sq, [0, 1]),
+                         "refineNVBred", PatternPolicy.always_red())
+    sons = np.flatnonzero(red.red_son)
+    fine, _ = refine_step(red, MarkingInput.of(sons), "refineNVB")
+    assert sons.size == 4 and not fine.red_son.any()
+    rebuilt = Mesh(fine.vertices, fine.elements, gen=fine.gen,
+                   ancestor=fine.ancestor, initial=sq)
+    for mesh in (fine, rebuilt):  # one verdict for one geometry
+        ov = overlay(mesh, sq)
+        assert same_arrays(ov, oracles.overlay(mesh, sq))
+        assert same_mesh(ov, fine)
 
 
 def test_overlay_rejects_mismatched_initial_meshes(sq, lshape):
@@ -568,8 +596,8 @@ def test_tree_keys_place_every_element_once(sq):
     assert np.array_equal(np.unique(keys[:, 0]), np.arange(sq.n_elements))
 
 
-_TRACES = st.tuples(st.sampled_from(["refineNVB", "refineNVB3"]),
-                    st.integers(0, 2**16), st.integers(1, 4))
+_TRACES = st.tuples(st.sampled_from(COMBOS), st.integers(0, 2**16),
+                    st.integers(1, 4))
 
 
 @settings(PROPERTY)
@@ -583,8 +611,18 @@ def test_overlay_properties(make_initial, refs, ref_seed, negative_zeros,
         xy = initial.vertices.copy()
         xy[xy == 0.0] = -0.0
         initial = Mesh(xy, initial.elements)
-    a, b = (random_trace(initial, seed=seed, steps=steps, dialect=dialect)[0][-1]
-            for dialect, seed, steps in (trace_a, trace_b))
+    a, b = (random_trace(initial, seed=seed, steps=steps, dialect=dialect,
+                         policy=make_policy(policy))[0][-1]
+            for (dialect, policy), seed, steps in (trace_a, trace_b))
+    # the inputs' geometry alone decides: every element must be a node of
+    # the bisection tree, which bisec(5) sons and bisected red sons are
+    if a.red_son.any() or b.red_son.any():
+        with pytest.raises(UnsupportedRefinementError,
+                           match="no node of the bisection tree"):
+            overlay(a, b)
+        with pytest.raises(ValueError):
+            oracles.overlay(a, b)
+        return
     ov = overlay(a, b)
     assert same_arrays(ov, oracles.overlay(a, b))
     assert same_mesh(ov, overlay(b, a))

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import only_builtin_types, random_trace, single_triangle
+from conftest import COMBOS, only_builtin_types, random_trace, single_triangle
 from oracles import (brute_force_weight_exponents, conditions, coords,
                      delta_distance)
-from nvbmesh.marking import assign_reference_edges
+from nvbmesh.marking import (REF_EDGE_POLICIES, RunConfig, assign_reference_edges,
+                             run_refinement)
 from nvbmesh.mesh import Mesh, MeshError, lshape6, square2
 from nvbmesh.refine import PatternPolicy, uniform
 from nvbmesh.stability import (NodeWeights, NumericFailure,
@@ -443,7 +444,8 @@ def test_prolongation_matches_loop_oracle_on_nested_pairs():
                             ("refineNVBred", PatternPolicy.always_red())):
         meshes, _ = random_trace(lshape6(), 3, 5, dialect, policy)
         pairs += [(meshes[0], meshes[-1]), (meshes[1], meshes[4])]
-    assert any(m.has_bisec5_history for _, m in pairs)
+        if dialect == "refine":  # a bisec(5) step: a father with six sons
+            assert max(np.bincount(m.parent_elems).max() for m in meshes[1:]) == 6
     for coarse, fine in pairs:
         _assert_same_csr(prolongation(coarse, fine),
                          oracles.prolongation(coarse, fine))
@@ -564,8 +566,6 @@ def test_measure_rejects_a_ritz_pair_above_the_residual_bound(monkeypatch):
 def test_measure_matches_exact_reduction_on_corner_run():
     # the criterion-11 corner run up to step 20 (at most 1,000 coarse
     # nodes): its maximum at step 16 and the clustered tops at 19-20
-    from nvbmesh.marking import RunConfig, run_refinement
-
     config = RunConfig(initial="lshape6", dialect="refineNVB",
                        strategy="dorfler", theta=0.3, corner=(0.0, 0.0),
                        steps=20)
@@ -575,9 +575,24 @@ def test_measure_matches_exact_reduction_on_corner_run():
         assert abs(measure_h1_stability(coarse, fine) - exact) <= 1e-10 * exact
 
 
-def test_measure_bounded_on_adaptive_sequence():
-    from nvbmesh.marking import RunConfig, run_refinement
+@settings(settings.get_profile("nvbmesh"), max_examples=15)
+@given(st.sampled_from(["square2", "lshape6"]), st.sampled_from(REF_EDGE_POLICIES),
+       st.sampled_from(COMBOS), st.integers(1, 10), st.integers(0, 2**16))
+def test_measure_matches_exact_reduction_on_random_runs(initial, ref_edges,
+                                                        combo, steps, seed):
+    dialect, policy = combo
+    config = RunConfig(initial=initial, ref_edges=ref_edges, dialect=dialect,
+                       policy=policy, strategy="random", fraction=0.3,
+                       steps=steps, seed=seed)
+    # the last mesh of the run with at most 200 nodes keeps the dense
+    # oracle cheap
+    coarse = [m for m in run_refinement(config).meshes if m.n_vertices <= 200][-1]
+    fine = uniform(uniform(coarse, "bisec1"), "bisec1")
+    exact = oracles.h1_exact(coarse, fine, count=1)[0]
+    assert abs(measure_h1_stability(coarse, fine) - exact) <= 1e-10 * exact
 
+
+def test_measure_bounded_on_adaptive_sequence():
     config = RunConfig(initial="lshape6", dialect="refineNVB",
                        strategy="dorfler", theta=0.3, steps=10)
     result = run_refinement(config)

@@ -9,19 +9,13 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import assert_topology_matches
+from conftest import COMBOS, assert_topology_matches
 from nvbmesh.marking import (RunConfig, assign_reference_edges, build_initial,
                              make_policy, marking_for, select_marked)
 from nvbmesh.mesh import (Mesh, MeshError, build_edge_table, lshape6, square2,
                           validate_mesh)
 from nvbmesh.meshio import dumps_mesh, loads_mesh
 from nvbmesh.refine import step_with_plan, uniform
-
-# every dialect with each pattern policy it admits
-COMBOS = [("refineNVB", "bisec3"), ("refineNVB3", "bisec3"),
-          ("refineNVBred", "bisec3"), ("refineNVBred", "red"),
-          ("refine", "bisec3"), ("refine", "red"),
-          ("refine", "interior-node")]
 
 
 @pytest.mark.parametrize("ref_edges", ["as-given", "random"])
@@ -53,8 +47,6 @@ def test_topology_and_split_match_oracles(dialect, policy, ref_edges):
         assert dumps_mesh(fine) == dumps_mesh(expect)
         assert np.array_equal(fine.vertex_parents, expect.vertex_parents)
         assert np.array_equal(fine.parent_elems, expect.parent_elems)
-        assert (fine.has_red_history, fine.has_bisec5_history) == \
-            (expect.has_red_history, expect.has_bisec5_history)
         mesh = fine
     assert_topology_matches(mesh)
     assert mesh.n_elements > 100
