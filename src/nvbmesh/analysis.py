@@ -16,9 +16,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from . import _geom
-from .mesh import Mesh, _neighbors, _shared_edges, _walk, structure_flags
+from .mesh import Mesh, _neighbors, _shared_edges, structure_flags
 from .meshio import _csv
 from .refine import MarkingInput, StepRecord, refine_step
 
@@ -79,10 +81,32 @@ class StructureReport(CheckReport):
 
 
 def max_equal_gen_chain(mesh: Mesh) -> int:
-    """Longest reference-neighbor run of elements sharing one generation."""
-    n1 = _neighbors(mesh.edge_table, 0)  # -1 ends a run
-    n1 = np.where((n1 >= 0) & (mesh.gen[n1] == mesh.gen), n1, -1).tolist()
-    return max((len(_walk(n1, t)) for t in range(len(n1))), default=0)
+    """Longest reference-neighbor run of elements sharing one generation.
+
+    The runs follow t -> N(t) while the generation stays: a functional
+    graph, so each run is a tail that ends at a sink (no N(T) of T's
+    generation) or enters a cycle, which it then goes round once.  The
+    cycles are the strong components of more than one element.  Pointer
+    doubling gives each element its distance to the sink or cycle ahead of
+    it in log2(longest tail) array rounds, and a run's length is that
+    distance plus 1 at a sink or the cycle's length.
+    """
+    n1 = _neighbors(mesh.edge_table, 0)
+    m = n1.size
+    # -1 ends a run
+    n1 = np.where((n1 >= 0) & (mesh.gen[n1] == mesh.gen), n1, -1)
+    t = np.flatnonzero(n1 >= 0)
+    graph = sp.csr_matrix((np.ones(t.size), (t, n1[t])), shape=(m, m))
+    _, labels = csgraph.connected_components(graph, directed=True,
+                                             connection="strong")
+    size = np.bincount(labels)[labels]  # a cycle's length on it, else 1
+    end = (n1 < 0) | (size > 1)  # a sink or on a cycle
+    up = np.where(end, np.arange(m), n1)
+    steps = (~end).astype(np.int64)  # up[t] lies steps[t] ahead of t
+    while not end[up].all():
+        steps += steps[up]
+        up = up[up]
+    return int((steps + size[up]).max(initial=0))
 
 
 def _check_ancestors(mesh: Mesh, initial: Mesh) -> None:

@@ -30,7 +30,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .mesh import Mesh, _frozen, _neighbors, _shared_edges
+from .mesh import Mesh, _frozen, _neighbors, _row_ids, _shared_edges
 from .refine import MarkingInput, PatternPolicy, refine_step
 
 
@@ -90,15 +90,6 @@ class CorrMap:
                '  "image_elem": %d,\n  "image_edge": [\n   %d,\n   %d\n  ]\n }')
         body = ",\n".join([row] * len(rows)) % tuple(rows.ravel().tolist())
         return "[\n" + body + "\n]"
-
-
-def _row_ids(rows: np.ndarray) -> np.ndarray:
-    """Row ids of a nonnegative integer (n, k) array: equal ids for equal rows."""
-    ids = np.zeros(rows.shape[0], dtype=np.int64)
-    for col in rows.T:
-        ids = np.unique(ids * (col.max(initial=0) + 1) + col,
-                        return_inverse=True)[1].reshape(-1)
-    return ids
 
 
 def _diamonds(mesh: Mesh, tri: np.ndarray, free: np.ndarray, label: str):

@@ -11,17 +11,22 @@ All coordinates are expected to be dyadic rationals; midpoints computed
 during refinement are exact, so the area identity
 ``|T| = |ancestor| * 2**(-gen)`` holds exactly and is tested exactly.
 
-Topology is one integer ``EdgeTable`` per mesh, built by one stable sort of
-the sorted edge node pairs: ``element2edges`` (m, 3) holds each element's
-edge ids, column 0 the reference edge (v0, v1), then (v1, v2), (v2, v0);
-``edge2nodes`` (E, 2) the sorted node pairs; ``edge2elements`` (E, 2) the
-incident elements in ascending id, -1 in column 1 on the boundary.  Edges
-are numbered in first-touch order: as a sweep over the elements and their
-edges 0, 1, 2 first meets them.  Every reader of its adjacency goes
-through one kernel per relation: ``_neighbors`` (the element across a
-slot; ``_ReferenceNeighbors`` reads one row of slot 0), ``_shared_edges``
+Topology is one integer ``EdgeTable`` per mesh, built by one sort of the
+sorted edge node pairs: an unstable sort of the int64 key code * 3m + slot,
+which orders each edge's slots as a stable sort would, or a stable argsort
+of the codes where that key could overflow (nv**2 * 3m >= 2**63).
+``element2edges`` (m, 3) holds each element's edge ids, column 0 the
+reference edge (v0, v1), then (v1, v2), (v2, v0); ``edge2nodes`` (E, 2) the
+sorted node pairs; ``edge2elements`` (E, 2) the incident elements in
+ascending id, -1 in column 1 on the boundary.  Edges are numbered in
+first-touch order: as a sweep over the elements and their edges 0, 1, 2
+first meets them.  Every reader of its adjacency goes through one kernel
+per relation: ``_neighbors`` (the element across a slot;
+``_ReferenceNeighbors`` reads one row of slot 0), ``_shared_edges``
 (interior edges, their element pairs and their compatible divisibility)
-and ``_walk`` (a reference-neighbour run).
+and ``_walk`` (a reference-neighbour run).  ``_row_ids`` numbers the rows
+of an integer array, equal rows alike, for every caller that merges equal
+rows.
 
 A mesh copies what it is given.  The constructor copies every input array,
 another mesh's and its own defaults included, and marks each copy
@@ -261,25 +266,54 @@ def build_edge_table(elements: np.ndarray) -> EdgeTable:
     m = elements.shape[0]
     n = 3 * m
     tails = elements[:, [1, 2, 0]]
-    pairs = np.stack([np.minimum(elements, tails), np.maximum(elements, tails)],
-                     axis=2).reshape(n, 2)
-    codes = pairs[:, 0] * (pairs.max(initial=0) + 1) + pairs[:, 1]
-    # one run per edge of its occurrences in ascending position
-    order = np.argsort(codes, kind="stable")
-    runs = np.flatnonzero(np.diff(codes[order], prepend=-1, append=-1))
+    lo = np.minimum(elements, tails).ravel()
+    hi = np.maximum(elements, tails).ravel()
+    del tails
+    codes = lo * (int(elements.max(initial=0)) + 1)
+    codes += hi
+    # the occurrences of each edge as one run in ascending slot: an unstable
+    # sort of code * 3m + slot while that fits int64, else a stable argsort
+    fits = (int(codes.min(initial=0)) * n >= -2**63
+            and (int(codes.max(initial=0)) + 1) * n <= 2**63)
+    if fits:
+        key = codes
+        key *= n
+        key += np.arange(n)
+        key.sort()
+        codes = key // n
+    else:
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+    starts = np.empty(n + 1, dtype=bool)
+    starts[0] = starts[-1] = True
+    np.not_equal(codes[1:], codes[:-1], out=starts[1:-1])
+    runs = np.flatnonzero(starts)
+    del starts
+    if fits:
+        codes *= n
+        key -= codes
+        order = key  # the slots, in place of the key
+    del codes
     size = np.diff(runs)
     first = order[runs[:-1]]
     touched = np.zeros(n, dtype=bool)
     touched[first] = True
-    edge = (np.cumsum(touched) - 1)[first]  # first-touch id of each run
+    edge = np.cumsum(touched)[first]  # first-touch id of each run, from 1
+    edge -= 1
+    del touched
     ids = np.empty(n, dtype=np.int64)
     ids[order] = np.repeat(edge, size)
-    # the second occurrence of an edge is its second incident element; -3
-    # (element -1) on the boundary
-    second = np.where(size > 1, order[np.minimum(runs[:-1] + 1, n - 1)], -3)
-    ends = np.empty((edge.size, 2), dtype=np.int64)
-    ends[edge] = np.stack([first, second], axis=1)
-    return EdgeTable(*_readonly(ids.reshape(m, 3), pairs[ends[:, 0]], ends // 3))
+    edge2nodes = np.empty((edge.size, 2), dtype=np.int64)
+    edge2nodes[edge, 0] = lo[first]
+    edge2nodes[edge, 1] = hi[first]
+    del lo, hi
+    # the second occurrence of an edge is its second incident element, -1
+    # on the boundary
+    edge2elements = np.empty((edge.size, 2), dtype=np.int64)
+    edge2elements[edge, 0] = first // 3
+    edge2elements[edge, 1] = np.where(
+        size > 1, order[np.minimum(runs[:-1] + 1, n - 1)] // 3, -1)
+    return EdgeTable(*_readonly(ids.reshape(m, 3), edge2nodes, edge2elements))
 
 
 def _neighbors(table: EdgeTable, slot: int) -> np.ndarray:
@@ -324,6 +358,24 @@ def _walk(successor: Sequence[int], t: int) -> list[int]:
         seen.add(t)
         t = successor[t]
     return out
+
+
+def _row_ids(rows: np.ndarray) -> np.ndarray:
+    """Ids of the rows of an integer (n, k) array, equal exactly for equal
+    rows and ascending with the rows in lexicographic order.
+
+    Columns are packed into one int64 key at a time; a column with a
+    negative entry, or one whose packing would overflow, is first replaced
+    by the ranks of its values.
+    """
+    ids = np.zeros(rows.shape[0], dtype=np.int64)
+    for col in rows.T:
+        if (col.min(initial=0) < 0 or (int(ids.max(initial=0)) + 1)
+                * (int(col.max(initial=0)) + 1) > 2**63):
+            col = np.unique(col, return_inverse=True)[1].reshape(-1)
+        ids = np.unique(ids * (col.max(initial=0) + 1) + col,
+                        return_inverse=True)[1].reshape(-1)
+    return ids
 
 
 def _overshared(table: EdgeTable) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -377,7 +429,8 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
         violations.append(Violation("bad_index", "element vertex index out of range"))
         return ConformityReport(violations)
 
-    areas = mesh.areas()
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite vertices
+        areas = mesh.areas()
     for t in np.nonzero(areas <= 0.0)[0]:
         violations.append(Violation("inverted_element",
                                     f"element {int(t)} has signed area {areas[t]:g}",

@@ -51,9 +51,8 @@ FULL_PATTERNS = (BISEC3, RED, BISEC5)
 # Split templates.  Local nodes: 0-2 the vertices v0, v1, v2 of T; 3-5 the
 # midpoints m01, m12, m20 of its edges; 6 the bisec(5) interior node, the
 # midpoint of (m01, v2).  A son is (local-node triple, gen increment, red
-# flag), the flag -1 keeping the father's.
+# flag); ``split`` copies an element whose pattern is none, flag and all.
 _SONS = {
-    PATTERN_NONE: ((0, 1, 2, 0, -1),),
     BISEC1: ((2, 0, 3, 1, 0), (1, 2, 3, 1, 0)),
     BISEC2_LEFT: ((2, 0, 3, 1, 0), (3, 1, 4, 2, 0), (2, 3, 4, 2, 0)),
     BISEC2_RIGHT: ((3, 2, 5, 2, 0), (0, 3, 5, 2, 0), (1, 2, 3, 1, 0)),
@@ -112,10 +111,21 @@ class MarkingInput:
 
     @staticmethod
     def all_edges(mesh: Mesh, elements: Iterable[int]) -> "MarkingInput":
-        """Mark the given elements with all three of their edges."""
+        """Mark the given elements with all three of their edges; raises
+        ValueError for an id that is no element of the mesh."""
         elems = MarkingInput(elements).elements
-        idx = np.fromiter(elems, np.int64, len(elems))
-        return MarkingInput(elems, mesh.edge_table.element2edges[idx].ravel())
+        edges = mesh.edge_table.element2edges[_element_ids(mesh, elems)]
+        return MarkingInput(elems, edges.ravel())
+
+
+def _element_ids(mesh: Mesh, elements: frozenset[int]) -> np.ndarray:
+    """Marked element ids as an int64 array; ValueError for an id that is
+    no element of the mesh."""
+    ids = np.fromiter(elements, np.int64, len(elements))
+    bad = ids[(ids < 0) | (ids >= mesh.n_elements)]
+    if bad.size:
+        raise ValueError(f"marked element {bad[0]} out of range")
+    return ids
 
 
 @dataclass(frozen=True)
@@ -205,10 +215,7 @@ def close_marks(mesh: Mesh, marking: MarkingInput, mode: str = "mnvb",
     """
     if mode not in ("nvb", "mnvb"):
         raise ValueError(f"unknown closure mode {mode!r}")
-    elems = np.fromiter(marking.elements, np.int64, len(marking.elements))
-    bad = elems[(elems < 0) | (elems >= mesh.n_elements)]
-    if bad.size:
-        raise ValueError(f"marked element {bad[0]} out of range")
+    elems = _element_ids(mesh, marking.elements)
 
     table = mesh.edge_table
     e2e, e2el, e2n = table.element2edges, table.edge2elements, table.edge2nodes
@@ -261,39 +268,45 @@ def split(mesh: Mesh, plan: RefinementPlan) -> Mesh:
 
     Every closed edge is halved; the only other new nodes are bisec(5)
     interior nodes.  New nodes are numbered by first use in element order,
-    within an element in the order m01, m12, m20, interior node.  Raises
-    PrecisionExhausted on an inexact one.
+    within an element in the order m01, m12, m20, interior node.  Only the
+    refined elements are matched against the pattern names and cut; an
+    element whose pattern is none is copied as it is.  Raises
+    PrecisionExhausted on an inexact node.
     """
     m, pattern = mesh.n_elements, plan.pattern
     if pattern.shape != (m,):
         raise ValueError("plan does not match mesh (element count differs)")
     if not plan.closed_edges.size:
         return mesh
-    pid = np.full(m, -1)
+    kept = pattern == PATTERN_NONE
+    cut = np.flatnonzero(~kept)
+    names = pattern[cut]
+    cid = np.full(cut.size, -1)  # pattern index of each refined element
     for i, name in enumerate(_SONS):
-        pid[pattern == name] = i
-    if (pid < 0).any():
-        raise ValueError(f"unknown pattern {str(pattern[np.argmin(pid)])!r}")
+        cid[names == name] = i
+    if (cid < 0).any():
+        raise ValueError(f"unknown pattern {str(names[np.argmin(cid)])!r}")
 
     table = mesh.edge_table
     n_edges, n_old = table.edge2nodes.shape[0], mesh.n_vertices
     # new node keys: edge id for a midpoint, n_edges + t for T's interior node
-    keys = np.concatenate([table.element2edges,
-                           n_edges + np.arange(m)[:, None]], axis=1)
-    needs = _NEEDS[pid]
+    keys = np.concatenate([table.element2edges[cut],
+                           n_edges + cut[:, None]], axis=1)
+    needs = _NEEDS[cid]
     uniq, first = np.unique(keys[needs], return_index=True)
     if not np.array_equal(uniq[uniq < n_edges], plan.closed_edges):
         raise ValueError("plan does not match mesh (closed edges differ)")
     order = np.argsort(first)
-    new_keys, first = uniq[order], first[order]
+    new_keys = uniq[order]
+    row = np.nonzero(needs)[0][first[order]]  # row in cut of each node's first use
     node = np.full(n_edges + m, -1)
     node[new_keys] = np.arange(n_old, n_old + new_keys.size)
-    local = np.concatenate([mesh.elements, node[keys]], axis=1)
+    local = np.concatenate([mesh.elements[cut], node[keys]], axis=1)
 
     is_edge = new_keys < n_edges
     vparents = np.empty((new_keys.size, 2), dtype=np.int64)
     vparents[is_edge] = table.edge2nodes[new_keys[is_edge]]
-    vparents[~is_edge] = local[new_keys[~is_edge] - n_edges][:, [2, 3]]
+    vparents[~is_edge] = local[row[~is_edge]][:, [2, 3]]
     verts = np.concatenate([mesh.vertices, np.empty((new_keys.size, 2))])
     # edge midpoints first: an interior node halves (v2, m01)
     for sel in (is_edge, ~is_edge):
@@ -304,24 +317,26 @@ def split(mesh: Mesh, plan: RefinementPlan) -> Mesh:
                | (mid == a).all(axis=1) | (mid == b).all(axis=1))
     if inexact.any():
         i = int(np.argmax(inexact))
-        t = int(np.nonzero(needs)[0][first[i]])
+        t = int(cut[row[i]])
         raise PrecisionExhausted(
             f"midpoint of nodes {tuple(vparents[i].tolist())} in element {t} "
             f"of generation {mesh.gen[t]} is not exact in double precision")
 
-    n_sons = _N_SONS[pid]
+    n_sons = np.ones(m, dtype=np.int64)
+    n_sons[cut] = _N_SONS[cid]
     at = np.cumsum(n_sons) - n_sons
     parents = np.repeat(np.arange(m), n_sons)
     tris = np.empty((parents.size, 3), dtype=np.int64)
     gens, reds = mesh.gen[parents], mesh.red_son[parents]
+    tris[at[kept]] = mesh.elements[kept]
     for p, sons in enumerate(_SONS.values()):
-        ts = np.flatnonzero(pid == p)
-        nodes = local[ts]
+        ts = np.flatnonzero(cid == p)
+        nodes, first_son = local[ts], at[cut[ts]]
         for j, (*triple, dgen, red) in enumerate(sons):
-            rows = at[ts] + j
+            rows = first_son + j
             tris[rows] = nodes[:, triple]
             gens[rows] += dgen
-            reds[rows] = reds[rows] if red < 0 else red
+            reds[rows] = red
     root = mesh if mesh.initial is None and mesh.is_initial else mesh.initial
     return Mesh(verts, tris, gen=gens, ancestor=mesh.ancestor[parents],
                 red_son=reds, initial=root, parent_elems=parents,

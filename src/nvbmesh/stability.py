@@ -45,7 +45,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 from . import _geom
-from .mesh import Mesh, _frozen, _readonly
+from .mesh import Mesh, _frozen, _readonly, _row_ids
 from .meshio import _csv
 
 
@@ -200,7 +200,11 @@ def check_conditions(mesh: Mesh, weights: NodeWeights) -> StabilityReport:
     the scaled mass matrix, in closed form, each a column of the report.
     Realized global constants are reduced from them, including the
     quadratic-form constants of the eigenvalue criterion.  All elements are
-    evaluated at once as (m, 3) and (m, 3, 3) arrays.
+    evaluated at once as (m, 3) arrays.  The two quadratic-form constants
+    are maxima over 3x3 pencils built from an element's row of
+    lam2 = (h/d_i)^2, and NVB meshes repeat few such rows: each distinct
+    row is solved once.  Every 3x3 eigensolve is its own LAPACK call, so
+    the maxima equal those over all elements bit for bit.
     """
     e = weights.exponents[mesh.elements]
     spread = e.max(axis=1) - e.min(axis=1)
@@ -215,17 +219,24 @@ def check_conditions(mesh: Mesh, weights: NodeWeights) -> StabilityReport:
     h = _geom.diameters(mesh.vertices, mesh.elements)
     with np.errstate(over="ignore", invalid="ignore"):
         lam2 = h[:, None] * h[:, None] * np.ldexp(1.0, -e)   # (h/d_i)^2
-        quartic = lam2[:, :, None] * _MASS_HAT * lam2[:, None, :]
-    bad = np.flatnonzero(~np.isfinite(quartic).all(axis=(1, 2)))
+        # one pencil per distinct row of lam2, rows compared by their bits;
+        # element t's row is rows[ids[t]]
+        ids = _row_ids(lam2.view(np.int64))
+        rows = np.empty((ids.max(initial=-1) + 1, 3))
+        rows[ids] = lam2
+        quartic = rows[:, :, None] * _MASS_HAT * rows[:, None, :]
+    bad = np.flatnonzero(~np.isfinite(quartic).all(axis=(1, 2))[ids])
     if bad.size:
         raise NumericFailure(f"the scaled quartic matrix of element {bad[0]} "
                              f"(generation {mesh.gen[bad[0]]}) overflows float64")
     quartic_bound = float(_mass_pencil_eigvalsh(quartic)[:, -1].max())
-    del quartic   # nine floats per element, not held through the next solve
+    del quartic   # nine floats per distinct row, not held through the next solve
     val = weights.values[mesh.elements] / h[:, None]
     # the symmetrized pencil is positive definite exactly when the
     # scaled matrix is; skip failing elements
-    l2 = lam2[lam_closed > 0.0]
+    positive = np.zeros(len(rows), dtype=bool)
+    positive[ids[lam_closed > 0.0]] = True
+    l2 = rows[positive]
     sym = 0.5 * (l2[:, :, None] * _MASS_HAT + _MASS_HAT * l2[:, None, :])
     # top eigenvalue of (mass_hat, sym) = 1 / lowest of (sym, mass_hat)
     low = _mass_pencil_eigvalsh(sym)[:, 0]

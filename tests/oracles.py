@@ -5,6 +5,8 @@ versions of ``nvbmesh.mesh.build_edge_table``, the fixpoint of
 ``nvbmesh.refine.close_marks`` (with three bisections for every fully
 marked element) and ``nvbmesh.refine.split``;
 ``brute_force_closure`` finds the closure fixpoint by exhaustive search.
+``stable_edge_table`` is ``build_edge_table``'s array kernel with a stable
+argsort of the edge codes in place of its sort of one combined key.
 ``area_identity_and_diameter_scale`` and ``max_equal_gen_chain`` are the
 per-element loops of ``nvbmesh.analysis.verify_levels``, and
 ``verify_chain_bounds`` is the son-by-son loop of its namesake.  ``DeltaDistance``
@@ -72,7 +74,7 @@ from nvbmesh import _geom
 from nvbmesh.analysis import ChainBoundsReport, CheckReport, CheckResult
 from nvbmesh.correspondence import CorrespondenceError, CorrReport
 from nvbmesh.mesh import (_EXHAUSTIVE_LIMIT, COMPATIBLY_DIVISIBLE, ConformityReport,
-                          Mesh, MeshError, Violation, classify_pair)
+                          EdgeTable, Mesh, MeshError, Violation, classify_pair)
 from nvbmesh.meshio import _INT64, FORMAT_TAG, FORMAT_VERSION
 from nvbmesh.refine import (BISEC1, BISEC2_LEFT, BISEC2_RIGHT, BISEC3, BISEC5,
                             PATTERN_NONE, RED, MarkingInput, RefinementPlan,
@@ -119,6 +121,31 @@ def edge_table(elements: np.ndarray) -> dict[EdgeKey, tuple[int, ...]]:
         for e in (edge_key(v0, v1), edge_key(v1, v2), edge_key(v2, v0)):
             table.setdefault(e, []).append(t)
     return {e: tuple(inc) for e, inc in table.items()}
+
+
+def stable_edge_table(elements: np.ndarray) -> EdgeTable:
+    """``nvbmesh.mesh.build_edge_table`` by one stable argsort of the edge
+    codes, without the combined key that the package sorts unstably."""
+    elements = np.asarray(elements, dtype=np.int64)
+    m = elements.shape[0]
+    n = 3 * m
+    tails = elements[:, [1, 2, 0]]
+    pairs = np.stack([np.minimum(elements, tails), np.maximum(elements, tails)],
+                     axis=2).reshape(n, 2)
+    codes = pairs[:, 0] * (pairs.max(initial=0) + 1) + pairs[:, 1]
+    order = np.argsort(codes, kind="stable")
+    runs = np.flatnonzero(np.diff(codes[order], prepend=-1, append=-1))
+    size = np.diff(runs)
+    first = order[runs[:-1]]
+    touched = np.zeros(n, dtype=bool)
+    touched[first] = True
+    edge = (np.cumsum(touched) - 1)[first]
+    ids = np.empty(n, dtype=np.int64)
+    ids[order] = np.repeat(edge, size)
+    second = np.where(size > 1, order[np.minimum(runs[:-1] + 1, n - 1)], -3)
+    ends = np.empty((edge.size, 2), dtype=np.int64)
+    ends[edge] = np.stack([first, second], axis=1)
+    return EdgeTable(ids.reshape(m, 3), pairs[ends[:, 0]], ends // 3)
 
 
 def closure(mesh: Mesh, seed: frozenset[EdgeKey]

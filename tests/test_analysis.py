@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -109,6 +110,62 @@ def test_max_equal_gen_chain_matches_loop_oracle():
     found = [max_equal_gen_chain(mesh) for mesh in meshes]
     assert found == [oracles.max_equal_gen_chain(mesh) for mesh in meshes]
     assert max(found) > 3
+
+
+def _chained_mesh(points, triangles, succ) -> Mesh:
+    """Generation-0 mesh of the triangles (vertex-id triples in any order)
+    with N(t) = succ[t]: t's reference edge is the edge it shares with
+    succ[t], or for succ[t] = -1 one it shares with no other triangle.
+    The elements are listed in a shuffled order."""
+    tris = [set(t) for t in triangles]
+    elements = []
+    for t, tri in enumerate(tris):
+        if succ[t] >= 0:
+            a, b = sorted(tri & tris[succ[t]])
+        else:
+            a, b = next(e for e in itertools.combinations(sorted(tri), 2)
+                        if sum(set(e) <= other for other in tris) == 1)
+        apex = (tri - {a, b}).pop()
+        ccw = oracles.signed_area(points[a], points[b], points[apex]) > 0
+        elements.append((a, b, apex) if ccw else (b, a, apex))
+    order = np.random.default_rng(0).permutation(len(elements))
+    return Mesh(points, np.array(elements)[order])
+
+
+def _strip(points, bottom, top):
+    """Triangles of the strip between two rows of point ids, from its
+    first column to its last, each sharing an edge with the next."""
+    return [tri for j in range(len(bottom) - 1)
+            for tri in ((bottom[j], bottom[j + 1], top[j]),
+                        (bottom[j + 1], top[j + 1], top[j]))]
+
+
+def test_max_equal_gen_chain_runs_through_every_element():
+    k = 20
+    points = [(float(x), float(y)) for y in (0, 1) for x in range(k + 1)]
+    tris = _strip(points, list(range(k + 1)), list(range(k + 1, 2 * k + 2)))
+    mesh = _chained_mesh(points, tris, list(range(1, len(tris))) + [-1])
+    assert max_equal_gen_chain(mesh) == oracles.max_equal_gen_chain(mesh) == 2 * k
+
+
+def test_max_equal_gen_chain_ends_in_a_long_cycle():
+    # a fan of 16 elements round the origin, each N(T) the next one, and a
+    # strip of 12 elements, run from its far end, entering it at x = 2
+    ring = [(-2, -2), (-1, -2), (0, -2), (1, -2), (2, -2), (2, -1), (2, 0),
+            (2, 1), (2, 2), (1, 2), (0, 2), (-1, 2), (-2, 2), (-2, 1), (-2, 0),
+            (-2, -1)]
+    length = 6
+    points = [(0.0, 0.0)] + [(float(x), float(y)) for x, y in ring]
+    points += [(2.0 + j, float(y)) for y in (-1, 0) for j in range(1, length + 1)]
+    fan = [(0, 1 + i, 1 + (i + 1) % 16) for i in range(16)]
+    bottom = [6] + list(range(17, 17 + length))        # (2, -1) onwards
+    top = [7] + list(range(17 + length, 17 + 2 * length))  # (2, 0) onwards
+    tail = _strip(points, bottom, top)[::-1]
+    succ = [(i + 1) % 16 for i in range(16)]
+    succ += list(range(17, 16 + len(tail))) + [5]  # into the fan at (2, -1)-(2, 0)
+    mesh = _chained_mesh(points, fan + tail, succ)
+    expect = 2 * length + 16
+    assert max_equal_gen_chain(mesh) == oracles.max_equal_gen_chain(mesh) == expect
 
 
 def test_neighbor_rules_vacuous_on_fresh_bdd(sq):

@@ -7,19 +7,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import coords, point
 from nvbmesh import _geom
-from conftest import (assert_topology_matches, crisscross, random_trace,
+from conftest import (COMBOS, assert_topology_matches, crisscross, random_trace,
                       single_triangle, small_mesh_corpus,
                       square2_boundary_refs, square2_incompatible)
 from nvbmesh.mesh import (COMPATIBLY_DIVISIBLE, INCOMPATIBLE, NOT_ADJACENT,
                           Mesh, MeshError, _neighbors, _shared_edges,
-                          classify_pair,
+                          build_edge_table, classify_pair,
                           lshape6, reference_neighbor, restrict, same_mesh, square2,
                           Violation, structure_flags, validate_mesh)
-from nvbmesh.marking import assign_reference_edges
+from nvbmesh.marking import assign_reference_edges, make_policy
 from nvbmesh.correspondence import CorrMap
 from nvbmesh.refine import MarkingInput, refine_step, uniform
 from nvbmesh.stability import NodeWeights, compute_weights
@@ -102,10 +104,9 @@ _EDGE_CASES = {
 def test_validate_mesh_edge_cases_match_oracle(name):
     vertices, elements = _EDGE_CASES[name]
     mesh = Mesh(vertices, elements, validate=False)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for exhaustive in (None, False, True):
-            got = validate_mesh(mesh, exhaustive).violations
-            assert got == oracles.validate_mesh(mesh, exhaustive).violations
+    for exhaustive in (None, False, True):
+        got = validate_mesh(mesh, exhaustive).violations
+        assert got == oracles.validate_mesh(mesh, exhaustive).violations
     assert got, name
 
 
@@ -120,8 +121,7 @@ def test_mesh_refuses_non_finite_coordinates(vertices, bad):
     with pytest.raises(MeshError, match=message):
         Mesh(vertices, elements)
     unchecked = Mesh(vertices, elements, validate=False)
-    with np.errstate(invalid="ignore", over="ignore"):
-        assert message in [v.detail for v in validate_mesh(unchecked).violations]
+    assert message in [v.detail for v in validate_mesh(unchecked).violations]
 
 
 def test_validate_mesh_matches_oracle_on_refined_and_tampered_meshes():
@@ -352,6 +352,77 @@ def test_total_area_preserved_and_area_generation_exact():
 def test_edge_table_matches_dict_oracle():
     for mesh in small_mesh_corpus().values():
         assert_topology_matches(mesh)
+
+
+def assert_same_edge_table(elements):
+    """``build_edge_table`` equals the stable-argsort oracle array for array."""
+    got, expect = build_edge_table(elements), oracles.stable_edge_table(elements)
+    for name in ("element2edges", "edge2nodes", "edge2elements"):
+        a, b = getattr(got, name), getattr(expect, name)
+        assert a.dtype == b.dtype == np.int64 and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
+@settings(settings.get_profile("nvbmesh"))
+@given(st.sampled_from([square2, lshape6]),
+       st.sampled_from(["as-given", "random"]), st.sampled_from(COMBOS),
+       st.integers(0, 2**16), st.integers(1, 4))
+def test_edge_table_matches_stable_sort_on_relabelled_meshes(
+        make_initial, refs, combo, seed, steps):
+    initial = assign_reference_edges(make_initial(), refs, seed=seed)
+    dialect, policy = combo
+    mesh = random_trace(initial, seed=seed, steps=steps, dialect=dialect,
+                        policy=make_policy(policy))[0][-1]
+    relabel = np.random.default_rng(seed).permutation(mesh.n_vertices)
+    assert_same_edge_table(relabel[mesh.elements])
+
+
+@settings(settings.get_profile("nvbmesh"))
+@given(st.integers(3, 4), st.lists(st.permutations(range(6)), max_size=8),
+       st.randoms(use_true_random=False))
+def test_edge_table_matches_stable_sort_on_overshared_edges(fan, extra, rnd):
+    # edge (0, 1) in 3-4 triangles, among others over six vertices, rows
+    # and the vertices of each row in random order
+    rows = [[0, 1, 2 + i] for i in range(fan)] + [p[:3] for p in extra]
+    for row in rows:
+        rnd.shuffle(row)
+    rnd.shuffle(rows)
+    count = np.bincount(build_edge_table(rows).element2edges.ravel())
+    assert count.max() >= fan
+    assert_same_edge_table(np.array(rows))
+
+
+@settings(settings.get_profile("nvbmesh"))
+@given(st.lists(st.integers(0, 2**31), min_size=3, max_size=3, unique=True))
+def test_edge_table_matches_stable_sort_on_one_element(triple):
+    assert_same_edge_table(np.array([triple]))
+
+
+def _key_bound(elements) -> int:
+    """(largest edge code + 1) * 3m, computed in Python integers: the
+    combined sort key fits int64 iff this is at most 2**63."""
+    width = max(map(max, elements)) + 1
+    codes = [min(a, b) * width + max(a, b)
+             for t in elements for a, b in zip(t, t[1:] + t[:1])]
+    return (max(codes) + 1) * 3 * len(elements)
+
+
+def test_edge_table_matches_stable_sort_at_the_key_size_limit():
+    # two elements on one shared edge, with vertex ids near 1.2e9: the
+    # largest base id whose key still fits, and the next one
+    def elements(base):
+        return [[base + 1, base + 2, base], [base + 2, base + 1, base + 3]]
+
+    lo, hi = 0, 2**32
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _key_bound(elements(mid)) <= 2**63 else (lo, mid)
+    assert _key_bound(elements(lo)) <= 2**63 < _key_bound(elements(lo + 1))
+    for base in (lo, lo + 1):
+        assert_same_edge_table(np.array(elements(base)))
+        table = build_edge_table(np.array(elements(base)))
+        assert table.edge2elements.tolist() == [[0, 1], [0, -1], [0, -1],
+                                                [1, -1], [1, -1]]
 
 
 def test_incidence_pair_count():

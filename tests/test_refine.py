@@ -120,6 +120,15 @@ def test_marking_rejects_anything_but_element_ids(sq, elements):
         MarkingInput.all_edges(sq, elements)
 
 
+@pytest.mark.parametrize("bad", [5, -1])
+def test_all_edges_rejects_element_ids_out_of_range(sq, bad):
+    # checked before indexing: -1 would take the last element's edges
+    with pytest.raises(ValueError, match=f"^marked element {bad} out of range$"):
+        MarkingInput.all_edges(sq, [0, bad])
+    with pytest.raises(ValueError, match=f"^marked element {bad} out of range$"):
+        close_marks(sq, MarkingInput.of([0, bad]), mode="nvb")
+
+
 def test_marking_elements_are_a_frozenset_of_ints():
     for given in ([2, 0, 2], (0, 2), range(0, 3, 2), np.array([2, 0], np.int32),
                   frozenset({np.int64(0), 2}), (t for t in (0, 2))):

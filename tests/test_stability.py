@@ -17,7 +17,9 @@ from nvbmesh.marking import (REF_EDGE_POLICIES, RunConfig, assign_reference_edge
                              run_refinement)
 from nvbmesh.mesh import Mesh, MeshError, lshape6, square2
 from nvbmesh.refine import PatternPolicy, uniform
-from nvbmesh.stability import (NodeWeights, NumericFailure,
+from nvbmesh import _geom
+from nvbmesh.stability import (_MASS_HAT, NodeWeights, NumericFailure,
+                               _mass_pencil_eigvalsh,
                                assemble, assemble_nested, check_conditions,
                                compute_weights, measure_h1_stability,
                                project_l2, prolongation, weights_to_csv)
@@ -329,6 +331,56 @@ def test_conditions_match_loop_oracle_on_criterion_8_corpus():
     # the tampered case has elements with lam_min_closed <= 0, which c8 skips
     assert (fast.lam_min_closed <= 0.0).any()
     assert fast.scaled_mass_bound > 0.0
+
+
+def _widening_strip() -> tuple[Mesh, NodeWeights]:
+    """A strip of 24 elements between columns at ever wider gaps, with
+    weight exponents 0, 1, 2 by node id: no two rows of lam2 are equal."""
+    xs = [j * (j + 1) / 2 for j in range(13)]
+    mesh = Mesh([(x, 0.0) for x in xs] + [(x, 1.0) for x in xs],
+                [tri for j in range(12) for tri in
+                 ((j, j + 1, 13 + j), (j + 1, 14 + j, 13 + j))])
+    return mesh, NodeWeights(exponents=np.arange(mesh.n_vertices) % 3)
+
+
+def _lam2_rows(mesh: Mesh, weights: NodeWeights) -> np.ndarray:
+    h = _geom.diameters(mesh.vertices, mesh.elements)
+    return h[:, None] * h[:, None] * np.ldexp(1.0, -weights.exponents[mesh.elements])
+
+
+def _per_element_bounds(mesh: Mesh, weights: NodeWeights, positive) -> tuple:
+    """The two quadratic-form constants from one pencil per element."""
+    lam2 = _lam2_rows(mesh, weights)
+    quartic = lam2[:, :, None] * _MASS_HAT * lam2[:, None, :]
+    l2 = lam2[positive]
+    sym = 0.5 * (l2[:, :, None] * _MASS_HAT + _MASS_HAT * l2[:, None, :])
+    return (float(_mass_pencil_eigvalsh(quartic)[:, -1].max()),
+            float((1.0 / _mass_pencil_eigvalsh(sym)[:, 0]).max(initial=0.0)))
+
+
+@pytest.mark.parametrize("case", ["distinct", "equal", "none_positive"])
+def test_conditions_solve_each_distinct_row_once(case):
+    if case == "distinct":
+        mesh, weights = _widening_strip()
+    elif case == "equal":
+        mesh = uniform(uniform(uniform(square2(), "bisec1"), "bisec1"), "bisec1")
+        weights = compute_weights(mesh)
+    else:  # an exponent spread of 4 or more in every element
+        mesh, weights = square2(), NodeWeights(exponents=[0, 8, 4, 8])
+    rows = len(np.unique(_lam2_rows(mesh, weights), axis=0))
+    assert rows == {"distinct": mesh.n_elements, "equal": 1}.get(case, rows)
+    report = check_conditions(mesh, weights)
+    conds, constants = conditions(mesh, weights)
+    assert_columns_match_oracle(report, conds)
+    positive = report.lam_min_closed > 0.0
+    assert positive.any() == (case != "none_positive")
+    bounds = (report.scaled_quartic_bound, report.scaled_mass_bound)
+    assert list(map(_bits, bounds)) == \
+        list(map(_bits, _per_element_bounds(mesh, weights, positive)))
+    for got, key in zip(bounds, ("scaled_quartic_bound", "scaled_mass_bound")):
+        assert abs(got - constants[key]) <= 1e-12 * constants[key], key
+    if case == "none_positive":
+        assert report.scaled_mass_bound == 0.0 == constants["scaled_mass_bound"]
 
 
 @settings(settings.get_profile("nvbmesh"))
