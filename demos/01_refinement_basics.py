@@ -54,7 +54,7 @@ for policy, label in [(PatternPolicy.always_bisec3(), "bisec(3)"),
 # ancestor's area divided by 2**gen, with no floating-point slack, since
 # all coordinates are iterated exact midpoints.
 fine = uniform(uniform(square2(), "bisec3"), "bisec1")
-expect = np.ldexp(square2().areas()[fine.ancestor], -fine.gen)
-exact = bool((fine.areas() == expect).all())
+expect = np.ldexp(square2().areas[fine.ancestor], -fine.gen)
+exact = bool((fine.areas == expect).all())
 print("\narea identity |T| = |ancestor| * 2^-gen exact on all",
       fine.n_elements, "elements:", exact)

@@ -13,7 +13,8 @@ rounding of ``math.dist``), mapped over the coordinate differences:
 ``np.hypot`` calls the C library, which rounds differently on a small share
 of inputs, and a one-ulp change would move ties in longest-edge rotations,
 corner and Dörfler selections and the recorded chain distances.
-``diameters`` feeds only realized constants and keeps ``np.hypot``.
+``diameters`` keeps ``np.hypot``: its one caller, the cached
+``Mesh.diameters``, feeds only realized constants.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from . import _geom
-from .mesh import Mesh, _neighbors, _shared_edges, structure_flags
+from .mesh import Mesh, structure_flags
 from .meshio import _csv
 from .refine import MarkingInput, StepRecord, refine_step
 
@@ -91,7 +91,7 @@ def max_equal_gen_chain(mesh: Mesh) -> int:
     it in log2(longest tail) array rounds, and a run's length is that
     distance plus 1 at a sink or the cycle's length.
     """
-    n1 = _neighbors(mesh.edge_table, 0)
+    n1 = mesh.edge_table.neighbors(0)
     m = n1.size
     # -1 ends a run
     n1 = np.where((n1 >= 0) & (mesh.gen[n1] == mesh.gen), n1, -1)
@@ -130,17 +130,16 @@ def verify_levels(mesh: Mesh, initial: Mesh, nvb_dialect: bool = False) -> Struc
     """
     _check_ancestors(mesh, initial)
     report = StructureReport()
-    areas = mesh.areas()
-    expect = initial.areas()[mesh.ancestor] * np.ldexp(1.0, -mesh.gen)
+    areas = mesh.areas
+    expect = initial.areas[mesh.ancestor] * np.ldexp(1.0, -mesh.gen)
     bad_area = np.flatnonzero(areas != expect)[:10].tolist()
     report.checks.append(CheckResult(
         "area_generation_identity", not bad_area,
         "area == |ancestor| * 2**(-gen) exactly", tuple(bad_area)))
 
     scale = _geom.pow2_half(mesh.gen)
-    diam = _geom.diameters(mesh.vertices, mesh.elements)
     report.diam_scale_lower = float((np.sqrt(areas) * scale).min())
-    report.diam_scale_upper = float((diam * scale).max())
+    report.diam_scale_upper = float((mesh.diameters * scale).max())
 
     jump_bound = 2
     sharp = False
@@ -153,7 +152,7 @@ def verify_levels(mesh: Mesh, initial: Mesh, nvb_dialect: bool = False) -> Struc
                 "level-jump bound 1 requested but initial mesh is not BDD; "
                 "checking the general bound 2")
 
-    _, t1, t2, _ = _shared_edges(mesh.edge_table)
+    _, t1, t2, _ = mesh.edge_table.shared_edges()
     jump = np.abs(mesh.gen[t1] - mesh.gen[t2])
     over = jump > jump_bound
     bad_jump = list(zip(t1[over].tolist(), t2[over].tolist(), jump[over].tolist()))
@@ -183,19 +182,19 @@ def verify_neighbor_rules(mesh: Mesh, initial: Mesh) -> CheckReport:
     ref = table.element2edges[:, 0]
 
     # N(T) is compatibly divisible with T iff T's reference edge is its own too
-    n1 = _neighbors(table, 0)
+    n1 = table.neighbors(0)
     gap = np.where(n1 >= 0, gen[n1] - gen, 0)
     deeper = (gap > 0) & ((gap != 1) | (ref[n1] != ref))
 
     # equal-generation pairs across shared edges, in edge-id order
-    e, t1, t2, compatible = _shared_edges(table)
+    e, t1, t2, compatible = table.shared_edges()
     keep = gen[t1] == gen[t2]
     e, t1, t2, incompatible = e[keep], t1[keep], t2[keep], ~compatible[keep]
     a1, a2 = mesh.ancestor[t1], mesh.ancestor[t2]
 
     # compatibly divisible neighbor pairs p < q of the initial mesh, as codes
     itable, n = initial.edge_table, initial.n_elements
-    _, p, q, icompatible = _shared_edges(itable)
+    _, p, q, icompatible = itable.shared_edges()
     codes = (p * n + q)[icompatible]
     anc_compatible = np.isin(np.minimum(a1, a2) * n + np.maximum(a1, a2), codes)
 

@@ -30,7 +30,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .mesh import Mesh, _frozen, _neighbors, _row_ids, _shared_edges
+from .mesh import Mesh, _frozen, _row_ids
 from .refine import MarkingInput, PatternPolicy, refine_step
 
 
@@ -98,7 +98,7 @@ def _diamonds(mesh: Mesh, tri: np.ndarray, free: np.ndarray, label: str):
     diamond, in the order of their first halves, and the key sort order."""
     e2e = mesh.edge_table.element2edges
     t = np.flatnonzero(free)
-    other = _neighbors(mesh.edge_table, 0)[t]
+    other = mesh.edge_table.neighbors(0)[t]
     lone = other < 0
     bad = lone | ~free[other] | (e2e[other, 0] != e2e[t, 0])
     first = np.flatnonzero(~bad & (other > t))
@@ -279,7 +279,7 @@ def verify_corr(corr: CorrMap) -> CorrReport:
     p, img = np.arange(image.size), image.ravel()
     t, s = p // 3, img // 3
     ga, gb = a.gen[t], b.gen[s]
-    ratio = a.areas()[t] / b.areas()[s]
+    ratio = a.areas[t] / b.areas[s]
     emit(np.stack([ga != gb, ~((0.25 <= ratio) & (ratio <= 4.0)),
                    (p % 3 == 0) != (img % 3 == 0)], axis=1),
          ("gen_preserved", "area_band", "ref_edge_preserved"),
@@ -292,7 +292,7 @@ def verify_corr(corr: CorrMap) -> CorrReport:
     # neighbors are preserved
     for src, dst, im, label in ((a, b, image, "fwd"), (b, a, inv, "bwd")):
         table = src.edge_table
-        e, t1, t2, compatible = _shared_edges(table)
+        e, t1, t2, compatible = table.shared_edges()
         p1 = 3 * t1 + (table.element2edges[t1] == e[:, None]).argmax(1)
         p2 = 3 * t2 + (table.element2edges[t2] == e[:, None]).argmax(1)
         i1, i2 = im.ravel()[p1], im.ravel()[p2]

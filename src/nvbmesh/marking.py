@@ -141,7 +141,7 @@ def select_marked(mesh: Mesh, config: RunConfig,
                 f"dorfler indicator is not finite: corner {tuple(config.corner)} "
                 f"lies {float(dist[t])!r} from the centroid of element {t}, "
                 f"raised to the power {-config.alpha!r}") from None
-        etas = np.sqrt(mesh.areas()) * weight
+        etas = np.sqrt(mesh.areas) * weight
         # largest first, ties by id; np.cumsum adds in this order one by
         # one, so the cut is where a running sum first reaches the bulk
         order = np.argsort(-etas, kind="stable")

@@ -20,27 +20,30 @@ reference edge (v0, v1), then (v1, v2), (v2, v0); ``edge2nodes`` (E, 2) the
 sorted node pairs; ``edge2elements`` (E, 2) the incident elements in
 ascending id, -1 in column 1 on the boundary.  Edges are numbered in
 first-touch order: as a sweep over the elements and their edges 0, 1, 2
-first meets them.  Every reader of its adjacency goes through one kernel
-per relation: ``_neighbors`` (the element across a slot;
-``_ReferenceNeighbors`` reads one row of slot 0), ``_shared_edges``
-(interior edges, their element pairs and their compatible divisibility)
-and ``_walk`` (a reference-neighbour run).  ``_row_ids`` numbers the rows
-of an integer array, equal rows alike, for every caller that merges equal
-rows.
+first meets them.  Its methods derive the adjacency anew on each call,
+each relation in one place: ``neighbors(slot)`` (the element across a
+slot; slot 0 gives the reference neighbour N(T)) and ``shared_edges()``
+(interior edges, their element pairs and their compatible divisibility).
+``_row_ids`` numbers the rows of an integer array, equal rows alike, for
+every caller that merges equal rows.
 
 A mesh copies what it is given.  The constructor copies every input array,
 another mesh's and its own defaults included, and marks each copy
 read-only; a caller's array is never frozen in place, and nothing a caller
 holds, nor any view of it, can change a mesh.  So the edge table built
 once by the constructor stays the table of the mesh's elements, and
-``validate_mesh`` checks that table.  Every operation in this module is
-read-only and safe for concurrent readers.
+``validate_mesh`` checks that table.  A mesh owns its per-element geometry
+too: the read-only ``areas`` (filled by the constructor's checks) and
+``diameters`` (filled on first use) are computed once, and every verifier
+reads them.  Every operation in this module is read-only and safe for
+concurrent readers.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -204,12 +207,19 @@ class Mesh:
             return self
         raise MeshError("initial mesh unknown for this (loaded) refined mesh")
 
+    @functools.cached_property
     def areas(self) -> np.ndarray:
+        """Read-only signed area of each element, positive iff CCW."""
         p = np.take(self.vertices, self.elements, axis=0)
-        return _geom.signed_areas(p[:, 0], p[:, 1], p[:, 2])
+        return _readonly(_geom.signed_areas(p[:, 0], p[:, 1], p[:, 2]))[0]
+
+    @functools.cached_property
+    def diameters(self) -> np.ndarray:
+        """Read-only longest edge length of each element."""
+        return _readonly(_geom.diameters(self.vertices, self.elements))[0]
 
     def total_area(self) -> float:
-        return float(self.areas().sum())
+        return float(self.areas.sum())
 
     def __repr__(self):
         return (f"Mesh({self.n_vertices} vertices, {self.n_elements} elements, "
@@ -227,7 +237,7 @@ class Mesh:
         bad = ~np.isfinite(self.vertices).all(axis=1)
         if bad.any():
             raise MeshError(f"vertex {int(np.argmax(bad))} has non-finite coordinates")
-        areas = self.areas()
+        areas = self.areas
         bad = np.nonzero(areas <= 0.0)[0]
         if bad.size:
             raise MeshError(f"element {int(bad[0])} is not CCW "
@@ -258,6 +268,24 @@ class EdgeTable:
     element2edges: np.ndarray
     edge2nodes: np.ndarray
     edge2elements: np.ndarray
+
+    def neighbors(self, slot: int) -> np.ndarray:
+        """The element across slot ``slot`` of each element, -1 on the
+        boundary; slot 0 gives the reference neighbour N(T)."""
+        e = self.element2edges[:, slot]
+        t = np.arange(e.shape[0])
+        a, b = self.edge2elements[e].T
+        n = np.where(a != t, a, b)
+        return np.where(n == t, -1, n)
+
+    def shared_edges(self) -> tuple[np.ndarray, ...]:
+        """Interior edge ids ``e``, their elements ``t1 < t2`` and whether
+        each pair is compatibly divisible: ``e`` is the reference edge of
+        both or of neither."""
+        e = np.flatnonzero(self.edge2elements[:, 1] >= 0)
+        t1, t2 = self.edge2elements[e].T
+        ref = self.element2edges[:, 0]
+        return e, t1, t2, (ref[t1] == e) == (ref[t2] == e)
 
 
 def build_edge_table(elements: np.ndarray) -> EdgeTable:
@@ -316,50 +344,6 @@ def build_edge_table(elements: np.ndarray) -> EdgeTable:
     return EdgeTable(*_readonly(ids.reshape(m, 3), edge2nodes, edge2elements))
 
 
-def _neighbors(table: EdgeTable, slot: int) -> np.ndarray:
-    """The element across slot ``slot`` of each element, -1 on the
-    boundary; slot 0 gives the reference neighbour N(T)."""
-    e = table.element2edges[:, slot]
-    t = np.arange(e.shape[0])
-    a, b = table.edge2elements[e].T
-    n = np.where(a != t, a, b)
-    return np.where(n == t, -1, n)
-
-
-class _ReferenceNeighbors:
-    """N(t) as ``[t]``, -1 on the boundary: row t of ``_neighbors(table, 0)``
-    read in O(1), so that a ``_walk`` over it costs its own length."""
-
-    def __init__(self, table: EdgeTable):
-        self.table = table
-
-    def __getitem__(self, t: int) -> int:
-        a, b = self.table.edge2elements[self.table.element2edges[t, 0]].tolist()
-        return a if a != t else (-1 if b == t else b)
-
-
-def _shared_edges(table: EdgeTable) -> tuple[np.ndarray, ...]:
-    """Interior edge ids ``e``, their elements ``t1 < t2`` and whether each
-    pair is compatibly divisible: ``e`` is the reference edge of both or of
-    neither."""
-    e = np.flatnonzero(table.edge2elements[:, 1] >= 0)
-    t1, t2 = table.edge2elements[e].T
-    ref = table.element2edges[:, 0]
-    return e, t1, t2, (ref[t1] == e) == (ref[t2] == e)
-
-
-def _walk(successor: Sequence[int], t: int) -> list[int]:
-    """t, successor[t], successor[successor[t]], ... up to -1 or the first
-    repeat; the seen-set keeps a long walk linear."""
-    out, seen = [t], {t}
-    t = successor[t]
-    while t >= 0 and t not in seen:
-        out.append(t)
-        seen.add(t)
-        t = successor[t]
-    return out
-
-
 def _row_ids(rows: np.ndarray) -> np.ndarray:
     """Ids of the rows of an integer (n, k) array, equal exactly for equal
     rows and ascending with the rows in lexicographic order.
@@ -396,10 +380,12 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
     """Diagnostic conformity check; returns violations, never raises.
 
     Hanging nodes are detected by the exact midpoint test on every edge
-    (complete for meshes produced by bisection/red refinement) and, for
-    meshes below ``_EXHAUSTIVE_LIMIT`` elements or with ``exhaustive=True``,
-    additionally by a full vertex-against-edge betweenness scan.  The edge
-    checks read ``mesh.edge_table``, built once by the constructor.
+    (complete for meshes produced by bisection/red refinement) and by a
+    vertex-against-edge betweenness scan: of every vertex against every
+    edge for meshes below ``_EXHAUSTIVE_LIMIT`` elements or with
+    ``exhaustive=True``, else of the boundary edges against their ends
+    (complete for meshes without overlapping elements).  The edge checks
+    read ``mesh.edge_table``, built once by the constructor.
     """
     table = mesh.edge_table
     violations: list[Violation] = []
@@ -430,7 +416,7 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
         return ConformityReport(violations)
 
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite vertices
-        areas = mesh.areas()
+        areas = mesh.areas
     for t in np.nonzero(areas <= 0.0)[0]:
         violations.append(Violation("inverted_element",
                                     f"element {int(t)} has signed area {areas[t]:g}",
@@ -443,7 +429,7 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
     # an element that meets one neighbour across two edges covers the same
     # triangle; each pair is reported once, at its later element
     t = np.arange(ne)
-    n0, n1, n2 = (_neighbors(table, slot) for slot in range(3))
+    n0, n1, n2 = (table.neighbors(slot) for slot in range(3))
     twice = np.where((n0 == n1) | (n0 == n2), n0, np.where(n1 == n2, n1, -1))
     for i in np.flatnonzero((0 <= twice) & (twice < t)).tolist():
         s = int(twice[i])
@@ -475,15 +461,24 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
                                 & (hit != e2n[:, 1])).tolist():
             hanging(int(hit[e]), e, "splits")
 
+        # vertices strictly inside edges; without overlapping elements, a
+        # hanging node lies inside a boundary edge and ends boundary edges
         if exhaustive is None:
             exhaustive = ne < _EXHAUSTIVE_LIMIT
-        if exhaustive:
-            reported = {v.ids for v in violations if v.kind == "hanging_node"}
-            for e, (a, b) in enumerate(e2n.tolist()):
-                inside = _geom.point_strictly_inside_segment(xy, xy[a], xy[b])
-                for j in np.flatnonzero(inside).tolist():
-                    if j not in (a, b) and (j, a, b) not in reported:
-                        hanging(j, e, "lies inside")
+        edges = (np.arange(len(e2n)) if exhaustive
+                 else np.flatnonzero(table.edge2elements[:, 1] < 0))
+        ends = np.arange(nv) if exhaustive else np.unique(e2n[edges])
+        pts = xy[ends]
+        reported = {v.ids for v in violations if v.kind == "hanging_node"}
+        step = max(1, 2**16 // max(len(ends), 1))  # edge-vertex pairs per block
+        for lo in range(0, len(edges), step):
+            e = edges[lo:lo + step]
+            inside = _geom.point_strictly_inside_segment(
+                pts, xy[e2n[e, 0]][:, None], xy[e2n[e, 1]][:, None])
+            for k, j in zip(*np.nonzero(inside)):
+                (a, b), j = e2n[e[k]].tolist(), int(ends[j])
+                if j not in (a, b) and (j, a, b) not in reported:
+                    hanging(j, int(e[k]), "lies inside")
 
     return ConformityReport(violations)
 
@@ -492,7 +487,7 @@ def reference_neighbor(mesh: Mesh, t: int) -> int | None:
     """The element sharing t's reference edge, or None on the boundary."""
     if not 0 <= t < mesh.n_elements:
         raise ValueError(f"element id {t} out of range")
-    n = _ReferenceNeighbors(mesh.edge_table)[t]
+    n = int(mesh.edge_table.neighbors(0)[t])
     return None if n < 0 else n
 
 
@@ -519,10 +514,10 @@ def classify_pair(mesh: Mesh, t1: int, t2: int) -> str:
 
 def structure_flags(mesh: Mesh) -> StructureFlags:
     """BDD and weak-BDD certificates plus isolated elements."""
-    _, t1, t2, compatible = _shared_edges(mesh.edge_table)
+    _, t1, t2, compatible = mesh.edge_table.shared_edges()
     is_bdd = bool(compatible.all())
 
-    t, n1 = np.arange(mesh.n_elements), _neighbors(mesh.edge_table, 0)
+    t, n1 = np.arange(mesh.n_elements), mesh.edge_table.neighbors(0)
     isolated_literal = ~((n1 >= 0) & (n1[n1] == t))  # N(N(T)) != T
     isolated = isolated_literal & (n1 >= 0)
 

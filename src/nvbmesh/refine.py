@@ -35,7 +35,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import _geom
-from .mesh import Mesh, PrecisionExhausted, _frozen, _ReferenceNeighbors, _walk
+from .mesh import Mesh, PrecisionExhausted, _frozen
 from .meshio import _csv
 
 PATTERN_NONE = "none"
@@ -382,7 +382,11 @@ def chain(mesh: Mesh, t: int) -> list[int]:
     """
     if not 0 <= t < mesh.n_elements:
         raise ValueError(f"element id {t} out of range")
-    return _walk(_ReferenceNeighbors(mesh.edge_table), t)
+    n1, seen = mesh.edge_table.neighbors(0), {}  # a dict keeps the order
+    while t >= 0 and t not in seen:
+        seen[t] = None
+        t = int(n1[t])
+    return list(seen)
 
 
 def uniform(mesh: Mesh, kind: str) -> Mesh:

@@ -216,7 +216,7 @@ def check_conditions(mesh: Mesh, weights: NodeWeights) -> StabilityReport:
     columns = _readonly(spread, _geom.pow2_half(spread), s_sum, lam_closed,
                         passes)
 
-    h = _geom.diameters(mesh.vertices, mesh.elements)
+    h = mesh.diameters
     with np.errstate(over="ignore", invalid="ignore"):
         lam2 = h[:, None] * h[:, None] * np.ldexp(1.0, -e)   # (h/d_i)^2
         # one pencil per distinct row of lam2, rows compared by their bits;
@@ -279,7 +279,7 @@ def assemble(mesh: Mesh) -> SparseSystem:
     """Assemble global mass and stiffness by element summation."""
     tris, m = mesh.elements, mesh.n_elements
     p0, p1, p2 = np.take(mesh.vertices, tris, axis=0).transpose(1, 0, 2)
-    area = mesh.areas()
+    area = mesh.areas
 
     rows = np.repeat(tris, 3, axis=1).ravel()          # i index, 9 per element
     cols = np.tile(tris, (1, 3)).ravel()               # j index

@@ -8,7 +8,8 @@ marked element) and ``nvbmesh.refine.split``;
 ``stable_edge_table`` is ``build_edge_table``'s array kernel with a stable
 argsort of the edge codes in place of its sort of one combined key.
 ``area_identity_and_diameter_scale`` and ``max_equal_gen_chain`` are the
-per-element loops of ``nvbmesh.analysis.verify_levels``, and
+per-element loops of ``nvbmesh.analysis.verify_levels``, with areas and
+diameters from the scalar ``area`` and ``diameter``, and
 ``verify_chain_bounds`` is the son-by-son loop of its namesake.  ``DeltaDistance``
 evaluates the element-path distance of the nodal weights by breadth-first
 search, ``brute_force_weight_exponents`` evaluates the weight definition
@@ -425,10 +426,9 @@ def area_identity_and_diameter_scale(mesh: Mesh, initial: Mesh
                                      ) -> tuple[list[int], float, float]:
     """Elements violating |T| == |ancestor| * 2**(-gen), and the extremes
     min sqrt(|T|) * 2**(gen/2) and max diam(T) * 2**(gen/2)."""
-    anc_areas = initial.areas()
     bad_area = []
     for t in range(mesh.n_elements):
-        expect = float(anc_areas[int(mesh.ancestor[t])]) * 2.0 ** (-int(mesh.gen[t]))
+        expect = area(initial, int(mesh.ancestor[t])) * 2.0 ** (-int(mesh.gen[t]))
         if area(mesh, t) != expect:
             bad_area.append(t)
     lo, hi = math.inf, 0.0
@@ -565,9 +565,10 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
     """Diagnostic conformity check; returns violations, never raises.
 
     Hanging nodes are detected by the exact midpoint test on every edge
-    (complete for meshes produced by bisection/red refinement) and, for
-    meshes below ``_EXHAUSTIVE_LIMIT`` elements or with ``exhaustive=True``,
-    additionally by a full vertex-against-edge betweenness scan.
+    and by a vertex-against-edge betweenness scan: of every vertex against
+    every edge for meshes below ``_EXHAUSTIVE_LIMIT`` elements or with
+    ``exhaustive=True``, else of the boundary edges against their ends.
+    Element areas come from ``area``, not from the mesh's cached array.
     """
     violations: list[Violation] = []
     nv, ne = mesh.n_vertices, mesh.n_elements
@@ -592,11 +593,11 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
         violations.append(Violation("bad_index", "element vertex index out of range"))
         return ConformityReport(violations)
 
-    areas = mesh.areas()
-    for t in np.nonzero(areas <= 0.0)[0]:
-        violations.append(Violation("inverted_element",
-                                    f"element {int(t)} has signed area {areas[t]:g}",
-                                    (int(t),)))
+    for t in range(ne):
+        if area(mesh, t) <= 0.0:
+            violations.append(Violation("inverted_element",
+                                        f"element {t} has signed area {area(mesh, t):g}",
+                                        (t,)))
 
     # edges in first-touch order, which is the order of their ids
     incident = edge_table(mesh.elements)
@@ -637,23 +638,26 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
                 f"vertex {j} splits edge {(a, b)} of elements {inc}",
                 (j, a, b)))
 
+    # vertices inside edges: every vertex against every edge, or else the
+    # boundary edges (one incident element) against their end vertices
     if exhaustive is None:
         exhaustive = ne < _EXHAUSTIVE_LIMIT
-    if exhaustive:
-        reported = {v.ids for v in violations if v.kind == "hanging_node"}
-        for (a, b), inc in table.items():
-            pa, pb = point(mesh, a), point(mesh, b)
-            for j in range(nv):
-                if j in (a, b):
-                    continue
-                if point_strictly_inside_segment(point(mesh, j), pa, pb):
-                    ids = (j, a, b)
-                    if ids not in reported:
-                        reported.add(ids)
-                        violations.append(Violation(
-                            "hanging_node",
-                            f"vertex {j} lies inside edge {(a, b)} of elements {inc}",
-                            ids))
+    scan = {e: inc for e, inc in table.items() if exhaustive or len(inc) == 1}
+    ends = range(nv) if exhaustive else sorted({j for e in scan for j in e})
+    reported = {v.ids for v in violations if v.kind == "hanging_node"}
+    for (a, b), inc in scan.items():
+        pa, pb = point(mesh, a), point(mesh, b)
+        for j in ends:
+            if j in (a, b):
+                continue
+            if point_strictly_inside_segment(point(mesh, j), pa, pb):
+                ids = (j, a, b)
+                if ids not in reported:
+                    reported.add(ids)
+                    violations.append(Violation(
+                        "hanging_node",
+                        f"vertex {j} lies inside edge {(a, b)} of elements {inc}",
+                        ids))
 
     return ConformityReport(violations)
 

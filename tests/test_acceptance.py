@@ -138,9 +138,9 @@ def test_criterion_03_area_generation_identity():
     t0 = time.time()
     checked = 0
     for run in corpus():
-        anc_areas = run["initial"].areas()
+        anc_areas = run["initial"].areas
         for mesh in run["meshes"]:
-            areas = mesh.areas()
+            areas = mesh.areas
             for t in range(mesh.n_elements):
                 expect = float(anc_areas[int(mesh.ancestor[t])]) \
                     * 2.0 ** (-int(mesh.gen[t]))

@@ -231,6 +231,22 @@ def test_analyze_malformed_trace_row_exits_2(tmp_path, capsys, row):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", [
+    "step,marked,marked_edges,closure_iters,refined,elements\n1,1,0,1,2,4\n", ""],
+    ids=["refine_trace", "empty"])
+def test_analyze_trace_without_its_header_exits_2(tmp_path, capsys, text):
+    # a refine.trace_to_csv file would read marked_edges as elements
+    mesh, trace = tmp_path / "sq.nvbm", tmp_path / "t.csv"
+    write_mesh(square2(), mesh)
+    trace.write_text(text)
+    code = run("analyze", str(mesh), "--trace", str(trace),
+               "--out", str(tmp_path / "rep"))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: {trace}:1: expected the header "
+        "'step,marked,elements,closure_iters,rho'\n")
+
+
 def test_analyze_deep_generation_exits_3(tmp_path, capsys):
     # 2**(3000/2) is past the float range: the diameter scales are null
     initial, deep = tmp_path / "sq.nvbm", tmp_path / "deep.nvbm"

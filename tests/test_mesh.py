@@ -17,14 +17,14 @@ from conftest import (COMBOS, assert_topology_matches, crisscross, random_trace,
                       single_triangle, small_mesh_corpus,
                       square2_boundary_refs, square2_incompatible)
 from nvbmesh.mesh import (COMPATIBLY_DIVISIBLE, INCOMPATIBLE, NOT_ADJACENT,
-                          Mesh, MeshError, _neighbors, _shared_edges,
-                          build_edge_table, classify_pair,
+                          Mesh, MeshError, build_edge_table, classify_pair,
                           lshape6, reference_neighbor, restrict, same_mesh, square2,
                           Violation, structure_flags, validate_mesh)
+from nvbmesh.analysis import verify_levels
 from nvbmesh.marking import assign_reference_edges, make_policy
 from nvbmesh.correspondence import CorrMap
 from nvbmesh.refine import MarkingInput, refine_step, uniform
-from nvbmesh.stability import NodeWeights, compute_weights
+from nvbmesh.stability import NodeWeights, check_conditions, compute_weights
 
 
 def test_valid_square_reports_clean(sq):
@@ -185,7 +185,7 @@ def test_reference_neighbor_lshape_boundary_legs(name):
     mesh = _NEIGHBOR_MESHES[name]
     table = oracles.edge_table(mesh.elements)
     boundary = {e for e, inc in table.items() if len(inc) == 1}
-    neighbors = np.stack([_neighbors(mesh.edge_table, slot) for slot in range(3)],
+    neighbors = np.stack([mesh.edge_table.neighbors(slot) for slot in range(3)],
                          axis=1)
     for t in range(mesh.n_elements):
         ref = oracles.ref_edge(mesh, t)
@@ -197,7 +197,7 @@ def test_reference_neighbor_lshape_boundary_legs(name):
             for e in oracles.edges_of(mesh, t)]
     # interior edges in id (first-touch) order, compatibly divisible iff the
     # reference edge of both elements or of neither
-    e, t1, t2, compatible = _shared_edges(mesh.edge_table)
+    e, t1, t2, compatible = mesh.edge_table.shared_edges()
     shared = {key: inc for key, inc in table.items() if len(inc) == 2}
     assert list(zip(map(tuple, mesh.edge_table.edge2nodes[e].tolist()),
                     t1.tolist(), t2.tolist(), compatible.tolist())) == [
@@ -269,13 +269,33 @@ def test_boundary_reference_edges_literal_reading():
 
 def test_area_and_diameter_right_triangle():
     tri = single_triangle()
-    assert tri.areas().tolist() == [0.5]
-    assert _geom.diameters(tri.vertices, tri.elements).tolist() == [math.sqrt(2.0)]
+    assert tri.areas.tolist() == [0.5]
+    assert tri.diameters.tolist() == [math.sqrt(2.0)]
+
+
+def test_cached_geometry_is_read_only_and_shared(sq):
+    fine = uniform(sq, "bisec3")
+    for name in ("areas", "diameters"):
+        arr = getattr(fine, name)
+        assert arr is getattr(fine, name)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_verifiers_compute_the_diameters_once(sq, monkeypatch):
+    kernel, calls = _geom.diameters, []
+    monkeypatch.setattr(_geom, "diameters",
+                        lambda *args: calls.append(args) or kernel(*args))
+    fine = uniform(uniform(sq, "bisec3"), "bisec1")
+    verify_levels(fine, sq)
+    check_conditions(fine, compute_weights(fine))
+    assert len(calls) == 1
 
 
 def test_bisection_halves_area(sq):
     fine, _ = refine_step(sq, MarkingInput.of([0]), "refineNVB")
-    fine_areas, sq_areas = fine.areas(), sq.areas()
+    fine_areas, sq_areas = fine.areas, sq.areas
     for t in range(fine.n_elements):
         parent = int(fine.parent_elems[t])
         if int(fine.gen[t]) == 1:
@@ -286,7 +306,7 @@ def test_uniform_bisec3_son_areas(sq):
     fine = uniform(sq, "bisec3")
     assert fine.n_elements == 8
     # oracle: shoelace per son
-    areas = fine.areas()
+    areas = fine.areas
     for t in range(fine.n_elements):
         p0, p1, p2 = coords(fine, t)
         shoelace = 0.5 * abs(
@@ -322,7 +342,7 @@ def test_restrict_is_conforming_on_random_runs(rng):
     assert validate_mesh(sub).ok
     # generations and areas carried over exactly
     assert sub.total_area() == sum(
-        fine.areas()[np.isin(fine.ancestor, (0, 1, 2))].tolist())
+        fine.areas[np.isin(fine.ancestor, (0, 1, 2))].tolist())
 
 
 def test_restrict_empty_subset_rejected(sq):
@@ -340,10 +360,10 @@ def test_total_area_preserved_and_area_generation_exact():
         meshes, _ = random_trace(square2(), seed=3, steps=5, dialect=dialect,
                                  policy=policy)
         initial = meshes[0]
-        anc_areas = initial.areas()
+        anc_areas = initial.areas
         for mesh in meshes:
             assert abs(mesh.total_area() - 1.0) < 1e-12
-            areas = mesh.areas()
+            areas = mesh.areas
             for t in range(mesh.n_elements):
                 expect = anc_areas[int(mesh.ancestor[t])] * 2.0 ** (-int(mesh.gen[t]))
                 assert areas[t] == expect

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_trace
 from nvbmesh import meshio
-from nvbmesh.mesh import Mesh, MeshError, lshape6, same_mesh, square2, validate_mesh
+from nvbmesh.mesh import (_EXHAUSTIVE_LIMIT, Mesh, MeshError, Violation, lshape6,
+                          same_mesh, square2, validate_mesh)
 from nvbmesh.meshio import _csv, dumps_mesh, loads_mesh, read_mesh, write_mesh
+from nvbmesh.refine import uniform
 
 PROPERTY = settings.get_profile("nvbmesh")
 
@@ -73,6 +75,29 @@ def test_hanging_node_input_rejected():
             "0 2 3 0 0 0\n2 1 3 0 1 0\n1 0 4 0 2 0\n")
     with pytest.raises(MeshError, match="non-conforming"):
         loads_mesh(text)
+
+
+def test_hanging_node_off_the_midpoint_rejected_in_a_large_file():
+    # two unit squares, vertex 2 inside edge (1, 3) that the right one has
+    # alone, beside a disjoint bisected square2: above the exhaustive limit,
+    # and the edge's midpoint is no vertex
+    far = square2()
+    for _ in range(11):
+        far = uniform(far, "bisec1")
+    vertices = [(0.0, 0.0), (1.0, 0.0), (1.0, 0.25), (1.0, 1.0), (0.0, 1.0),
+                (2.0, 0.0), (2.0, 1.0)]
+    elements = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (1, 5, 6), (1, 6, 3)]
+    mesh = Mesh(vertices + (far.vertices + (3.0, 0.0)).tolist(),
+                elements + (far.elements + len(vertices)).tolist())
+    assert mesh.n_elements == 4101 > _EXHAUSTIVE_LIMIT
+    expect = [Violation("hanging_node",
+                        "vertex 2 lies inside edge (1, 3) of elements (4,)",
+                        (2, 1, 3))]
+    for exhaustive in (None, True):
+        assert validate_mesh(mesh, exhaustive).violations == expect
+    assert oracles.validate_mesh(mesh).violations == expect
+    with pytest.raises(MeshError, match=":5: non-conforming mesh: vertex 2 lies"):
+        loads_mesh(dumps_mesh(mesh))
 
 
 def test_out_of_range_vertex_index_rejected():
@@ -245,7 +270,7 @@ _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 def test_write_read_is_identity_on_finite_floats(points, rot, gen, ancestor, red):
     triple = np.roll([0, 1, 2], rot)
     with np.errstate(invalid="ignore", over="ignore"):
-        if Mesh(points, [triple], validate=False).areas()[0] < 0:
+        if Mesh(points, [triple], validate=False).areas[0] < 0:
             triple = triple[::-1]
         try:
             mesh = Mesh(points, [triple], gen=[gen], ancestor=[ancestor if gen else 0],

@@ -167,7 +167,7 @@ def test_red_refinement_of_single_triangle():
     assert fine.n_elements == 4
     assert (fine.gen == 2).all()
     assert [bool(r) for r in fine.red_son] == [False, False, True, True]
-    areas = fine.areas()
+    areas = fine.areas
     assert np.all(areas == 0.125)  # |T|/4 exactly
     # similar sons: every son has the same angle set as the father
     def angles(pts):
@@ -638,7 +638,7 @@ def test_overlay_properties(make_initial, refs, ref_seed, negative_zeros,
     assert same_mesh(overlay(ov, a), ov) and same_mesh(overlay(ov, b), ov)
     assert validate_mesh(ov).ok
     assert ov.n_elements <= a.n_elements + b.n_elements - initial.n_elements
-    assert math.fsum(ov.areas()) == math.fsum(initial.areas())
+    assert math.fsum(ov.areas) == math.fsum(initial.areas)
 
 
 def test_overlay_matches_oracle_on_corner_runs():
