@@ -165,12 +165,13 @@ def cmd_refine(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    meshes = [meshio.read_mesh(f) for f in args.files]
-    initial = meshes[0]
-    out = _outdir(args)
+    # one file read and checked at a time: a run holds the initial mesh and
+    # one other.  --out is made once the last file has been read
+    initial = meshio.read_mesh(args.files[0])
     ok = True
     reports = []
-    for path, mesh in zip(args.files, meshes):
+    for path in args.files:
+        mesh = meshio.read_mesh(path) if reports else initial
         level = analysis.verify_levels(mesh, initial, nvb_dialect=args.nvb)
         # read_mesh has run validate_mesh and raised on any violation
         entry = {"file": str(path), "conforming": True,
@@ -181,6 +182,8 @@ def cmd_analyze(args) -> int:
             entry["neighbor_rules"] = rules.to_dict()
             ok = ok and rules.ok
         reports.append(entry)
+        del mesh  # not held while the next file is read
+    out = _outdir(args)
     summary = {
         "ok": ok,
         "initial_bdd": structure_flags(initial).is_bdd,
@@ -205,7 +208,7 @@ def cmd_analyze(args) -> int:
             "file,conforming,ok,max_level_jump",
             ((r["file"], r["conforming"], r["ok"], r["max_level_jump"])
              for r in reports)))
-    print(f"analyzed {len(meshes)} meshes: "
+    print(f"analyzed {len(reports)} meshes: "
           f"{'all invariants hold' if ok else 'VIOLATIONS FOUND'} "
           f"(max level jump {summary['max_level_jump']})")
     return EXIT_OK if ok else EXIT_VIOLATION

@@ -30,8 +30,9 @@ every caller that merges equal rows.
 A mesh copies what it is given.  The constructor copies every input array,
 another mesh's and its own defaults included, and marks each copy
 read-only; a caller's array is never frozen in place, and nothing a caller
-holds, nor any view of it, can change a mesh.  So the edge table built
-once by the constructor stays the table of the mesh's elements, and
+holds, nor any view of it, can change a mesh.  Nor can an attribute be set
+or deleted once the constructor returns.  So the edge table built once by
+the constructor stays the table of the mesh's elements, and
 ``validate_mesh`` checks that table.  A mesh owns its per-element geometry
 too: the read-only ``areas`` (filled by the constructor's checks) and
 ``diameters`` (filled on first use) are computed once, and every verifier
@@ -42,6 +43,7 @@ concurrent readers.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -179,6 +181,18 @@ class Mesh:
 
         if validate:
             self._check_basic()
+        self._sealed = True
+
+    # the cached areas and diameters fill through __dict__, past this guard
+    _sealed = False
+
+    def __setattr__(self, name, value):
+        if self._sealed:
+            raise AttributeError(f"a Mesh is immutable: cannot set {name!r}")
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a Mesh is immutable: cannot delete {name!r}")
 
     # -- basic accessors ---------------------------------------------------
 
@@ -426,15 +440,29 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
         e, inc = tuple(table.edge2nodes[e].tolist()), tuple(inc.tolist())
         violations.append(Violation("overshared_edge",
                                     f"edge {e} shared by elements {inc}", inc))
-    # an element that meets one neighbour across two edges covers the same
-    # triangle; each pair is reported once, at its later element
+    # doubly covered pairs (s, i), s < i, each reported once at its later
+    # element, in the order of (i, s): i meets s across two edges (the same
+    # triangle), or else s and i are CCW and traverse an edge of theirs and
+    # of no third element in the same direction (they lie on one side of it)
+    e2n, xy = table.edge2nodes, mesh.vertices
     t = np.arange(ne)
     n0, n1, n2 = (table.neighbors(slot) for slot in range(3))
     twice = np.where((n0 == n1) | (n0 == n2), n0, np.where(n1 == n2, n1, -1))
-    for i in np.flatnonzero((0 <= twice) & (twice < t)).tolist():
-        s = int(twice[i])
-        violations.append(Violation("duplicate_element", f"elements {s} and {i} "
-                                    "cover the same triangle", (s, i)))
+    covered = [(i, int(twice[i]), -1)
+               for i in np.flatnonzero((0 <= twice) & (twice < t)).tolist()]
+    slots = table.element2edges.ravel()
+    forward = np.bincount(slots, (mesh.elements < mesh.elements[:, [1, 2, 0]])
+                          .ravel(), len(e2n))
+    e = np.flatnonzero((np.bincount(slots) == 2) & (forward != 1))
+    a, b = table.edge2elements[e].T
+    fold = (areas[a] > 0.0) & (areas[b] > 0.0) & (twice[b] != a)
+    covered += zip(b[fold].tolist(), a[fold].tolist(), e[fold].tolist())
+    for i, s, e in sorted(covered):
+        violations.append(
+            Violation("duplicate_element", f"elements {s} and {i} cover the same "
+                      "triangle", (s, i)) if e < 0 else
+            Violation("folded_edge", f"elements {s} and {i} lie on one side of "
+                      f"their shared edge {tuple(e2n[e].tolist())}", (s, i)))
 
     used = np.zeros(nv, dtype=bool)
     used[mesh.elements.ravel()] = True
@@ -442,8 +470,6 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
         violations.append(Violation("orphan_vertex",
                                     f"vertex {int(i)} belongs to no element",
                                     (int(i),)))
-
-    e2n, xy = table.edge2nodes, mesh.vertices
 
     def hanging(j: int, e: int, where: str) -> None:
         (a, b), (c, d) = e2n[e].tolist(), table.edge2elements[e].tolist()
@@ -485,6 +511,7 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
 
 def reference_neighbor(mesh: Mesh, t: int) -> int | None:
     """The element sharing t's reference edge, or None on the boundary."""
+    t = operator.index(t)
     if not 0 <= t < mesh.n_elements:
         raise ValueError(f"element id {t} out of range")
     n = int(mesh.edge_table.neighbors(0)[t])

@@ -218,7 +218,8 @@ def loads_mesh(text: str, source: str = "<string>") -> Mesh:
     if not report.ok:
         v = report.violations[0]
         lineno = None
-        if v.kind in ("inverted_element", "duplicate_element", "overshared_edge"):
+        if v.kind in ("inverted_element", "duplicate_element", "folded_edge",
+                      "overshared_edge"):
             lineno = 3 + nv + v.ids[-1]
         elif v.kind in ("duplicate_vertex", "orphan_vertex", "bad_coordinate"):
             lineno = 3 + v.ids[-1]

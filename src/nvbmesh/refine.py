@@ -29,6 +29,7 @@ Everything here is a pure function from immutable meshes to new meshes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -380,6 +381,7 @@ def chain(mesh: Mesh, t: int) -> list[int]:
     Follows reference neighbors until the boundary or an element already
     in the sequence is reached.
     """
+    t = operator.index(t)
     if not 0 <= t < mesh.n_elements:
         raise ValueError(f"element id {t} out of range")
     n1, seen = mesh.edge_table.neighbors(0), {}  # a dict keeps the order

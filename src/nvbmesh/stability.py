@@ -18,12 +18,12 @@ falsifiable: a node touching a deep cluster can be chain-distance 1 from
 it while a neighbor inside the same element needs several extra hops
 around a boundary fan.
 
-Both chains and connectivity live on the element-node incidence graph:
-elements and nodes are its vertices, joined by unit edges, so one hop
-element -> node -> element costs 2.  The exponents come from a single
-shortest-path pass over that graph from a virtual super-source (see
-``compute_weights``); the brute-force evaluation of the definition is a
-test oracle in ``tests/oracles.py``.
+The exponents are computed by repeating the rule that defines them: a
+chain one element longer costs 2 more, so relaxing each element against
+the elements it touches, from -gen until a round changes nothing, reaches
+the minimum over all chains (see ``compute_weights``).  Connectivity is
+checked on the element-node incidence graph.  The brute-force evaluation
+of the definition is a test oracle in ``tests/oracles.py``.
 
 The factor-2 ratio bound caps the per-element pair sum at 13.5 < 25 and
 keeps the smallest eigenvalue of every scaled element mass matrix above
@@ -75,55 +75,43 @@ class NodeWeights:
 
 
 def compute_weights(mesh: Mesh) -> NodeWeights:
-    """Evaluate the weight exponents exactly via element potentials.
+    """Evaluate the weight exponents exactly by their defining fixed point.
 
-    With omega(S) = -max{gen(T') : T' touches S}, the minimal exponent
-    reachable through a chain of L pairwise touching elements starting at
-    S is 2*L + omega(S).  So with seeds beta0(S) = omega(S) + 2 and step
-    cost 2 per touching hop, the element potential
+    Let gamma(T) = min over elements S of (2 * hops(S, T) - gen(S)), hops
+    the fewest steps between elements that touch (share a node).  A chain
+    from z_j to a corner of S starts at an element T holding z_j, so
 
-        beta(T) = min over S of (beta0(S) + 2 * hops(S, T))
+        e_j = min over T containing z_j of gamma(T).
 
-    yields e_j = min over T containing z_j of min(-gen(T), beta(T)).
-
-    beta is one Dijkstra pass on the incidence graph (a hop element ->
-    node -> element costs 2) from a virtual super-source with an edge of
-    weight beta0(S) - min(beta0) + 1 to each element S; the offset keeps
-    every weight positive, since csgraph reads weight 0 as "no edge".  All
-    distances are small integers, exact in float64, so the exponents equal
-    the brute-force minimum over all elements bit for bit; the tests
-    assert this against the oracle in ``tests/oracles.py``.
+    gamma is the fixed point of gamma(T) <- min(gamma(T), 2 + min over S
+    touching T of gamma(S)) from gamma = -gen: round k holds the minimum
+    over chains of at most k hops.  A round is one minimum over each node's
+    elements and one gather, and once a round changes nothing, the node
+    minima of that round are the exponents.  gamma(T) only falls below
+    -gen(T) through an S with gen(S) - gen(T) > 2 * hops(S, T), so the loop
+    ends within (max gen - min gen) / 2 + 1 rounds at any mesh size.  All
+    arithmetic is on integers; the tests assert equality with the
+    brute-force minimum over all elements in ``tests/oracles.py``.
     """
-    elements, gen = mesh.elements, mesh.gen
+    elements, nodes = mesh.elements, mesh.elements.ravel()
     m, n = mesh.n_elements, mesh.n_vertices
-    if np.bincount(elements.ravel(), minlength=n).min() == 0:
+    if np.bincount(nodes, minlength=n).min() == 0:
         raise ValueError("compute_weights requires every node to lie in an "
                          "element")
-    # maximal generation among elements touching each node
-    maxgen_node = np.zeros(n, dtype=np.int64)
-    np.maximum.at(maxgen_node, elements.ravel(), np.repeat(gen, 3))
-    # beta0 = omega + 2, omega(S) the negated maximal generation in the
-    # node neighborhood of S
-    beta0 = 2 - maxgen_node[elements].max(axis=1)
-    offset = int(beta0.min()) - 1
-    # graph vertices: 0..m-1 the elements, m..m+n-1 the nodes, m+n the source
-    el, nd = np.repeat(np.arange(m), 3), m + elements.ravel()
-    graph = sp.csr_matrix(
-        (np.concatenate([np.ones(6 * m), beta0 - offset]),
-         (np.concatenate([el, nd, np.full(m, m + n)]),
-          np.concatenate([nd, el, np.arange(m)]))), shape=(m + n + 1, m + n + 1))
-    # strong components: the super-source has only outgoing edges, so it
-    # stays a component of its own and joins nothing
-    _, labels = csgraph.connected_components(graph, directed=True,
-                                             connection="strong")
-    if (labels[:m] != labels[0]).any():
+    # elements 0..m-1 and nodes m..m+n-1 of the element-node incidence graph
+    incidence = sp.csr_matrix((np.ones(3 * m), (np.repeat(np.arange(m), 3),
+                                                m + nodes)), shape=(m + n, m + n))
+    if csgraph.connected_components(incidence, directed=False)[0] > 1:
         raise ValueError("mesh is not connected")
-    dist = csgraph.dijkstra(graph, directed=True, indices=m + n)
-    beta = dist[:m].astype(np.int64) + offset
 
-    exps = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(exps, elements.ravel(), np.repeat(np.minimum(-gen, beta), 3))
-    return NodeWeights(exponents=exps)
+    gamma = -mesh.gen
+    while True:
+        exps = np.full(n, np.iinfo(np.int64).max)
+        np.minimum.at(exps, nodes, np.repeat(gamma, 3))
+        step = np.minimum(gamma, 2 + exps[elements].min(axis=1))
+        if np.array_equal(step, gamma):
+            return NodeWeights(exponents=exps)
+        gamma = step
 
 
 # -- per-element stability conditions --------------------------------------------

@@ -607,18 +607,33 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
                                         f"edge {e} shared by elements {inc}",
                                         inc))
 
-    # an element meeting the same neighbour across two of its edges; the
-    # table lists the first two incident elements of an edge, as the
-    # package's edge table does
+    # doubly covered pairs, at the later element t: a neighbour s met across
+    # two edges of t covers the same triangle; else, when s and t are CCW
+    # and their one shared edge has no third element, they fold over it if
+    # both run it in the same direction.  The table lists the first two
+    # incident elements of an edge, as the package's edge table does
     table = {e: inc[:2] for e, inc in incident.items()}
+
+    def runs(u: int) -> set[tuple[int, int]]:
+        v0, v1, v2 = (int(v) for v in mesh.elements[u])
+        return {(v0, v1), (v1, v2), (v2, v0)}
+
     for t in range(ne):
-        across = [next((u for u in table[e] if u != t), -1)
-                  for e in edges_of(mesh, t)]
+        keys = edges_of(mesh, t)
+        across = [next((u for u in table[e] if u != t), -1) for e in keys]
         for s in sorted(set(across)):
-            if 0 <= s < t and across.count(s) > 1:
+            if not 0 <= s < t:
+                continue
+            if across.count(s) > 1:
                 violations.append(Violation(
                     "duplicate_element",
                     f"elements {s} and {t} cover the same triangle", (s, t)))
+            elif (area(mesh, s) > 0.0 and area(mesh, t) > 0.0
+                  and len(incident[keys[across.index(s)]]) == 2
+                  and runs(s) & runs(t)):
+                violations.append(Violation(
+                    "folded_edge", f"elements {s} and {t} lie on one side of "
+                    f"their shared edge {keys[across.index(s)]}", (s, t)))
 
     used = np.zeros(nv, dtype=bool)
     used[mesh.elements.ravel()] = True
@@ -743,7 +758,8 @@ def loads_mesh(text: str, source: str = "<string>") -> Mesh:
     if not report.ok:
         v = report.violations[0]
         lineno = None
-        if v.kind in ("inverted_element", "duplicate_element", "overshared_edge"):
+        if v.kind in ("inverted_element", "duplicate_element", "folded_edge",
+                      "overshared_edge"):
             lineno = 3 + nv + v.ids[-1]
         elif v.kind in ("duplicate_vertex", "orphan_vertex", "bad_coordinate"):
             lineno = 3 + v.ids[-1]

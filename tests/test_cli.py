@@ -311,6 +311,47 @@ def test_analyze_parse_failure_exits_2(tmp_path):
     assert run("analyze", str(bad), "--out", str(tmp_path)) == EXIT_USAGE
 
 
+def test_analyze_folded_mesh_exits_2(tmp_path, capsys):
+    # elements 0 and 1 both lie above their shared edge (0, 1)
+    folded = tmp_path / "folded.nvbm"
+    folded.write_text("nvbm 1\n4 2\n0.0 0.0\n1.0 0.0\n0.5 1.0\n0.5 0.5\n"
+                      "0 1 2 0 0 0\n0 1 3 0 1 0\n")
+    assert run("analyze", str(folded), "--out", str(tmp_path / "rep")) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: {folded}:8: non-conforming mesh: elements 0 and 1 lie on one "
+        "side of their shared edge (0, 1) (1 violation(s) total)\n")
+    assert not (tmp_path / "rep").exists()
+
+
+def test_analyze_holds_one_mesh_besides_the_initial(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert run("refine", "square2", "--strategy", "all", "--steps", "5",
+               "--out", str(out)) == EXIT_OK
+    files = [str(out / f"step_{i:03d}.nvbm") for i in range(6)]
+    alive = []
+    init, verify = Mesh.__init__, cli.analysis.verify_levels
+
+    def registering_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        alive.append(weakref.ref(self))
+
+    counts = []
+
+    def counting_verify(mesh, *args, **kwargs):
+        counts.append(sum(ref() is not None for ref in alive))
+        return verify(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(Mesh, "__init__", registering_init)
+    monkeypatch.setattr(cli.analysis, "verify_levels", counting_verify)
+    assert run("analyze", *files, "--out", str(tmp_path / "rep")) == EXIT_OK
+    assert len(counts) == 6
+    assert max(counts) <= 2
+    # a malformed last file fails the run before anything is written
+    (out / "step_005.nvbm").write_text("not a mesh\n")
+    assert run("analyze", *files, "--out", str(tmp_path / "rep2")) == EXIT_USAGE
+    assert not (tmp_path / "rep2").exists()
+
+
 def test_analyze_out_of_int64_field_exits_2(tmp_path, capsys):
     bad = tmp_path / "big.nvbm"
     bad.write_text("nvbm 1\n3 1\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"

@@ -90,6 +90,14 @@ _EDGE_CASES = {
     "doubly_covered_flipped": (_SQUARE[:3], [(0, 1, 2), (0, 2, 1)]),
     "doubly_covered_pairs": (_SQUARE, [(2, 0, 1), (0, 2, 3), (0, 1, 2),
                                        (3, 0, 2)]),
+    # two CCW elements on one side of their shared edge (0, 1) overlap; in
+    # "fold_then_duplicate" that pair is reported before a later-numbered
+    # doubly covered triangle
+    "folded": ([(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, 0.5)],
+               [(0, 1, 2), (0, 1, 3)]),
+    "fold_then_duplicate": ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.25, 0.25),
+                             (5.0, 5.0), (6.0, 5.0), (5.0, 6.0)],
+                            [(0, 1, 2), (4, 5, 6), (0, 1, 3), (5, 6, 4)]),
     # an edge between coincident vertices has its ends as its midpoint
     "coincident_ends": (_SQUARE + [(1.0, 0.0)], [(2, 0, 1), (0, 2, 3), (1, 4, 2)]),
     "mixed": ([(-0.0, -1.0), (-0.0, 1.0), (0.0, 0.0), (1.0, 0.0), (-1.0, 0.0),
@@ -281,6 +289,26 @@ def test_cached_geometry_is_read_only_and_shared(sq):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_mesh_attributes_cannot_be_rebound_or_deleted(sq):
+    fine = uniform(sq, "bisec3")
+    with pytest.raises(AttributeError, match="^a Mesh is immutable: cannot "
+                       "set 'areas'$"):
+        fine.areas = np.array([-1.0, -1.0])
+    with pytest.raises(AttributeError, match="cannot set 'elements'"):
+        fine.elements = fine.elements[::-1]
+    for name in ("areas", "diameters", "edge_table", "gen", "initial"):
+        with pytest.raises(AttributeError, match=f"cannot delete '{name}'"):
+            delattr(fine, name)
+    with pytest.raises(AttributeError, match="cannot set 'extra'"):
+        fine.extra = None
+    assert validate_mesh(fine).ok and fine.total_area() == 1.0
+    # the cached geometry still fills on first use, past the guard
+    unchecked = Mesh(fine.vertices, fine.elements, validate=False)
+    assert "areas" not in vars(unchecked)
+    assert unchecked.areas is unchecked.areas
+    assert np.array_equal(unchecked.diameters, fine.diameters)
 
 
 def test_verifiers_compute_the_diameters_once(sq, monkeypatch):

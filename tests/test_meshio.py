@@ -195,6 +195,10 @@ _ANCESTOR_OUT_OF_RANGE = _TRIANGLES + "2 0 1 0 0 0\n0 2 3 0 2 0\n"
 # edge (0, 1) of elements 0..2 (lines 8..10) is shared by all three
 _OVERSHARED = ("nvbm 1\n5 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n0.5 1.0\n-0.5 1.0\n"
                "0 1 2 0 0 0\n0 1 3 0 1 0\n0 1 4 0 2 0\n")
+# elements 0 and 1 (lines 7, 8) both run edge (0, 1) from 0 to 1: they lie
+# on one side of it and overlap
+_FOLDED = ("nvbm 1\n4 2\n0.0 0.0\n1.0 0.0\n0.5 1.0\n0.5 0.5\n"
+           "0 1 2 0 0 0\n0 1 3 0 1 0\n")
 # vertex 2 (line 5) is the midpoint of element 2's edge (0, 1)
 _HANGING_NODE = ("nvbm 1\n5 3\n0.0 0.0\n2.0 0.0\n1.0 0.0\n1.0 1.0\n1.0 -1.0\n"
                  "0 2 3 0 0 0\n2 1 3 0 1 0\n1 0 4 0 2 0\n")
@@ -222,6 +226,7 @@ _HANGING_NODE = ("nvbm 1\n5 3\n0.0 0.0\n2.0 0.0\n1.0 0.0\n1.0 1.0\n1.0 -1.0\n"
     _TRIANGLES + "2 0 1 0 0 0\n0 2 1 0 1 0\n",
     _DUPLICATE_VERTEX,
     _DOUBLE_COVER,
+    _FOLDED,
     _INVERTED,
     _ANCESTOR_OUT_OF_RANGE,
     _OVERSHARED,
@@ -240,6 +245,8 @@ def test_malformed_corpus_fails_like_the_line_parser(text):
      "coincide"),
     (_DOUBLE_COVER, "in.nvbm:7: non-conforming mesh: elements 0 and 1 cover "
      "the same triangle"),
+    (_FOLDED, "in.nvbm:8: non-conforming mesh: elements 0 and 1 lie on one "
+     "side of their shared edge (0, 1) (1 violation(s) total)"),
     (_INVERTED, "in.nvbm:8: non-conforming mesh: element 1 has signed area -0.5"),
     (_ANCESTOR_OUT_OF_RANGE, "in.nvbm:8: ancestor id 2 out of range 0..1"),
     (_OVERSHARED, "in.nvbm:10: non-conforming mesh: edge (0, 1) shared by "

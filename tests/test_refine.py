@@ -19,8 +19,8 @@ from oracles import (brute_force_closure, coords, edge_ids, edge_keys,
                      point_strictly_inside_triangle, ref_edge)
 from nvbmesh.marking import (RunConfig, assign_reference_edges, make_policy,
                              run_refinement)
-from nvbmesh.mesh import (Mesh, PrecisionExhausted, lshape6, same_mesh, square2,
-                          validate_mesh)
+from nvbmesh.mesh import (Mesh, PrecisionExhausted, lshape6, reference_neighbor,
+                          same_mesh, square2, validate_mesh)
 from nvbmesh.refine import (BISEC1, BISEC3, MarkingInput, PatternPolicy,
                             UnsupportedRefinementError, _tree_keys, chain,
                             close_marks, overlay, refine_step, split,
@@ -480,6 +480,18 @@ def test_chain_boundary_reference_edge():
 def test_chain_mutual_neighbors(sq):
     assert chain(sq, 0) == [0, 1]
     assert chain(sq, 1) == [1, 0]
+
+
+def test_chain_and_reference_neighbor_take_any_integer_id(lshape):
+    for t in (np.int64(3), np.int32(3), np.uint8(3)):
+        c = chain(lshape, t)
+        assert c == chain(lshape, 3)
+        assert all(type(s) is int for s in c)
+        assert reference_neighbor(lshape, t) == reference_neighbor(lshape, 3)
+    assert chain(lshape, True) == chain(lshape, 1)
+    for f in (chain, reference_neighbor):
+        with pytest.raises(TypeError):
+            f(lshape, 3.0)
 
 
 def test_chain_equals_refined_set_under_single_marking():

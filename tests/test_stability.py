@@ -193,6 +193,21 @@ def test_fast_weights_equal_brute_force_on_random_corpus():
         assert np.array_equal(fast, brute)
 
 
+def test_fast_weights_equal_brute_force_on_a_steep_generation_gradient():
+    # one element 40 generations deeper than the other 511: the deep value
+    # spreads one touching hop per round, so the exponents take as many
+    # distinct values as the relaxation runs rounds that change something
+    mesh = square2()
+    for _ in range(8):
+        mesh = uniform(mesh, "bisec1")
+    gen = np.zeros(mesh.n_elements, dtype=np.int64)
+    gen[0] = 40
+    steep = Mesh(mesh.vertices, mesh.elements, gen=gen)
+    exps = compute_weights(steep).exponents
+    assert np.array_equal(exps, brute_force_weight_exponents(steep))
+    assert np.unique(exps).size >= 12
+
+
 def test_weight_ratio_bound_within_elements():
     for seed in range(12):
         meshes, _ = random_trace(lshape6(), seed=seed, steps=6,
