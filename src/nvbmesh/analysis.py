@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from . import _geom
-from .mesh import Mesh, structure_flags
+from .mesh import Mesh, _check_initial, structure_flags
 from .meshio import _csv
 from .refine import MarkingInput, StepRecord, refine_step
 
@@ -109,26 +109,17 @@ def max_equal_gen_chain(mesh: Mesh) -> int:
     return int((steps + size[up]).max(initial=0))
 
 
-def _check_ancestors(mesh: Mesh, initial: Mesh) -> None:
-    """Raise ValueError naming the first element of ``mesh`` whose ancestor
-    is no element of ``initial``."""
-    over = np.flatnonzero(mesh.ancestor >= initial.n_elements)
-    if over.size:
-        t = int(over[0])
-        raise ValueError(f"element {t} has ancestor id {mesh.ancestor[t]}, but "
-                         f"the initial mesh has {initial.n_elements} elements")
-
-
 def verify_levels(mesh: Mesh, initial: Mesh, nvb_dialect: bool = False) -> StructureReport:
     """Area-generation identity, diameter scaling, level-jump bounds.
 
     The jump bound over shared edges is 2 in general; if ``nvb_dialect``
     is set and the initial mesh is BDD, the sharper bound 1 is checked.
     Applying the sharper check to a non-BDD initial mesh is reported as
-    misuse in the notes, not as a failure.  Raises ValueError if an
-    element's ancestor id is not below ``initial.n_elements``.
+    misuse in the notes, not as a failure.  Raises ValueError if
+    ``initial`` has an element of a generation above 0, or an element's
+    ancestor id is not below ``initial.n_elements``.
     """
-    _check_ancestors(mesh, initial)
+    _check_initial(mesh, initial)
     report = StructureReport()
     areas = mesh.areas
     expect = initial.areas[mesh.ancestor] * np.ldexp(1.0, -mesh.gen)
@@ -177,7 +168,7 @@ def verify_neighbor_rules(mesh: Mesh, initial: Mesh) -> CheckReport:
     pair shares an edge lying inside an edge of the initial mesh.  Raises
     ValueError as ``verify_levels`` does.
     """
-    _check_ancestors(mesh, initial)
+    _check_initial(mesh, initial)
     table, gen, t = mesh.edge_table, mesh.gen, np.arange(mesh.n_elements)
     ref = table.element2edges[:, 0]
 
@@ -252,10 +243,11 @@ def verify_chain_bounds(mesh_seq: list[Mesh],
     marked_tris, son_tris, son_gens = [], [], []
     for mesh, marking in zip(mesh_seq, markings):
         for t in sorted(marking.elements):
-            single, refined = refine_step(mesh, MarkingInput.of([t]), "refineNVB")
+            single, _ = refine_step(mesh, MarkingInput.of([t]), "refineNVB")
             if single is mesh:
                 continue
-            sons = np.flatnonzero(np.isin(single.parent_elems, list(refined)))
+            # every son holds a new node, and no element kept as it was does
+            sons = np.flatnonzero((single.elements >= mesh.n_vertices).any(axis=1))
             gen = single.gen[sons]
             g_t = int(mesh.gen[t])
             report.max_gen_overshoot = max(report.max_gen_overshoot,

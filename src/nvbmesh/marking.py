@@ -76,7 +76,7 @@ def assign_reference_edges(mesh: Mesh, policy: str, seed: int = 0) -> Mesh:
     """
     if policy == "as-given":
         return mesh
-    if not mesh.is_initial:
+    if mesh.gen.any():
         raise ValueError("reference-edge assignment applies to initial meshes")
     if policy == "random":
         rot = np.random.default_rng(seed).integers(3, size=mesh.n_elements)
@@ -165,9 +165,9 @@ def iter_refinement(config: RunConfig
     """Execute the configured run one state at a time.
 
     Yields ``(initial, None, None)``, then ``(mesh, marking, record)`` after
-    each step.  The generator holds no earlier mesh than the latest (and
-    the initial mesh, which refined meshes refer to), so a caller that
-    keeps none holds one mesh at a time.  Deterministic for a fixed config.
+    each step.  The generator holds no earlier mesh than the latest, so a
+    caller that keeps none holds one mesh at a time.  Deterministic for a
+    fixed config.
     """
     mesh = build_initial(config)
     rng = np.random.default_rng(config.seed)

@@ -5,7 +5,10 @@ The reference edge of an element ``(v0, v1, v2)`` is, by convention, the
 edge ``(v0, v1)``; the apex ``v2`` lies opposite it.  Triples are
 counterclockwise.  Each element carries a generation counter ``gen`` (0 on
 initial elements, +1 per bisection, +2 for red sons), the id of its ancestor
-in the initial mesh, and a flag marking red sons.
+in the initial mesh, and a flag marking red sons.  A mesh is these arrays
+and no more: it holds no link to its initial mesh, so the operations that
+need the initial mesh take it as an argument and check it by
+``_check_initial``, and ``restrict`` works from the ancestor ids alone.
 
 All coordinates are expected to be dyadic rationals; midpoints computed
 during refinement are exact, so the area identity
@@ -132,24 +135,22 @@ class Mesh:
         Ordered CCW vertex triples; edge (v0, v1) is the reference edge.
     gen, ancestor, red_son : arrays, optional
         Per-element generation, initial-mesh ancestor id, red-son flag.
-        Default to an initial mesh (gen 0, ancestor = element id).
-    initial : Mesh, optional
-        The generation-0 origin of this mesh; omit for initial meshes.
-    parent_elems : (m,) array of int, optional
-        For refined meshes, the id of each element's father in the mesh
-        this one was produced from.
+        Default to an initial mesh (gen 0, ancestor = element id).  A mesh
+        of generation 0 only is an initial mesh, and its ancestor ids must
+        be element ids; a refined mesh holds no link to its initial mesh,
+        which the operations that need it take as an argument.
     vertex_parents : (n, 2) array of int, optional
         The node pair whose midpoint created each vertex, (-1, -1) for
         vertices that predate any recorded refinement (the default);
         ``prolongation`` interpolates along these pairs.
     validate : bool
         Enforce finite coordinates and the orientation/index/edge-sharing
-        invariants at construction.
+        invariants at construction; an edge of two elements must be
+        traversed once each way, so folded and duplicate elements fail.
     """
 
     def __init__(self, vertices, elements, gen=None, ancestor=None,
-                 red_son=None, initial=None, parent_elems=None,
-                 vertex_parents=None, validate=True):
+                 red_son=None, vertex_parents=None, validate=True):
         vertices = np.asarray(vertices, dtype=np.float64)
         elements = np.asarray(elements, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -169,9 +170,6 @@ class Mesh:
         self.red_son = _frozen(np.zeros(m) if red_son is None else red_son, bool)
         if not (len(self.gen) == len(self.ancestor) == len(self.red_son) == m):
             raise MeshError("per-element arrays must all have length m")
-        self.initial = initial
-        self.parent_elems = (None if parent_elems is None
-                             else _frozen(parent_elems, np.int64))
         # (a, b) node pair whose midpoint created each vertex; (-1, -1) for
         # vertices that predate any recorded refinement
         self.vertex_parents = _frozen(np.full((n, 2), -1) if vertex_parents is None
@@ -203,23 +201,6 @@ class Mesh:
     @property
     def n_elements(self) -> int:
         return self.elements.shape[0]
-
-    @property
-    def is_initial(self) -> bool:
-        return self.initial is None and bool((self.gen == 0).all())
-
-    @property
-    def initial_mesh(self) -> "Mesh":
-        """The generation-0 mesh this one descends from (itself if initial).
-
-        Meshes loaded from files carry no initial-mesh object; operations
-        that need initial geometry must be given one explicitly.
-        """
-        if self.initial is not None:
-            return self.initial
-        if self.is_initial:
-            return self
-        raise MeshError("initial mesh unknown for this (loaded) refined mesh")
 
     @functools.cached_property
     def areas(self) -> np.ndarray:
@@ -260,18 +241,38 @@ class Mesh:
             raise MeshError("negative generation")
         if self.ancestor.min() < 0:
             raise MeshError("negative ancestor id")
-        if self.initial is not None:
-            n_init = self.initial.n_elements
-        elif (self.gen == 0).all():
-            n_init = m
-        else:
-            n_init = None  # refined mesh without its initial mesh: count unknown
-        if n_init is not None and self.ancestor.max() >= n_init:
+        if not self.gen.any() and self.ancestor.max() >= m:
             raise MeshError("ancestor id out of range of the initial mesh")
-        count = np.bincount(self.edge_table.element2edges.ravel())
+        table = self.edge_table
+        slots = table.element2edges.ravel()
+        count = np.bincount(slots)
         for e in np.flatnonzero(count > 2)[:1].tolist():
-            raise MeshError(f"edge {tuple(self.edge_table.edge2nodes[e].tolist())} "
+            raise MeshError(f"edge {tuple(table.edge2nodes[e].tolist())} "
                             f"shared by {count[e]} elements")
+        # two CCW elements on either side of their edge traverse it once each
+        # way; a pair on one side of it (a duplicate element too) is a fold
+        forward = np.bincount(slots, (self.elements < self.elements[:, [1, 2, 0]])
+                              .ravel(), count.size)
+        for e in np.flatnonzero((count == 2) & (forward != 1))[:1].tolist():
+            a, b = table.edge2elements[e].tolist()
+            raise MeshError(f"elements {a} and {b} lie on one side of their "
+                            f"shared edge {tuple(table.edge2nodes[e].tolist())}")
+
+
+def _check_initial(mesh: Mesh, initial: Mesh) -> None:
+    """Raise ValueError unless ``initial`` is an initial mesh, of generation
+    0 only, that holds the ancestor id of every element of ``mesh``."""
+    deep = np.flatnonzero(initial.gen)
+    if deep.size:
+        t = int(deep[0])
+        raise ValueError(f"the initial mesh has element {t} of generation "
+                         f"{initial.gen[t]}, but an initial mesh has generation "
+                         "0 only")
+    over = np.flatnonzero(mesh.ancestor >= initial.n_elements)
+    if over.size:
+        t = int(over[0])
+        raise ValueError(f"element {t} has ancestor id {mesh.ancestor[t]}, but "
+                         f"the initial mesh has {initial.n_elements} elements")
 
 
 @dataclass(frozen=True, eq=False)
@@ -525,6 +526,7 @@ def classify_pair(mesh: Mesh, t1: int, t2: int) -> str:
     both or of neither; ``incompatible`` iff of exactly one;
     ``not_adjacent`` iff no shared edge.
     """
+    t1, t2 = operator.index(t1), operator.index(t2)
     if t1 == t2:
         raise ValueError("classify_pair requires two distinct elements")
     for t in (t1, t2):
@@ -561,34 +563,27 @@ def restrict(mesh: Mesh, initial_subset: Iterable[int]) -> Mesh:
     """Sub-mesh of all elements whose ancestor lies in the given subset.
 
     Vertices are renumbered densely; generations and reference edges are
-    preserved; ancestor ids are remapped into the restricted initial mesh.
+    preserved; ancestor ids are remapped into the restricted initial mesh,
+    ``restrict(initial, initial_subset)``.  Raises ValueError for an id
+    that is no ancestor of the mesh.
     """
-    subset = sorted(set(int(i) for i in initial_subset))
-    if not subset:
+    subset = np.unique([operator.index(i) for i in initial_subset])
+    if not subset.size:
         raise ValueError("initial_subset must be nonempty")
-    init = mesh.initial_mesh
-    if subset[0] < 0 or subset[-1] >= init.n_elements:
-        raise ValueError("initial_subset contains out-of-range element ids")
-
-    def extract(src: Mesh, elems: np.ndarray, new_ancestor, new_initial):
-        node_ids, tris = np.unique(src.elements[elems], return_inverse=True)
-        remap = np.full(src.n_vertices, -1)
-        remap[node_ids] = np.arange(node_ids.size)
-        vparents = src.vertex_parents[node_ids]
-        vparents = np.where(vparents >= 0, remap[vparents], -1)
-        vparents[(vparents < 0).any(axis=1)] = -1
-        return Mesh(src.vertices[node_ids], tris.reshape(-1, 3),
-                    gen=src.gen[elems],
-                    ancestor=new_ancestor,
-                    red_son=src.red_son[elems],
-                    initial=new_initial,
-                    vertex_parents=vparents)
-
-    if mesh.initial is None:
-        return extract(mesh, subset, np.arange(len(subset)), None)
+    absent = subset[~np.isin(subset, mesh.ancestor)]
+    if absent.size:
+        raise ValueError(f"initial element {absent[0]} is no ancestor of the mesh")
     keep = np.flatnonzero(np.isin(mesh.ancestor, subset))
-    return extract(mesh, keep, np.searchsorted(subset, mesh.ancestor[keep]),
-                   restrict(init, subset))
+    node_ids, tris = np.unique(mesh.elements[keep], return_inverse=True)
+    remap = np.full(mesh.n_vertices, -1)
+    remap[node_ids] = np.arange(node_ids.size)
+    vparents = mesh.vertex_parents[node_ids]
+    vparents = np.where(vparents >= 0, remap[vparents], -1)
+    vparents[(vparents < 0).any(axis=1)] = -1
+    return Mesh(mesh.vertices[node_ids], tris.reshape(-1, 3),
+                gen=mesh.gen[keep],
+                ancestor=np.searchsorted(subset, mesh.ancestor[keep]),
+                red_son=mesh.red_son[keep], vertex_parents=vparents)
 
 
 # -- builders ----------------------------------------------------------------

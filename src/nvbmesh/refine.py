@@ -36,7 +36,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import _geom
-from .mesh import Mesh, PrecisionExhausted, _frozen
+from .mesh import Mesh, PrecisionExhausted, _check_initial, _frozen
 from .meshio import _csv
 
 PATTERN_NONE = "none"
@@ -338,10 +338,9 @@ def split(mesh: Mesh, plan: RefinementPlan) -> Mesh:
             tris[rows] = nodes[:, triple]
             gens[rows] += dgen
             reds[rows] = red
-    root = mesh if mesh.initial is None and mesh.is_initial else mesh.initial
+    vparents = np.concatenate([mesh.vertex_parents, vparents])
     return Mesh(verts, tris, gen=gens, ancestor=mesh.ancestor[parents],
-                red_son=reds, initial=root, parent_elems=parents,
-                vertex_parents=np.concatenate([mesh.vertex_parents, vparents]))
+                red_son=reds, vertex_parents=vparents)
 
 
 def refine_step(mesh: Mesh, marking: MarkingInput, dialect: str,
@@ -408,10 +407,12 @@ def uniform(mesh: Mesh, kind: str) -> Mesh:
 # -- overlay --------------------------------------------------------------------
 
 
-def _tree_keys(mesh: Mesh, root: Mesh, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _tree_keys(mesh: Mesh, initial: Mesh,
+               width: int) -> tuple[np.ndarray, np.ndarray]:
     """Place every element of a mesh in the bisection tree of its ancestor
-    in ``root``; raises UnsupportedRefinementError for an element that is
-    no node of it, such as a red son that was not bisected further.
+    in ``initial``, of generation 0; raises UnsupportedRefinementError for
+    an element that is no node of it, such as a red son that was not
+    bisected further.
 
     Row t of the (m, 1 + width) key array is t's ancestor id, then per
     level 1 for the son (v2, v0, m), 2 for the son (v1, v2, m) and 0 past
@@ -419,11 +420,10 @@ def _tree_keys(mesh: Mesh, root: Mesh, width: int) -> tuple[np.ndarray, np.ndarr
     son holding t is the one holding its interior point ((v0+v1)/2 + v2)/2.
     Also returns the (m, 3, 2) coordinates of the descended triples.
     """
-    anc = mesh.ancestor
-    depth = mesh.gen - root.gen[anc]
+    anc, depth = mesh.ancestor, mesh.gen
     own = np.take(mesh.vertices, mesh.elements, axis=0)
     inner = ((own[:, 0] + own[:, 1]) / 2.0 + own[:, 2]) / 2.0
-    tri = np.take(root.vertices, root.elements[anc], axis=0)
+    tri = np.take(initial.vertices, initial.elements[anc], axis=0)
     keys = np.zeros((mesh.n_elements, 1 + width), dtype=np.int64)
     keys[:, 0] = anc
     for level in range(width):
@@ -450,25 +450,23 @@ def _covers_next(keys: np.ndarray, depth: np.ndarray) -> np.ndarray:
     return ((keys[1:] == keys[:-1]) | past).all(axis=1)
 
 
-def overlay(a: Mesh, b: Mesh) -> Mesh:
-    """Coarsest common refinement of two meshes over one initial mesh, each
-    tiled by bisection-tree nodes (bisec(5) included, no surviving red son).
+def overlay(a: Mesh, b: Mesh, initial: Mesh) -> Mesh:
+    """Coarsest common refinement of two meshes over the initial mesh
+    ``initial``, each tiled by bisection-tree nodes (bisec(5) included, no
+    surviving red son).
 
     Per initial element the union of the two bisection trees is taken; the
     element count satisfies #overlay <= #a + #b - #initial.  Elements are
     listed in the preorder of the trees, left son first, and vertices are
-    numbered by first use.  Raises UnsupportedRefinementError unless both
-    inputs tile every initial element with nodes of its bisection tree.
+    numbered by first use.  Raises ValueError for an ``initial`` of a
+    generation above 0 or without an input's ancestor ids, and
+    UnsupportedRefinementError unless both inputs tile every initial
+    element with nodes of its bisection tree.
     """
-    ra, rb = a.initial_mesh, b.initial_mesh
-    if ra is not rb:
-        same = (np.array_equal(ra.vertices, rb.vertices)
-                and np.array_equal(ra.elements, rb.elements))
-        if not same:
-            raise ValueError("overlay requires refinements of the same initial mesh")
-
+    _check_initial(a, initial)
+    _check_initial(b, initial)
     width = int(max(a.gen.max(), b.gen.max()))
-    (ka, ta), (kb, tb) = _tree_keys(a, ra, width), _tree_keys(b, ra, width)
+    (ka, ta), (kb, tb) = (_tree_keys(x, initial, width) for x in (a, b))
     keys, tri = np.concatenate([ka, kb]), np.concatenate([ta, tb])
     src = np.repeat([0, 1], [a.n_elements, b.n_elements])
     order = np.lexsort(keys.T[::-1])
@@ -479,9 +477,9 @@ def overlay(a: Mesh, b: Mesh) -> Mesh:
     # sum 2**-depth = 1, summed exactly by carrying counts upwards
     for s in (0, 1):
         k, d = keys[src == s], depth[src == s]
-        counts = np.zeros((ra.n_elements, width + 1), dtype=np.int64)
+        counts = np.zeros((initial.n_elements, width + 1), dtype=np.int64)
         np.add.at(counts, (k[:, 0], d), 1)
-        bad = np.zeros(ra.n_elements, dtype=bool)
+        bad = np.zeros(initial.n_elements, dtype=bool)
         bad[k[:-1, 0][_covers_next(k, d)]] = True
         for level in range(width, 0, -1):
             bad |= counts[:, level] % 2 == 1
@@ -500,5 +498,4 @@ def overlay(a: Mesh, b: Mesh) -> Mesh:
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(first.size)
     return Mesh(xy[np.sort(first)], rank[inverse].reshape(-1, 3),
-                gen=ra.gen[keys[leaf, 0]] + depth[leaf],
-                ancestor=keys[leaf, 0], initial=ra)
+                gen=depth[leaf], ancestor=keys[leaf, 0])

@@ -101,6 +101,31 @@ def same_arrays(a: Mesh, b: Mesh) -> bool:
                     for k in ("elements", "gen", "ancestor", "red_son")))
 
 
+# sons per pattern, counted by hand from the templates, not read from refine
+SONS = {"none": 1, "bisec1": 2, "bisec2_left": 3, "bisec2_right": 3,
+        "bisec3": 4, "red": 4, "bisec5": 6}
+
+
+def split_fathers(mesh: Mesh, plan, fine: Mesh) -> np.ndarray:
+    """The father in ``mesh`` of each element of ``fine``, the split of
+    ``mesh`` by ``plan``: each element's sons in element order, as many as
+    its pattern makes.  Asserts that every son lies inside its father, by
+    the son's interior point ((v0+v1)/2 + v2)/2, and that the sons' areas
+    sum to the father's exactly."""
+    fathers = np.repeat(np.arange(mesh.n_elements),
+                        [SONS[p] for p in plan.pattern.tolist()])
+    assert fathers.size == fine.n_elements
+    own = np.take(fine.vertices, fine.elements, axis=0)
+    inner = ((own[:, 0] + own[:, 1]) / 2.0 + own[:, 2]) / 2.0
+    tri = np.take(mesh.vertices, mesh.elements[fathers], axis=0)
+    for k in range(3):
+        e, q = tri[:, (k + 1) % 3] - tri[:, k], inner - tri[:, k]
+        assert (e[:, 0] * q[:, 1] > e[:, 1] * q[:, 0]).all()
+    assert np.array_equal(np.bincount(fathers, fine.areas, mesh.n_elements),
+                          mesh.areas)
+    return fathers
+
+
 def assert_topology_matches(mesh):
     """``mesh.edge_table`` equals the dict oracle's table of its elements
     and holds read-only int64 arrays."""

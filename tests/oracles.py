@@ -3,14 +3,16 @@
 ``edge_table``, ``closure`` and ``split`` are the straightforward dict/loop
 versions of ``nvbmesh.mesh.build_edge_table``, the fixpoint of
 ``nvbmesh.refine.close_marks`` (with three bisections for every fully
-marked element) and ``nvbmesh.refine.split``;
+marked element) and ``nvbmesh.refine.split``, the loop ``split`` also
+returning each element's father, which no mesh records;
 ``brute_force_closure`` finds the closure fixpoint by exhaustive search.
 ``stable_edge_table`` is ``build_edge_table``'s array kernel with a stable
 argsort of the edge codes in place of its sort of one combined key.
 ``area_identity_and_diameter_scale`` and ``max_equal_gen_chain`` are the
 per-element loops of ``nvbmesh.analysis.verify_levels``, with areas and
 diameters from the scalar ``area`` and ``diameter``, and
-``verify_chain_bounds`` is the son-by-son loop of its namesake.  ``DeltaDistance``
+``verify_chain_bounds`` is the son-by-son loop of its namesake, which tells
+the sons from the kept elements by their coordinate triples.  ``DeltaDistance``
 evaluates the element-path distance of the nodal weights by breadth-first
 search, ``brute_force_weight_exponents`` evaluates the weight definition
 directly from all-pairs node-to-element distances, and ``conditions`` is
@@ -207,9 +209,10 @@ def brute_force_closure(mesh: Mesh, seed: frozenset[EdgeKey]) -> frozenset[EdgeK
     return best
 
 
-def split(mesh: Mesh, plan: RefinementPlan) -> Mesh:
+def split(mesh: Mesh, plan: RefinementPlan) -> tuple[Mesh, list[int]]:
     """Element-by-element splitter with a midpoint dict; refines each
-    element by the pattern name its plan gives."""
+    element by the pattern name its plan gives.  Also returns the id of
+    each element's father in ``mesh``."""
     patterns = plan.pattern.tolist()
 
     n_old = mesh.n_vertices
@@ -293,10 +296,8 @@ def split(mesh: Mesh, plan: RefinementPlan) -> Mesh:
     vparents = (np.vstack([mesh.vertex_parents,
                            np.array(new_parents, dtype=np.int64)])
                 if new_parents else mesh.vertex_parents.copy())
-    root = mesh if mesh.initial is None and mesh.is_initial else mesh.initial
-    return Mesh(verts, np.array(tris, dtype=np.int64),
-                gen=gens, ancestor=ancs, red_son=reds,
-                initial=root, parent_elems=parents, vertex_parents=vparents)
+    return Mesh(verts, np.array(tris, dtype=np.int64), gen=gens, ancestor=ancs,
+                red_son=reds, vertex_parents=vparents), parents
 
 
 # -- scalar geometry ----------------------------------------------------------
@@ -445,15 +446,17 @@ def verify_chain_bounds(mesh_seq: list[Mesh],
     """The son-by-son loop of ``nvbmesh.analysis.verify_chain_bounds``."""
     report = ChainBoundsReport()
     for mesh, marking in zip(mesh_seq, markings):
+        # the sons are the elements of ``single`` that no element of ``mesh``
+        # equals: a son is smaller than its father and lies inside it
+        kept = {coords(mesh, t) for t in range(mesh.n_elements)}
         for t in sorted(marking.elements):
-            single, refined = refine_step(mesh, MarkingInput.of([t]), "refineNVB")
+            single, _ = refine_step(mesh, MarkingInput.of([t]), "refineNVB")
             if single is mesh:
                 continue
             tri_t = coords(mesh, t)
             g_t = int(mesh.gen[t])
             for s in range(single.n_elements):
-                parent = int(single.parent_elems[s])
-                if parent not in refined:
+                if coords(single, s) in kept:
                     continue
                 overshoot = int(single.gen[s]) - g_t
                 report.max_gen_overshoot = max(report.max_gen_overshoot, overshoot)
@@ -486,7 +489,7 @@ def point_strictly_inside_segment(p, a, b) -> bool:
     return 0.0 < dot < abx * abx + aby * aby
 
 
-def verify_neighbor_rules(mesh: Mesh, initial: Mesh | None = None) -> CheckReport:
+def verify_neighbor_rules(mesh: Mesh, initial: Mesh) -> CheckReport:
     """Reference-neighbor structure of bisection meshes.
 
     Checks, over all shared edges: a reference neighbor of strictly larger
@@ -495,8 +498,6 @@ def verify_neighbor_rules(mesh: Mesh, initial: Mesh | None = None) -> CheckRepor
     ancestors) are compatibly divisible; an equal-generation incompatible
     pair shares an edge lying inside an edge of the initial mesh.
     """
-    if initial is None:
-        initial = mesh.initial_mesh
     report = CheckReport()
 
     bad_iii = []
@@ -1296,24 +1297,24 @@ def _bisect_triple(tri):
     return (p2, p0, m), (p1, p2, m)
 
 
-def overlay(a: Mesh, b: Mesh) -> Mesh:
+def overlay(a: Mesh, b: Mesh, initial: Mesh) -> Mesh:
     """The recursive ``nvbmesh.refine.overlay``: per initial element, a
     depth-first descent of the union of the two bisection trees over sets
-    of coordinate triples; raises ValueError where it descends past the
-    deepest input generation, as it does below a red son."""
-    ra, rb = a.initial_mesh, b.initial_mesh
-    if ra is not rb:
-        same = (np.array_equal(ra.vertices, rb.vertices)
-                and np.array_equal(ra.elements, rb.elements))
-        if not same:
-            raise ValueError("overlay requires refinements of the same initial mesh")
-
-    leaves_a: list[set] = [set() for _ in range(ra.n_elements)]
-    leaves_b: list[set] = [set() for _ in range(ra.n_elements)]
-    for t in range(a.n_elements):
-        leaves_a[int(a.ancestor[t])].add(coords(a, t))
-    for t in range(b.n_elements):
-        leaves_b[int(b.ancestor[t])].add(coords(b, t))
+    of coordinate triples; raises ValueError for an initial mesh with an
+    element of a generation above 0 or without an input's ancestor ids, and
+    where it descends past the deepest input generation, as it does below a
+    red son or from a foreign initial mesh."""
+    if any(int(g) != 0 for g in initial.gen):
+        raise ValueError("the initial mesh has an element of a generation above 0")
+    leaves_a: list[set] = [set() for _ in range(initial.n_elements)]
+    leaves_b: list[set] = [set() for _ in range(initial.n_elements)]
+    for mesh, leaves in ((a, leaves_a), (b, leaves_b)):
+        for t in range(mesh.n_elements):
+            anc = int(mesh.ancestor[t])
+            if anc >= initial.n_elements:
+                raise ValueError(f"element {t} has ancestor id {anc}, beyond "
+                                 "the initial mesh")
+            leaves[anc].add(coords(mesh, t))
     depth_cap = int(max(a.gen.max(), b.gen.max()))
 
     node_id: dict[tuple[float, float], int] = {}
@@ -1331,9 +1332,9 @@ def overlay(a: Mesh, b: Mesh) -> Mesh:
     gens: list[int] = []
     ancs: list[int] = []
 
-    for i in range(ra.n_elements):
+    for i in range(initial.n_elements):
         la, lb = leaves_a[i], leaves_b[i]
-        stack = [(coords(ra, i), int(ra.gen[i]), True, True)]
+        stack = [(coords(initial, i), 0, True, True)]
         while stack:
             tri, g, in_a, in_b = stack.pop()
             leaf_a = in_a and tri in la
@@ -1355,8 +1356,7 @@ def overlay(a: Mesh, b: Mesh) -> Mesh:
 
     return Mesh(np.array(xy, dtype=np.float64),
                 np.array(tris, dtype=np.int64),
-                gen=gens, ancestor=ancs,
-                initial=ra)
+                gen=gens, ancestor=ancs)
 
 
 def canonical_form(mesh: Mesh):

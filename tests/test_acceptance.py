@@ -205,12 +205,12 @@ def test_criterion_06_overlay_bound():
             sides.append(mesh)
         a, b = sides
         for x, y in ((a, b), (b, a)):
-            ov = overlay(x, y)
-            assert same_arrays(ov, oracles.overlay(x, y))
+            ov = overlay(x, y, initial)
+            assert same_arrays(ov, oracles.overlay(x, y, initial))
             assert ov.n_elements <= x.n_elements + y.n_elements \
                 - initial.n_elements
             pairs += 1
-        assert same_mesh(overlay(a, a), a)
+        assert same_mesh(overlay(a, a, initial), a)
     assert pairs == 50
     _report(6, "overlay-bound", time.time() - t0, f"{pairs} pairs")
 

@@ -17,7 +17,8 @@ from nvbmesh.analysis import (closure_accounting, max_equal_gen_chain,
                               reciprocal_sum_bound, verify_chain_bounds,
                               verify_levels, verify_neighbor_rules)
 from nvbmesh.mesh import Mesh, lshape6, reference_neighbor, square2
-from nvbmesh.refine import MarkingInput, StepRecord, refine_step, uniform
+from nvbmesh.refine import (MarkingInput, StepRecord, overlay, refine_step,
+                            uniform)
 from nvbmesh.marking import RunConfig, assign_reference_edges, run_refinement
 
 REGRESSION = json.loads(
@@ -65,7 +66,7 @@ def test_area_generation_identity_detects_tampering(sq):
     gens = fine.gen.copy()
     gens[3] += 1
     bad = Mesh(fine.vertices.copy(), fine.elements.copy(), gen=gens,
-               ancestor=fine.ancestor.copy(), initial=sq)
+               ancestor=fine.ancestor.copy())
     report = verify_levels(bad, sq)
     assert not report.ok
     failed = {c.name for c in report.failed()}
@@ -84,7 +85,7 @@ def test_area_identity_and_diameter_scale_match_loop_oracle():
     gens = fine.gen.copy()
     gens[1::3] += 1
     cases.append((Mesh(fine.vertices.copy(), fine.elements.copy(), gen=gens,
-                       ancestor=fine.ancestor.copy(), initial=initial), initial))
+                       ancestor=fine.ancestor.copy()), initial))
     for mesh, initial in cases:
         bad, lo, hi = area_identity_and_diameter_scale(mesh, initial)
         report = verify_levels(mesh, initial)
@@ -196,7 +197,7 @@ def test_neighbor_rules_report_corrupted_generation(sq):
     gens = fine.gen.copy()
     gens[victim] += 3
     bad = Mesh(fine.vertices.copy(), fine.elements.copy(), gen=gens,
-               ancestor=fine.ancestor.copy(), initial=sq)
+               ancestor=fine.ancestor.copy())
     report = verify_neighbor_rules(bad, sq)
     assert not report.ok
     assert any(c.witnesses for c in report.failed())
@@ -208,6 +209,21 @@ def test_foreign_initial_mesh_is_a_value_error(sq, verify):
     with pytest.raises(ValueError, match="^element 8 has ancestor id 2, but "
                        "the initial mesh has 2 elements$"):
         verify(fine, sq)
+
+
+@pytest.mark.parametrize("verify", [verify_levels, verify_neighbor_rules])
+def test_refined_initial_mesh_is_a_value_error(sq, verify):
+    # a refined mesh is no initial mesh, even where its ancestor ids fit
+    half = uniform(sq, "bisec1")
+    fine = uniform(half, "bisec1")
+    for mesh in (half, fine):
+        with pytest.raises(ValueError, match="^the initial mesh has element 0 "
+                           "of generation 1, but an initial mesh has "
+                           "generation 0 only$"):
+            verify(mesh, half)
+    # refused by the same check as overlay's
+    with pytest.raises(ValueError, match="^the initial mesh has element 0 "):
+        overlay(fine, fine, half)
 
 
 def _neighbor_rule_cases():
@@ -228,12 +244,12 @@ def _neighbor_rule_cases():
         rot = rng.choice(m, size=m // 3, replace=False)
         tris[rot] = np.roll(tris[rot], 1, axis=1)
         cases.append((Mesh(fine.vertices, tris, gen=fine.gen,
-                           ancestor=fine.ancestor, initial=initial), initial))
+                           ancestor=fine.ancestor), initial))
         # bumped generations
         gens = fine.gen.copy()
         gens[rng.choice(m, size=m // 4, replace=False)] += rng.integers(1, 3)
         cases.append((Mesh(fine.vertices, fine.elements, gen=gens,
-                           ancestor=fine.ancestor, initial=initial), initial))
+                           ancestor=fine.ancestor), initial))
     return cases
 
 

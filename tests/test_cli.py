@@ -275,6 +275,22 @@ def test_analyze_foreign_initial_mesh_exits_2(tmp_path, capsys):
         "elements\n")
 
 
+def test_analyze_refined_initial_mesh_exits_2(tmp_path, capsys):
+    # the first file must be an initial mesh, not one step of a run
+    out = tmp_path / "run"
+    run("refine", "square2", "--strategy", "all", "--steps", "3",
+        "--out", str(out))
+    capsys.readouterr()
+    rep = tmp_path / "rep"
+    code = run("analyze", str(out / "step_002.nvbm"), str(out / "step_003.nvbm"),
+               "--out", str(rep))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr() == ("", (
+        "error: the initial mesh has element 0 of generation 2, but an "
+        "initial mesh has generation 0 only\n"))
+    assert not rep.exists()
+
+
 def test_analyze_trace_with_more_marks_than_new_elements_exits_3(tmp_path):
     mesh, trace = tmp_path / "sq.nvbm", tmp_path / "t.csv"
     write_mesh(square2(), mesh)
@@ -294,7 +310,7 @@ def test_analyze_nvb_reports_failed_neighbor_rules(tmp_path):
     initial, bad = tmp_path / "l.nvbm", tmp_path / "bad.nvbm"
     write_mesh(lshape6(), initial)
     write_mesh(Mesh(fine.vertices, fine.elements, gen=gen,
-                    ancestor=fine.ancestor, initial=lshape6()), bad)
+                    ancestor=fine.ancestor), bad)
     code = run("analyze", str(initial), str(bad), "--nvb",
                "--out", str(tmp_path))
     assert code == EXIT_VIOLATION

@@ -34,6 +34,7 @@ EXPECTED = {
         "overlay: 37 elements <= 31 + 25 - 6 = 50",
         "restriction to 2 initial elements: 8 elements, area 1.0 "
         "(one quadrant), conforming: True",
+        "read back, same overlay and restriction: True",
         "bisec(5) refinement: 22 elements; overlay with a: 34 elements, "
         "conforming: True, refines both inputs: True",
     ],

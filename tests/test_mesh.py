@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import oracles
 from oracles import coords, point
 from nvbmesh import _geom
 from conftest import (COMBOS, assert_topology_matches, crisscross, random_trace,
-                      single_triangle, small_mesh_corpus,
+                      single_triangle, small_mesh_corpus, split_fathers,
                       square2_boundary_refs, square2_incompatible)
 from nvbmesh.mesh import (COMPATIBLY_DIVISIBLE, INCOMPATIBLE, NOT_ADJACENT,
                           Mesh, MeshError, build_edge_table, classify_pair,
@@ -23,7 +24,7 @@ from nvbmesh.mesh import (COMPATIBLY_DIVISIBLE, INCOMPATIBLE, NOT_ADJACENT,
 from nvbmesh.analysis import verify_levels
 from nvbmesh.marking import assign_reference_edges, make_policy
 from nvbmesh.correspondence import CorrMap
-from nvbmesh.refine import MarkingInput, refine_step, uniform
+from nvbmesh.refine import MarkingInput, refine_step, step_with_plan, uniform
 from nvbmesh.stability import NodeWeights, check_conditions, compute_weights
 
 
@@ -148,7 +149,7 @@ def test_validate_mesh_matches_oracle_on_refined_and_tampered_meshes():
         e = rng.choice(len(e2n), size=3, replace=False)
         xy[moved[3:]] = (xy[e2n[e, 0]] + xy[e2n[e, 1]]) / 2.0
         meshes.append(Mesh(xy, fine.elements, gen=fine.gen, ancestor=fine.ancestor,
-                           initial=initial, validate=False))
+                           validate=False))
     kinds = set()
     for mesh in meshes:
         for exhaustive in (None, False):
@@ -160,7 +161,11 @@ def test_validate_mesh_matches_oracle_on_refined_and_tampered_meshes():
 
 
 def test_doubly_covered_triangle_detected():
-    mesh = Mesh(_SQUARE[:3], [(0, 1, 2), (1, 2, 0)])
+    # the constructor refuses a duplicate element as a fold of its edges
+    with pytest.raises(MeshError, match=r"^elements 0 and 1 lie on one side "
+                       r"of their shared edge \(0, 1\)$"):
+        Mesh(_SQUARE[:3], [(0, 1, 2), (1, 2, 0)])
+    mesh = Mesh(_SQUARE[:3], [(0, 1, 2), (1, 2, 0)], validate=False)
     assert validate_mesh(mesh).violations == [Violation(
         "duplicate_element", "elements 0 and 1 cover the same triangle",
         (0, 1))]
@@ -224,6 +229,16 @@ def test_classify_pair_cases(sq):
     assert classify_pair(inc, 0, 1) == INCOMPATIBLE
     cc = crisscross()
     assert classify_pair(cc, 0, 2) == NOT_ADJACENT
+
+
+def test_classify_pair_takes_any_integer_id(sq):
+    for t1, t2 in ((np.int64(0), 1), (0, np.int32(1)), (np.uint8(1), False)):
+        assert classify_pair(sq, t1, t2) == COMPATIBLY_DIVISIBLE
+    with pytest.raises(ValueError, match="two distinct elements"):
+        classify_pair(sq, np.int64(1), True)
+    for t1, t2 in ((np.int64(0), 1.0), (0.0, 1)):
+        with pytest.raises(TypeError):
+            classify_pair(sq, t1, t2)
 
 
 def test_classify_pair_symmetric():
@@ -322,10 +337,11 @@ def test_verifiers_compute_the_diameters_once(sq, monkeypatch):
 
 
 def test_bisection_halves_area(sq):
-    fine, _ = refine_step(sq, MarkingInput.of([0]), "refineNVB")
+    fine, _, plan = step_with_plan(sq, MarkingInput.of([0]), "refineNVB")
+    fathers = split_fathers(sq, plan, fine)
     fine_areas, sq_areas = fine.areas, sq.areas
     for t in range(fine.n_elements):
-        parent = int(fine.parent_elems[t])
+        parent = int(fathers[t])
         if int(fine.gen[t]) == 1:
             assert fine_areas[t] == sq_areas[parent] / 2.0
 
@@ -376,6 +392,24 @@ def test_restrict_is_conforming_on_random_runs(rng):
 def test_restrict_empty_subset_rejected(sq):
     with pytest.raises(ValueError):
         restrict(sq, [])
+
+
+def test_restrict_takes_integer_ids_only(sq):
+    fine = uniform(sq, "bisec3")
+    for ids in ([np.int64(1)], [np.uint8(1), 1], (True,), range(1, 2)):
+        assert same_mesh(restrict(fine, ids), restrict(fine, [1]))
+    for ids in ([1.7], [1.0], [np.float64(1.0)], [0, 0.5]):
+        with pytest.raises(TypeError):
+            restrict(fine, ids)
+
+
+@pytest.mark.parametrize("ids", [[2], [-1], [0, 5]])
+def test_restrict_refuses_an_id_that_is_no_ancestor(sq, ids):
+    bad = [i for i in ids if i not in (0, 1)][0]
+    for mesh in (sq, uniform(sq, "bisec1")):
+        with pytest.raises(ValueError, match=f"^initial element {bad} is no "
+                           "ancestor of the mesh$"):
+            restrict(mesh, ids)
 
 
 def test_total_area_preserved_and_area_generation_exact():
@@ -511,9 +545,8 @@ def test_mesh_owns_its_arrays(sq):
     assert validate_mesh(m).violations == before[1] == []
     # another mesh's arrays are copied as well
     names = ("vertices", "elements", "gen", "ancestor", "red_son",
-             "parent_elems", "vertex_parents")
-    again = Mesh(**{name: getattr(fine, name) for name in names},
-                 initial=fine.initial)
+             "vertex_parents")
+    again = Mesh(**{name: getattr(fine, name) for name in names})
     for name in names:
         assert np.array_equal(getattr(again, name), getattr(fine, name))
         assert not np.shares_memory(getattr(again, name), getattr(fine, name))
@@ -525,9 +558,9 @@ def _value_and_inputs(kind: str, sq: Mesh):
     fine = uniform(sq, "bisec1")
     if kind == "Mesh":
         names = ("vertices", "elements", "gen", "ancestor", "red_son",
-                 "parent_elems", "vertex_parents")
+                 "vertex_parents")
         inputs = {name: np.array(getattr(fine, name)) for name in names}
-        return lambda **kw: Mesh(**kw, initial=sq), inputs, names
+        return Mesh, inputs, names
     if kind == "NodeWeights":
         inputs = {"exponents": np.array(compute_weights(fine).exponents)}
         return NodeWeights, inputs, ("exponents",)
@@ -582,6 +615,21 @@ def test_construction_errors(sq, elements, kwargs, message):
 def test_construction_rejects_cw():
     with pytest.raises(MeshError):
         Mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 2, 1)])
+
+
+def test_construction_rejects_a_folded_edge():
+    # both triangles lie above their shared edge (0, 1): each is CCW and
+    # no edge has three elements, yet they overlap
+    vertices = [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, 0.5)]
+    elements = [(0, 1, 2), (0, 1, 3)]
+    detail = "elements 0 and 1 lie on one side of their shared edge (0, 1)"
+    with pytest.raises(MeshError, match=f"^{re.escape(detail)}$"):
+        Mesh(vertices, elements)
+    folded = Mesh(vertices, elements, validate=False)
+    assert validate_mesh(folded).violations == [
+        Violation("folded_edge", detail, (0, 1))]
+    # a second triangle below the edge, (1, 0, 4), is no fold
+    Mesh(vertices + [(0.5, -1.0)], [(0, 1, 2), (1, 0, 4)])
 
 
 def test_construction_rejects_overshared_edge():

@@ -138,17 +138,34 @@ def test_loaded_refined_mesh_supports_further_refinement(tmp_path):
     write_mesh(meshes[-1], path)
     loaded = read_mesh(path)
 
-    # refinement and uniform passes work without the initial mesh object
+    # refinement and uniform passes need no initial mesh
     again, refined = refine_step(loaded, MarkingInput.of([0]), "refineNVB")
     assert refined
     assert validate_mesh(again).ok
     assert validate_mesh(uniform(loaded, "bisec3")).ok
 
-    # operations that need initial geometry refuse cleanly
-    with pytest.raises(MeshError, match="initial mesh unknown"):
-        restrict(loaded, [0])
-    with pytest.raises(MeshError, match="initial mesh unknown"):
-        loaded.initial_mesh
+
+def test_overlay_and_restrict_of_loaded_meshes_equal_in_memory_results(tmp_path):
+    # a loaded mesh is its arrays alone, and overlay and restrict need no more
+    from nvbmesh.mesh import restrict
+    from nvbmesh.refine import overlay
+
+    initial = lshape6()
+    meshes = {"initial": initial}
+    for name, seed in (("a", 13), ("b", 14)):
+        meshes[name] = random_trace(initial, seed=seed, steps=3,
+                                    dialect="refineNVB")[0][-1]
+    loaded = {}
+    for name, mesh in meshes.items():
+        write_mesh(mesh, tmp_path / f"{name}.nvbm")
+        loaded[name] = read_mesh(tmp_path / f"{name}.nvbm")
+    a, b = meshes["a"], meshes["b"]
+    expect = overlay(a, b, initial)
+    for x, y, init in ((loaded["a"], loaded["b"], loaded["initial"]),
+                       (loaded["a"], b, initial), (a, loaded["b"], initial)):
+        assert same_mesh(overlay(x, y, init), expect)
+    for subset in ([0], [1, 4], range(initial.n_elements)):
+        assert same_mesh(restrict(loaded["a"], subset), restrict(a, subset))
 
 
 _VALID = {

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import (COMBOS, random_marking, random_trace, same_arrays,
-                      single_triangle, small_mesh_corpus, square2_incompatible)
+                      single_triangle, small_mesh_corpus, split_fathers,
+                      square2_incompatible)
 from oracles import (brute_force_closure, coords, edge_ids, edge_keys,
                      edge_table, edges_of, midpoint, point,
                      point_strictly_inside_triangle, ref_edge)
@@ -207,13 +208,12 @@ def test_bisec2_son_structure():
     # the closure, leaving T0 with two marked edges: one son stays at +1,
     # the deeper two land at +2
     mesh = square2_incompatible()
-    fine, refined = refine_step(mesh, MarkingInput.of([1]), "refineNVB")
+    fine, refined, plan = step_with_plan(mesh, MarkingInput.of([1]), "refineNVB")
     assert refined == frozenset({0, 1})
     assert fine.n_elements == 5
     by_parent = {}
-    for t in range(fine.n_elements):
-        by_parent.setdefault(int(fine.parent_elems[t]), []).append(
-            int(fine.gen[t]))
+    for t, father in enumerate(split_fathers(mesh, plan, fine).tolist()):
+        by_parent.setdefault(father, []).append(int(fine.gen[t]))
     assert sorted(by_parent[0]) == [1, 2, 2]
     assert sorted(by_parent[1]) == [1, 1]
     assert validate_mesh(fine).ok
@@ -278,16 +278,6 @@ def test_precision_exhaustion_is_typed():
         run_refinement(config)
 
 
-# sons per pattern, counted by hand from the templates, not read from refine
-SONS = {"none": 1, "bisec1": 2, "bisec2_left": 3, "bisec2_right": 3,
-        "bisec3": 4, "red": 4, "bisec5": 6}
-
-
-def assert_split_follows_plan(plan, fine):
-    names = plan.pattern.tolist()
-    assert np.bincount(fine.parent_elems).tolist() == [SONS[p] for p in names]
-
-
 def test_split_refines_a_hand_made_plan_as_named(lshape):
     # a plan naming red or bisec(5) for fully marked elements is refined by
     # those patterns, whatever the closure's own default would be
@@ -297,11 +287,10 @@ def test_split_refines_a_hand_made_plan_as_named(lshape):
     pattern = plan.pattern.copy()
     pattern[full] = np.resize(["red", "bisec5", BISEC3], full.size)
     named = dataclasses.replace(plan, pattern=pattern)
-    fine, expect = split(lshape, named), oracles.split(lshape, named)
+    fine, (expect, fathers) = split(lshape, named), oracles.split(lshape, named)
     assert same_arrays(fine, expect)
     assert np.array_equal(fine.vertex_parents, expect.vertex_parents)
-    assert np.array_equal(fine.parent_elems, expect.parent_elems)
-    assert_split_follows_plan(named, fine)
+    assert fathers == split_fathers(lshape, named, fine).tolist()
 
 
 @pytest.mark.parametrize("dialect,policy", COMBOS)
@@ -314,8 +303,29 @@ def test_split_does_what_the_plan_names(dialect, policy):
             marking = random_marking(mesh, rng, dialect)
             fine, _, plan = step_with_plan(mesh, marking, dialect,
                                            pattern_policy)
-            assert_split_follows_plan(plan, fine)
+            split_fathers(mesh, plan, fine)
             mesh = fine
+
+
+def test_the_sons_are_the_elements_that_hold_a_new_node():
+    # verify_chain_bounds finds the sons of a split this way: every son of
+    # every pattern holds a new node, and no element kept as it was holds one
+    seen = set()
+    for seed, (dialect, policy) in enumerate(COMBOS):
+        pattern_policy = make_policy(policy)
+        rng = np.random.default_rng(seed)
+        mesh = assign_reference_edges(lshape6(), "random", seed=3)
+        for _ in range(4):
+            marking = random_marking(mesh, rng, dialect)
+            fine, _, plan = step_with_plan(mesh, marking, dialect,
+                                           pattern_policy)
+            fathers = split_fathers(mesh, plan, fine)
+            holds_new = (fine.elements >= mesh.n_vertices).any(axis=1)
+            assert np.array_equal(holds_new, plan.pattern[fathers] != "none")
+            seen |= set(plan.pattern.tolist())
+            mesh = fine
+    assert seen == {"none", "bisec1", "bisec2_left", "bisec2_right", "bisec3",
+                    "red", "bisec5"}
 
 
 def test_plan_holds_read_only_copies(sq):
@@ -414,12 +424,14 @@ def test_full_edge_marking_equals_two_reference_edge_passes(rng):
 
         direct, _ = refine_step(mesh, marking, "refineNVB3")
 
-        half, _ = refine_step(mesh, MarkingInput.of(marked), "refineNVB")
+        half, _, plan = step_with_plan(mesh, MarkingInput.of(marked),
+                                       "refineNVB")
+        fathers = split_fathers(mesh, plan, half)
         # elements of the intermediate mesh lying inside a marked father and
         # still containing a marked edge in full
         still_marked = []
         for t in range(half.n_elements):
-            if int(half.parent_elems[t]) not in marked:
+            if int(fathers[t]) not in marked:
                 continue
             if any(e in edge_keys(mesh, marking.edges)
                    for e in _geom_edges_as_parent_keys(half, mesh, t)):
@@ -448,11 +460,12 @@ def test_refine_decomposes_into_two_refineNVBred_steps():
     marking = MarkingInput.all_edges(tri, marked)
     direct, _ = refine_step(tri, marking, "refine", PatternPolicy.interior_node())
 
-    half, _ = refine_step(tri, marking, "refineNVBred",
-                          PatternPolicy.always_bisec3())
+    half, _, plan = step_with_plan(tri, marking, "refineNVBred",
+                                   PatternPolicy.always_bisec3())
+    fathers = split_fathers(tri, plan, half)
     second = []
     for t in range(half.n_elements):
-        parent = int(half.parent_elems[t])
+        parent = int(fathers[t])
         if parent not in marked:
             continue
         v0, v1, v2 = (int(v) for v in tri.elements[parent])
@@ -544,13 +557,13 @@ def test_uniform_bisec3_twice_matches_full_marking_twice(sq):
 
 def test_overlay_idempotent(sq):
     a, _ = random_trace(sq, seed=5, steps=4, dialect="refineNVB")
-    assert same_mesh(overlay(a[-1], a[-1]), a[-1])
+    assert same_mesh(overlay(a[-1], a[-1], sq), a[-1])
 
 
 def test_overlay_with_initial_returns_other(sq):
     meshes, _ = random_trace(sq, seed=6, steps=3, dialect="refineNVB")
-    assert same_mesh(overlay(sq, meshes[-1]), meshes[-1])
-    assert same_mesh(overlay(meshes[-1], sq), meshes[-1])
+    assert same_mesh(overlay(sq, meshes[-1], sq), meshes[-1])
+    assert same_mesh(overlay(meshes[-1], sq, sq), meshes[-1])
 
 
 def test_overlay_bound_on_random_pairs():
@@ -559,7 +572,7 @@ def test_overlay_bound_on_random_pairs():
         a, _ = random_trace(initial, seed=seed, steps=3, dialect="refineNVB")
         b, _ = random_trace(initial, seed=seed + 1000, steps=3,
                             dialect="refineNVB3")
-        ov = overlay(a[-1], b[-1])
+        ov = overlay(a[-1], b[-1], initial)
         assert ov.n_elements <= a[-1].n_elements + b[-1].n_elements \
             - initial.n_elements
         assert validate_mesh(ov).ok
@@ -573,14 +586,14 @@ def test_overlay_rejects_red_meshes(sq):
                          "refineNVBred", PatternPolicy.always_red())
     with pytest.raises(UnsupportedRefinementError,
                        match="no node of the bisection tree"):
-        overlay(red, sq)
+        overlay(red, sq, sq)
 
 
 def test_overlay_accepts_bisec5_meshes(sq):
     b5, _ = refine_step(sq, MarkingInput.all_edges(sq, [0, 1]),
                         "refine", PatternPolicy.interior_node())
-    ov = overlay(b5, sq)
-    assert same_arrays(ov, oracles.overlay(b5, sq))
+    ov = overlay(b5, sq, sq)
+    assert same_arrays(ov, oracles.overlay(b5, sq, sq))
     assert same_mesh(ov, b5)
 
 
@@ -591,18 +604,26 @@ def test_overlay_accepts_red_meshes_once_every_red_son_is_bisected(sq):
     fine, _ = refine_step(red, MarkingInput.of(sons), "refineNVB")
     assert sons.size == 4 and not fine.red_son.any()
     rebuilt = Mesh(fine.vertices, fine.elements, gen=fine.gen,
-                   ancestor=fine.ancestor, initial=sq)
+                   ancestor=fine.ancestor)
     for mesh in (fine, rebuilt):  # one verdict for one geometry
-        ov = overlay(mesh, sq)
-        assert same_arrays(ov, oracles.overlay(mesh, sq))
+        ov = overlay(mesh, sq, sq)
+        assert same_arrays(ov, oracles.overlay(mesh, sq, sq))
         assert same_mesh(ov, fine)
 
 
 def test_overlay_rejects_mismatched_initial_meshes(sq, lshape):
     a = uniform(sq, "bisec1")
     b = uniform(lshape, "bisec1")
-    with pytest.raises(ValueError):
-        overlay(a, b)
+    # by lshape's ancestor ids beyond sq, and by sq's geometry
+    with pytest.raises(ValueError, match="^element 4 has ancestor id 2, but "
+                       "the initial mesh has 2 elements$"):
+        overlay(a, b, sq)
+    with pytest.raises(UnsupportedRefinementError,
+                       match="no node of the bisection tree"):
+        overlay(a, b, lshape)
+    for initial in (sq, lshape):
+        with pytest.raises(ValueError):
+            oracles.overlay(a, b, initial)
 
 
 def test_tree_keys_place_every_element_once(sq):
@@ -640,14 +661,15 @@ def test_overlay_properties(make_initial, refs, ref_seed, negative_zeros,
     if a.red_son.any() or b.red_son.any():
         with pytest.raises(UnsupportedRefinementError,
                            match="no node of the bisection tree"):
-            overlay(a, b)
+            overlay(a, b, initial)
         with pytest.raises(ValueError):
-            oracles.overlay(a, b)
+            oracles.overlay(a, b, initial)
         return
-    ov = overlay(a, b)
-    assert same_arrays(ov, oracles.overlay(a, b))
-    assert same_mesh(ov, overlay(b, a))
-    assert same_mesh(overlay(ov, a), ov) and same_mesh(overlay(ov, b), ov)
+    ov = overlay(a, b, initial)
+    assert same_arrays(ov, oracles.overlay(a, b, initial))
+    assert same_mesh(ov, overlay(b, a, initial))
+    assert same_mesh(overlay(ov, a, initial), ov)
+    assert same_mesh(overlay(ov, b, initial), ov)
     assert validate_mesh(ov).ok
     assert ov.n_elements <= a.n_elements + b.n_elements - initial.n_elements
     assert math.fsum(ov.areas) == math.fsum(initial.areas)
@@ -659,50 +681,51 @@ def test_overlay_matches_oracle_on_corner_runs():
                                      corner=corner, steps=40)).final
             for corner in ((0.0, 0.0), (-1.0, -1.0)))
     assert int(a.gen.max()) == int(b.gen.max()) == 40
+    initial = lshape6()
     for x, y in ((a, b), (b, a), (a, a)):
-        assert same_arrays(overlay(x, y), oracles.overlay(x, y))
+        assert same_arrays(overlay(x, y, initial), oracles.overlay(x, y, initial))
 
 
 def _rotated(mesh, t):
     elements = mesh.elements.copy()
     elements[t] = np.roll(elements[t], 1)
-    return Mesh(mesh.vertices, elements, gen=mesh.gen, ancestor=mesh.ancestor,
-                initial=mesh.initial)
+    return Mesh(mesh.vertices, elements, gen=mesh.gen, ancestor=mesh.ancestor)
 
 
 def _dropped(mesh, t):
     keep = np.arange(mesh.n_elements) != t
     return Mesh(mesh.vertices, mesh.elements[keep], gen=mesh.gen[keep],
-                ancestor=mesh.ancestor[keep], initial=mesh.initial)
+                ancestor=mesh.ancestor[keep])
 
 
 def _without_root(mesh, t):
     keep = mesh.ancestor != mesh.ancestor[t]
     return Mesh(mesh.vertices, mesh.elements[keep], gen=mesh.gen[keep],
-                ancestor=mesh.ancestor[keep], initial=mesh.initial)
+                ancestor=mesh.ancestor[keep])
 
 
 @pytest.mark.parametrize("tamper", [_rotated, _dropped, _without_root])
 def test_overlay_rejects_inputs_that_do_not_tile(tamper):
-    fine = random_trace(lshape6(), seed=2, steps=3, dialect="refineNVB")[0][-1]
+    initial = lshape6()
+    fine = random_trace(initial, seed=2, steps=3, dialect="refineNVB")[0][-1]
     for t in (0, fine.n_elements // 2, fine.n_elements - 1):
         bad = tamper(fine, t)
         for x, y in ((bad, fine), (fine, bad)):
             with pytest.raises(UnsupportedRefinementError):
-                overlay(x, y)
+                overlay(x, y, initial)
             with pytest.raises(ValueError):
-                oracles.overlay(x, y)
+                oracles.overlay(x, y, initial)
 
 
 def test_overlay_rejects_an_element_of_the_wrong_generation():
-    fine = uniform(uniform(lshape6(), "bisec1"), "bisec1")
+    initial = lshape6()
+    fine = uniform(uniform(initial, "bisec1"), "bisec1")
     for shift in (-1, 1):
         gen = fine.gen.copy()
         gen[3] += shift
-        bad = Mesh(fine.vertices, fine.elements, gen=gen,
-                   ancestor=fine.ancestor, initial=fine.initial)
+        bad = Mesh(fine.vertices, fine.elements, gen=gen, ancestor=fine.ancestor)
         with pytest.raises(UnsupportedRefinementError, match="element 3 "):
-            overlay(bad, fine)
+            overlay(bad, fine, initial)
 
 
 def _same_mesh_cases():
@@ -712,8 +735,7 @@ def _same_mesh_cases():
     perm_e = rng.permutation(mesh.n_elements)
     inv = np.argsort(perm_v)
     renumbered = Mesh(mesh.vertices[perm_v], inv[mesh.elements][perm_e],
-                      gen=mesh.gen[perm_e], ancestor=mesh.ancestor[perm_e],
-                      initial=mesh.initial)
+                      gen=mesh.gen[perm_e], ancestor=mesh.ancestor[perm_e])
 
     elements, gen, red = mesh.elements.copy(), mesh.gen.copy(), mesh.red_son.copy()
     elements[2] = np.roll(elements[2], 1)

@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import COMBOS, only_builtin_types, random_trace, single_triangle
+from conftest import (COMBOS, only_builtin_types, random_trace, single_triangle,
+                      split_fathers)
 from oracles import (brute_force_weight_exponents, conditions, coords,
                      delta_distance)
 from nvbmesh.marking import (REF_EDGE_POLICIES, RunConfig, assign_reference_edges,
                              run_refinement)
 from nvbmesh.mesh import Mesh, MeshError, lshape6, square2
-from nvbmesh.refine import PatternPolicy, uniform
+from nvbmesh.refine import PatternPolicy, step_with_plan, uniform
 from nvbmesh import _geom
 from nvbmesh.stability import (_MASS_HAT, NodeWeights, NumericFailure,
                                _mass_pencil_eigvalsh,
@@ -509,10 +510,13 @@ def test_prolongation_matches_loop_oracle_on_nested_pairs():
     for dialect, policy in (("refineNVB", None),
                             ("refine", PatternPolicy.interior_node()),
                             ("refineNVBred", PatternPolicy.always_red())):
-        meshes, _ = random_trace(lshape6(), 3, 5, dialect, policy)
+        meshes, markings = random_trace(lshape6(), 3, 5, dialect, policy)
         pairs += [(meshes[0], meshes[-1]), (meshes[1], meshes[4])]
         if dialect == "refine":  # a bisec(5) step: a father with six sons
-            assert max(np.bincount(m.parent_elems).max() for m in meshes[1:]) == 6
+            plans = (step_with_plan(m, k, dialect, policy)[2]
+                     for m, k in zip(meshes, markings))
+            assert max(np.bincount(split_fathers(m, plan, f)).max() for m, plan, f
+                       in zip(meshes, plans, meshes[1:])) == 6
     for coarse, fine in pairs:
         _assert_same_csr(prolongation(coarse, fine),
                          oracles.prolongation(coarse, fine))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import COMBOS, assert_topology_matches
+from conftest import COMBOS, assert_topology_matches, split_fathers
 from nvbmesh.marking import (RunConfig, assign_reference_edges, build_initial,
                              make_policy, marking_for, select_marked)
 from nvbmesh.mesh import (Mesh, MeshError, build_edge_table, lshape6, square2,
@@ -43,10 +43,10 @@ def test_topology_and_split_match_oracles(dialect, policy, ref_edges):
                 patterns[t] = pattern_policy.choose(t, t in marking.elements)
         assert (oracles.edge_keys(mesh, plan.closed_edges), plan.iterations,
                 plan.pattern.tolist()) == (closed, iterations, patterns)
-        expect = oracles.split(mesh, plan)
+        expect, fathers = oracles.split(mesh, plan)
         assert dumps_mesh(fine) == dumps_mesh(expect)
         assert np.array_equal(fine.vertex_parents, expect.vertex_parents)
-        assert np.array_equal(fine.parent_elems, expect.parent_elems)
+        assert fathers == split_fathers(mesh, plan, fine).tolist()
         mesh = fine
     assert_topology_matches(mesh)
     assert mesh.n_elements > 100
