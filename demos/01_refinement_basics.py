@@ -8,9 +8,10 @@ conforming, and inspect the different refinement patterns.
 
 import numpy as np
 
-from nvbmesh import (MarkingInput, PatternPolicy, chain, classify_pair,
-                     close_marks, lshape6, refine_step, square2,
-                     structure_flags, uniform, validate_mesh)
+from nvbmesh import (MarkingInput, chain, classify_pair, close_marks, lshape6,
+                     refine_step, square2, structure_flags, uniform,
+                     validate_mesh)
+from nvbmesh.marking import make_policy
 
 # Two triangles over the unit square; the diagonal is the reference edge
 # of both, so the pair is "compatibly divisible" and the mesh has the
@@ -25,13 +26,13 @@ print("BDD:", structure_flags(mesh).is_bdd)
 # reference edge is too. Here the neighbor shares the diagonal, so both
 # elements get split.
 # The plan names edges by their ids in the mesh's edge table.
-plan = close_marks(mesh, MarkingInput.of([0]), mode="nvb")
+plan = close_marks(mesh, MarkingInput([0]), mode="nvb")
 closed = mesh.edge_table.edge2nodes[plan.closed_edges]
 print("\nclosed edges:", sorted(map(tuple, closed.tolist())))
 print("patterns:", tuple(plan.pattern.tolist()))
 print("marking {0} bisects exactly its chain:", chain(mesh, 0))
 
-step1, refined = refine_step(mesh, MarkingInput.of([0]), "refineNVB")
+step1, refined = refine_step(mesh, MarkingInput([0]), "refineNVB")
 print("refined elements:", sorted(refined), "->", step1)
 assert validate_mesh(step1).ok
 
@@ -41,9 +42,9 @@ assert validate_mesh(step1).ok
 tri = lshape6()
 marking = MarkingInput.all_edges(tri, [0])
 
-for policy, label in [(PatternPolicy.always_bisec3(), "bisec(3)"),
-                      (PatternPolicy.always_red(), "red"),
-                      (PatternPolicy.interior_node(), "bisec(5)")]:
+for policy, label in [(make_policy("bisec3"), "bisec(3)"),
+                      (make_policy("red"), "red"),
+                      (make_policy("interior-node"), "bisec(5)")]:
     dialect = "refine"
     out, _ = refine_step(tri, marking, dialect, policy)
     gens = {g: int(n) for g, n in enumerate(np.bincount(out.gen)) if n}

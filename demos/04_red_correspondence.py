@@ -14,13 +14,13 @@ refinement.
 
 import numpy as np
 
-from nvbmesh import (MarkingInput, PatternPolicy, refine_step, square2,
-                     verify_corr)
+from nvbmesh import MarkingInput, refine_step, square2, verify_corr
 from nvbmesh.correspondence import corresponding_sequence
+from nvbmesh.marking import make_policy
 
 initial = square2()
 rng = np.random.default_rng(42)
-policy = PatternPolicy.always_red()
+policy = make_policy("red")
 
 markings = []
 mesh = initial

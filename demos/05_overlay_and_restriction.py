@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from nvbmesh import (MarkingInput, PatternPolicy, lshape6, overlay, read_mesh,
-                     refine_step, restrict, same_mesh, validate_mesh,
-                     write_mesh)
+from nvbmesh import (MarkingInput, lshape6, overlay, read_mesh, refine_step,
+                     restrict, same_mesh, validate_mesh, write_mesh)
+from nvbmesh.marking import make_policy
 
 initial = lshape6()
 rng = np.random.default_rng(0)
@@ -34,7 +34,7 @@ def random_refine(mesh, steps, rng):
     for _ in range(steps):
         draws = rng.random(mesh.n_elements)
         marked = [t for t in range(mesh.n_elements) if draws[t] < 0.35] or [0]
-        mesh, _ = refine_step(mesh, MarkingInput.of(marked), "refineNVB")
+        mesh, _ = refine_step(mesh, MarkingInput(marked), "refineNVB")
     return mesh
 
 
@@ -72,7 +72,7 @@ print("read back, same overlay and restriction:",
 
 # a bisec(5) refinement of two initial elements, overlaid with a
 c, _ = refine_step(initial, MarkingInput.all_edges(initial, [0, 3]), "refine",
-                   PatternPolicy.interior_node())
+                   make_policy("interior-node"))
 ac = overlay(a, c, initial)
 refines_both = all(same_mesh(overlay(ac, x, initial), ac) for x in (a, c))
 print(f"\nbisec(5) refinement: {c.n_elements} elements; overlay with a: "

@@ -22,7 +22,7 @@ from scipy.sparse import csgraph
 from . import _geom
 from .mesh import Mesh, _check_initial, structure_flags
 from .meshio import _csv
-from .refine import MarkingInput, StepRecord, refine_step
+from .refine import MarkingInput, StepRecord, chain, refine_step
 
 
 @dataclass(frozen=True)
@@ -233,22 +233,27 @@ class ChainBoundsReport:
 
 def verify_chain_bounds(mesh_seq: list[Mesh],
                         markings: list[MarkingInput]) -> ChainBoundsReport:
-    """Re-run each recorded marking element-by-element and bound creations.
+    """Refine each recorded mark alone and bound what it creates.
 
     For every step and every marked element T, refining {T} alone must
     create only elements T' with gen(T') <= gen(T) + 2; the scaled distance
     dist(T, T') * 2**(gen(T')/2) is recorded and its maximum reported.
+    Refining {T} alone bisects exactly ``chain(mesh, T)``, whose elements
+    alone hold the edges its closure marks, so the chain is refined as a
+    mesh of its own: a son of its k-th element c_k (ascending ids) is son
+    s there and s + c_k - k in the whole mesh's refinement, as witnessed.
     """
     report = ChainBoundsReport()
     marked_tris, son_tris, son_gens = [], [], []
     for mesh, marking in zip(mesh_seq, markings):
         for t in sorted(marking.elements):
-            single, _ = refine_step(mesh, MarkingInput.of([t]), "refineNVB")
-            if single is mesh:
-                continue
-            # every son holds a new node, and no element kept as it was does
-            sons = np.flatnonzero((single.elements >= mesh.n_vertices).any(axis=1))
-            gen = single.gen[sons]
+            cut = np.sort(chain(mesh, t))
+            single, _ = refine_step(
+                Mesh(mesh.vertices, mesh.elements[cut], gen=mesh.gen[cut]),
+                MarkingInput([np.searchsorted(cut, t)]), "refineNVB")
+            rank = single.ancestor
+            sons = np.arange(single.n_elements) + cut[rank] - rank
+            gen = single.gen
             g_t = int(mesh.gen[t])
             report.max_gen_overshoot = max(report.max_gen_overshoot,
                                            int(gen.max()) - g_t)
@@ -256,7 +261,7 @@ def verify_chain_bounds(mesh_seq: list[Mesh],
                 sons.tolist(), gen.tolist()) if g > g_t + 2)
             marked_tris.append(np.broadcast_to(mesh.vertices[mesh.elements[t]],
                                                (len(sons), 3, 2)))
-            son_tris.append(single.vertices[single.elements[sons]])
+            son_tris.append(single.vertices[single.elements])
             son_gens.append(gen)
     if son_tris:
         d = _geom.triangle_distances(np.concatenate(marked_tris),

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import analysis, correspondence, marking, meshio, stability
 from .mesh import Mesh, PrecisionExhausted, structure_flags
-from .refine import (DIALECTS, MarkingInput, PatternPolicy, StepRecord,
-                     refine_step, uniform)
+from .refine import (BISEC3, DIALECTS, POLICIES, RED, MarkingInput,
+                     PatternPolicy, StepRecord, refine_step, uniform)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -273,9 +273,8 @@ def cmd_stability(args) -> int:
 
 def cmd_corr_check(args) -> int:
     initial = _load_spec(args.initial)
-    policy = (PatternPolicy.always_red() if args.policy == "red"
-              else PatternPolicy.custom(
-                  lambda t, m: "red" if t % 2 == 0 else "bisec3", name="mixed"))
+    policy = (POLICIES[RED] if args.policy == "red" else PatternPolicy(
+        "mixed", lambda elems, is_marked: np.where(elems % 2 == 0, RED, BISEC3)))
     rng = np.random.default_rng(args.seed)
     mesh = initial
     markings: list[MarkingInput] = []

@@ -31,7 +31,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .mesh import Mesh, _frozen, _row_ids
-from .refine import MarkingInput, PatternPolicy, refine_step
+from .refine import POLICIES, RED, MarkingInput, PatternPolicy, refine_step
 
 
 class CorrespondenceError(ValueError):
@@ -208,17 +208,16 @@ class CorrSequence:
 
 
 def corresponding_sequence(initial: Mesh, markings: list[MarkingInput],
-                           policy: PatternPolicy | None = None) -> CorrSequence:
+                           policy: PatternPolicy = POLICIES[RED]) -> CorrSequence:
     """Mirror a red-refinement trace by a bisection-only trace.
 
-    Runs ``refineNVBred`` on the given markings and, in lockstep,
-    ``refineNVB3`` on the transferred markings.  Returns the red-side and
-    bisection-side meshes, the per-step correspondence maps and the
-    transferred markings.  ``refineNVBred`` rejects a trace that applies
-    bisec(5) with UnsupportedRefinementError.
+    Runs ``refineNVBred`` with ``policy`` (default: red) on the given
+    markings and, in lockstep, ``refineNVB3`` on the transferred
+    markings.  Returns the red-side and bisection-side meshes, the
+    per-step correspondence maps and the transferred markings.
+    ``refineNVBred`` rejects a trace that applies bisec(5) with
+    UnsupportedRefinementError.
     """
-    if policy is None:
-        policy = PatternPolicy.always_red()
     seq = CorrSequence(red=[initial], tilde=[initial],
                        maps=[identity_corr(initial)])
     for marking in markings:

@@ -19,11 +19,12 @@ import numpy as np
 from . import _geom
 from .mesh import Mesh, lshape6, square2
 from .meshio import read_mesh
-from .refine import (MarkingInput, PatternPolicy, StepRecord, step_with_plan)
+from .refine import (POLICIES, MarkingInput, PatternPolicy, StepRecord,
+                     step_with_plan)
 
 STRATEGIES = ("all", "random", "corner", "dorfler")
 REF_EDGE_POLICIES = ("as-given", "longest-edge", "random")
-POLICY_NAMES = ("bisec3", "red", "interior-node")
+POLICY_NAMES = tuple(POLICIES)
 
 
 @dataclass(frozen=True)
@@ -59,13 +60,9 @@ class RunResult:
 
 
 def make_policy(name: str) -> PatternPolicy:
-    if name == "bisec3":
-        return PatternPolicy.always_bisec3()
-    if name == "red":
-        return PatternPolicy.always_red()
-    if name == "interior-node":
-        return PatternPolicy.interior_node()
-    raise ValueError(f"unknown pattern policy {name!r}; one of {POLICY_NAMES}")
+    if name not in POLICIES:
+        raise ValueError(f"unknown pattern policy {name!r}; one of {POLICY_NAMES}")
+    return POLICIES[name]
 
 
 def assign_reference_edges(mesh: Mesh, policy: str, seed: int = 0) -> Mesh:
@@ -111,21 +108,22 @@ def build_initial(config: RunConfig) -> Mesh:
 
 
 def select_marked(mesh: Mesh, config: RunConfig,
-                  rng: np.random.Generator) -> list[int]:
-    """Pick the elements to mark for one step, per the configured strategy."""
+                  rng: np.random.Generator) -> np.ndarray:
+    """Pick the elements to mark for one step, per the configured strategy;
+    returns their ids as an ascending int64 array."""
     n = mesh.n_elements
     if config.strategy == "all":
-        return list(range(n))
+        return np.arange(n)
     if config.strategy == "random":
-        marked = np.flatnonzero(rng.random(n) < config.fraction).tolist()
-        if not marked:
-            marked = [int(rng.integers(n))]
+        marked = np.flatnonzero(rng.random(n) < config.fraction)
+        if not marked.size:
+            marked = np.array([rng.integers(n)])
         return marked
     p = np.take(mesh.vertices, mesh.elements, axis=0)
     corner = np.asarray(config.corner, dtype=np.float64)
     if config.strategy == "corner":
         dist = _geom.point_triangle_distances(corner, p)
-        return np.flatnonzero(dist <= config.radius).tolist()
+        return np.flatnonzero(dist <= config.radius)
     if config.strategy == "dorfler":
         # synthetic corner-singularity indicator with greedy bulk selection
         centroid = p.mean(axis=1)
@@ -147,15 +145,15 @@ def select_marked(mesh: Mesh, config: RunConfig,
         order = np.argsort(-etas, kind="stable")
         cut = np.searchsorted(np.cumsum(etas[order]),
                               config.theta * float(etas.sum())) + 1
-        return np.sort(order[:cut]).tolist()
+        return np.sort(order[:cut])
     raise ValueError(f"unknown strategy {config.strategy!r}; one of {STRATEGIES}")
 
 
-def marking_for(mesh: Mesh, dialect: str, marked: list[int]) -> MarkingInput:
+def marking_for(mesh: Mesh, dialect: str, marked: np.ndarray) -> MarkingInput:
     """refineNVB seeds reference edges itself; the modified dialects mark
     all edges of the marked elements."""
     if dialect == "refineNVB":
-        return MarkingInput.of(marked)
+        return MarkingInput(marked)
     return MarkingInput.all_edges(mesh, marked)
 
 

@@ -142,7 +142,8 @@ class Mesh:
     vertex_parents : (n, 2) array of int, optional
         The node pair whose midpoint created each vertex, (-1, -1) for
         vertices that predate any recorded refinement (the default);
-        ``prolongation`` interpolates along these pairs.
+        ``prolongation`` interpolates along these pairs.  The .nvbm format
+        does not hold them, so a mesh read from a file records none.
     validate : bool
         Enforce finite coordinates and the orientation/index/edge-sharing
         invariants at construction; an edge of two elements must be
@@ -241,8 +242,10 @@ class Mesh:
             raise MeshError("negative generation")
         if self.ancestor.min() < 0:
             raise MeshError("negative ancestor id")
-        if not self.gen.any() and self.ancestor.max() >= m:
-            raise MeshError("ancestor id out of range of the initial mesh")
+        if not self.gen.any():
+            for t in np.flatnonzero(self.ancestor != np.arange(m))[:1].tolist():
+                raise MeshError(f"element {t} of an initial mesh has ancestor "
+                                f"id {self.ancestor[t]}, not its own id")
         table = self.edge_table
         slots = table.element2edges.ravel()
         count = np.bincount(slots)

@@ -8,7 +8,9 @@ Layout::
     v0 v1 v2 gen ancestor red_son(0|1)   (ne lines)
 
 Coordinates are written with Python's shortest round-trip representation,
-so write -> read reproduces the mesh bit-identically.  The reference edge
+so write -> read reproduces the mesh bit-identically, except for its
+``vertex_parents``: the format does not hold them, and a mesh read from a
+file records no bisection parents of its vertices.  The reference edge
 of each element is implied as (v0, v1).  The parser rejects malformed and
 non-conforming input with line-numbered diagnostics.
 
@@ -205,10 +207,9 @@ def loads_mesh(text: str, source: str = "<string>") -> Mesh:
         rows = np.array(rows, dtype=np.int64)
 
     if not rows[:, 3].any():    # an initial mesh: its elements are the ancestors
-        over = np.flatnonzero(rows[:, 4] >= ne)
-        if over.size:
-            fail(3 + nv + over[0], f"ancestor id {rows[over[0], 4]} out of "
-                 f"range 0..{ne - 1}")
+        for t in np.flatnonzero(rows[:, 4] != np.arange(ne))[:1].tolist():
+            fail(3 + nv + t, f"element {t} of an initial mesh has ancestor id "
+                 f"{rows[t, 4]}, not its own id")
 
     # with the ancestor check above, validate_mesh covers what validate=True
     # would check, and its violations name their elements' lines

@@ -107,10 +107,6 @@ class MarkingInput:
         object.__setattr__(self, "edges", _frozen(ids, np.int64))
 
     @staticmethod
-    def of(elements: Iterable[int], edges=()) -> "MarkingInput":
-        return MarkingInput(elements, edges)
-
-    @staticmethod
     def all_edges(mesh: Mesh, elements: Iterable[int]) -> "MarkingInput":
         """Mark the given elements with all three of their edges; raises
         ValueError for an id that is no element of the mesh."""
@@ -131,34 +127,40 @@ def _element_ids(mesh: Mesh, elements: frozenset[int]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PatternPolicy:
-    """Chooses among bisec(3) / red / bisec(5) for fully marked elements."""
+    """Chooses among bisec(3) / red / bisec(5) for fully marked elements.
+
+    ``rule(elems, is_marked)`` is asked once per closure, with the int64
+    ids of all fully marked elements and, for each, whether it was marked
+    itself; it returns one pattern name per element, or one name for all.
+    """
 
     name: str
-    rule: Callable[[int, bool], str]
+    rule: Callable[[np.ndarray, np.ndarray], object]
 
-    def choose(self, elem: int, is_marked: bool) -> str:
-        pattern = self.rule(elem, is_marked)
-        if pattern not in FULL_PATTERNS:
-            raise ValueError(f"policy {self.name!r} returned {pattern!r}")
-        return pattern
-
-    @staticmethod
-    def always_bisec3() -> "PatternPolicy":
-        return PatternPolicy("always_bisec3", lambda t, m: BISEC3)
-
-    @staticmethod
-    def always_red() -> "PatternPolicy":
-        return PatternPolicy("always_red", lambda t, m: RED)
-
-    @staticmethod
-    def interior_node() -> "PatternPolicy":
-        """bisec(5) on marked elements, bisec(3) on closure fill-ins."""
-        return PatternPolicy("interior_node",
-                             lambda t, m: BISEC5 if m else BISEC3)
+    def choose(self, elems: np.ndarray, is_marked: np.ndarray) -> np.ndarray:
+        """The rule's name for each of ``elems``, checked against FULL_PATTERNS."""
+        names = np.broadcast_to(self.rule(elems, is_marked), elems.shape)
+        bad = ~np.isin(names, FULL_PATTERNS)
+        if bad.any():
+            raise ValueError(f"policy {self.name!r} returned "
+                             f"{names[bad].tolist()[0]!r}")
+        return names
 
     @staticmethod
     def custom(fn: Callable[[int, bool], str], name: str = "custom") -> "PatternPolicy":
-        return PatternPolicy(name, fn)
+        """The policy of a per-element rule: ``fn(t, is_marked)`` is called
+        once per fully marked element t, in ascending id order, with a
+        Python int and bool, before any name it returns is checked."""
+        return PatternPolicy(name, np.frompyfunc(fn, 2, 1))
+
+
+#: the named policies, by their ``--policy`` names
+POLICIES = {p.name: p for p in (
+    PatternPolicy(BISEC3, lambda elems, is_marked: BISEC3),
+    PatternPolicy(RED, lambda elems, is_marked: RED),
+    # bisec(5) on marked elements, bisec(3) on closure fill-ins
+    PatternPolicy("interior-node",
+                  lambda elems, is_marked: np.where(is_marked, BISEC5, BISEC3)))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,8 +257,7 @@ def close_marks(mesh: Mesh, marking: MarkingInput, mode: str = "mnvb",
     pattern = _BY_MARKS[inside[:, 0] + 2 * inside[:, 1] + 4 * inside[:, 2]]
     if policy is not None:
         full = np.flatnonzero(pattern == BISEC3)
-        pattern[full] = [policy.choose(t, t in marking.elements)
-                         for t in full.tolist()]
+        pattern[full] = policy.choose(full, np.isin(full, elems))
     return RefinementPlan(closed_edges=closed, pattern=pattern,
                           iterations=iterations, seed_edges=seed)
 
@@ -363,7 +364,7 @@ def step_with_plan(mesh: Mesh, marking: MarkingInput, dialect: str,
     if dialect not in DIALECTS:
         raise ValueError(f"unknown dialect {dialect!r}; one of {DIALECTS}")
     if dialect in ("refineNVB", "refineNVB3"):
-        if policy is not None and policy.name != "always_bisec3":
+        if policy is not None and policy.name != BISEC3:
             raise ValueError(f"{dialect} admits only three-bisection refinement")
         policy = None  # close_marks' default: three bisections
     mode = "nvb" if dialect == "refineNVB" else "mnvb"
@@ -393,9 +394,9 @@ def chain(mesh: Mesh, t: int) -> list[int]:
 def uniform(mesh: Mesh, kind: str) -> Mesh:
     """Uniform refinement: 'bisec1' marks everything under refineNVB,
     'bisec3' halves every edge (4 sons per element, no spillover)."""
-    everything = range(mesh.n_elements)
+    everything = np.arange(mesh.n_elements)
     if kind == "bisec1":
-        new, _ = refine_step(mesh, MarkingInput.of(everything), "refineNVB")
+        new, _ = refine_step(mesh, MarkingInput(everything), "refineNVB")
         return new
     if kind == "bisec3":
         new, _ = refine_step(mesh, MarkingInput.all_edges(mesh, everything),

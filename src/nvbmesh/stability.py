@@ -292,7 +292,7 @@ def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
 
     Requires fine to be produced from coarse by refinement: the coarse
     vertices are a prefix of the fine ones and every later vertex records
-    the edge it bisected.  Each fine-node row holds the coarse hat-function
+    the edge it bisected, which no mesh read from a file does.  Each fine-node row holds the coarse hat-function
     values there (at most three nonzeros).
 
     P is the fixpoint of P <- W P from [I; 0], W the interpolation step (1
@@ -308,7 +308,8 @@ def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
     bad = ((parents < 0) | (parents >= later[:, None])).any(axis=1)
     if bad.any():
         raise ValueError(f"fine vertex {nc + int(bad.argmax())} has no recorded "
-                         "bisection parents; meshes are not a refinement chain")
+                         "bisection parents (a mesh read from a file records "
+                         "none); meshes are not a refinement chain")
     w = sp.csr_matrix((np.r_[np.ones(nc), np.full(parents.size, 0.5)],
                        (np.r_[np.arange(nc), np.repeat(later, 2)],
                         np.r_[np.arange(nc), parents.ravel()])), shape=(nf, nf))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -44,8 +46,39 @@ def single_triangle() -> Mesh:
     return Mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])
 
 
-ALL_POLICIES = (PatternPolicy.always_bisec3, PatternPolicy.always_red,
-                PatternPolicy.interior_node)
+def chained_mesh(points, triangles, succ) -> Mesh:
+    """Generation-0 mesh of the triangles (vertex-id triples in any order)
+    with N(t) = succ[t]: t's reference edge is the edge it shares with
+    succ[t], or for succ[t] = -1 one it shares with no other triangle.
+    The elements are listed in a shuffled order."""
+    tris = [set(t) for t in triangles]
+    elements = []
+    for t, tri in enumerate(tris):
+        if succ[t] >= 0:
+            a, b = sorted(tri & tris[succ[t]])
+        else:
+            a, b = next(e for e in itertools.combinations(sorted(tri), 2)
+                        if sum(set(e) <= other for other in tris) == 1)
+        apex = (tri - {a, b}).pop()
+        ccw = oracles.signed_area(points[a], points[b], points[apex]) > 0
+        elements.append((a, b, apex) if ccw else (b, a, apex))
+    order = np.random.default_rng(0).permutation(len(elements))
+    return Mesh(points, np.array(elements)[order])
+
+
+# a ring of 16 points round the origin, counterclockwise, and the fan of
+# the 16 elements between the origin and two consecutive ring points
+_RING = [(-2, -2), (-1, -2), (0, -2), (1, -2), (2, -2), (2, -1), (2, 0), (2, 1),
+         (2, 2), (1, 2), (0, 2), (-1, 2), (-2, 2), (-2, 1), (-2, 0), (-2, -1)]
+FAN_POINTS = [(0.0, 0.0)] + [(float(x), float(y)) for x, y in _RING]
+FAN = [(0, 1 + i, 1 + (i + 1) % 16) for i in range(16)]
+
+
+def fan_cycle() -> Mesh:
+    """The fan alone, each element's N(T) the next one round the origin:
+    one reference-neighbour cycle through all 16 elements."""
+    return chained_mesh(FAN_POINTS, FAN, [(i + 1) % 16 for i in range(16)])
+
 
 # every dialect with each pattern policy it admits, by RunConfig names
 COMBOS = [("refineNVB", "bisec3"), ("refineNVB3", "bisec3"),
@@ -61,7 +94,7 @@ def random_marking(mesh: Mesh, rng: np.random.Generator, dialect: str,
     if not marked:
         marked = [int(rng.integers(mesh.n_elements))]
     if dialect == "refineNVB":
-        return MarkingInput.of(marked)
+        return MarkingInput(marked)
     return MarkingInput.all_edges(mesh, marked)
 
 

@@ -450,7 +450,7 @@ def verify_chain_bounds(mesh_seq: list[Mesh],
         # equals: a son is smaller than its father and lies inside it
         kept = {coords(mesh, t) for t in range(mesh.n_elements)}
         for t in sorted(marking.elements):
-            single, _ = refine_step(mesh, MarkingInput.of([t]), "refineNVB")
+            single, _ = refine_step(mesh, MarkingInput([t]), "refineNVB")
             if single is mesh:
                 continue
             tri_t = coords(mesh, t)
@@ -750,8 +750,9 @@ def loads_mesh(text: str, source: str = "<string>") -> Mesh:
             fail(3 + nv + i, f"ancestor id {anc} is negative")
     if not any(gens):
         for i, anc in enumerate(ancestors):
-            if anc >= ne:
-                fail(3 + nv + i, f"ancestor id {anc} out of range 0..{ne - 1}")
+            if anc != i:
+                fail(3 + nv + i, f"element {i} of an initial mesh has ancestor "
+                     f"id {anc}, not its own id")
 
     mesh = Mesh(vertices, elements, gen=gens,
                 ancestor=ancestors, red_son=reds, validate=False)
@@ -1049,7 +1050,8 @@ def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
         a, b = (int(p) for p in fine.vertex_parents[j])
         if a < 0 or b < 0 or a >= j or b >= j:
             raise ValueError(f"fine vertex {j} has no recorded bisection "
-                             "parents; meshes are not a refinement chain")
+                             "parents (a mesh read from a file records none); "
+                             "meshes are not a refinement chain")
         row: dict[int, float] = {}
         for k, w in rows[a].items():
             row[k] = row.get(k, 0.0) + 0.5 * w
@@ -1206,7 +1208,7 @@ def transfer_marking(pairs: dict[Pair, Pair], left: Mesh, right: Mesh,
     src = [(t, e) for t in sorted(marking.elements)
            for e in edges_of(left, t) if e in marked]
     images = [pairs[p] for p in src]
-    return MarkingInput.of((s for s, _ in images),
+    return MarkingInput((s for s, _ in images),
                            edge_ids(right, (f for _, f in images)))
 
 

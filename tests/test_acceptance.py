@@ -24,7 +24,7 @@ from oracles import (brute_force_closure, brute_force_weight_exponents,
 from nvbmesh.analysis import (closure_accounting, reciprocal_sum_bound,
                               verify_chain_bounds)
 from nvbmesh.correspondence import corresponding_sequence, verify_corr
-from nvbmesh.marking import RunConfig, run_refinement
+from nvbmesh.marking import RunConfig, make_policy, run_refinement
 from nvbmesh.mesh import lshape6, same_mesh, square2, structure_flags
 from nvbmesh.refine import (MarkingInput, PatternPolicy,
                             close_marks, overlay, refine_step, uniform)
@@ -45,13 +45,6 @@ def _report(num: int, name: str, elapsed: float, detail: str = ""):
 
 _CORPUS = None
 
-_POLICY_BY_NAME = {
-    "bisec3": PatternPolicy.always_bisec3,
-    "red": PatternPolicy.always_red,
-    "interior-node": PatternPolicy.interior_node,
-}
-
-
 def corpus():
     """105 seeded runs, 8 steps each, covering every dialect/policy combo.
 
@@ -66,7 +59,7 @@ def corpus():
             for dialect, policy_name in COMBOS:
                 initial = square2() if seed % 2 else lshape6()
                 rng = np.random.default_rng(seed)
-                policy = _POLICY_BY_NAME[policy_name]()
+                policy = make_policy(policy_name)
                 meshes, markings = [initial], []
                 for _ in range(8):
                     mesh = meshes[-1]
@@ -74,7 +67,7 @@ def corpus():
                     marked = sorted(int(t) for t in rng.choice(
                         mesh.n_elements, size=k, replace=False))
                     if dialect == "refineNVB":
-                        marking = MarkingInput.of(marked)
+                        marking = MarkingInput(marked)
                     else:
                         marking = MarkingInput.all_edges(mesh, marked)
                     new, _ = refine_step(mesh, marking, dialect, policy)
@@ -95,7 +88,7 @@ def test_criterion_01_closure_minimality():
         table = edge_table(mesh.elements)
         assert len(table) <= 12, name
         for t in range(mesh.n_elements):
-            plan = close_marks(mesh, MarkingInput.of([t]), mode="nvb")
+            plan = close_marks(mesh, MarkingInput([t]), mode="nvb")
             assert edge_keys(mesh, plan.closed_edges) == brute_force_closure(
                 mesh, edge_keys(mesh, plan.seed_edges))
             checked += 1
@@ -200,7 +193,7 @@ def test_criterion_06_overlay_bound():
                 draws = rng.random(mesh.n_elements)
                 marked = [t for t in range(mesh.n_elements)
                           if draws[t] < 0.3] or [0]
-                mesh, _ = refine_step(mesh, MarkingInput.of(marked),
+                mesh, _ = refine_step(mesh, MarkingInput(marked),
                                       "refineNVB")
             sides.append(mesh)
         a, b = sides
@@ -219,7 +212,7 @@ def test_criterion_07_correspondence():
     t0 = time.time()
     for seed in range(20):
         initial = lshape6() if seed % 2 else square2()
-        policy = (PatternPolicy.always_red() if seed % 2
+        policy = (make_policy("red") if seed % 2
                   else PatternPolicy.custom(
                       lambda t, m: "red" if t % 2 else "bisec3", name="mixed"))
         rng = np.random.default_rng(seed + 900)
@@ -358,12 +351,12 @@ def test_criterion_12_interior_node_property():
             draws = rng.random(mesh.n_elements)
             marked = [t for t in range(mesh.n_elements) if draws[t] < 0.3] \
                 or [0]
-            mesh, _ = refine_step(mesh, MarkingInput.of(marked), "refineNVB")
+            mesh, _ = refine_step(mesh, MarkingInput(marked), "refineNVB")
         draws = rng.random(mesh.n_elements)
         marked = [t for t in range(mesh.n_elements) if draws[t] < 0.3] or [0]
         marking = MarkingInput.all_edges(mesh, marked)
         fine, _ = refine_step(mesh, marking, "refine",
-                              PatternPolicy.interior_node())
+                              make_policy("interior-node"))
         new_nodes = [point(fine, j)
                      for j in range(mesh.n_vertices, fine.n_vertices)]
         for t in marked:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from pathlib import Path
@@ -10,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import only_builtin_types, random_trace
+from conftest import (FAN, FAN_POINTS, chained_mesh, only_builtin_types,
+                      random_trace)
 import oracles
 from oracles import area_identity_and_diameter_scale, coords
 from nvbmesh.analysis import (closure_accounting, max_equal_gen_chain,
@@ -37,7 +37,7 @@ def test_corner_marking_respects_jump_two(sq):
     for _ in range(10):
         marked = [t for t in range(mesh.n_elements)
                   if any(p == (0.0, 0.0) for p in coords(mesh, t))]
-        mesh, _ = refine_step(mesh, MarkingInput.of(marked), "refineNVB")
+        mesh, _ = refine_step(mesh, MarkingInput(marked), "refineNVB")
         report = verify_levels(mesh, sq)
         assert report.ok
         assert report.max_level_jump <= 2
@@ -113,26 +113,6 @@ def test_max_equal_gen_chain_matches_loop_oracle():
     assert max(found) > 3
 
 
-def _chained_mesh(points, triangles, succ) -> Mesh:
-    """Generation-0 mesh of the triangles (vertex-id triples in any order)
-    with N(t) = succ[t]: t's reference edge is the edge it shares with
-    succ[t], or for succ[t] = -1 one it shares with no other triangle.
-    The elements are listed in a shuffled order."""
-    tris = [set(t) for t in triangles]
-    elements = []
-    for t, tri in enumerate(tris):
-        if succ[t] >= 0:
-            a, b = sorted(tri & tris[succ[t]])
-        else:
-            a, b = next(e for e in itertools.combinations(sorted(tri), 2)
-                        if sum(set(e) <= other for other in tris) == 1)
-        apex = (tri - {a, b}).pop()
-        ccw = oracles.signed_area(points[a], points[b], points[apex]) > 0
-        elements.append((a, b, apex) if ccw else (b, a, apex))
-    order = np.random.default_rng(0).permutation(len(elements))
-    return Mesh(points, np.array(elements)[order])
-
-
 def _strip(points, bottom, top):
     """Triangles of the strip between two rows of point ids, from its
     first column to its last, each sharing an edge with the next."""
@@ -145,26 +125,22 @@ def test_max_equal_gen_chain_runs_through_every_element():
     k = 20
     points = [(float(x), float(y)) for y in (0, 1) for x in range(k + 1)]
     tris = _strip(points, list(range(k + 1)), list(range(k + 1, 2 * k + 2)))
-    mesh = _chained_mesh(points, tris, list(range(1, len(tris))) + [-1])
+    mesh = chained_mesh(points, tris, list(range(1, len(tris))) + [-1])
     assert max_equal_gen_chain(mesh) == oracles.max_equal_gen_chain(mesh) == 2 * k
 
 
 def test_max_equal_gen_chain_ends_in_a_long_cycle():
-    # a fan of 16 elements round the origin, each N(T) the next one, and a
-    # strip of 12 elements, run from its far end, entering it at x = 2
-    ring = [(-2, -2), (-1, -2), (0, -2), (1, -2), (2, -2), (2, -1), (2, 0),
-            (2, 1), (2, 2), (1, 2), (0, 2), (-1, 2), (-2, 2), (-2, 1), (-2, 0),
-            (-2, -1)]
+    # the fan of 16 elements round the origin, each N(T) the next one, and
+    # a strip of 12 elements, run from its far end, entering it at x = 2
     length = 6
-    points = [(0.0, 0.0)] + [(float(x), float(y)) for x, y in ring]
-    points += [(2.0 + j, float(y)) for y in (-1, 0) for j in range(1, length + 1)]
-    fan = [(0, 1 + i, 1 + (i + 1) % 16) for i in range(16)]
+    points = FAN_POINTS + [(2.0 + j, float(y)) for y in (-1, 0)
+                           for j in range(1, length + 1)]
     bottom = [6] + list(range(17, 17 + length))        # (2, -1) onwards
     top = [7] + list(range(17 + length, 17 + 2 * length))  # (2, 0) onwards
     tail = _strip(points, bottom, top)[::-1]
     succ = [(i + 1) % 16 for i in range(16)]
     succ += list(range(17, 16 + len(tail))) + [5]  # into the fan at (2, -1)-(2, 0)
-    mesh = _chained_mesh(points, fan + tail, succ)
+    mesh = chained_mesh(points, FAN + tail, succ)
     expect = 2 * length + 16
     assert max_equal_gen_chain(mesh) == oracles.max_equal_gen_chain(mesh) == expect
 
@@ -182,7 +158,7 @@ def test_neighbor_rules_hold_on_randomized_nvb_runs():
         mesh = initial
         for _ in range(8):
             t = int(rng.integers(mesh.n_elements))
-            mesh, _ = refine_step(mesh, MarkingInput.of([t]), "refineNVB")
+            mesh, _ = refine_step(mesh, MarkingInput([t]), "refineNVB")
         report = verify_neighbor_rules(mesh, initial)
         assert report.ok, (seed, report.failed())
 
@@ -267,7 +243,7 @@ def test_neighbor_rules_match_loop_oracle():
 
 
 def test_chain_bounds_single_bisection_distance_zero(sq):
-    report = verify_chain_bounds([sq], [MarkingInput.of([0])])
+    report = verify_chain_bounds([sq], [MarkingInput([0])])
     assert report.ok
     # sons touch the marked element
     assert report.max_dist_scaled == 0.0

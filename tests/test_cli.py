@@ -16,10 +16,9 @@ from oracles import brute_force_weight_exponents, conditions
 from nvbmesh import cli, meshio
 from nvbmesh.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, build_parser, main
 from nvbmesh.marking import (REF_EDGE_POLICIES, STRATEGIES, RunConfig,
-                             run_refinement)
+                             make_policy, run_refinement)
 from nvbmesh.mesh import Mesh, PrecisionExhausted, lshape6, square2
-from nvbmesh.refine import (DIALECTS, MarkingInput, PatternPolicy,
-                            refine_step, uniform)
+from nvbmesh.refine import DIALECTS, MarkingInput, refine_step, uniform
 from nvbmesh.meshio import read_mesh, write_mesh
 from nvbmesh.stability import NodeWeights
 
@@ -552,7 +551,7 @@ def test_corr_check_writes_the_oracle_files(tmp_path):
         tilde_markings.append(oracles.transfer_marking(pairs[-1], mesh, tilde[-1],
                                                        markings[-1]))
         red.append(refine_step(mesh, markings[-1], "refineNVBred",
-                               PatternPolicy.always_red())[0])
+                               make_policy("red"))[0])
         tilde.append(refine_step(tilde[-1], tilde_markings[-1], "refineNVB3")[0])
         pairs.append(oracles.build_corr(red[-1], tilde[-1]))
     ok, rows = True, []

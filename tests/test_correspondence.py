@@ -15,6 +15,7 @@ from conftest import (square2_boundary_refs, square2_incompatible,
 from nvbmesh.correspondence import (CorrespondenceError, CorrMap, build_corr,
                                     corresponding_sequence, identity_corr,
                                     transfer_marking, verify_corr)
+from nvbmesh.marking import make_policy
 from nvbmesh.mesh import Mesh, lshape6, square2
 from nvbmesh.refine import (MarkingInput, PatternPolicy,
                             UnsupportedRefinementError, refine_step)
@@ -35,8 +36,8 @@ def red_trace(initial, seed, steps, policy, fraction=0.3):
 
 
 def test_bisec3_only_trace_gives_identity_maps(sq):
-    markings = red_trace(sq, seed=0, steps=3, policy=PatternPolicy.always_bisec3())
-    seq = corresponding_sequence(sq, markings, PatternPolicy.always_bisec3())
+    markings = red_trace(sq, seed=0, steps=3, policy=make_policy("bisec3"))
+    seq = corresponding_sequence(sq, markings, make_policy("bisec3"))
     for corr in seq.maps:
         assert corr.left.n_elements == corr.right.n_elements
         for t in range(corr.left.n_elements):
@@ -66,7 +67,7 @@ def _exhaustive_neighbor_property(corr):
 def test_single_red_refinement_matches_template():
     tri = single_triangle()
     marking = MarkingInput.all_edges(tri, [0])
-    seq = corresponding_sequence(tri, [marking], PatternPolicy.always_red())
+    seq = corresponding_sequence(tri, [marking], make_policy("red"))
     corr = seq.maps[-1]
     assert corr.left.n_elements == corr.right.n_elements == 4
     assert len(corr.pairs) == 12
@@ -108,9 +109,9 @@ def test_swapped_pair_detected(sq):
 def test_image_spread_bounded_by_two():
     for seed in range(6):
         initial = lshape6() if seed % 2 else square2()
-        markings = red_trace(initial, seed, 4, PatternPolicy.always_red())
+        markings = red_trace(initial, seed, 4, make_policy("red"))
         seq = corresponding_sequence(initial, markings,
-                                     PatternPolicy.always_red())
+                                     make_policy("red"))
         for corr in seq.maps:
             for t in range(corr.left.n_elements):
                 assert len(corr.image_elements(t)) <= 2
@@ -121,7 +122,7 @@ def count_traces():
     (markings, sequence) pairs."""
     for seed in range(10):
         initial = lshape6() if seed % 2 else square2()
-        policy = (PatternPolicy.always_red() if seed % 3
+        policy = (make_policy("red") if seed % 3
                   else PatternPolicy.custom(
                       lambda t, m: "red" if t % 2 else "bisec3", name="mixed"))
         markings = red_trace(initial, seed + 50, 5, policy)
@@ -142,7 +143,7 @@ def test_marked_edge_transfer_matches_proof_set(sq):
     # the transferred pair set is {(T, E) : T marked, E marked edge of T}
     corr = identity_corr(sq)
     ref, _, left = oracles.edges_of(sq, 0)
-    marking = MarkingInput.of([0], oracles.edge_ids(sq, [ref, left]))
+    marking = MarkingInput([0], oracles.edge_ids(sq, [ref, left]))
     tilde = transfer_marking(corr, marking)
     assert tilde.elements == frozenset({0})
     assert oracles.edge_keys(sq, tilde.edges) == frozenset({ref, left})
@@ -153,8 +154,8 @@ def test_structural_laws_transfer_between_corresponding_meshes():
     # sides: check both meshes of every step against the same criteria
     from nvbmesh.analysis import verify_levels
 
-    markings = red_trace(square2(), 7, 5, PatternPolicy.always_red())
-    seq = corresponding_sequence(square2(), markings, PatternPolicy.always_red())
+    markings = red_trace(square2(), 7, 5, make_policy("red"))
+    seq = corresponding_sequence(square2(), markings, make_policy("red"))
     for corr in seq.maps:
         rep_red = verify_levels(corr.left, square2())
         rep_b3 = verify_levels(corr.right, square2())
@@ -164,8 +165,8 @@ def test_structural_laws_transfer_between_corresponding_meshes():
 
 
 def test_area_band_holds_on_all_maps():
-    markings = red_trace(lshape6(), 3, 5, PatternPolicy.always_red())
-    seq = corresponding_sequence(lshape6(), markings, PatternPolicy.always_red())
+    markings = red_trace(lshape6(), 3, 5, make_policy("red"))
+    seq = corresponding_sequence(lshape6(), markings, make_policy("red"))
     for corr in seq.maps:
         left, right = corr.left.areas, corr.right.areas
         for (t, _), (s, _) in corr.pairs.items():
@@ -176,7 +177,7 @@ def test_area_band_holds_on_all_maps():
 def test_bisec5_trace_rejected(sq):
     with pytest.raises(UnsupportedRefinementError):
         corresponding_sequence(sq, [MarkingInput.all_edges(sq, [0, 1])],
-                               PatternPolicy.interior_node())
+                               make_policy("interior-node"))
 
 
 def test_build_corr_rejects_unrelated_meshes(sq, lshape):

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_trace, small_mesh_corpus
+from conftest import fan_cycle, random_trace, small_mesh_corpus
 from nvbmesh import _geom
 from nvbmesh.analysis import verify_chain_bounds
 from nvbmesh.marking import (RunConfig, assign_reference_edges, make_policy,
                              run_refinement, select_marked)
 from nvbmesh.mesh import Mesh, lshape6, square2
-from nvbmesh.refine import uniform
+from nvbmesh.refine import MarkingInput, uniform
 
 COMBOS = [("refineNVB", "bisec3"), ("refineNVB3", "bisec3"),
           ("refineNVBred", "red"), ("refine", "interior-node")]
@@ -97,12 +97,12 @@ def test_corner_and_dorfler_selections_match_loops(dialect, policy, ref_edges):
         for corner in corners_of(mesh):
             for radius in (0.0, 0.125, 0.3):
                 config = RunConfig(strategy="corner", corner=corner, radius=radius)
-                assert select_marked(mesh, config, None) == \
+                assert select_marked(mesh, config, None).tolist() == \
                     oracles.select_marked(mesh, config)
             for alpha, theta in itertools.product((0.5, 1.0, 2.0), (0.1, 0.5, 0.9)):
                 config = RunConfig(strategy="dorfler", corner=corner,
                                    alpha=alpha, theta=theta)
-                assert select_marked(mesh, config, None) == \
+                assert select_marked(mesh, config, None).tolist() == \
                     oracles.select_marked(mesh, config)
 
 
@@ -117,12 +117,32 @@ def test_selections_on_symmetric_ties():
             assert len(np.unique(etas)) < mesh.n_elements
             for theta in np.linspace(0.1, 0.9, 9).tolist():
                 config = RunConfig(strategy="dorfler", corner=corner, theta=theta)
-                assert select_marked(mesh, config, None) == \
+                assert select_marked(mesh, config, None).tolist() == \
                     oracles.select_marked(mesh, config)
             for radius in (0.0, 0.25, 0.5):
                 config = RunConfig(strategy="corner", corner=corner, radius=radius)
-                assert select_marked(mesh, config, None) == \
+                assert select_marked(mesh, config, None).tolist() == \
                     oracles.select_marked(mesh, config)
+
+
+def test_every_strategy_marks_an_int64_id_array():
+    mesh = uniform(uniform(lshape6(), "bisec3"), "bisec1")
+    n = mesh.n_elements
+    for config in [RunConfig(strategy="all"),
+                   RunConfig(strategy="random", fraction=0.3),
+                   RunConfig(strategy="random", fraction=0.0),  # one draw
+                   RunConfig(strategy="corner", radius=0.25),
+                   RunConfig(strategy="dorfler")]:
+        marked = select_marked(mesh, config, np.random.default_rng(5))
+        assert marked.dtype == np.int64 and marked.ndim == 1, config
+        if config.strategy == "all":
+            expect = list(range(n))
+        elif config.strategy == "random":
+            expect = oracles.random_marked(n, config.fraction,
+                                           np.random.default_rng(5))
+        else:
+            expect = oracles.select_marked(mesh, config)
+        assert marked.tolist() == expect and expect, config
 
 
 def test_dorfler_indicator_that_is_not_finite_is_a_value_error():
@@ -184,3 +204,9 @@ def test_chain_bounds_match_loop():
     assert report == oracles.verify_chain_bounds(result.meshes[:-1],
                                                  result.markings)
     assert report.max_dist_scaled == 0.0
+    # a reference-neighbour cycle: each chain closes on the marked element
+    fan = fan_cycle()
+    markings = [MarkingInput(range(fan.n_elements))]
+    report = verify_chain_bounds([fan], markings)
+    assert report == oracles.verify_chain_bounds([fan], markings)
+    assert report.max_gen_overshoot == 2

@@ -337,7 +337,7 @@ def test_verifiers_compute_the_diameters_once(sq, monkeypatch):
 
 
 def test_bisection_halves_area(sq):
-    fine, _, plan = step_with_plan(sq, MarkingInput.of([0]), "refineNVB")
+    fine, _, plan = step_with_plan(sq, MarkingInput([0]), "refineNVB")
     fathers = split_fathers(sq, plan, fine)
     fine_areas, sq_areas = fine.areas, sq.areas
     for t in range(fine.n_elements):
@@ -416,9 +416,7 @@ def test_total_area_preserved_and_area_generation_exact():
     from conftest import random_trace
 
     for dialect, policy_name in (("refineNVB", None), ("refine", "interior")):
-        from nvbmesh.refine import PatternPolicy
-
-        policy = PatternPolicy.interior_node() if policy_name else None
+        policy = make_policy("interior-node") if policy_name else None
         meshes, _ = random_trace(square2(), seed=3, steps=5, dialect=dialect,
                                  policy=policy)
         initial = meshes[0]
@@ -605,7 +603,10 @@ def test_values_copy_and_freeze_their_input_arrays(sq, kind, frozen):
     ([(2, 0, 1), (0, 2, 3)], {"gen": [0, -1]}, "negative generation"),
     ([(2, 0, 1), (0, 2, 3)], {"ancestor": [-1, 0]}, "negative ancestor id"),
     ([(2, 0, 1), (0, 2, 3)], {"ancestor": [0, 2]},
-     "ancestor id out of range of the initial mesh"),
+     "element 1 of an initial mesh has ancestor id 2, not its own id"),
+    # in range, but swapped: restrict and verify_levels would read them
+    ([(2, 0, 1), (0, 2, 3)], {"ancestor": [1, 0]},
+     "element 0 of an initial mesh has ancestor id 1, not its own id"),
 ])
 def test_construction_errors(sq, elements, kwargs, message):
     with pytest.raises(MeshError, match=f"^{message}$"):

@@ -139,7 +139,7 @@ def test_loaded_refined_mesh_supports_further_refinement(tmp_path):
     loaded = read_mesh(path)
 
     # refinement and uniform passes need no initial mesh
-    again, refined = refine_step(loaded, MarkingInput.of([0]), "refineNVB")
+    again, refined = refine_step(loaded, MarkingInput([0]), "refineNVB")
     assert refined
     assert validate_mesh(again).ok
     assert validate_mesh(uniform(loaded, "bisec3")).ok
@@ -209,6 +209,8 @@ _DOUBLE_COVER = ("nvbm 1\n3 2\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
 # element 1 (line 8) is clockwise, or has ancestor 2 in a 2-element initial mesh
 _INVERTED = _TRIANGLES + "2 0 1 0 0 0\n0 3 2 0 1 0\n"
 _ANCESTOR_OUT_OF_RANGE = _TRIANGLES + "2 0 1 0 0 0\n0 2 3 0 2 0\n"
+# elements 0 and 1 (lines 7, 8) of an initial mesh name each other ancestor
+_ANCESTORS_SWAPPED = _TRIANGLES + "2 0 1 0 1 0\n0 2 3 0 0 0\n"
 # edge (0, 1) of elements 0..2 (lines 8..10) is shared by all three
 _OVERSHARED = ("nvbm 1\n5 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n0.5 1.0\n-0.5 1.0\n"
                "0 1 2 0 0 0\n0 1 3 0 1 0\n0 1 4 0 2 0\n")
@@ -246,6 +248,7 @@ _HANGING_NODE = ("nvbm 1\n5 3\n0.0 0.0\n2.0 0.0\n1.0 0.0\n1.0 1.0\n1.0 -1.0\n"
     _FOLDED,
     _INVERTED,
     _ANCESTOR_OUT_OF_RANGE,
+    _ANCESTORS_SWAPPED,
     _OVERSHARED,
     _TRIANGLES + "2 0 1 1 0 0\n0 2 3 0 2 0\n",                  # gen 1: not initial
     _TRIANGLES + " 2 0 1 0 0\n0 2 3 0 1 0\n",                  # leading space, 5 fields
@@ -265,7 +268,10 @@ def test_malformed_corpus_fails_like_the_line_parser(text):
     (_FOLDED, "in.nvbm:8: non-conforming mesh: elements 0 and 1 lie on one "
      "side of their shared edge (0, 1) (1 violation(s) total)"),
     (_INVERTED, "in.nvbm:8: non-conforming mesh: element 1 has signed area -0.5"),
-    (_ANCESTOR_OUT_OF_RANGE, "in.nvbm:8: ancestor id 2 out of range 0..1"),
+    (_ANCESTOR_OUT_OF_RANGE, "in.nvbm:8: element 1 of an initial mesh has "
+     "ancestor id 2, not its own id"),
+    (_ANCESTORS_SWAPPED, "in.nvbm:7: element 0 of an initial mesh has "
+     "ancestor id 1, not its own id"),
     (_OVERSHARED, "in.nvbm:10: non-conforming mesh: edge (0, 1) shared by "
      "elements (0, 1, 2)"),
     (_HANGING_NODE, "in.nvbm:5: non-conforming mesh: vertex 2 splits edge (0, 1)"),

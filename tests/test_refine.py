@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,17 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import (COMBOS, random_marking, random_trace, same_arrays,
-                      single_triangle, small_mesh_corpus, split_fathers,
-                      square2_incompatible)
+from conftest import (COMBOS, fan_cycle, random_marking, random_trace,
+                      same_arrays, single_triangle, small_mesh_corpus,
+                      split_fathers, square2_incompatible)
 from oracles import (brute_force_closure, coords, edge_ids, edge_keys,
                      edge_table, edges_of, midpoint, point,
                      point_strictly_inside_triangle, ref_edge)
-from nvbmesh.marking import (RunConfig, assign_reference_edges, make_policy,
-                             run_refinement)
+from nvbmesh.marking import (POLICY_NAMES, RunConfig, assign_reference_edges,
+                             make_policy, run_refinement)
 from nvbmesh.mesh import (Mesh, PrecisionExhausted, lshape6, reference_neighbor,
                           same_mesh, square2, validate_mesh)
-from nvbmesh.refine import (BISEC1, BISEC3, MarkingInput, PatternPolicy,
+from nvbmesh.refine import (BISEC1, BISEC2_LEFT, BISEC3, BISEC5, RED,
+                            MarkingInput, PatternPolicy,
                             UnsupportedRefinementError, _tree_keys, chain,
                             close_marks, overlay, refine_step, split,
                             step_with_plan, trace_to_csv, uniform)
@@ -34,7 +36,7 @@ PROPERTY = settings.get_profile("nvbmesh")
 
 
 def test_close_marks_empty(sq):
-    plan = close_marks(sq, MarkingInput.of([]), mode="nvb")
+    plan = close_marks(sq, MarkingInput([]), mode="nvb")
     assert plan.closed_edges.size == 0
     assert all(p == "none" for p in plan.pattern)
     assert plan.iterations == 0
@@ -46,7 +48,7 @@ def test_close_marks_incompatible_square_pulls_in_neighbor():
     # of T0, so once it's seeded fixpoint propagation is needed when T1 is
     # marked: mark T1 instead and watch T0's reference edge get pulled in.
     mesh = square2_incompatible()
-    plan = close_marks(mesh, MarkingInput.of([1]), mode="nvb")
+    plan = close_marks(mesh, MarkingInput([1]), mode="nvb")
     # seed: ref edge of T1 = diagonal (0,2); the diagonal is an edge of T0,
     # so E_T0 = (0,1) joins; (0,1) is only in T0: fixpoint
     assert edge_keys(mesh, plan.closed_edges) == frozenset({(0, 2), (0, 1)})
@@ -71,12 +73,12 @@ def test_close_marks_minimality_exhaustive_on_small_corpus():
         if len(table) > 12:
             continue
         for t in range(mesh.n_elements):
-            plan = close_marks(mesh, MarkingInput.of([t]), mode="nvb")
+            plan = close_marks(mesh, MarkingInput([t]), mode="nvb")
             oracle = brute_force_closure(mesh, edge_keys(mesh, plan.seed_edges))
             assert edge_keys(mesh, plan.closed_edges) == oracle, (name, t)
         for edges in itertools.combinations(sorted(table), 2):
             elems = [table[e][0] for e in edges]
-            marking = MarkingInput.of(elems, edge_ids(mesh, edges))
+            marking = MarkingInput(elems, edge_ids(mesh, edges))
             plan = close_marks(mesh, marking, mode="mnvb")
             oracle = brute_force_closure(mesh, frozenset(edges))
             assert edge_keys(mesh, plan.closed_edges) == oracle, (name, edges)
@@ -85,7 +87,7 @@ def test_close_marks_minimality_exhaustive_on_small_corpus():
 def test_close_marks_iteration_bound():
     for mesh in small_mesh_corpus().values():
         for t in range(mesh.n_elements):
-            plan = close_marks(mesh, MarkingInput.of([t]), mode="nvb")
+            plan = close_marks(mesh, MarkingInput([t]), mode="nvb")
             assert plan.iterations <= 3 * mesh.n_elements
 
 
@@ -93,7 +95,7 @@ def test_close_marks_rejects_foreign_edge(sq):
     for edge in (5, 99, -1):  # square2 has 5 edges, ids 0..4
         with pytest.raises(ValueError,
                            match=f"marked edge {edge} is not an edge of the mesh"):
-            close_marks(sq, MarkingInput.of([0], [0, edge]), mode="mnvb")
+            close_marks(sq, MarkingInput([0], [0, edge]), mode="mnvb")
 
 
 def test_close_marks_rejects_unmarked_container(sq):
@@ -101,14 +103,14 @@ def test_close_marks_rejects_unmarked_container(sq):
     edge = edge_ids(sq, [(a, b)])[0]
     with pytest.raises(ValueError, match=rf"marked edge {edge} \({a}, {b}\) "
                                          "lies in no marked element"):
-        close_marks(sq, MarkingInput.of([0], [edge]), mode="mnvb")
+        close_marks(sq, MarkingInput([0], [edge]), mode="mnvb")
 
 
 @pytest.mark.parametrize("edges", [[(0, 1)], [(0, 1), (1, 2)], [[0, 1, 2]],
                                    [0.0, 1.0], [True], 3, "01"])
 def test_marking_rejects_anything_but_edge_ids(edges):
     with pytest.raises(ValueError, match="1-D sequence of edge ids"):
-        MarkingInput.of([0], edges)
+        MarkingInput([0], edges)
 
 
 @pytest.mark.parametrize("elements", [[0.9], [True], frozenset({0.5}),
@@ -127,24 +129,24 @@ def test_all_edges_rejects_element_ids_out_of_range(sq, bad):
     with pytest.raises(ValueError, match=f"^marked element {bad} out of range$"):
         MarkingInput.all_edges(sq, [0, bad])
     with pytest.raises(ValueError, match=f"^marked element {bad} out of range$"):
-        close_marks(sq, MarkingInput.of([0, bad]), mode="nvb")
+        close_marks(sq, MarkingInput([0, bad]), mode="nvb")
 
 
 def test_marking_elements_are_a_frozenset_of_ints():
     for given in ([2, 0, 2], (0, 2), range(0, 3, 2), np.array([2, 0], np.int32),
                   frozenset({np.int64(0), 2}), (t for t in (0, 2))):
-        elements = MarkingInput.of(given).elements
+        elements = MarkingInput(given).elements
         assert elements == frozenset({0, 2})
         assert {type(t) for t in elements} == {int}
-    assert MarkingInput.of([]).elements == frozenset()
+    assert MarkingInput([]).elements == frozenset()
 
 
 def test_marking_edges_are_sorted_unique_read_only_ids(sq):
-    marking = MarkingInput.of([0, 1], [4, 0, 4, np.int32(2)])
+    marking = MarkingInput([0, 1], [4, 0, 4, np.int32(2)])
     assert marking.edges.tolist() == [0, 2, 4]
     assert marking.edges.dtype == np.int64
     assert not marking.edges.flags.writeable
-    assert MarkingInput.of([0]).edges.tolist() == []
+    assert MarkingInput([0]).edges.tolist() == []
     assert MarkingInput.all_edges(sq, [1]).edges.tolist() == \
         sorted(sq.edge_table.element2edges[1].tolist())
 
@@ -163,7 +165,7 @@ def test_red_refinement_of_single_triangle():
     tri = single_triangle()
     marking = MarkingInput.all_edges(tri, [0])
     fine, refined = refine_step(tri, marking, "refineNVBred",
-                                PatternPolicy.always_red())
+                                make_policy("red"))
     assert refined == frozenset({0})
     assert fine.n_elements == 4
     assert (fine.gen == 2).all()
@@ -190,7 +192,7 @@ def test_red_refinement_of_single_triangle():
 def test_bisec5_interior_node_and_generations():
     tri = single_triangle()
     marking = MarkingInput.all_edges(tri, [0])
-    fine, _ = refine_step(tri, marking, "refine", PatternPolicy.interior_node())
+    fine, _ = refine_step(tri, marking, "refine", make_policy("interior-node"))
     assert fine.n_elements == 6
     assert sorted(fine.gen.tolist()) == [2, 2, 3, 3, 3, 3]
     # exactly one new node strictly inside the father
@@ -208,7 +210,7 @@ def test_bisec2_son_structure():
     # the closure, leaving T0 with two marked edges: one son stays at +1,
     # the deeper two land at +2
     mesh = square2_incompatible()
-    fine, refined, plan = step_with_plan(mesh, MarkingInput.of([1]), "refineNVB")
+    fine, refined, plan = step_with_plan(mesh, MarkingInput([1]), "refineNVB")
     assert refined == frozenset({0, 1})
     assert fine.n_elements == 5
     by_parent = {}
@@ -236,9 +238,9 @@ def test_deep_corner_refinement_stays_exact():
 
 def test_split_validates_for_every_dialect_and_policy(rng):
     cases = [("refineNVB", None), ("refineNVB3", None),
-             ("refineNVBred", PatternPolicy.always_red()),
-             ("refine", PatternPolicy.interior_node()),
-             ("refine", PatternPolicy.always_red())]
+             ("refineNVBred", make_policy("red")),
+             ("refine", make_policy("interior-node")),
+             ("refine", make_policy("red"))]
     for dialect, policy in cases:
         meshes, _ = random_trace(square2(), seed=17, steps=4,
                                  dialect=dialect, policy=policy)
@@ -250,7 +252,7 @@ def test_new_nodes_are_closed_edge_midpoints_only():
     mesh = lshape6()
     marking = MarkingInput.all_edges(mesh, [0, 3])
     plan = close_marks(mesh, marking, mode="mnvb",
-                       policy=PatternPolicy.always_bisec3())
+                       policy=make_policy("bisec3"))
     fine = split(mesh, plan)
     expected = set()
     for (a, b) in edge_keys(mesh, plan.closed_edges):
@@ -263,7 +265,7 @@ def test_bisec5_adds_exactly_one_extra_node_beyond_midpoints():
     tri = single_triangle()
     marking = MarkingInput.all_edges(tri, [0])
     plan = close_marks(tri, marking, mode="mnvb",
-                       policy=PatternPolicy.interior_node())
+                       policy=make_policy("interior-node"))
     fine = split(tri, plan)
     midpoints = {midpoint(point(tri, a), point(tri, b))
                  for (a, b) in edge_keys(tri, plan.closed_edges)}
@@ -329,7 +331,7 @@ def test_the_sons_are_the_elements_that_hold_a_new_node():
 
 
 def test_plan_holds_read_only_copies(sq):
-    plan = close_marks(sq, MarkingInput.of([0]), mode="nvb")
+    plan = close_marks(sq, MarkingInput([0]), mode="nvb")
     for name in ("closed_edges", "pattern", "seed_edges"):
         given = np.array(getattr(plan, name))
         held = getattr(dataclasses.replace(plan, **{name: given}), name)
@@ -344,7 +346,7 @@ def test_plan_holds_read_only_copies(sq):
 
 
 def test_plan_mesh_mismatch_rejected(sq):
-    plan = close_marks(sq, MarkingInput.of([0]), mode="nvb")
+    plan = close_marks(sq, MarkingInput([0]), mode="nvb")
     other = uniform(sq, "bisec3")
     with pytest.raises(ValueError, match="element count differs"):
         split(other, plan)
@@ -352,7 +354,7 @@ def test_plan_mesh_mismatch_rejected(sq):
 
 def test_plan_with_other_closed_edges_rejected(sq):
     # the patterns need the diagonal halved; the plan claims other edges
-    plan = close_marks(sq, MarkingInput.of([0]), mode="nvb")
+    plan = close_marks(sq, MarkingInput([0]), mode="nvb")
     for closed in ([0, 1], [1], np.arange(5)):
         wrong = dataclasses.replace(plan, closed_edges=np.array(closed))
         with pytest.raises(ValueError, match="closed edges differ"):
@@ -362,7 +364,7 @@ def test_plan_with_other_closed_edges_rejected(sq):
 @pytest.mark.parametrize("pattern,bad", [(["bisec1", "bisec4"], "bisec4"),
                                          (["", "bisec1"], "")])
 def test_plan_with_unknown_pattern_rejected(sq, pattern, bad):
-    plan = close_marks(sq, MarkingInput.of([0]), mode="nvb")
+    plan = close_marks(sq, MarkingInput([0]), mode="nvb")
     assert plan.pattern.tolist() == [BISEC1, BISEC1]
     wrong = dataclasses.replace(plan, pattern=np.array(pattern))
     with pytest.raises(ValueError, match=f"unknown pattern {bad!r}"):
@@ -373,7 +375,7 @@ def test_plan_with_unknown_pattern_rejected(sq, pattern, bad):
 
 
 def test_refine_step_empty_marking_returns_same_mesh(sq):
-    new, refined = refine_step(sq, MarkingInput.of([]), "refineNVB")
+    new, refined = refine_step(sq, MarkingInput([]), "refineNVB")
     assert new is sq
     assert refined == frozenset()
 
@@ -381,8 +383,8 @@ def test_refine_step_empty_marking_returns_same_mesh(sq):
 def test_growth_at_least_marked_count():
     # every marked element is split into >= 2 sons
     for dialect, policy in (("refineNVB", None),
-                            ("refineNVBred", PatternPolicy.always_red()),
-                            ("refine", PatternPolicy.interior_node())):
+                            ("refineNVBred", make_policy("red")),
+                            ("refine", make_policy("interior-node"))):
         meshes, markings = random_trace(lshape6(), seed=23, steps=4,
                                         dialect=dialect, policy=policy)
         for before, after, marking in zip(meshes, meshes[1:], markings):
@@ -391,19 +393,74 @@ def test_growth_at_least_marked_count():
 
 def test_refineNVB_rejects_red_policy(sq):
     with pytest.raises(ValueError):
-        refine_step(sq, MarkingInput.of([0]), "refineNVB",
-                    PatternPolicy.always_red())
+        refine_step(sq, MarkingInput([0]), "refineNVB",
+                    make_policy("red"))
     # before the closure looks at the marking
     for dialect in ("refineNVB", "refineNVB3"):
         with pytest.raises(ValueError, match="admits only three-bisection"):
-            refine_step(sq, MarkingInput.of([99]), dialect,
-                        PatternPolicy.interior_node())
+            refine_step(sq, MarkingInput([99]), dialect,
+                        make_policy("interior-node"))
+
+
+def test_named_policies_are_named_by_their_policy_names():
+    assert POLICY_NAMES == ("bisec3", "red", "interior-node")
+    for name in POLICY_NAMES:
+        assert make_policy(name).name == name
+    with pytest.raises(ValueError, match="^unknown pattern policy 'always_red'"):
+        make_policy("always_red")
+
+
+def _fully_marked_run():
+    """A mesh and a refine marking whose closure fully marks elements it
+    did not mark, and those elements' ids."""
+    mesh = uniform(uniform(lshape6(), "bisec3"), "bisec1")
+    marking = random_marking(mesh, np.random.default_rng(4), "refine", 0.4)
+    plan = close_marks(mesh, marking)
+    full = np.flatnonzero(plan.pattern == BISEC3)
+    assert not set(full.tolist()) <= marking.elements
+    return mesh, marking, full.tolist()
+
+
+def test_close_marks_asks_the_policy_once_with_every_fully_marked_element():
+    mesh, marking, full = _fully_marked_run()
+    calls = []
+
+    def rule(elems, is_marked):
+        calls.append((elems.dtype, elems.tolist(), is_marked.tolist()))
+        return np.where(elems % 3 == 0, RED, BISEC5)
+
+    plan = close_marks(mesh, marking, policy=PatternPolicy("counting", rule))
+    assert calls == [(np.int64, full, [t in marking.elements for t in full])]
+    assert plan.pattern[full].tolist() == [RED if t % 3 == 0 else BISEC5
+                                           for t in full]
+
+
+def test_custom_asks_its_rule_per_element_in_ascending_order():
+    mesh, marking, full = _fully_marked_run()
+    calls = []
+
+    def fn(t, is_marked):
+        calls.append((type(t), type(is_marked), t, is_marked))
+        return "bisec1" if t == full[0] else RED
+
+    # every element is asked before a name is checked
+    with pytest.raises(ValueError, match="^policy 'typed' returned 'bisec1'$"):
+        close_marks(mesh, marking, policy=PatternPolicy.custom(fn, "typed"))
+    assert calls == [(int, bool, t, t in marking.elements) for t in full]
+
+
+@pytest.mark.parametrize("bad", ["bisec1", "none", "", None, 3])
+def test_custom_policy_returning_no_full_pattern_is_a_value_error(sq, bad):
+    policy = PatternPolicy.custom(lambda t, m: bad, name="broken")
+    with pytest.raises(ValueError, match=re.escape(
+            f"policy 'broken' returned {bad!r}") + "$"):
+        refine_step(sq, MarkingInput.all_edges(sq, [0]), "refine", policy)
 
 
 def test_refineNVBred_rejects_bisec5(sq):
     with pytest.raises(UnsupportedRefinementError):
         refine_step(sq, MarkingInput.all_edges(sq, [0, 1]), "refineNVBred",
-                    PatternPolicy.interior_node())
+                    make_policy("interior-node"))
     with pytest.raises(UnsupportedRefinementError,
                        match=r"^refineNVBred forbids bisec\(5\) refinement$"):
         refine_step(sq, MarkingInput.all_edges(sq, [0]), "refineNVBred",
@@ -424,7 +481,7 @@ def test_full_edge_marking_equals_two_reference_edge_passes(rng):
 
         direct, _ = refine_step(mesh, marking, "refineNVB3")
 
-        half, _, plan = step_with_plan(mesh, MarkingInput.of(marked),
+        half, _, plan = step_with_plan(mesh, MarkingInput(marked),
                                        "refineNVB")
         fathers = split_fathers(mesh, plan, half)
         # elements of the intermediate mesh lying inside a marked father and
@@ -436,7 +493,7 @@ def test_full_edge_marking_equals_two_reference_edge_passes(rng):
             if any(e in edge_keys(mesh, marking.edges)
                    for e in _geom_edges_as_parent_keys(half, mesh, t)):
                 still_marked.append(t)
-        two_step, _ = refine_step(half, MarkingInput.of(still_marked),
+        two_step, _ = refine_step(half, MarkingInput(still_marked),
                                   "refineNVB")
         assert same_mesh(direct, two_step), seed
 
@@ -458,10 +515,10 @@ def test_refine_decomposes_into_two_refineNVBred_steps():
     tri = lshape6()
     marked = [0, 4]
     marking = MarkingInput.all_edges(tri, marked)
-    direct, _ = refine_step(tri, marking, "refine", PatternPolicy.interior_node())
+    direct, _ = refine_step(tri, marking, "refine", make_policy("interior-node"))
 
     half, _, plan = step_with_plan(tri, marking, "refineNVBred",
-                                   PatternPolicy.always_bisec3())
+                                   make_policy("bisec3"))
     fathers = split_fathers(tri, plan, half)
     second = []
     for t in range(half.n_elements):
@@ -476,7 +533,7 @@ def test_refine_decomposes_into_two_refineNVBred_steps():
         if set(ge) == set(median):
             second.append(t)
     assert len(second) == 2 * len(marked)
-    marking2 = MarkingInput.of(second, edge_ids(half, [ref_edge(half, t)
+    marking2 = MarkingInput(second, edge_ids(half, [ref_edge(half, t)
                                                        for t in second]))
     two_step, _ = refine_step(half, marking2, "refineNVBred")
     assert same_mesh(direct, two_step)
@@ -508,14 +565,23 @@ def test_chain_and_reference_neighbor_take_any_integer_id(lshape):
 
 
 def test_chain_equals_refined_set_under_single_marking():
-    for seed in range(10):
-        meshes, _ = random_trace(lshape6(), seed=seed, steps=3,
-                                 dialect="refineNVB")
-        mesh = meshes[-1]
-        rng = np.random.default_rng(seed)
-        t = int(rng.integers(mesh.n_elements))
-        _, refined = refine_step(mesh, MarkingInput.of([t]), "refineNVB")
-        assert refined == frozenset(chain(mesh, t)), seed
+    # every element of random runs, with given and with random reference
+    # edges, and of the fan cycle, where the chain closes on its first
+    # element, which is then bisected twice
+    meshes = [random_trace(lshape6(), seed=seed, steps=3,
+                           dialect="refineNVB")[0][-1] for seed in range(10)]
+    for seed, base in itertools.product(range(6), (square2, lshape6)):
+        initial = assign_reference_edges(base(), "random", seed=seed)
+        meshes.append(random_trace(initial, seed=seed, steps=7,
+                                   dialect="refineNVB")[0][-1])
+    fan = fan_cycle()
+    for mesh in meshes + [fan]:
+        for t in range(mesh.n_elements):
+            _, refined, plan = step_with_plan(mesh, MarkingInput([t]),
+                                              "refineNVB")
+            assert refined == frozenset(chain(mesh, t)), t
+            if mesh is fan:
+                assert len(refined) == 16 and plan.pattern[t] == BISEC2_LEFT
 
 
 def test_chain_entries_distinct_on_random_meshes():
@@ -546,7 +612,7 @@ def test_uniform_bisec3_twice_matches_full_marking_twice(sq):
     for _ in range(2):
         marking = MarkingInput.all_edges(b, range(b.n_elements))
         plan = close_marks(b, marking, mode="mnvb",
-                           policy=PatternPolicy.always_bisec3())
+                           policy=make_policy("bisec3"))
         b = split(b, plan)
     assert a.n_elements == b.n_elements == 16 * sq.n_elements
     assert same_mesh(a, b)
@@ -583,7 +649,7 @@ def test_overlay_bound_on_random_pairs():
 
 def test_overlay_rejects_red_meshes(sq):
     red, _ = refine_step(sq, MarkingInput.all_edges(sq, [0, 1]),
-                         "refineNVBred", PatternPolicy.always_red())
+                         "refineNVBred", make_policy("red"))
     with pytest.raises(UnsupportedRefinementError,
                        match="no node of the bisection tree"):
         overlay(red, sq, sq)
@@ -591,7 +657,7 @@ def test_overlay_rejects_red_meshes(sq):
 
 def test_overlay_accepts_bisec5_meshes(sq):
     b5, _ = refine_step(sq, MarkingInput.all_edges(sq, [0, 1]),
-                        "refine", PatternPolicy.interior_node())
+                        "refine", make_policy("interior-node"))
     ov = overlay(b5, sq, sq)
     assert same_arrays(ov, oracles.overlay(b5, sq, sq))
     assert same_mesh(ov, b5)
@@ -599,9 +665,9 @@ def test_overlay_accepts_bisec5_meshes(sq):
 
 def test_overlay_accepts_red_meshes_once_every_red_son_is_bisected(sq):
     red, _ = refine_step(sq, MarkingInput.all_edges(sq, [0, 1]),
-                         "refineNVBred", PatternPolicy.always_red())
+                         "refineNVBred", make_policy("red"))
     sons = np.flatnonzero(red.red_son)
-    fine, _ = refine_step(red, MarkingInput.of(sons), "refineNVB")
+    fine, _ = refine_step(red, MarkingInput(sons), "refineNVB")
     assert sons.size == 4 and not fine.red_son.any()
     rebuilt = Mesh(fine.vertices, fine.elements, gen=fine.gen,
                    ancestor=fine.ancestor)

@@ -15,9 +15,10 @@ from conftest import (COMBOS, only_builtin_types, random_trace, single_triangle,
 from oracles import (brute_force_weight_exponents, conditions, coords,
                      delta_distance)
 from nvbmesh.marking import (REF_EDGE_POLICIES, RunConfig, assign_reference_edges,
-                             run_refinement)
-from nvbmesh.mesh import Mesh, MeshError, lshape6, square2
-from nvbmesh.refine import PatternPolicy, step_with_plan, uniform
+                             make_policy, run_refinement)
+from nvbmesh.mesh import Mesh, MeshError, lshape6, same_mesh, square2
+from nvbmesh.meshio import dumps_mesh, loads_mesh
+from nvbmesh.refine import step_with_plan, uniform
 from nvbmesh import _geom
 from nvbmesh.stability import (_MASS_HAT, NodeWeights, NumericFailure,
                                _mass_pencil_eigvalsh,
@@ -180,8 +181,8 @@ def test_fast_weights_equal_brute_force_on_random_corpus():
     for seed in range(25):
         dialect = ("refineNVB", "refineNVB3", "refineNVBred",
                    "refine")[seed % 4]
-        policy = {"refineNVBred": PatternPolicy.always_red(),
-                  "refine": PatternPolicy.interior_node()}.get(dialect)
+        policy = {"refineNVBred": make_policy("red"),
+                  "refine": make_policy("interior-node")}.get(dialect)
         initial = square2() if seed % 2 else lshape6()
         meshes, _ = random_trace(initial, seed=seed, steps=4,
                                  dialect=dialect, policy=policy)
@@ -263,8 +264,8 @@ def test_closed_form_matches_eigensolve_everywhere():
 def test_conditions_pass_on_every_dialect():
     for seed, (dialect, policy) in enumerate(
             [("refineNVB", None), ("refineNVB3", None),
-             ("refineNVBred", PatternPolicy.always_red()),
-             ("refine", PatternPolicy.interior_node())]):
+             ("refineNVBred", make_policy("red")),
+             ("refine", make_policy("interior-node"))]):
         meshes, _ = random_trace(lshape6(), seed=40 + seed, steps=5,
                                  dialect=dialect, policy=policy)
         mesh = meshes[-1]
@@ -403,8 +404,8 @@ def test_conditions_solve_each_distinct_row_once(case):
 @given(st.sampled_from([square2, lshape6]),
        st.sampled_from(["as-given", "longest-edge", "random"]),
        st.sampled_from([("refineNVB", None), ("refineNVB3", None),
-                        ("refineNVBred", PatternPolicy.always_red),
-                        ("refine", PatternPolicy.interior_node)]),
+                        ("refineNVBred", "red"),
+                        ("refine", "interior-node")]),
        st.integers(0, 2**16), st.integers(1, 4),
        st.none() | st.tuples(st.integers(0, 2**16), st.integers(-8, 8)))
 def test_condition_columns_properties(make_initial, refs, dialect_policy, seed,
@@ -412,7 +413,7 @@ def test_condition_columns_properties(make_initial, refs, dialect_policy, seed,
     initial = assign_reference_edges(make_initial(), refs, seed=seed)
     dialect, policy = dialect_policy
     mesh = random_trace(initial, seed=seed, steps=steps, dialect=dialect,
-                        policy=policy and policy())[0][-1]
+                        policy=policy and make_policy(policy))[0][-1]
     exps = compute_weights(mesh).exponents.copy()
     if tamper is not None:
         exps[tamper[0] % mesh.n_vertices] += tamper[1]
@@ -508,8 +509,8 @@ def test_prolongation_matches_loop_oracle_on_nested_pairs():
         pairs += [(coarse, coarse), (coarse, uniform(coarse, "bisec1")),
                   (coarse, fine)]
     for dialect, policy in (("refineNVB", None),
-                            ("refine", PatternPolicy.interior_node()),
-                            ("refineNVBred", PatternPolicy.always_red())):
+                            ("refine", make_policy("interior-node")),
+                            ("refineNVBred", make_policy("red"))):
         meshes, markings = random_trace(lshape6(), 3, 5, dialect, policy)
         pairs += [(meshes[0], meshes[-1]), (meshes[1], meshes[4])]
         if dialect == "refine":  # a bisec(5) step: a father with six sons
@@ -538,6 +539,19 @@ def test_prolongation_rejects_non_nested(sq, lshape):
         with pytest.raises(ValueError) as raised:
             prolongation(a, b)
         assert str(raised.value) == str(expected.value)
+
+
+def test_prolongation_refuses_a_mesh_read_from_a_file(sq):
+    # the .nvbm format holds no vertex parents: the mesh read back is the
+    # same mesh, but no refinement of sq that prolongation can follow
+    fine = uniform(uniform(sq, "bisec1"), "bisec1")
+    back = loads_mesh(dumps_mesh(fine))
+    assert same_mesh(back, fine) and (back.vertex_parents == -1).all()
+    assert prolongation(sq, fine).shape == (fine.n_vertices, sq.n_vertices)
+    with pytest.raises(ValueError, match=r"^fine vertex 4 has no recorded "
+                       r"bisection parents \(a mesh read from a file records "
+                       r"none\); meshes are not a refinement chain$"):
+        prolongation(sq, back)
 
 
 def test_projection_fixes_coarse_space(rng, sq):

@@ -37,10 +37,11 @@ def test_topology_and_split_match_oracles(dialect, policy, ref_edges):
         assert plan.pattern.dtype == "<U12" and not plan.pattern.flags.writeable
         closed, iterations, patterns = oracles.closure(
             mesh, oracles.edge_keys(mesh, plan.seed_edges))
-        patterns = list(patterns)
-        for t, p in enumerate(patterns):
-            if p == "bisec3":
-                patterns[t] = pattern_policy.choose(t, t in marking.elements)
+        patterns = np.array(patterns)
+        full = np.flatnonzero(patterns == "bisec3")
+        patterns[full] = pattern_policy.choose(
+            full, np.isin(full, list(marking.elements)))
+        patterns = patterns.tolist()
         assert (oracles.edge_keys(mesh, plan.closed_edges), plan.iterations,
                 plan.pattern.tolist()) == (closed, iterations, patterns)
         expect, fathers = oracles.split(mesh, plan)
@@ -99,5 +100,6 @@ def test_random_reference_edges_and_marking_match_oracles():
                 oracles.random_reference_edges(mesh, seed).tolist()
             rng, expect_rng = (np.random.default_rng(seed) for _ in range(2))
             for _ in range(3):
-                assert select_marked(rotated, config, rng) == oracles.random_marked(
+                marked = select_marked(rotated, config, rng)
+                assert marked.tolist() == oracles.random_marked(
                     rotated.n_elements, config.fraction, expect_rng)
