@@ -22,7 +22,7 @@ from scipy.sparse import csgraph
 from . import _geom
 from .mesh import Mesh, _check_initial, structure_flags
 from .meshio import _csv
-from .refine import MarkingInput, StepRecord, chain, refine_step
+from .refine import MarkingInput, StepRecord, _walk, refine_step
 
 
 @dataclass(frozen=True)
@@ -240,16 +240,19 @@ def verify_chain_bounds(mesh_seq: list[Mesh],
     dist(T, T') * 2**(gen(T')/2) is recorded and its maximum reported.
     Refining {T} alone bisects exactly ``chain(mesh, T)``, whose elements
     alone hold the edges its closure marks, so the chain is refined as a
-    mesh of its own: a son of its k-th element c_k (ascending ids) is son
-    s there and s + c_k - k in the whole mesh's refinement, as witnessed.
+    mesh of its own, on its own vertices: a son of its k-th element c_k
+    (ascending ids) is son s there and s + c_k - k in the whole mesh's
+    refinement, as witnessed.
     """
     report = ChainBoundsReport()
     marked_tris, son_tris, son_gens = [], [], []
     for mesh, marking in zip(mesh_seq, markings):
+        n1 = mesh.edge_table.neighbors(0)
         for t in sorted(marking.elements):
-            cut = np.sort(chain(mesh, t))
+            cut = np.sort(_walk(n1, t))
+            nodes, tris = np.unique(mesh.elements[cut], return_inverse=True)
             single, _ = refine_step(
-                Mesh(mesh.vertices, mesh.elements[cut], gen=mesh.gen[cut]),
+                Mesh(mesh.vertices[nodes], tris.reshape(-1, 3), gen=mesh.gen[cut]),
                 MarkingInput([np.searchsorted(cut, t)]), "refineNVB")
             rank = single.ancestor
             sons = np.arange(single.n_elements) + cut[rank] - rank

@@ -17,7 +17,9 @@ during refinement are exact, so the area identity
 Topology is one integer ``EdgeTable`` per mesh, built by one sort of the
 sorted edge node pairs: an unstable sort of the int64 key code * 3m + slot,
 which orders each edge's slots as a stable sort would, or a stable argsort
-of the codes where that key could overflow (nv**2 * 3m >= 2**63).
+of the codes where that key could overflow (nv**2 * 3m >= 2**63).  Node
+ids count from the least of them or 0, so that the code of each edge
+decodes to its node pair, and the sort's temporaries are freed once used.
 ``element2edges`` (m, 3) holds each element's edge ids, column 0 the
 reference edge (v0, v1), then (v1, v2), (v2, v0); ``edge2nodes`` (E, 2) the
 sorted node pairs; ``edge2elements`` (E, 2) the incident elements in
@@ -61,6 +63,10 @@ INCOMPATIBLE = "incompatible"
 #: element count below which validate_mesh runs the exhaustive O(E*V)
 #: hanging-node scan by default
 _EXHAUSTIVE_LIMIT = 3000
+
+#: rows per block of the passes that work through an array a block at a
+#: time, so that their temporaries stay small beside the arrays they read
+_BLOCK = 2**14
 
 
 def _readonly(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -159,9 +165,12 @@ class Mesh:
         if elements.ndim != 2 or elements.shape[1] != 3:
             raise MeshError("elements must be an (m, 3) array")
         m, n = elements.shape[0], vertices.shape[0]
-        # the table is built from the inputs and the copies made after it:
-        # copies made first are held through the sort's temporaries, which
-        # raised the peak memory of 16 uniform bisections of square2 by 8 MB
+        # the table is built from the inputs and the copies made after it,
+        # and the checks work a column or a block of rows at a time: while
+        # a caller such as split holds the inputs, their copies, the table
+        # and the areas are the only whole-mesh arrays this adds (copies
+        # made first are held through the sort's temporaries, which raised
+        # the peak memory of 16 uniform bisections of square2 by 8 MB)
         self.edge_table = build_edge_table(elements)
         self.vertices = _frozen(vertices, np.float64)
         self.elements = _frozen(elements, np.int64)
@@ -206,8 +215,11 @@ class Mesh:
     @functools.cached_property
     def areas(self) -> np.ndarray:
         """Read-only signed area of each element, positive iff CCW."""
-        p = np.take(self.vertices, self.elements, axis=0)
-        return _readonly(_geom.signed_areas(p[:, 0], p[:, 1], p[:, 2]))[0]
+        areas = np.empty(self.n_elements)
+        for lo in range(0, areas.size, _BLOCK):   # no (m, 3, 2) gather whole
+            p = np.take(self.vertices, self.elements[lo:lo + _BLOCK], axis=0)
+            areas[lo:lo + _BLOCK] = _geom.signed_areas(p[:, 0], p[:, 1], p[:, 2])
+        return _readonly(areas)[0]
 
     @functools.cached_property
     def diameters(self) -> np.ndarray:
@@ -254,8 +266,11 @@ class Mesh:
                             f"shared by {count[e]} elements")
         # two CCW elements on either side of their edge traverse it once each
         # way; a pair on one side of it (a duplicate element too) is a fold
-        forward = np.bincount(slots, (self.elements < self.elements[:, [1, 2, 0]])
-                              .ravel(), count.size)
+        ahead = np.empty((m, 3), dtype=bool)
+        for i in range(3):   # a column at a time: no (m, 3) int64 temporary
+            np.less(self.elements[:, i], self.elements[:, (i + 1) % 3],
+                    out=ahead[:, i])
+        forward = np.bincount(slots[ahead.ravel()], None, count.size)
         for e in np.flatnonzero((count == 2) & (forward != 1))[:1].tolist():
             a, b = table.edge2elements[e].tolist()
             raise MeshError(f"elements {a} and {b} lie on one side of their "
@@ -311,12 +326,16 @@ def build_edge_table(elements: np.ndarray) -> EdgeTable:
     elements = np.asarray(elements, dtype=np.int64)
     m = elements.shape[0]
     n = 3 * m
+    # node ids from 0 up, so that each edge code below decodes to its nodes
+    low = int(elements.min(initial=0))
+    if low:
+        elements = elements - low
+    base = int(elements.max(initial=0)) + 1
     tails = elements[:, [1, 2, 0]]
-    lo = np.minimum(elements, tails).ravel()
-    hi = np.maximum(elements, tails).ravel()
+    codes = np.minimum(elements, tails).ravel()
+    codes *= base
+    codes += np.maximum(elements, tails).ravel()
     del tails
-    codes = lo * (int(elements.max(initial=0)) + 1)
-    codes += hi
     # the occurrences of each edge as one run in ascending slot: an unstable
     # sort of code * 3m + slot while that fits int64, else a stable argsort
     fits = (int(codes.min(initial=0)) * n >= -2**63
@@ -335,30 +354,43 @@ def build_edge_table(elements: np.ndarray) -> EdgeTable:
     np.not_equal(codes[1:], codes[:-1], out=starts[1:-1])
     runs = np.flatnonzero(starts)
     del starts
+    run_codes = codes[runs[:-1]]
     if fits:
         codes *= n
         key -= codes
         order = key  # the slots, in place of the key
     del codes
+    # each temporary is freed once used: the table is built while the
+    # constructor's caller holds the arrays of the mesh being built
     size = np.diff(runs)
     first = order[runs[:-1]]
+    # the second occurrence of an edge is its second incident element, -1
+    # on the boundary
+    second = order[np.minimum(runs[:-1] + 1, n - 1)]
+    del runs
     touched = np.zeros(n, dtype=bool)
     touched[first] = True
     edge = np.cumsum(touched)[first]  # first-touch id of each run, from 1
     edge -= 1
     del touched
-    ids = np.empty(n, dtype=np.int64)
-    ids[order] = np.repeat(edge, size)
     edge2nodes = np.empty((edge.size, 2), dtype=np.int64)
-    edge2nodes[edge, 0] = lo[first]
-    edge2nodes[edge, 1] = hi[first]
-    del lo, hi
-    # the second occurrence of an edge is its second incident element, -1
-    # on the boundary
+    nodes = run_codes // base  # the lower node of each run
+    edge2nodes[edge, 0] = nodes
+    run_codes -= nodes * base  # the higher node
+    edge2nodes[edge, 1] = run_codes
+    edge2nodes += low
+    del run_codes, nodes
     edge2elements = np.empty((edge.size, 2), dtype=np.int64)
-    edge2elements[edge, 0] = first // 3
-    edge2elements[edge, 1] = np.where(
-        size > 1, order[np.minimum(runs[:-1] + 1, n - 1)] // 3, -1)
+    first //= 3
+    edge2elements[edge, 0] = first
+    second //= 3
+    second[size == 1] = -1
+    edge2elements[edge, 1] = second
+    del first, second
+    slot_ids = np.repeat(edge, size)  # the edge id at each sorted slot
+    del edge, size
+    ids = np.empty(n, dtype=np.int64)
+    ids[order] = slot_ids
     return EdgeTable(*_readonly(ids.reshape(m, 3), edge2nodes, edge2elements))
 
 

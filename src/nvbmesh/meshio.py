@@ -22,25 +22,28 @@ refinement run share their vertices as a prefix.  Bits, not values, decide,
 since ``-0.0 == 0.0`` while their reprs differ.  Any other mesh is
 formatted whole, so the bytes never depend on what was written before.
 
-The element block is one numpy kernel with the bytes of ``%d``.  Each
-integer becomes a fixed-width byte field (sign, right-aligned digits from
-one division by the powers of ten, a space) with 0 bytes where ``%d``
-writes nothing; the last space of a row becomes the newline and the
-non-zero bytes are the text.  When every field lies in 0..size-1, as the
-vertex ids, generations, ancestors and flags of real meshes do, the
-distinct values 0..max are formatted once and the rows gathered from that
-table; any other block (a loaded or unvalidated mesh with large or
-negative fields) formats its fields one by one.
+The element block is one numpy kernel with the bytes of ``%d``, written
+a block of 2**14 rows at a time, so that no buffer of the whole block is
+built.  Each integer becomes a fixed-width byte field (sign, right-aligned
+digits from one division by the powers of ten, a space) with 0 bytes where
+``%d`` writes nothing; the last space of a row becomes the newline and the
+non-zero bytes are the text.  The path is chosen once per mesh: when every
+field lies in 0..size-1, as the vertex ids, generations, ancestors and
+flags of real meshes do, the distinct values 0..max are formatted once and
+every block gathers its rows from that table; any other mesh (a loaded or
+unvalidated mesh with large or negative fields) formats its fields one by
+one.
 """
 
 from __future__ import annotations
 
 import io
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .mesh import Mesh, MeshError, validate_mesh
+from .mesh import _BLOCK, Mesh, MeshError, validate_mesh
 
 FORMAT_TAG = "nvbm"
 FORMAT_VERSION = 1
@@ -57,22 +60,33 @@ def dump_mesh(mesh: Mesh, f) -> None:
     f.write(f"{FORMAT_TAG} {FORMAT_VERSION}\n"
             f"{mesh.n_vertices} {mesh.n_elements}\n")
     f.write(_vertex_lines(mesh.vertices))
-    f.write(_element_lines(np.column_stack((mesh.elements, mesh.gen,
-                                            mesh.ancestor, mesh.red_son))))
+    f.writelines(_element_blocks((*mesh.elements.T, mesh.gen, mesh.ancestor,
+                                  mesh.red_son)))
 
 
 def _element_lines(rows: np.ndarray) -> str:
     """The text of ``%d`` over an int64 array: a line per row, its fields
     apart by single spaces."""
-    if rows.size == 0:
-        return ""
-    if rows.min() >= 0 and rows.max() < rows.size:
-        # the fields of real meshes: no table longer than the fields it serves
-        buf = np.take(_fields(np.arange(rows.max() + 1)), rows, axis=0)
-    else:
-        buf = _fields(rows.ravel()).reshape(*rows.shape, -1)
-    buf[:, -1, -1] = ord("\n")
-    return buf[buf != 0].tobytes().decode("ascii")
+    return "".join(_element_blocks(tuple(rows.T)))
+
+
+def _element_blocks(columns: tuple[np.ndarray, ...]) -> Iterator[str]:
+    """The text of ``_element_lines`` over the rows of equal-length integer
+    columns, a block of ``_BLOCK`` rows at a time."""
+    m = len(columns[0])
+    if m == 0:
+        return
+    low = min(int(c.min()) for c in columns)
+    high = max(int(c.max()) for c in columns)
+    # the fields of real meshes: no table longer than the fields it serves
+    table = (_fields(np.arange(high + 1)) if low >= 0 and high < m * len(columns)
+             else None)
+    for lo in range(0, m, _BLOCK):
+        rows = np.column_stack([c[lo:lo + _BLOCK] for c in columns])
+        buf = (_fields(rows.ravel()).reshape(*rows.shape, -1) if table is None
+               else np.take(table, rows, axis=0))
+        buf[:, -1, -1] = ord("\n")
+        yield buf[buf != 0].tobytes().decode("ascii")
 
 
 def _fields(x: np.ndarray) -> np.ndarray:

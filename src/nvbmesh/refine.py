@@ -274,21 +274,37 @@ def split(mesh: Mesh, plan: RefinementPlan) -> Mesh:
     refined elements are matched against the pattern names and cut; an
     element whose pattern is none is copied as it is.  Raises
     PrecisionExhausted on an inexact node.
+
+    The helpers that build the new mesh's arrays free their temporaries
+    when they return, and the node table of the refined elements is freed
+    before the constructor runs: while it builds the edge table and copies
+    the arrays, the only other whole-mesh arrays alive are those of the
+    input mesh and the plan.
     """
     m, pattern = mesh.n_elements, plan.pattern
     if pattern.shape != (m,):
         raise ValueError("plan does not match mesh (element count differs)")
     if not plan.closed_edges.size:
         return mesh
-    kept = pattern == PATTERN_NONE
-    cut = np.flatnonzero(~kept)
+    cut = np.flatnonzero(pattern != PATTERN_NONE)
     names = pattern[cut]
     cid = np.full(cut.size, -1)  # pattern index of each refined element
     for i, name in enumerate(_SONS):
         cid[names == name] = i
     if (cid < 0).any():
         raise ValueError(f"unknown pattern {str(names[np.argmin(cid)])!r}")
+    local, verts, vparents = _new_nodes(mesh, plan, cut, cid)
+    tris, gens, reds, ancestor = _sons(mesh, cut, cid, local)
+    del cut, names, cid, local  # not held through the constructor
+    return Mesh(verts, tris, gen=gens, ancestor=ancestor, red_son=reds,
+                vertex_parents=vparents)
 
+
+def _new_nodes(mesh: Mesh, plan: RefinementPlan, cut: np.ndarray,
+               cid: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The local nodes of each refined element, as a (len(cut), 7) array of
+    vertex ids in the order of ``_SONS``, and the new mesh's vertices and
+    vertex parents; raises PrecisionExhausted on an inexact node."""
     table = mesh.edge_table
     n_edges, n_old = table.edge2nodes.shape[0], mesh.n_vertices
     # new node keys: edge id for a midpoint, n_edges + t for T's interior node
@@ -301,7 +317,7 @@ def split(mesh: Mesh, plan: RefinementPlan) -> Mesh:
     order = np.argsort(first)
     new_keys = uniq[order]
     row = np.nonzero(needs)[0][first[order]]  # row in cut of each node's first use
-    node = np.full(n_edges + m, -1)
+    node = np.full(n_edges + mesh.n_elements, -1)
     node[new_keys] = np.arange(n_old, n_old + new_keys.size)
     local = np.concatenate([mesh.elements[cut], node[keys]], axis=1)
 
@@ -323,13 +339,22 @@ def split(mesh: Mesh, plan: RefinementPlan) -> Mesh:
         raise PrecisionExhausted(
             f"midpoint of nodes {tuple(vparents[i].tolist())} in element {t} "
             f"of generation {mesh.gen[t]} is not exact in double precision")
+    return local, verts, np.concatenate([mesh.vertex_parents, vparents])
 
+
+def _sons(mesh: Mesh, cut: np.ndarray, cid: np.ndarray,
+          local: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The new mesh's elements, generations, red-son flags and ancestors:
+    the sons of every element in id order, an unrefined element its own
+    son."""
+    m = mesh.n_elements
     n_sons = np.ones(m, dtype=np.int64)
     n_sons[cut] = _N_SONS[cid]
     at = np.cumsum(n_sons) - n_sons
     parents = np.repeat(np.arange(m), n_sons)
     tris = np.empty((parents.size, 3), dtype=np.int64)
     gens, reds = mesh.gen[parents], mesh.red_son[parents]
+    kept = n_sons == 1
     tris[at[kept]] = mesh.elements[kept]
     for p, sons in enumerate(_SONS.values()):
         ts = np.flatnonzero(cid == p)
@@ -339,9 +364,7 @@ def split(mesh: Mesh, plan: RefinementPlan) -> Mesh:
             tris[rows] = nodes[:, triple]
             gens[rows] += dgen
             reds[rows] = red
-    vparents = np.concatenate([mesh.vertex_parents, vparents])
-    return Mesh(verts, tris, gen=gens, ancestor=mesh.ancestor[parents],
-                red_son=reds, vertex_parents=vparents)
+    return tris, gens, reds, mesh.ancestor[parents]
 
 
 def refine_step(mesh: Mesh, marking: MarkingInput, dialect: str,
@@ -371,8 +394,10 @@ def step_with_plan(mesh: Mesh, marking: MarkingInput, dialect: str,
     plan = close_marks(mesh, marking, mode=mode, policy=policy)
     if dialect == "refineNVBred" and (plan.pattern == BISEC5).any():
         raise UnsupportedRefinementError("refineNVBred forbids bisec(5) refinement")
+    new = split(mesh, plan)
+    # after the split, so that the set of Python ints is not held through it
     refined = frozenset(np.flatnonzero(plan.pattern != PATTERN_NONE).tolist())
-    return split(mesh, plan), refined, plan
+    return new, refined, plan
 
 
 def chain(mesh: Mesh, t: int) -> list[int]:
@@ -384,7 +409,13 @@ def chain(mesh: Mesh, t: int) -> list[int]:
     t = operator.index(t)
     if not 0 <= t < mesh.n_elements:
         raise ValueError(f"element id {t} out of range")
-    n1, seen = mesh.edge_table.neighbors(0), {}  # a dict keeps the order
+    return _walk(mesh.edge_table.neighbors(0), t)
+
+
+def _walk(n1: np.ndarray, t: int) -> list[int]:
+    """``chain`` from element t, given every element's reference neighbour
+    n1 (-1 on the boundary), so that many chains of a mesh share one n1."""
+    seen = {}  # a dict keeps the order
     while t >= 0 and t not in seen:
         seen[t] = None
         t = int(n1[t])

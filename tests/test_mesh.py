@@ -478,6 +478,16 @@ def test_edge_table_matches_stable_sort_on_one_element(triple):
     assert_same_edge_table(np.array([triple]))
 
 
+def test_edge_table_keeps_edges_of_negative_node_ids_apart():
+    # an unvalidated mesh may hold negative ids; unshifted, the codes of
+    # (-3, 2) and (-2, -1) coincide (-3 * 3 + 2 == -2 * 3 - 1)
+    table = build_edge_table(np.array([[-3, 2, 0], [-2, -1, 1]]))
+    assert table.edge2nodes.tolist() == [[-3, 2], [0, 2], [-3, 0], [-2, -1],
+                                         [-1, 1], [-2, 1]]
+    assert table.element2edges.tolist() == [[0, 1, 2], [3, 4, 5]]
+    assert (table.edge2elements[:, 1] == -1).all()
+
+
 def _key_bound(elements) -> int:
     """(largest edge code + 1) * 3m, computed in Python integers: the
     combined sort key fits int64 iff this is at most 2**63."""

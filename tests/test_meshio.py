@@ -387,6 +387,25 @@ def test_element_block_matches_percent_d(rows):
     assert meshio._element_lines(rows) == expected
 
 
+@pytest.mark.parametrize("field,value", [
+    (None, None),              # every field in 0..size-1: one table
+    ("gen", 2**63 - 1),        # a field out of that range in the second
+    ("ancestor", -1),          # block: every field formatted
+])
+def test_element_block_is_written_a_block_at_a_time(field, value):
+    # lshape6 bisected 12 times: 24,576 elements, one whole block of
+    # element rows and a partial one
+    mesh = lshape6()
+    for _ in range(12):
+        mesh = uniform(mesh, "bisec1")
+    assert meshio._BLOCK < mesh.n_elements < 2 * meshio._BLOCK
+    if field is not None:
+        arrays = {"gen": np.array(mesh.gen), "ancestor": np.array(mesh.ancestor)}
+        arrays[field][meshio._BLOCK + 5] = value
+        mesh = Mesh(mesh.vertices, mesh.elements, **arrays, validate=False)
+    assert dumps_mesh(mesh) == oracles.dumps_mesh(mesh)
+
+
 def _changed(mesh: Mesh, node: int, coord: int, value: float) -> Mesh:
     vertices = mesh.vertices.copy()
     vertices[node, coord] = value

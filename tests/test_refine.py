@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -604,6 +605,31 @@ def test_uniform_bisec1_on_bdd_doubles(sq):
     fine = uniform(sq, "bisec1")
     assert fine.n_elements == 2 * sq.n_elements
     assert (fine.gen == 1).all()
+
+
+def test_uniform_step_peak_is_a_small_multiple_of_the_mesh_it_returns(sq):
+    # one live copy of each whole-mesh array: the traced peak of a uniform
+    # step above its start stays within 2.5 times the bytes of the returned
+    # mesh's arrays and edge table (32,768 -> 65,536 elements)
+    mesh = sq
+    for _ in range(14):
+        mesh = uniform(mesh, "bisec1")
+    marking = MarkingInput(np.arange(mesh.n_elements))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        new, _, _ = step_with_plan(mesh, marking, "refineNVB")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = new.edge_table
+    held = sum(a.nbytes for a in (
+        new.vertices, new.elements, new.gen, new.ancestor, new.red_son,
+        new.vertex_parents, table.element2edges, table.edge2nodes,
+        table.edge2elements))
+    assert new.n_elements == 2 * mesh.n_elements == 65536
+    assert peak - start <= 2.5 * held
 
 
 def test_uniform_bisec3_twice_matches_full_marking_twice(sq):
