@@ -61,7 +61,7 @@ COMPATIBLY_DIVISIBLE = "compatibly_divisible"
 INCOMPATIBLE = "incompatible"
 
 #: element count below which validate_mesh runs the exhaustive O(E*V)
-#: hanging-node scan by default
+#: hanging-node scan
 _EXHAUSTIVE_LIMIT = 3000
 
 #: rows per block of the passes that work through an array a block at a
@@ -259,18 +259,10 @@ class Mesh:
                 raise MeshError(f"element {t} of an initial mesh has ancestor "
                                 f"id {self.ancestor[t]}, not its own id")
         table = self.edge_table
-        slots = table.element2edges.ravel()
-        count = np.bincount(slots)
+        count, forward = _edge_census(self)
         for e in np.flatnonzero(count > 2)[:1].tolist():
             raise MeshError(f"edge {tuple(table.edge2nodes[e].tolist())} "
                             f"shared by {count[e]} elements")
-        # two CCW elements on either side of their edge traverse it once each
-        # way; a pair on one side of it (a duplicate element too) is a fold
-        ahead = np.empty((m, 3), dtype=bool)
-        for i in range(3):   # a column at a time: no (m, 3) int64 temporary
-            np.less(self.elements[:, i], self.elements[:, (i + 1) % 3],
-                    out=ahead[:, i])
-        forward = np.bincount(slots[ahead.ravel()], None, count.size)
         for e in np.flatnonzero((count == 2) & (forward != 1))[:1].tolist():
             a, b = table.edge2elements[e].tolist()
             raise MeshError(f"elements {a} and {b} lie on one side of their "
@@ -412,11 +404,23 @@ def _row_ids(rows: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _overshared(table: EdgeTable) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Ids of the edges with more than two incident elements, ascending,
-    and each one's elements, ascending, one entry per slot."""
+def _edge_census(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge's slot count, and how many of those slots run it from its
+    lower node up: two CCW elements on either side of an edge run it once
+    each way, and a pair on one side of it (a duplicate too) is a fold."""
+    slots = mesh.edge_table.element2edges.ravel()
+    count = np.bincount(slots)
+    ahead = np.empty((mesh.n_elements, 3), dtype=bool)
+    for i in range(3):   # a column at a time: no (m, 3) int64 temporary
+        np.less(mesh.elements[:, i], mesh.elements[:, (i + 1) % 3],
+                out=ahead[:, i])
+    return count, np.bincount(slots[ahead.ravel()], None, count.size)
+
+
+def _overshared(table: EdgeTable, count) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Ids of the edges of slot ``count`` above 2, ascending, and each one's
+    elements, ascending, one entry per slot."""
     flat = table.element2edges.ravel()
-    count = np.bincount(flat)
     over = np.flatnonzero(count > 2)
     slots = np.flatnonzero(count[flat] > 2)
     slots = slots[np.argsort(flat[slots], kind="stable")]  # by edge, then slot
@@ -426,16 +430,16 @@ def _overshared(table: EdgeTable) -> tuple[np.ndarray, list[np.ndarray]]:
 # -- structural operations --------------------------------------------------
 
 
-def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityReport:
+def validate_mesh(mesh: Mesh) -> ConformityReport:
     """Diagnostic conformity check; returns violations, never raises.
 
     Hanging nodes are detected by the exact midpoint test on every edge
     (complete for meshes produced by bisection/red refinement) and by a
     vertex-against-edge betweenness scan: of every vertex against every
-    edge for meshes below ``_EXHAUSTIVE_LIMIT`` elements or with
-    ``exhaustive=True``, else of the boundary edges against their ends
-    (complete for meshes without overlapping elements).  The edge checks
-    read ``mesh.edge_table``, built once by the constructor.
+    edge for meshes below ``_EXHAUSTIVE_LIMIT`` elements, else of the
+    boundary edges against their ends (complete for meshes without
+    overlapping elements).  The edge checks read ``mesh.edge_table``, built
+    once by the constructor.
     """
     table = mesh.edge_table
     violations: list[Violation] = []
@@ -460,10 +464,13 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
                                         f"vertices {j} and {i} coincide at {p}",
                                         (j, i)))
 
-    bad_index = (mesh.elements.min() < 0 or mesh.elements.max() >= nv)
-    if bad_index:
+    if ne == 0:
+        violations.append(Violation("no_elements", "mesh has no elements"))
+        return ConformityReport(violations)
+    if mesh.elements.min() < 0 or mesh.elements.max() >= nv:
         violations.append(Violation("bad_index", "element vertex index out of range"))
         return ConformityReport(violations)
+    count, forward = _edge_census(mesh)
 
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite vertices
         areas = mesh.areas
@@ -472,7 +479,7 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
                                     f"element {int(t)} has signed area {areas[t]:g}",
                                     (int(t),)))
 
-    for e, inc in zip(*_overshared(table)):
+    for e, inc in zip(*_overshared(table, count)):
         e, inc = tuple(table.edge2nodes[e].tolist()), tuple(inc.tolist())
         violations.append(Violation("overshared_edge",
                                     f"edge {e} shared by elements {inc}", inc))
@@ -481,18 +488,18 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
     # triangle), or else s and i are CCW and traverse an edge of theirs and
     # of no third element in the same direction (they lie on one side of it)
     e2n, xy = table.edge2nodes, mesh.vertices
-    t = np.arange(ne)
+    # each array is freed once used: held on, the census and the neighbour
+    # arrays raised the peak memory at 524,288 elements by 4 and 21 MB
+    e = np.flatnonzero((count == 2) & (forward != 1))
+    del count, forward
     n0, n1, n2 = (table.neighbors(slot) for slot in range(3))
     twice = np.where((n0 == n1) | (n0 == n2), n0, np.where(n1 == n2, n1, -1))
-    covered = [(i, int(twice[i]), -1)
-               for i in np.flatnonzero((0 <= twice) & (twice < t)).tolist()]
-    slots = table.element2edges.ravel()
-    forward = np.bincount(slots, (mesh.elements < mesh.elements[:, [1, 2, 0]])
-                          .ravel(), len(e2n))
-    e = np.flatnonzero((np.bincount(slots) == 2) & (forward != 1))
+    covered = [(i, int(twice[i]), -1) for i in np.flatnonzero(
+        (0 <= twice) & (twice < np.arange(ne))).tolist()]
     a, b = table.edge2elements[e].T
     fold = (areas[a] > 0.0) & (areas[b] > 0.0) & (twice[b] != a)
     covered += zip(b[fold].tolist(), a[fold].tolist(), e[fold].tolist())
+    del n0, n1, n2, twice
     for i, s, e in sorted(covered):
         violations.append(
             Violation("duplicate_element", f"elements {s} and {i} cover the same "
@@ -525,8 +532,7 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
 
         # vertices strictly inside edges; without overlapping elements, a
         # hanging node lies inside a boundary edge and ends boundary edges
-        if exhaustive is None:
-            exhaustive = ne < _EXHAUSTIVE_LIMIT
+        exhaustive = ne < _EXHAUSTIVE_LIMIT
         edges = (np.arange(len(e2n)) if exhaustive
                  else np.flatnonzero(table.edge2elements[:, 1] < 0))
         ends = np.arange(nv) if exhaustive else np.unique(e2n[edges])

@@ -64,15 +64,9 @@ def dump_mesh(mesh: Mesh, f) -> None:
                                   mesh.red_son)))
 
 
-def _element_lines(rows: np.ndarray) -> str:
-    """The text of ``%d`` over an int64 array: a line per row, its fields
-    apart by single spaces."""
-    return "".join(_element_blocks(tuple(rows.T)))
-
-
 def _element_blocks(columns: tuple[np.ndarray, ...]) -> Iterator[str]:
-    """The text of ``_element_lines`` over the rows of equal-length integer
-    columns, a block of ``_BLOCK`` rows at a time."""
+    """The ``%d`` text of the rows of equal-length integer columns: a line
+    per row, its fields apart by single spaces, ``_BLOCK`` rows a block."""
     m = len(columns[0])
     if m == 0:
         return

@@ -589,6 +589,9 @@ def validate_mesh(mesh: Mesh, exhaustive: bool | None = None) -> ConformityRepor
         else:
             seen[p] = i
 
+    if ne == 0:
+        violations.append(Violation("no_elements", "mesh has no elements"))
+        return ConformityReport(violations)
     bad_index = (mesh.elements.min() < 0 or mesh.elements.max() >= nv)
     if bad_index:
         violations.append(Violation("bad_index", "element vertex index out of range"))

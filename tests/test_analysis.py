@@ -9,17 +9,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (FAN, FAN_POINTS, chained_mesh, only_builtin_types,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (COMBOS, FAN, FAN_POINTS, chained_mesh, only_builtin_types,
                       random_trace)
 import oracles
 from oracles import area_identity_and_diameter_scale, coords
 from nvbmesh.analysis import (closure_accounting, max_equal_gen_chain,
                               reciprocal_sum_bound, verify_chain_bounds,
                               verify_levels, verify_neighbor_rules)
-from nvbmesh.mesh import Mesh, lshape6, reference_neighbor, square2
+from nvbmesh.correspondence import corresponding_sequence, verify_corr
+from nvbmesh.mesh import Mesh, lshape6, reference_neighbor, square2, validate_mesh
 from nvbmesh.refine import (MarkingInput, StepRecord, overlay, refine_step,
                             uniform)
-from nvbmesh.marking import RunConfig, assign_reference_edges, run_refinement
+from nvbmesh.marking import (REF_EDGE_POLICIES, RunConfig, assign_reference_edges,
+                             make_policy, run_refinement)
+from nvbmesh.stability import check_conditions, compute_weights
 
 REGRESSION = json.loads(
     (Path(__file__).parent / "data" / "regression.json").read_text())
@@ -49,6 +55,30 @@ def test_bdd_initial_with_nvb_respects_jump_one(sq):
         report = verify_levels(mesh, sq, nvb_dialect=True)
         assert report.ok
         assert report.max_level_jump <= 1
+
+
+@settings(settings.get_profile("nvbmesh"), max_examples=100)
+@given(st.sampled_from(["square2", "lshape6"]), st.sampled_from(REF_EDGE_POLICIES),
+       st.sampled_from(COMBOS), st.sampled_from(["random", "corner", "dorfler"]),
+       st.integers(1, 8), st.integers(0, 2**16))
+def test_whole_runs_keep_the_laws(initial, ref_edges, combo, strategy, steps,
+                                  seed):
+    # corner marks the elements at (0, 0) (radius 0): a few dozen elements
+    # reach high generations there
+    dialect, policy = combo
+    run = run_refinement(RunConfig(initial=initial, ref_edges=ref_edges,
+                                   dialect=dialect, policy=policy,
+                                   strategy=strategy, steps=steps, seed=seed))
+    for mesh in run.meshes:
+        assert validate_mesh(mesh).ok
+        assert verify_levels(mesh, run.initial,
+                             nvb_dialect=dialect == "refineNVB").ok
+        report = check_conditions(mesh, compute_weights(mesh))
+        assert report.all_pass and report.max_ratio <= 2
+    if dialect == "refineNVBred":
+        seq = corresponding_sequence(run.initial, run.markings,
+                                     make_policy(policy))
+        assert all(verify_corr(corr).ok for corr in seq.maps)
 
 
 def test_non_bdd_initial_notes_misuse():

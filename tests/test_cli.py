@@ -63,6 +63,17 @@ def test_generate_random_ref_edges_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_generate_into_a_directory_names_the_file_after_the_spec(tmp_path,
+                                                                capsys,
+                                                                monkeypatch):
+    monkeypatch.chdir(tmp_path)           # the default --out is "."
+    assert run("generate", "lshape6") == EXIT_OK
+    assert capsys.readouterr().out == \
+        "wrote lshape6.nvbm: 8 vertices, 6 elements\n"
+    assert (tmp_path / "lshape6.nvbm").read_text() == \
+        meshio.dumps_mesh(lshape6())
+
+
 def test_generate_unknown_spec_exits_2(tmp_path):
     assert run("generate", "no-such-mesh", "--out", str(tmp_path)) == EXIT_USAGE
 
@@ -573,6 +584,18 @@ def test_corr_check_writes_the_oracle_files(tmp_path):
     assert (out / "corr_map_final.json").read_text() == \
         oracles.corr_to_json(pairs[-1]) + "\n"
     assert max(row["max_image_spread"] for row in rows) == 2
+
+
+def test_corr_check_correspondence_error_exits_3(tmp_path, capsys, monkeypatch):
+    def refuse(left, right):
+        raise cli.correspondence.CorrespondenceError("no diamond fits")
+
+    monkeypatch.setattr(cli.correspondence, "build_corr", refuse)
+    code = run("corr-check", "--initial", "square2", "--steps", "2",
+               "--out", str(tmp_path / "c"))
+    assert code == EXIT_VIOLATION
+    assert capsys.readouterr().err == "correspondence violation: no diamond fits\n"
+    assert not (tmp_path / "c").exists()
 
 
 def test_corr_check_mixed_policy(tmp_path):

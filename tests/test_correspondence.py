@@ -18,7 +18,7 @@ from nvbmesh.correspondence import (CorrespondenceError, CorrMap, build_corr,
 from nvbmesh.marking import make_policy
 from nvbmesh.mesh import Mesh, lshape6, square2
 from nvbmesh.refine import (MarkingInput, PatternPolicy,
-                            UnsupportedRefinementError, refine_step)
+                            UnsupportedRefinementError, refine_step, uniform)
 
 
 def red_trace(initial, seed, steps, policy, fraction=0.3):
@@ -104,6 +104,24 @@ def test_swapped_pair_detected(sq):
     broken = CorrMap(left=sq, right=sq, image=image)
     report = verify_corr(broken)
     assert not report.ok
+
+
+@pytest.mark.parametrize("image,message", [
+    (np.arange(3).reshape(1, 3), "map does not cover all incidence pairs"),
+    (np.arange(1, 7).reshape(2, 3), "map leaves the right incidence pairs"),
+    (np.arange(-1, 5).reshape(2, 3), "map leaves the right incidence pairs"),
+    ([(0, 1, 2), (3, 4, 0)], "map is not injective"),
+])
+def test_map_refuses_an_image_that_is_no_injection(sq, image, message):
+    with pytest.raises(CorrespondenceError, match=f"^{message}$"):
+        CorrMap(left=sq, right=sq, image=image)
+
+
+def test_verify_reports_a_map_between_meshes_of_unequal_size(sq):
+    corr = CorrMap(left=sq, right=uniform(sq, "bisec1"),
+                   image=np.arange(6).reshape(2, 3))
+    assert verify_corr(corr).violations == [("cardinality", 6, 2, 4)]
+    assert _violations(corr) == [("cardinality", 6, 2, 4)]
 
 
 def test_image_spread_bounded_by_two():

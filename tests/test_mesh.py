@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nvbmesh.mesh
 import oracles
 from oracles import coords, point
 from nvbmesh import _geom
@@ -110,11 +111,15 @@ _EDGE_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(_EDGE_CASES))
-def test_validate_mesh_edge_cases_match_oracle(name):
+def test_validate_mesh_edge_cases_match_oracle(name, monkeypatch):
     vertices, elements = _EDGE_CASES[name]
     mesh = Mesh(vertices, elements, validate=False)
-    for exhaustive in (None, False, True):
-        got = validate_mesh(mesh, exhaustive).violations
+    got = validate_mesh(mesh).violations
+    assert got == oracles.validate_mesh(mesh).violations
+    for exhaustive in (False, True):
+        monkeypatch.setattr(nvbmesh.mesh, "_EXHAUSTIVE_LIMIT",
+                            mesh.n_elements + exhaustive)
+        got = validate_mesh(mesh).violations
         assert got == oracles.validate_mesh(mesh, exhaustive).violations
     assert got, name
 
@@ -133,7 +138,7 @@ def test_mesh_refuses_non_finite_coordinates(vertices, bad):
     assert message in [v.detail for v in validate_mesh(unchecked).violations]
 
 
-def test_validate_mesh_matches_oracle_on_refined_and_tampered_meshes():
+def test_validate_mesh_matches_oracle_on_refined_and_tampered_meshes(monkeypatch):
     meshes = []
     for seed in range(4):
         initial = lshape6() if seed % 2 else square2()
@@ -153,7 +158,10 @@ def test_validate_mesh_matches_oracle_on_refined_and_tampered_meshes():
     kinds = set()
     for mesh in meshes:
         for exhaustive in (None, False):
-            report = validate_mesh(mesh, exhaustive)
+            with monkeypatch.context() as patch:
+                if exhaustive is not None:
+                    patch.setattr(nvbmesh.mesh, "_EXHAUSTIVE_LIMIT", 0)
+                report = validate_mesh(mesh)
             expect = oracles.validate_mesh(mesh, exhaustive)
             assert report.violations == expect.violations
             kinds |= report.kinds()
@@ -239,6 +247,9 @@ def test_classify_pair_takes_any_integer_id(sq):
     for t1, t2 in ((np.int64(0), 1.0), (0.0, 1)):
         with pytest.raises(TypeError):
             classify_pair(sq, t1, t2)
+    for t in (2, -1):
+        with pytest.raises(ValueError, match=f"^element id {t} out of range$"):
+            classify_pair(sq, 0, t)
 
 
 def test_classify_pair_symmetric():
@@ -621,6 +632,37 @@ def test_values_copy_and_freeze_their_input_arrays(sq, kind, frozen):
 def test_construction_errors(sq, elements, kwargs, message):
     with pytest.raises(MeshError, match=f"^{message}$"):
         Mesh(sq.vertices, elements, **kwargs)
+
+
+@pytest.mark.parametrize("vertices,elements,kwargs,message", [
+    ([0.0, 1.0], [(0, 1, 2)], {}, "vertices must be an (n, 2) array"),
+    (_SQUARE, [0, 1, 2], {}, "elements must be an (m, 3) array"),
+    (_SQUARE, [(2, 0, 1), (0, 2, 3)], {"gen": [0]},
+     "per-element arrays must all have length m"),
+    (_SQUARE, [(2, 0, 1), (0, 2, 3)], {"vertex_parents": [(-1, -1)]},
+     "vertex_parents must be an (n, 2) array"),
+])
+def test_construction_refuses_misshapen_arrays(vertices, elements, kwargs, message):
+    for validate in (True, False):
+        with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
+            Mesh(vertices, elements, **kwargs, validate=validate)
+
+
+@pytest.mark.parametrize("vertices,elements,violation", [
+    (np.zeros((0, 2)), np.zeros((0, 3), int),
+     Violation("no_elements", "mesh has no elements")),
+    (_SQUARE[:3], np.zeros((0, 3), int),
+     Violation("no_elements", "mesh has no elements")),
+    (_SQUARE, [(2, 0, 1), (0, 2, 4)],
+     Violation("bad_index", "element vertex index out of range")),
+    (_SQUARE, [(2, 0, 1), (-1, 2, 3)],
+     Violation("bad_index", "element vertex index out of range")),
+], ids=["empty", "vertices_only", "index_above", "index_below"])
+def test_validate_mesh_reports_a_mesh_it_cannot_index_and_stops(vertices, elements,
+                                                                violation):
+    mesh = Mesh(vertices, elements, validate=False)
+    assert validate_mesh(mesh).violations == [violation]
+    assert oracles.validate_mesh(mesh).violations == [violation]
 
 
 def test_construction_rejects_cw():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import nvbmesh.mesh
 import oracles
 from conftest import random_trace
 from nvbmesh import meshio
@@ -62,6 +63,17 @@ def test_parse_errors_carry_line_numbers(mutate, lineno):
         loads_mesh(bad, source="input")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("", "in.nvbm:1: empty file"),
+    ("nvbm 1\n", "in.nvbm:2: missing count line"),
+    ("nvbm 1\n0 2\n", "in.nvbm:2: vertex and element counts must be positive"),
+    ("nvbm 1\n4 -2\n", "in.nvbm:2: vertex and element counts must be positive"),
+])
+def test_header_errors_name_their_line(text, message):
+    assert _outcome(loads_mesh, text) == f"MeshError: {message}"
+    assert _outcome(oracles.loads_mesh, text) == f"MeshError: {message}"
+
+
 def test_nonconforming_input_rejected():
     # CW second element
     text = ("nvbm 1\n4 2\n0.0 0.0\n1.0 0.0\n1.0 1.0\n0.0 1.0\n"
@@ -77,7 +89,7 @@ def test_hanging_node_input_rejected():
         loads_mesh(text)
 
 
-def test_hanging_node_off_the_midpoint_rejected_in_a_large_file():
+def test_hanging_node_off_the_midpoint_rejected_in_a_large_file(monkeypatch):
     # two unit squares, vertex 2 inside edge (1, 3) that the right one has
     # alone, beside a disjoint bisected square2: above the exhaustive limit,
     # and the edge's midpoint is no vertex
@@ -93,9 +105,11 @@ def test_hanging_node_off_the_midpoint_rejected_in_a_large_file():
     expect = [Violation("hanging_node",
                         "vertex 2 lies inside edge (1, 3) of elements (4,)",
                         (2, 1, 3))]
-    for exhaustive in (None, True):
-        assert validate_mesh(mesh, exhaustive).violations == expect
+    assert validate_mesh(mesh).violations == expect
     assert oracles.validate_mesh(mesh).violations == expect
+    with monkeypatch.context() as patch:   # the exhaustive scan finds it too
+        patch.setattr(nvbmesh.mesh, "_EXHAUSTIVE_LIMIT", mesh.n_elements + 1)
+        assert validate_mesh(mesh).violations == expect
     with pytest.raises(MeshError, match=":5: non-conforming mesh: vertex 2 lies"):
         loads_mesh(dumps_mesh(mesh))
 
@@ -384,7 +398,7 @@ def _int_rows(draw) -> np.ndarray:
 @example(np.full((1, 6), 6, dtype=np.int64))            # max = size: no table
 def test_element_block_matches_percent_d(rows):
     expected = ("%d %d %d %d %d %d\n" * len(rows)) % tuple(rows.ravel().tolist())
-    assert meshio._element_lines(rows) == expected
+    assert "".join(meshio._element_blocks(tuple(rows.T))) == expected
 
 
 @pytest.mark.parametrize("field,value", [

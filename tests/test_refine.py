@@ -20,11 +20,12 @@ from conftest import (COMBOS, fan_cycle, random_marking, random_trace,
 from oracles import (brute_force_closure, coords, edge_ids, edge_keys,
                      edge_table, edges_of, midpoint, point,
                      point_strictly_inside_triangle, ref_edge)
-from nvbmesh.marking import (POLICY_NAMES, RunConfig, assign_reference_edges,
-                             make_policy, run_refinement)
+from nvbmesh.marking import (POLICY_NAMES, STRATEGIES, RunConfig,
+                             assign_reference_edges, make_policy, run_refinement,
+                             select_marked)
 from nvbmesh.mesh import (Mesh, PrecisionExhausted, lshape6, reference_neighbor,
                           same_mesh, square2, validate_mesh)
-from nvbmesh.refine import (BISEC1, BISEC2_LEFT, BISEC3, BISEC5, RED,
+from nvbmesh.refine import (BISEC1, BISEC2_LEFT, BISEC3, BISEC5, DIALECTS, RED,
                             MarkingInput, PatternPolicy,
                             UnsupportedRefinementError, _tree_keys, chain,
                             close_marks, overlay, refine_step, split,
@@ -422,6 +423,28 @@ def _fully_marked_run():
     return mesh, marking, full.tolist()
 
 
+def test_unknown_names_are_value_errors(sq):
+    with pytest.raises(ValueError, match="^unknown closure mode 'red'$"):
+        close_marks(sq, MarkingInput([0]), mode="red")
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"unknown dialect 'NVB'; one of {DIALECTS}") + "$"):
+        step_with_plan(sq, MarkingInput([0]), "NVB")
+    with pytest.raises(ValueError, match="^unknown uniform kind 'bisec2'$"):
+        uniform(sq, "bisec2")
+    with pytest.raises(ValueError, match="^unknown reference-edge policy 'short'$"):
+        assign_reference_edges(sq, "short")
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"unknown strategy 'all-edges'; one of {STRATEGIES}") + "$"):
+        select_marked(sq, RunConfig(strategy="all-edges"),
+                      np.random.default_rng(0))
+
+
+def test_reference_edges_are_assigned_on_initial_meshes_only(sq):
+    with pytest.raises(ValueError, match="^reference-edge assignment applies "
+                       "to initial meshes$"):
+        assign_reference_edges(uniform(sq, "bisec1"), "random")
+
+
 def test_close_marks_asks_the_policy_once_with_every_fully_marked_element():
     mesh, marking, full = _fully_marked_run()
     calls = []
@@ -563,6 +586,9 @@ def test_chain_and_reference_neighbor_take_any_integer_id(lshape):
     for f in (chain, reference_neighbor):
         with pytest.raises(TypeError):
             f(lshape, 3.0)
+        for t in (6, -1):
+            with pytest.raises(ValueError, match=f"^element id {t} out of range$"):
+                f(lshape, t)
 
 
 def test_chain_equals_refined_set_under_single_marking():

@@ -162,6 +162,13 @@ def test_delta_disconnected_reports_infinity():
 # -- nodal weights -------------------------------------------------------------
 
 
+def test_weights_refuse_a_vertex_in_no_element(sq):
+    orphan = Mesh(sq.vertices.tolist() + [(2.0, 2.0)], sq.elements)
+    with pytest.raises(ValueError, match="^compute_weights requires every node "
+                       "to lie in an element$"):
+        compute_weights(orphan)
+
+
 def test_weights_on_initial_mesh_are_one(sq, lshape):
     for mesh in (sq, lshape):
         w = compute_weights(mesh)
@@ -561,6 +568,23 @@ def test_projection_fixes_coarse_space(rng, sq):
     c0 = rng.standard_normal(coarse.n_vertices)
     c = project_l2(sys, sys.prolong @ c0)
     assert np.abs(c - c0).max() < 1e-10
+
+
+def test_projection_needs_a_nested_system_and_a_solve_that_holds(sq, monkeypatch):
+    coarse = uniform(sq, "bisec3")
+    fine = uniform(coarse, "bisec1")
+    u = np.ones(fine.n_vertices)
+    with pytest.raises(ValueError, match="^project_l2 requires a system "
+                       "assembled with assemble_nested$"):
+        project_l2(assemble(fine), u)
+    sys = assemble_nested(coarse, fine)
+    solve = sys.coarse.mass_solve
+    # half the solution leaves half the right-hand side as residual
+    monkeypatch.setattr(sys.coarse, "mass_solve", lambda rhs: 0.5 * solve(rhs))
+    with pytest.raises(NumericFailure, match="^projection solve residual "
+                       "5.000e-01 exceeds 1e-10; coarse mass condition may be "
+                       "degenerate$"):
+        project_l2(sys, u)
 
 
 def test_projection_is_contraction_and_idempotent(rng, lshape):
