@@ -88,7 +88,9 @@ class CorrMap:
         rows = rows[np.lexsort(rows[:, 2::-1].T)]
         row = (' {\n  "elem": %d,\n  "edge": [\n   %d,\n   %d\n  ],\n'
                '  "image_elem": %d,\n  "image_edge": [\n   %d,\n   %d\n  ]\n }')
-        body = ",\n".join([row] * len(rows)) % tuple(rows.ravel().tolist())
+        # 4,096 rows a block, so that no tuple of every field is held
+        body = ",\n".join([",\n".join([row] * len(b)) % tuple(b.ravel().tolist())
+                           for b in np.split(rows, range(4096, len(rows), 4096))])
         return "[\n" + body + "\n]"
 
 

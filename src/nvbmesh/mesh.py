@@ -521,14 +521,15 @@ def validate_mesh(mesh: Mesh) -> ConformityReport:
             f"{(c,) if d < 0 else (c, d)}", (j, a, b)))
 
     # hanging nodes: the exact midpoint of an edge, looked up among the keys,
-    # is a vertex other than the edge's ends
+    # is a vertex other than the edge's ends; a block of edges at a time
     with np.errstate(invalid="ignore", over="ignore"):
-        mid = ((xy[e2n[:, 0]] + xy[e2n[:, 1]]) / 2.0).view(np.complex128).ravel()
-        at = np.searchsorted(keys, mid).clip(max=keys.size - 1)
-        hit = firsts[at]
-        for e in np.flatnonzero((keys[at] == mid) & (hit != e2n[:, 0])
-                                & (hit != e2n[:, 1])).tolist():
-            hanging(int(hit[e]), e, "splits")
+        for lo in range(0, len(e2n), _BLOCK):
+            a, b = e2n[lo:lo + _BLOCK].T
+            mid = ((xy[a] + xy[b]) / 2.0).view(np.complex128).ravel()
+            at = np.searchsorted(keys, mid).clip(max=keys.size - 1)
+            hit = firsts[at]
+            for e in np.flatnonzero((keys[at] == mid) & (hit != a) & (hit != b)).tolist():
+                hanging(int(hit[e]), lo + e, "splits")
 
         # vertices strictly inside edges; without overlapping elements, a
         # hanging node lies inside a boundary edge and ends boundary edges

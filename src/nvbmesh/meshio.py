@@ -14,25 +14,16 @@ file records no bisection parents of its vertices.  The reference edge
 of each element is implied as (v0, v1).  The parser rejects malformed and
 non-conforming input with line-numbered diagnostics.
 
-The writer formats the vertex block with one ``%`` call over the Python
-floats, ``"%r %r"`` a line (``%r`` is ``repr``).  It keeps the vertex block
-of the last mesh it wrote, and a mesh whose leading vertices have the same
-bit patterns formats only the vertices past them: the meshes of a
-refinement run share their vertices as a prefix.  Bits, not values, decide,
-since ``-0.0 == 0.0`` while their reprs differ.  Any other mesh is
-formatted whole, so the bytes never depend on what was written before.
-
-The element block is one numpy kernel with the bytes of ``%d``, written
-a block of 2**14 rows at a time, so that no buffer of the whole block is
-built.  Each integer becomes a fixed-width byte field (sign, right-aligned
-digits from one division by the powers of ten, a space) with 0 bytes where
-``%d`` writes nothing; the last space of a row becomes the newline and the
-non-zero bytes are the text.  The path is chosen once per mesh: when every
-field lies in 0..size-1, as the vertex ids, generations, ancestors and
-flags of real meshes do, the distinct values 0..max are formatted once and
-every block gathers its rows from that table; any other mesh (a loaded or
-unvalidated mesh with large or negative fields) formats its fields one by
-one.
+The writer keeps no state, and it writes each block 2**14 rows at a time,
+gathering the rows from a table of fixed-width byte fields.  A field ends
+in a space, with 0 bytes where nothing is written; the last space of a row
+becomes the newline and the non-zero bytes are the text.  The vertex table
+holds the ``repr`` of each distinct bit pattern (``-0.0 == 0.0``, but their
+reprs differ): NVB makes every vertex an edge's midpoint, so a run's
+coordinates take few values.  The element table holds the ``%d`` fields of
+0..max (a sign, digits from one division by the powers of ten) when every
+field lies in 0..size-1, as in real meshes; any other mesh formats its
+fields one by one.
 """
 
 from __future__ import annotations
@@ -59,9 +50,21 @@ def write_mesh(mesh: Mesh, path) -> None:
 def dump_mesh(mesh: Mesh, f) -> None:
     f.write(f"{FORMAT_TAG} {FORMAT_VERSION}\n"
             f"{mesh.n_vertices} {mesh.n_elements}\n")
-    f.write(_vertex_lines(mesh.vertices))
+    f.writelines(_vertex_blocks(mesh.vertices))
     f.writelines(_element_blocks((*mesh.elements.T, mesh.gen, mesh.ancestor,
                                   mesh.red_son)))
+
+
+def _vertex_blocks(vertices: np.ndarray) -> Iterator[str]:
+    """The ``"%r %r"`` lines of an (n, 2) float64 array, ``_BLOCK`` rows a
+    block, gathered from the reprs of its distinct bit patterns."""
+    bits, ids = np.unique(vertices.view(np.uint64), return_inverse=True)
+    reprs = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=bytes)
+    table = np.full((len(bits), reprs.itemsize + 1), ord(" "), dtype=np.uint8)
+    table[:, :-1] = reprs[:, None].view(np.uint8)
+    ids = ids.reshape(-1, 2)             # its shape differs across numpy versions
+    for lo in range(0, len(ids), _BLOCK):
+        yield _text(np.take(table, ids[lo:lo + _BLOCK], axis=0))
 
 
 def _element_blocks(columns: tuple[np.ndarray, ...]) -> Iterator[str]:
@@ -77,10 +80,15 @@ def _element_blocks(columns: tuple[np.ndarray, ...]) -> Iterator[str]:
              else None)
     for lo in range(0, m, _BLOCK):
         rows = np.column_stack([c[lo:lo + _BLOCK] for c in columns])
-        buf = (_fields(rows.ravel()).reshape(*rows.shape, -1) if table is None
-               else np.take(table, rows, axis=0))
-        buf[:, -1, -1] = ord("\n")
-        yield buf[buf != 0].tobytes().decode("ascii")
+        yield _text(_fields(rows.ravel()).reshape(*rows.shape, -1)
+                    if table is None else np.take(table, rows, axis=0))
+
+
+def _text(buf: np.ndarray) -> str:
+    """The text of an (n, k, w) uint8 array of fields: the last space of a
+    row becomes its newline and the 0 bytes are dropped."""
+    buf[:, -1, -1] = ord("\n")
+    return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _fields(x: np.ndarray) -> np.ndarray:
@@ -100,26 +108,6 @@ def _fields(x: np.ndarray) -> np.ndarray:
     out[neg, 0] = ord("-")
     out[:, -1] = ord(" ")
     return out
-
-
-# bit patterns and lines of the vertex block dump_mesh wrote last
-_last_vertices = (np.empty((0, 2), dtype=np.uint64), "")
-
-
-def _vertex_lines(vertices: np.ndarray) -> str:
-    """The vertex block of dump_mesh, reusing the last block's lines for a
-    bit-identical prefix; a mesh's vertices never change, so the last
-    block's bits are a view of them."""
-    global _last_vertices
-    bits = vertices.view(np.uint64)
-    done, text = _last_vertices
-    k = len(done)
-    if not np.array_equal(bits[:k], done):   # unequal shapes if len(bits) < k
-        k, text = 0, ""
-    new = vertices[k:]
-    text += ("%r %r\n" * len(new)) % tuple(new.ravel().tolist())
-    _last_vertices = (bits, text)
-    return text
 
 
 def dumps_mesh(mesh: Mesh) -> str:

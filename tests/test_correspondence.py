@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,27 @@ def test_corr_json_dump_roundtrip(sq):
     rows = json.loads(corr.to_json())
     assert len(rows) == 6
     assert {tuple(r["edge"]) for r in rows} <= set(oracles.edge_table(sq.elements))
+
+
+def test_corr_json_peak_is_a_small_multiple_of_its_text():
+    # square2 bisected 12 times: 24,576 rows, six blocks of 4,096 rows.  The
+    # traced peak of to_json above its start stays within 3.75 times the
+    # length of the text it returns (3.41 measured; one % call over every
+    # field read 4.42)
+    mesh = square2()
+    for _ in range(12):
+        mesh = uniform(mesh, "bisec1")
+    corr = identity_corr(mesh)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        text = corr.to_json()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == oracles.corr_to_json(corr.pairs)
+    assert peak - start <= 3.75 * len(text)
 
 
 def _violations(corr):

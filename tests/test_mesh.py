@@ -168,6 +168,28 @@ def test_validate_mesh_matches_oracle_on_refined_and_tampered_meshes(monkeypatch
     assert {"duplicate_vertex", "hanging_node", "inverted_element"} <= kinds
 
 
+def test_validate_mesh_finds_a_hanging_node_past_the_first_block_of_edges():
+    # square2 bisected 13 times (16,384 elements), then one element bisected
+    # alone: its reference edge, past the first block of edges, keeps the
+    # new vertex hanging on the neighbour's side
+    mesh = square2()
+    for _ in range(13):
+        mesh = uniform(mesh, "bisec1")
+    table = mesh.edge_table
+    t = int(np.argmax(np.where(table.neighbors(0) >= 0, table.element2edges[:, 0], -1)))
+    a, b, c = mesh.elements[t].tolist()
+    m = mesh.n_vertices
+    xy = np.vstack([mesh.vertices, (mesh.vertices[a] + mesh.vertices[b]) / 2.0])
+    elements = np.vstack([np.delete(mesh.elements, t, 0), [(c, a, m), (b, c, m)]])
+    split = Mesh(xy, elements, validate=False)
+    report = validate_mesh(split)
+    assert report.violations == oracles.validate_mesh(split).violations
+    (v,) = report.violations
+    assert v.kind == "hanging_node" and v.ids == (m, *sorted((a, b)))
+    e2n = split.edge_table.edge2nodes
+    assert np.flatnonzero((e2n == sorted((a, b))).all(1))[0] > nvbmesh.mesh._BLOCK
+
+
 def test_doubly_covered_triangle_detected():
     # the constructor refuses a duplicate element as a fold of its edges
     with pytest.raises(MeshError, match=r"^elements 0 and 1 lie on one side "

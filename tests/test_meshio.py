@@ -420,6 +420,38 @@ def test_element_block_is_written_a_block_at_a_time(field, value):
     assert dumps_mesh(mesh) == oracles.dumps_mesh(mesh)
 
 
+# bit patterns the vertex table must keep apart or alike: repeats, both
+# zeros, subnormals, both infinities and two NaN payloads
+_FLOAT_POOL = np.array([0.0, -0.0, 0.5, -0.1, 1 / 3, 1e300, 5e-324, -2.5e-310,
+                        np.inf, -np.inf, np.nan]).view(np.uint64)
+_FLOAT_POOL = np.append(_FLOAT_POOL, _FLOAT_POOL[-1] | np.uint64(1))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.lists(st.tuples(*[st.integers(0, len(_FLOAT_POOL) - 1)] * 2),
+                max_size=12))
+def test_vertex_block_matches_percent_r(pairs):
+    bits = _FLOAT_POOL[np.array(pairs, dtype=np.int64).reshape(-1, 2)]
+    mesh = Mesh(bits.view(np.float64), np.zeros((0, 3), dtype=np.int64),
+                validate=False)
+    assert np.array_equal(mesh.vertices.view(np.uint64), bits)
+    assert dumps_mesh(mesh) == oracles.dumps_mesh(mesh)
+
+
+def test_vertex_block_is_written_a_block_at_a_time():
+    # square2 bisected 14 times: one whole block of vertex rows and a few
+    mesh = square2()
+    for _ in range(14):
+        mesh = uniform(mesh, "bisec1")
+    assert mesh.n_vertices == 16641 > meshio._BLOCK
+    assert dumps_mesh(mesh) == oracles.dumps_mesh(mesh)
+
+
+def test_empty_mesh_is_written_as_its_header():
+    mesh = Mesh(np.zeros((0, 2)), np.zeros((0, 3), dtype=np.int64), validate=False)
+    assert dumps_mesh(mesh) == oracles.dumps_mesh(mesh) == "nvbm 1\n0 0\n"
+
+
 def _changed(mesh: Mesh, node: int, coord: int, value: float) -> Mesh:
     vertices = mesh.vertices.copy()
     vertices[node, coord] = value
@@ -430,14 +462,13 @@ _FINE = random_trace(square2(), seed=2, steps=3, dialect="refineNVB")[0][-1]
 
 
 @pytest.mark.parametrize("first,second", [
-    (square2(), _FINE),                                   # prefix: reused
+    (square2(), _FINE),                                   # a prefix
     (_FINE, square2()),                                   # shorter after longer
     (square2(), _changed(square2(), 0, 1, -0.0)),         # -0.0 == 0.0
     (_FINE, _changed(_FINE, 4, 0, np.nextafter(_FINE.vertices[4, 0], 1.0))),
     (_changed(_FINE, 0, 0, -0.0), _FINE),
 ])
-def test_writer_reuses_only_a_bit_identical_vertex_prefix(tmp_path, first,
-                                                           second):
+def test_a_write_does_not_depend_on_the_write_before(tmp_path, first, second):
     write_mesh(first, tmp_path / "a.nvbm")
     write_mesh(second, tmp_path / "b.nvbm")
     assert (tmp_path / "a.nvbm").read_text() == oracles.dumps_mesh(first)
