@@ -42,8 +42,8 @@ def _pair_rows(mesh: Mesh, ids: np.ndarray) -> np.ndarray:
     """(element, edge node a, edge node b) rows of the incidence pairs with
     the given ids."""
     table = mesh.edge_table
-    return np.column_stack([ids // 3,
-                            table.edge2nodes[table.element2edges.ravel()[ids]]])
+    return np.column_stack([ids // 3, np.take(
+        table.edge2nodes, table.element2edges.ravel()[ids], axis=0)])
 
 
 def _pair_list(mesh: Mesh, ids: np.ndarray) -> list[tuple[int, tuple[int, int]]]:
@@ -104,7 +104,8 @@ def _diamonds(mesh: Mesh, tri: np.ndarray, free: np.ndarray, label: str):
     lone = other < 0
     bad = lone | ~free[other] | (e2e[other, 0] != e2e[t, 0])
     first = np.flatnonzero(~bad & (other > t))
-    corners = np.sort(np.concatenate([tri[t[first]], tri[other[first]]], 1), 1)
+    halves = np.stack([t[first], other[first]], 1)
+    corners = np.sort(np.take(tri, halves, axis=0).reshape(-1, 6), 1)
     new = np.diff(corners, axis=1, prepend=-1) != 0
     sound = new.sum(1) == 4
     key = corners[sound][new[sound]].reshape(-1, 4)
@@ -163,7 +164,7 @@ def build_corr(left: Mesh, right: Mesh) -> CorrMap:
     # diamond; a left edge fits if it is one of their outer edges, which
     # appear once (the shared diagonal appears twice)
     def sides(tri, elems):  # sorted vertex-id pairs of the slot edges
-        return np.sort(np.stack([tri[elems], tri[elems][:, [1, 2, 0]]], 2), 2)
+        return np.sort(np.take(tri, elems, axis=0)[:, [[0, 1], [1, 2], [2, 0]]], 2)
 
     t = np.stack([p, q], axis=1).ravel()
     uw = np.stack([u[partner], w[partner]], axis=1).repeat(2, axis=0)
@@ -193,7 +194,8 @@ def transfer_marking(corr: CorrMap, marking: MarkingInput) -> MarkingInput:
     """
     t = np.fromiter(marking.elements, np.int64, len(marking.elements))
     src = (3 * t[:, None] + np.arange(3)).ravel()
-    hit = np.isin(corr.left.edge_table.element2edges.ravel()[src], marking.edges)
+    hit = np.isin(corr.left.edge_table.element2edges.ravel()[src], marking.edges,
+                  kind="table")
     images = corr.image.ravel()[src[hit]]
     return MarkingInput(images // 3,
                         corr.right.edge_table.element2edges.ravel()[images])
@@ -294,12 +296,12 @@ def verify_corr(corr: CorrMap) -> CorrReport:
     for src, dst, im, label in ((a, b, image, "fwd"), (b, a, inv, "bwd")):
         table = src.edge_table
         e, t1, t2, compatible = table.shared_edges()
-        p1 = 3 * t1 + (table.element2edges[t1] == e[:, None]).argmax(1)
-        p2 = 3 * t2 + (table.element2edges[t2] == e[:, None]).argmax(1)
+        p1, p2 = (3 * t + (np.take(table.element2edges, t, axis=0)
+                           == e[:, None]).argmax(1) for t in (t1, t2))
         i1, i2 = im.ravel()[p1], im.ravel()[p2]
         s1, s2 = i1 // 3, i2 // 3
         f1, f2 = dst.edge_table.element2edges.ravel()[[i1, i2]]
-        inc = dst.edge_table.edge2elements[f1]
+        inc = np.take(dst.edge_table.edge2elements, f1, axis=0)
         broken = ((s1 == s2) | (f1 != f2) | (np.minimum(s1, s2) != inc[:, 0])
                   | (np.maximum(s1, s2) != inc[:, 1]))
         mutual = (p1 % 3 == 0) & (p2 % 3 == 0)

@@ -29,8 +29,8 @@ first meets them.  Its methods derive the adjacency anew on each call,
 each relation in one place: ``neighbors(slot)`` (the element across a
 slot; slot 0 gives the reference neighbour N(T)) and ``shared_edges()``
 (interior edges, their element pairs and their compatible divisibility).
-``_row_ids`` numbers the rows of an integer array, equal rows alike, for
-every caller that merges equal rows.
+``_row_ids`` numbers equal rows of an integer array alike by one ``np.unique``
+of its columns packed into an int64 key, compressed only before an overflow.
 
 A mesh copies what it is given.  The constructor copies every input array,
 another mesh's and its own defaults included, and marks each copy
@@ -299,7 +299,7 @@ class EdgeTable:
         boundary; slot 0 gives the reference neighbour N(T)."""
         e = self.element2edges[:, slot]
         t = np.arange(e.shape[0])
-        a, b = self.edge2elements[e].T
+        a, b = np.take(self.edge2elements, e, axis=0).T
         n = np.where(a != t, a, b)
         return np.where(n == t, -1, n)
 
@@ -308,7 +308,7 @@ class EdgeTable:
         each pair is compatibly divisible: ``e`` is the reference edge of
         both or of neither."""
         e = np.flatnonzero(self.edge2elements[:, 1] >= 0)
-        t1, t2 = self.edge2elements[e].T
+        t1, t2 = np.take(self.edge2elements, e, axis=0).T
         ref = self.element2edges[:, 0]
         return e, t1, t2, (ref[t1] == e) == (ref[t2] == e)
 
@@ -370,7 +370,8 @@ def build_edge_table(elements: np.ndarray) -> EdgeTable:
     edge2nodes[edge, 0] = nodes
     run_codes -= nodes * base  # the higher node
     edge2nodes[edge, 1] = run_codes
-    edge2nodes += low
+    if low:
+        edge2nodes += low
     del run_codes, nodes
     edge2elements = np.empty((edge.size, 2), dtype=np.int64)
     first //= 3
@@ -386,22 +387,32 @@ def build_edge_table(elements: np.ndarray) -> EdgeTable:
     return EdgeTable(*_readonly(ids.reshape(m, 3), edge2nodes, edge2elements))
 
 
-def _row_ids(rows: np.ndarray) -> np.ndarray:
-    """Ids of the rows of an integer (n, k) array, equal exactly for equal
-    rows and ascending with the rows in lexicographic order.
+def _sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """``np.unique(ids)`` by a sort and a compare, not numpy's hash path."""
+    ids = np.sort(ids, axis=None)
+    return np.concatenate([ids[:1], ids[1:][ids[1:] != ids[:-1]]])
 
-    Columns are packed into one int64 key at a time; a column with a
-    negative entry, or one whose packing would overflow, is first replaced
-    by the ranks of its values.
+
+def _row_ids(rows: np.ndarray) -> np.ndarray:
+    """Ids 0, 1, ... of the rows of an integer (n, k) array, equal exactly
+    for equal rows and ascending with the rows in lexicographic order.
+
+    Each column is packed into one int64 key as its offset from its least
+    value (or 0); only where that would overflow is the key first replaced
+    by its ranks, and if it still would, the column too.
     """
-    ids = np.zeros(rows.shape[0], dtype=np.int64)
+    def ranks(x):
+        return np.unique(x, return_inverse=True)[1].reshape(-1)
+
+    key = np.zeros(rows.shape[0], dtype=np.int64)
     for col in rows.T:
-        if (col.min(initial=0) < 0 or (int(ids.max(initial=0)) + 1)
-                * (int(col.max(initial=0)) + 1) > 2**63):
-            col = np.unique(col, return_inverse=True)[1].reshape(-1)
-        ids = np.unique(ids * (col.max(initial=0) + 1) + col,
-                        return_inverse=True)[1].reshape(-1)
-    return ids
+        lo, hi = int(col.min(initial=0)), int(col.max(initial=0))
+        if (int(key.max(initial=0)) + 1) * (hi - lo + 1) >= 2**63:
+            key = ranks(key)
+            if key.size * (hi - lo + 1) >= 2**63:
+                col, lo, hi = ranks(col), 0, key.size
+        key = key * (hi - lo + 1) + (col - lo)
+    return ranks(key)
 
 
 def _edge_census(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -496,7 +507,7 @@ def validate_mesh(mesh: Mesh) -> ConformityReport:
     twice = np.where((n0 == n1) | (n0 == n2), n0, np.where(n1 == n2, n1, -1))
     covered = [(i, int(twice[i]), -1) for i in np.flatnonzero(
         (0 <= twice) & (twice < np.arange(ne))).tolist()]
-    a, b = table.edge2elements[e].T
+    a, b = np.take(table.edge2elements, e, axis=0).T
     fold = (areas[a] > 0.0) & (areas[b] > 0.0) & (twice[b] != a)
     covered += zip(b[fold].tolist(), a[fold].tolist(), e[fold].tolist())
     del n0, n1, n2, twice
@@ -525,7 +536,8 @@ def validate_mesh(mesh: Mesh) -> ConformityReport:
     with np.errstate(invalid="ignore", over="ignore"):
         for lo in range(0, len(e2n), _BLOCK):
             a, b = e2n[lo:lo + _BLOCK].T
-            mid = ((xy[a] + xy[b]) / 2.0).view(np.complex128).ravel()
+            mid = (np.take(xy, a, axis=0) + np.take(xy, b, axis=0)) / 2.0
+            mid = mid.view(np.complex128).ravel()
             at = np.searchsorted(keys, mid).clip(max=keys.size - 1)
             hit = firsts[at]
             for e in np.flatnonzero((keys[at] == mid) & (hit != a) & (hit != b)).tolist():
@@ -536,14 +548,15 @@ def validate_mesh(mesh: Mesh) -> ConformityReport:
         exhaustive = ne < _EXHAUSTIVE_LIMIT
         edges = (np.arange(len(e2n)) if exhaustive
                  else np.flatnonzero(table.edge2elements[:, 1] < 0))
-        ends = np.arange(nv) if exhaustive else np.unique(e2n[edges])
-        pts = xy[ends]
+        ends = (np.arange(nv) if exhaustive
+                else _sorted_unique(np.take(e2n, edges, axis=0)))
+        pts = np.take(xy, ends, axis=0)
         reported = {v.ids for v in violations if v.kind == "hanging_node"}
         step = max(1, 2**16 // max(len(ends), 1))  # edge-vertex pairs per block
         for lo in range(0, len(edges), step):
             e = edges[lo:lo + step]
-            inside = _geom.point_strictly_inside_segment(
-                pts, xy[e2n[e, 0]][:, None], xy[e2n[e, 1]][:, None])
+            ab = np.take(xy, np.take(e2n, e, axis=0), axis=0)
+            inside = _geom.point_strictly_inside_segment(pts, ab[:, :1], ab[:, 1:])
             for k, j in zip(*np.nonzero(inside)):
                 (a, b), j = e2n[e[k]].tolist(), int(ends[j])
                 if j not in (a, b) and (j, a, b) not in reported:

@@ -36,7 +36,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import _geom
-from .mesh import Mesh, PrecisionExhausted, _check_initial, _frozen
+from .mesh import Mesh, PrecisionExhausted, _check_initial, _frozen, _sorted_unique
 from .meshio import _csv
 
 PATTERN_NONE = "none"
@@ -102,7 +102,7 @@ class MarkingInput:
                                  f"{name} ids, got shape {x.shape} of {x.dtype}")
         ids = ids.astype(np.int64, copy=False)
         if (ids[1:] <= ids[:-1]).any():
-            ids = np.unique(ids)
+            ids = _sorted_unique(ids)
         object.__setattr__(self, "elements", frozenset(elems.tolist()))
         object.__setattr__(self, "edges", _frozen(ids, np.int64))
 
@@ -223,7 +223,7 @@ def close_marks(mesh: Mesh, marking: MarkingInput, mode: str = "mnvb",
     table = mesh.edge_table
     e2e, e2el, e2n = table.element2edges, table.edge2elements, table.edge2nodes
     if mode == "nvb":
-        seed = np.unique(e2e[elems, 0])
+        seed = _sorted_unique(e2e[elems, 0])
     else:
         seed = marking.edges
         bad = seed[(seed < 0) | (seed >= e2n.shape[0])]
@@ -231,7 +231,7 @@ def close_marks(mesh: Mesh, marking: MarkingInput, mode: str = "mnvb",
             raise ValueError(f"marked edge {bad[0]} is not an edge of the mesh "
                              f"(it has {e2n.shape[0]} edges)")
         near = np.zeros(e2n.shape[0], dtype=bool)
-        near[e2e[elems]] = True
+        near[np.take(e2e, elems, axis=0)] = True
         lone = seed[~near[seed]]
         if lone.size:
             raise ValueError(f"marked edge {lone[0]} {tuple(e2n[lone[0]].tolist())}"
@@ -242,9 +242,9 @@ def close_marks(mesh: Mesh, marking: MarkingInput, mode: str = "mnvb",
     # frontier edges -> incident elements -> their reference edges
     frontier, iterations = seed, 0
     while frontier.size:
-        inc = e2el[frontier].ravel()
+        inc = np.take(e2el, frontier, axis=0).ravel()
         refs = e2e[inc[inc >= 0], 0]
-        frontier = np.unique(refs[~marked[refs]])
+        frontier = _sorted_unique(refs[~marked[refs]])
         if not frontier.size:
             break
         marked[frontier] = True
@@ -257,7 +257,7 @@ def close_marks(mesh: Mesh, marking: MarkingInput, mode: str = "mnvb",
     pattern = _BY_MARKS[inside[:, 0] + 2 * inside[:, 1] + 4 * inside[:, 2]]
     if policy is not None:
         full = np.flatnonzero(pattern == BISEC3)
-        pattern[full] = policy.choose(full, np.isin(full, elems))
+        pattern[full] = policy.choose(full, np.isin(full, elems, kind="table"))
     return RefinementPlan(closed_edges=closed, pattern=pattern,
                           iterations=iterations, seed_edges=seed)
 
@@ -269,11 +269,11 @@ def split(mesh: Mesh, plan: RefinementPlan) -> Mesh:
     """Refine every element by the pattern its plan names; returns a new mesh.
 
     Every closed edge is halved; the only other new nodes are bisec(5)
-    interior nodes.  New nodes are numbered by first use in element order,
-    within an element in the order m01, m12, m20, interior node.  Only the
-    refined elements are matched against the pattern names and cut; an
-    element whose pattern is none is copied as it is.  Raises
-    PrecisionExhausted on an inexact node.
+    interior nodes.  New nodes are numbered in closed-edge order, each
+    interior node after its element's midpoints: by first use, as every
+    element on a closed edge must halve it.  Only the refined elements are
+    matched against the pattern names and cut; an element whose pattern is
+    none is copied as it is.  Raises PrecisionExhausted on an inexact node.
 
     The helpers that build the new mesh's arrays free their temporaries
     when they return, and the node table of the refined elements is freed
@@ -304,38 +304,44 @@ def _new_nodes(mesh: Mesh, plan: RefinementPlan, cut: np.ndarray,
                cid: np.ndarray) -> tuple[np.ndarray, ...]:
     """The local nodes of each refined element, as a (len(cut), 7) array of
     vertex ids in the order of ``_SONS``, and the new mesh's vertices and
-    vertex parents; raises PrecisionExhausted on an inexact node."""
+    vertex parents, numbered in closed-edge order with each interior node
+    merged in after its element's midpoints; raises PrecisionExhausted on
+    an inexact node."""
     table = mesh.edge_table
-    n_edges, n_old = table.edge2nodes.shape[0], mesh.n_vertices
-    # new node keys: edge id for a midpoint, n_edges + t for T's interior node
-    keys = np.concatenate([table.element2edges[cut],
-                           n_edges + cut[:, None]], axis=1)
+    n_old, closed = mesh.n_vertices, plan.closed_edges
+    edges = np.take(table.element2edges, cut, axis=0)
     needs = _NEEDS[cid]
-    uniq, first = np.unique(keys[needs], return_index=True)
-    if not np.array_equal(uniq[uniq < n_edges], plan.closed_edges):
+    halving = np.bincount(edges[needs[:, :3]], minlength=table.edge2nodes.shape[0])
+    if not np.array_equal(np.flatnonzero(halving), closed):
         raise ValueError("plan does not match mesh (closed edges differ)")
-    order = np.argsort(first)
-    new_keys = uniq[order]
-    row = np.nonzero(needs)[0][first[order]]  # row in cut of each node's first use
-    node = np.full(n_edges + mesh.n_elements, -1)
-    node[new_keys] = np.arange(n_old, n_old + new_keys.size)
-    local = np.concatenate([mesh.elements[cut], node[keys]], axis=1)
+    inside = table.edge2elements[:, 1][closed] >= 0
+    for e in closed[halving[closed] <= inside][:1].tolist():
+        raise ValueError("plan does not match mesh (closed edge "
+                         f"{tuple(table.edge2nodes[e].tolist())} halved on one side)")
+    first = table.edge2elements[:, 0][closed]  # where each is first touched
+    inner = np.flatnonzero(needs[:, 3])  # the rows of cut with an interior node
+    at = np.arange(closed.size) + np.searchsorted(cut[inner], first)
+    at5 = np.searchsorted(first, cut[inner], side="right") + np.arange(inner.size)
+    node = np.full(halving.size, -1)
+    node[closed] = n_old + at
+    local = np.concatenate([np.take(mesh.elements, cut, axis=0), node[edges],
+                            np.full((cut.size, 1), -1)], axis=1)
+    local[inner, 6] = n_old + at5
+    order = np.empty(at.size + at5.size, dtype=np.int64)  # source row of each node
+    order[at], order[at5] = np.arange(at.size), at.size + np.arange(at5.size)
 
-    is_edge = new_keys < n_edges
-    vparents = np.empty((new_keys.size, 2), dtype=np.int64)
-    vparents[is_edge] = table.edge2nodes[new_keys[is_edge]]
-    vparents[~is_edge] = local[row[~is_edge]][:, [2, 3]]
-    verts = np.concatenate([mesh.vertices, np.empty((new_keys.size, 2))])
-    # edge midpoints first: an interior node halves (v2, m01)
-    for sel in (is_edge, ~is_edge):
-        a, b = vparents[sel].T
-        verts[n_old + np.flatnonzero(sel)] = (verts[a] + verts[b]) / 2.0
-    a, b, mid = verts[vparents[:, 0]], verts[vparents[:, 1]], verts[n_old:]
+    vparents = np.take(np.concatenate([np.take(table.edge2nodes, closed, axis=0),
+                                       local[inner, 2:4]]), order, axis=0)
+    verts = np.concatenate([mesh.vertices, np.zeros((order.size, 2))])
+    # an interior node halves (v2, m01): a second pass once m01 is in place
+    for _ in range(1 + bool(inner.size)):
+        a, b = (np.take(verts, vparents[:, k], axis=0) for k in (0, 1))
+        verts[n_old:] = mid = (a + b) / 2.0
     inexact = ((mid - a != b - mid).any(axis=1)
                | (mid == a).all(axis=1) | (mid == b).all(axis=1))
     if inexact.any():
         i = int(np.argmax(inexact))
-        t = int(cut[row[i]])
+        t = int(np.concatenate([first, cut[inner]])[order[i]])  # of first use
         raise PrecisionExhausted(
             f"midpoint of nodes {tuple(vparents[i].tolist())} in element {t} "
             f"of generation {mesh.gen[t]} is not exact in double precision")
@@ -352,13 +358,11 @@ def _sons(mesh: Mesh, cut: np.ndarray, cid: np.ndarray,
     n_sons[cut] = _N_SONS[cid]
     at = np.cumsum(n_sons) - n_sons
     parents = np.repeat(np.arange(m), n_sons)
-    tris = np.empty((parents.size, 3), dtype=np.int64)
+    tris = np.take(mesh.elements, parents, axis=0)  # refined rows overwritten
     gens, reds = mesh.gen[parents], mesh.red_son[parents]
-    kept = n_sons == 1
-    tris[at[kept]] = mesh.elements[kept]
     for p, sons in enumerate(_SONS.values()):
         ts = np.flatnonzero(cid == p)
-        nodes, first_son = local[ts], at[cut[ts]]
+        nodes, first_son = np.take(local, ts, axis=0), at[cut[ts]]
         for j, (*triple, dgen, red) in enumerate(sons):
             rows = first_son + j
             tris[rows] = nodes[:, triple]

@@ -7,7 +7,9 @@ marked element) and ``nvbmesh.refine.split``, the loop ``split`` also
 returning each element's father, which no mesh records;
 ``brute_force_closure`` finds the closure fixpoint by exhaustive search.
 ``stable_edge_table`` is ``build_edge_table``'s array kernel with a stable
-argsort of the edge codes in place of its sort of one combined key.
+argsort of the edge codes in place of its sort of one combined key, and
+``row_ids`` numbers rows by a ``np.lexsort`` of them, in place of
+``nvbmesh.mesh._row_ids``' packed key.
 ``area_identity_and_diameter_scale`` and ``max_equal_gen_chain`` are the
 per-element loops of ``nvbmesh.analysis.verify_levels``, with areas and
 diameters from the scalar ``area`` and ``diameter``, and
@@ -207,6 +209,19 @@ def brute_force_closure(mesh: Mesh, seed: frozenset[EdgeKey]) -> frozenset[EdgeK
                 best = frozenset(cand)
     assert best is not None  # the full edge set is always closed
     return best
+
+
+def row_ids(rows: np.ndarray) -> np.ndarray:
+    """Ids 0, 1, ... of the rows of an integer (n, k) array in lexicographic
+    order, equal rows alike: ranks of the rows sorted by ``np.lexsort``."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=np.int64)
+    new[:1] = 0
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(new)
+    return ids
 
 
 def split(mesh: Mesh, plan: RefinementPlan) -> tuple[Mesh, list[int]]:

@@ -476,6 +476,20 @@ def assert_same_edge_table(elements):
         assert np.array_equal(a, b), name
 
 
+@settings(settings.get_profile("nvbmesh"), max_examples=300)
+@given(st.integers(0, 40).flatmap(lambda n: st.lists(st.lists(
+    st.one_of(st.integers(-3, 3), st.integers(2**62 - 3, 2**62 + 3),
+              st.integers(-2**62 - 3, -2**62 + 3)), min_size=n, max_size=n),
+    min_size=1, max_size=4)))
+def test_row_ids_match_a_lexsort(columns):
+    # entries near +-2**62 overflow the packed key after one column: the
+    # key, and where its range exceeds int64 the column too, is ranked
+    rows = np.array(columns, dtype=np.int64).T.reshape(-1, len(columns))
+    ids = nvbmesh.mesh._row_ids(rows)
+    assert ids.dtype == np.int64
+    assert ids.tolist() == oracles.row_ids(rows).tolist()
+
+
 @settings(settings.get_profile("nvbmesh"))
 @given(st.sampled_from([square2, lshape6]),
        st.sampled_from(["as-given", "random"]), st.sampled_from(COMBOS),

@@ -25,8 +25,9 @@ from nvbmesh.marking import (POLICY_NAMES, STRATEGIES, RunConfig,
                              select_marked)
 from nvbmesh.mesh import (Mesh, PrecisionExhausted, lshape6, reference_neighbor,
                           same_mesh, square2, validate_mesh)
+from nvbmesh.correspondence import build_corr, verify_corr
 from nvbmesh.refine import (BISEC1, BISEC2_LEFT, BISEC3, BISEC5, DIALECTS, RED,
-                            MarkingInput, PatternPolicy,
+                            MarkingInput, PatternPolicy, RefinementPlan,
                             UnsupportedRefinementError, _tree_keys, chain,
                             close_marks, overlay, refine_step, split,
                             step_with_plan, trace_to_csv, uniform)
@@ -280,6 +281,86 @@ def test_precision_exhaustion_is_typed():
                        corner=(0.3, 0.7), steps=120)
     with pytest.raises(PrecisionExhausted, match="generation 105"):
         run_refinement(config)
+
+
+def test_precision_exhaustion_names_the_element_of_first_use():
+    # bisec(5) interior nodes numbered among the midpoints: the first
+    # inexact node and the element that first uses it are those of the
+    # first-use numbering
+    config = RunConfig(initial="lshape6", ref_edges="random", seed=3,
+                       dialect="refine", policy="interior-node",
+                       strategy="corner", corner=(0.3, 0.7), steps=200)
+    message = ("midpoint of nodes (606, 608) in element 307 of generation 105 "
+               "is not exact in double precision")
+    with pytest.raises(PrecisionExhausted, match="^" + re.escape(message) + "$"):
+        run_refinement(config)
+
+
+@pytest.mark.parametrize("policy", ["interior-node", "red", "bisec3"])
+def test_split_numbers_nodes_like_the_oracle_on_random_reference_edges(policy):
+    # random reference edges make closed edges first touched in slots 1 and
+    # 2, and interior nodes fall between such midpoints
+    rule, slots, interleaved = make_policy(policy), set(), False
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        mesh = assign_reference_edges(lshape6(), "random", seed=seed)
+        for _ in range(4):
+            plan = close_marks(mesh, random_marking(mesh, rng, "refine"),
+                               policy=rule)
+            fine, (expect, _) = split(mesh, plan), oracles.split(mesh, plan)
+            assert same_arrays(fine, expect)
+            assert np.array_equal(fine.vertex_parents, expect.vertex_parents)
+            table, closed = mesh.edge_table, plan.closed_edges
+            first = table.element2edges[table.edge2elements[closed, 0]]
+            slots |= set((first == closed[:, None]).argmax(1).tolist())
+            inner = fine.vertex_parents[mesh.n_vertices:, 1] >= mesh.n_vertices
+            interleaved |= bool((inner[:-1] & ~inner[1:]).any())
+            mesh = fine
+    assert slots == {0, 1, 2}
+    assert interleaved == (policy == "interior-node")
+
+
+def test_split_refuses_a_one_sided_plan(sq, lshape):
+    # a closed edge halved by one of its two elements would hang a node
+    e0 = int(sq.edge_table.element2edges[0, 0])
+    plan = RefinementPlan(closed_edges=[e0], pattern=["bisec1", "none"],
+                          iterations=0, seed_edges=[e0])
+    message = r"^plan does not match mesh \(closed edge \(0, 2\) halved on one side\)$"
+    with pytest.raises(ValueError, match=message):
+        split(sq, plan)
+    plan = close_marks(lshape, MarkingInput.all_edges(lshape, [0]))
+    neighbour = reference_neighbor(lshape, 0)
+    assert plan.pattern[neighbour] != "none"
+    pattern = plan.pattern.copy()
+    pattern[neighbour] = "none"
+    with pytest.raises(ValueError, match=message):
+        split(lshape, dataclasses.replace(plan, pattern=pattern))
+
+
+def test_steps_and_correspondence_take_no_hash_unique(monkeypatch):
+    # numpy 2.4 answers a plain integer np.unique, np.isin's sort kind
+    # included, by a hash path about ten times slower than a sort; the step
+    # and correspondence kernels sort instead
+    unique = np.unique
+
+    def sorted_only(ar, **kwargs):
+        assert ({"return_index", "return_inverse", "return_counts"} & set(kwargs)
+                or not np.issubdtype(np.asarray(ar).dtype, np.integer)), \
+            "plain integer np.unique"
+        return unique(ar, **kwargs)
+
+    mesh = square2()
+    for _ in range(12):  # 8,192 elements: validate_mesh's boundary scan
+        mesh = uniform(mesh, "bisec1")
+    marked = np.random.default_rng(0).choice(mesh.n_elements, 82, replace=False)
+    monkeypatch.setattr(np, "unique", sorted_only)
+    fine = uniform(mesh, "bisec1")
+    fine, _ = refine_step(fine, MarkingInput(np.sort(marked)), "refineNVB")
+    marking = MarkingInput.all_edges(mesh, marked)
+    red, _ = refine_step(mesh, marking, "refineNVBred", make_policy("red"))
+    tilde, _ = refine_step(mesh, marking, "refineNVB3")
+    assert verify_corr(build_corr(red, tilde)).ok
+    assert validate_mesh(fine).ok and validate_mesh(red).ok
 
 
 def test_split_refines_a_hand_made_plan_as_named(lshape):
