@@ -51,8 +51,6 @@ _FINITE = _checked(float, "a finite number", math.isfinite)
 _POINT = _checked(lambda text: tuple(map(float, text.split(","))),
                   "X,Y, two numbers",
                   lambda p: len(p) == 2 and all(map(math.isfinite, p)))
-_TAMPER = _checked(lambda text: tuple(map(int, text.split(":"))),
-                   "NODE:DELTA, two integers", lambda p: len(p) == 2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,8 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="uniform refinements defining the fine space")
     s.add_argument("--skip-measure", action="store_true",
                    help="only check the per-element weight conditions")
-    s.add_argument("--debug-tamper", type=_TAMPER, metavar="NODE:DELTA",
-                   help="debug: shift one weight exponent by DELTA in -256..256")
 
     c = sub.add_parser("corr-check",
                        help="build and verify a red/bisec3 correspondence")
@@ -235,16 +231,6 @@ def _read_trace(path: Path):
 def cmd_stability(args) -> int:
     coarse = _load_spec(args.spec)
     weights = stability.compute_weights(coarse)
-    if args.debug_tamper is not None:
-        node, delta = args.debug_tamper
-        if not 0 <= node < coarse.n_vertices:
-            raise ValueError(f"--debug-tamper node {node} is not in "
-                             f"0..{coarse.n_vertices - 1}")
-        if abs(delta) > 256:  # 2**e_j of a larger shift leaves float64
-            raise ValueError(f"--debug-tamper delta {delta} is not in -256..256")
-        exps = weights.exponents.copy()
-        exps[node] += delta
-        weights = stability.NodeWeights(exponents=exps)
     out = _outdir(args)
 
     report = stability.check_conditions(coarse, weights)

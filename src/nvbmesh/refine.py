@@ -273,7 +273,9 @@ def split(mesh: Mesh, plan: RefinementPlan) -> Mesh:
     interior node after its element's midpoints: by first use, as every
     element on a closed edge must halve it.  Only the refined elements are
     matched against the pattern names and cut; an element whose pattern is
-    none is copied as it is.  Raises PrecisionExhausted on an inexact node.
+    none is copied as it is.  A plan that closes no edge and names no
+    refinement returns ``mesh`` itself.  Raises PrecisionExhausted on an
+    inexact node.
 
     The helpers that build the new mesh's arrays free their temporaries
     when they return, and the node table of the refined elements is freed
@@ -284,9 +286,9 @@ def split(mesh: Mesh, plan: RefinementPlan) -> Mesh:
     m, pattern = mesh.n_elements, plan.pattern
     if pattern.shape != (m,):
         raise ValueError("plan does not match mesh (element count differs)")
-    if not plan.closed_edges.size:
-        return mesh
     cut = np.flatnonzero(pattern != PATTERN_NONE)
+    if not (cut.size or plan.closed_edges.size):
+        return mesh
     names = pattern[cut]
     cid = np.full(cut.size, -1)  # pattern index of each refined element
     for i, name in enumerate(_SONS):

@@ -3,6 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import os
+
+# one BLAS thread, as perfbench/run.py pins it: on a 2-vCPU host the
+# suite's small solves ran slower on a pool of two, and a pool contends
+# with any other process on the host.  Set before numpy is imported, which
+# reads these once.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+              "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 import numpy as np
 import pytest

@@ -13,7 +13,7 @@ import pytest
 import oracles
 from conftest import random_trace
 from oracles import brute_force_weight_exponents, conditions
-from nvbmesh import cli, meshio
+from nvbmesh import cli, meshio, stability
 from nvbmesh.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, build_parser, main
 from nvbmesh.marking import (REF_EDGE_POLICIES, STRATEGIES, RunConfig,
                              make_policy, run_refinement)
@@ -25,6 +25,21 @@ from nvbmesh.stability import NodeWeights
 
 def run(*argv):
     return main(list(argv))
+
+
+def shift_weight(monkeypatch, node, delta):
+    """Make ``stability.compute_weights`` return the weights it computes
+    with the exponent of ``node`` shifted by ``delta``.  Computed weights
+    pass the conditions on every mesh, so this is how a run reaches the
+    FAIL report."""
+    compute = stability.compute_weights
+
+    def shifted(mesh):
+        exps = compute(mesh).exponents.copy()
+        exps[node] += delta
+        return NodeWeights(exponents=exps)
+
+    monkeypatch.setattr(stability, "compute_weights", shifted)
 
 
 def load_json(path):
@@ -426,16 +441,16 @@ def test_stability_deep_corner_run(tmp_path):
     assert report["max_ratio"] <= 2.0
 
 
-@pytest.mark.parametrize("tamper", [None, "5:3"])
-def test_stability_csv_matches_oracles(tmp_path, tamper):
+@pytest.mark.parametrize("tamper", [None, (5, 3)], ids=["None", "5:3"])
+def test_stability_csv_matches_oracles(tmp_path, monkeypatch, tamper):
     meshes, _ = random_trace(lshape6(), seed=3, steps=5, dialect="refineNVB")
     path = tmp_path / "m.nvbm"
     write_mesh(meshes[-1], path)
-    argv = ["stability", str(path), "--skip-measure", "--format", "csv",
-            "--out", str(tmp_path / "s")]
     if tamper:
-        argv += ["--debug-tamper", tamper]
-    assert run(*argv) == (EXIT_VIOLATION if tamper else EXIT_OK)
+        shift_weight(monkeypatch, *tamper)
+    assert run("stability", str(path), "--skip-measure", "--format", "csv",
+               "--out", str(tmp_path / "s")) == \
+        (EXIT_VIOLATION if tamper else EXIT_OK)
 
     mesh = read_mesh(path)
     exps = brute_force_weight_exponents(mesh)
@@ -471,10 +486,12 @@ def test_stability_overflow_exits_3(tmp_path, capsys, skip):
         "(generation 600) overflows float64\n")
 
 
-def test_stability_tampered_weights_exit_3(tmp_path):
+def test_stability_tampered_weights_exit_3(tmp_path, monkeypatch, capsys):
+    shift_weight(monkeypatch, 2, 5)
     code = run("stability", "lshape6", "--skip-measure",
-               "--debug-tamper", "2:5", "--out", str(tmp_path / "s"))
+               "--out", str(tmp_path / "s"))
     assert code == EXIT_VIOLATION
+    assert capsys.readouterr().out.startswith("stability FAIL: ")
 
 
 def test_stability_disconnected_mesh_exits_2(tmp_path, capsys):
@@ -485,52 +502,6 @@ def test_stability_disconnected_mesh_exits_2(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == "error: mesh is not connected\n"
     assert not out.exists()
-
-
-@pytest.mark.parametrize("tamper", ["4:1", "99:1", "-1:5"])
-def test_stability_tamper_node_out_of_range_exits_2(tmp_path, capsys, tamper):
-    # square2 has nodes 0..3
-    code = run("stability", "square2", "--skip-measure",
-               f"--debug-tamper={tamper}", "--out", str(tmp_path / "s"))
-    err = capsys.readouterr().err
-    assert code == EXIT_USAGE
-    node = tamper.split(":")[0]
-    assert f"error: --debug-tamper node {node} is not in 0..3" in err
-    assert not (tmp_path / "s").exists()
-
-
-@pytest.mark.parametrize("tamper", ["1", "abc:1", "1:2:3", ":"])
-def test_stability_tamper_malformed_exits_2(tmp_path, capsys, tamper):
-    out = tmp_path / "s"
-    code = run("stability", "square2", "--skip-measure",
-               f"--debug-tamper={tamper}", "--out", str(out))
-    err = capsys.readouterr().err
-    assert code == EXIT_USAGE
-    assert "--debug-tamper" in err.splitlines()[-1]
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("spec", ["square2", "lshape6"])
-@pytest.mark.parametrize("delta,code", [("3000", EXIT_USAGE),
-                                        ("99999999999999999999", EXIT_USAGE),
-                                        ("-257", EXIT_USAGE),
-                                        ("256", EXIT_VIOLATION),
-                                        ("-256", EXIT_VIOLATION)])
-def test_stability_tamper_delta_range(tmp_path, capsys, spec, delta, code):
-    # beyond |DELTA| 256 the conditions' powers of two leave float64, where
-    # they raised OverflowError or warned; within it they run (warnings are
-    # errors under the test settings) and fail the ratio bound
-    out = tmp_path / "s"
-    assert run("stability", spec, "--skip-measure",
-               f"--debug-tamper=0:{delta}", "--out", str(out)) == code
-    err = capsys.readouterr().err
-    if code == EXIT_USAGE:
-        assert err == (f"error: --debug-tamper delta {delta} is not in "
-                       "-256..256\n")
-        assert not out.exists()
-    else:
-        assert not load_json(out / "stability.json")["all_pass"]
 
 
 def test_corr_check_ok(tmp_path):
@@ -598,6 +569,28 @@ def test_corr_check_correspondence_error_exits_3(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "c").exists()
 
 
+def test_corr_check_inflated_marking_exits_3(tmp_path, monkeypatch):
+    # --fraction 0 marks one element a step; the fake transfers the first
+    # marking to all six elements of lshape6, more than twice as many
+    mirror = cli.correspondence.corresponding_sequence
+
+    def inflated(initial, markings, policy):
+        seq = mirror(initial, markings, policy)
+        assert [len(m.elements) for m in markings] == [1, 1]
+        seq.tilde_markings[0] = MarkingInput.all_edges(initial, range(6))
+        return seq
+
+    monkeypatch.setattr(cli.correspondence, "corresponding_sequence", inflated)
+    out = tmp_path / "c"
+    assert run("corr-check", "--initial", "lshape6", "--steps", "2",
+               "--fraction", "0", "--out", str(out)) == EXIT_VIOLATION
+    report = load_json(out / "corr_check.json")
+    assert report["ok"] is False
+    assert report["steps"][1]["marked_inflation_ok"] is False
+    assert "marked_inflation_ok" not in report["steps"][2]
+    assert all(step["verified"] for step in report["steps"])
+
+
 def test_corr_check_mixed_policy(tmp_path):
     code = run("corr-check", "--initial", "lshape6", "--steps", "3",
                "--policy", "mixed", "--seed", "5", "--out", str(tmp_path / "c"))
@@ -661,6 +654,7 @@ def test_out_of_range_arguments_exit_2_naming_the_option(tmp_path, capsys, argv,
 @pytest.mark.parametrize("argv", [
     ("analyze", "m.nvbm", "--seed", "1"),
     ("stability", "square2", "--seed", "1"),
+    ("stability", "square2", "--debug-tamper", "0:1"),
     ("generate", "square2", "--format", "json"),
     ("refine", "square2", "--format", "json"),
     ("corr-check", "--format", "json"),
@@ -684,10 +678,11 @@ class ReadRecorder(argparse.Namespace):
         return object.__getattribute__(self, name)
 
 
-def test_every_declared_option_is_read_by_its_handler(tmp_path):
+def test_every_declared_option_is_read_by_its_handler(tmp_path, monkeypatch):
     mesh = tmp_path / "m.nvbm"
     run_dir = tmp_path / "run"
     assert run("refine", "square2", "--steps", "1", "--out", str(run_dir)) == EXIT_OK
+    shift_weight(monkeypatch, 0, 3)  # stability runs through its FAIL report
     # every option given, except --skip-measure: a flag is read whether or
     # not it is given, and giving it leaves --levels unread
     argvs = [
@@ -701,8 +696,8 @@ def test_every_declared_option_is_read_by_its_handler(tmp_path):
         ["analyze", str(run_dir / "step_000.nvbm"), str(run_dir / "step_001.nvbm"),
          "--trace", str(run_dir / "trace.csv"), "--nvb", "--rho-bound", "0.5",
          "--format", "json", "--out", str(tmp_path / "a")],
-        ["stability", "square2", "--levels", "1", "--debug-tamper", "0:1",
-         "--format", "json", "--out", str(tmp_path / "s")],
+        ["stability", "square2", "--levels", "1", "--format", "json",
+         "--out", str(tmp_path / "s")],
         ["corr-check", "--initial", "lshape6", "--steps", "1", "--policy",
          "mixed", "--fraction", "0.5", "--seed", "1", "--out", str(tmp_path / "c")],
     ]

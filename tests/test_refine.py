@@ -436,9 +436,10 @@ def test_plan_mesh_mismatch_rejected(sq):
 
 
 def test_plan_with_other_closed_edges_rejected(sq):
-    # the patterns need the diagonal halved; the plan claims other edges
+    # the patterns need the diagonal halved; the plan claims other edges,
+    # or none
     plan = close_marks(sq, MarkingInput([0]), mode="nvb")
-    for closed in ([0, 1], [1], np.arange(5)):
+    for closed in ([], [0, 1], [1], np.arange(5)):
         wrong = dataclasses.replace(plan, closed_edges=np.array(closed))
         with pytest.raises(ValueError, match="closed edges differ"):
             split(sq, wrong)
