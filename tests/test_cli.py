@@ -441,8 +441,13 @@ def test_stability_deep_corner_run(tmp_path):
     assert report["max_ratio"] <= 2.0
 
 
-@pytest.mark.parametrize("tamper", [None, (5, 3)], ids=["None", "5:3"])
-def test_stability_csv_matches_oracles(tmp_path, monkeypatch, tamper):
+# shifted weights that fail the conditions and, at (5, -2) and (0, 2), some
+# that pass them: computed weights are not the only ones that pass
+@pytest.mark.parametrize("tamper,fails", [
+    (None, False), ((5, 3), True), ((5, -3), True), ((5, 2), True),
+    ((0, 3), True), ((5, -2), False), ((0, 2), False)],
+    ids=["None", "5:3", "5:-3", "5:2", "0:3", "5:-2", "0:2"])
+def test_stability_csv_matches_oracles(tmp_path, monkeypatch, tamper, fails):
     meshes, _ = random_trace(lshape6(), seed=3, steps=5, dialect="refineNVB")
     path = tmp_path / "m.nvbm"
     write_mesh(meshes[-1], path)
@@ -450,12 +455,13 @@ def test_stability_csv_matches_oracles(tmp_path, monkeypatch, tamper):
         shift_weight(monkeypatch, *tamper)
     assert run("stability", str(path), "--skip-measure", "--format", "csv",
                "--out", str(tmp_path / "s")) == \
-        (EXIT_VIOLATION if tamper else EXIT_OK)
+        (EXIT_VIOLATION if fails else EXIT_OK)
 
     mesh = read_mesh(path)
     exps = brute_force_weight_exponents(mesh)
     if tamper:
-        exps[5] += 3
+        node, delta = tamper
+        exps[node] += delta
     weights = ["node,x,y,exponent"] + [
         f"{j},{x!r},{y!r},{e}"
         for j, ((x, y), e) in enumerate(zip(mesh.vertices.tolist(),
@@ -465,12 +471,12 @@ def test_stability_csv_matches_oracles(tmp_path, monkeypatch, tamper):
         f"{c.elem},{c.exponent_spread},{c.ratio!r},{c.s_sum!r},"
         f"{c.lam_min_closed!r},{int(c.passes)}" for c in conds]
     failing = [c.elem for c in conds if not c.passes]
-    assert bool(failing) == (tamper is not None)
+    assert bool(failing) == fails
     out = tmp_path / "s"
     assert (out / "weights.csv").read_text() == "\n".join(weights) + "\n"
     assert (out / "conditions.csv").read_text() == "\n".join(rows) + "\n"
     report = load_json(out / "stability.json")
-    assert report["all_pass"] == (tamper is None)
+    assert report["all_pass"] == (not fails)
     assert report["n_elements"] == len(conds) == mesh.n_elements
     assert report["failing_elements"] == failing
 
@@ -492,6 +498,21 @@ def test_stability_tampered_weights_exit_3(tmp_path, monkeypatch, capsys):
                "--out", str(tmp_path / "s"))
     assert code == EXIT_VIOLATION
     assert capsys.readouterr().out.startswith("stability FAIL: ")
+
+
+@pytest.mark.parametrize("spec", ["square2", "lshape6"])
+@pytest.mark.parametrize("delta,code", [("256", EXIT_VIOLATION),
+                                        ("-256", EXIT_VIOLATION)])
+def test_stability_tamper_delta_range(tmp_path, monkeypatch, spec, delta, code):
+    # a weight shifted by 2**128 either way keeps the conditions' powers of
+    # two inside float64: they run (warnings are errors under the test
+    # settings) and fail the ratio bound
+    shift_weight(monkeypatch, 0, int(delta))
+    out = tmp_path / "s"
+    assert run("stability", spec, "--skip-measure", "--out", str(out)) == code
+    report = load_json(out / "stability.json")
+    assert not report["all_pass"]
+    assert report["max_ratio"] == 2.0 ** 128
 
 
 def test_stability_disconnected_mesh_exits_2(tmp_path, capsys):

@@ -26,11 +26,12 @@ from nvbmesh.marking import (POLICY_NAMES, STRATEGIES, RunConfig,
 from nvbmesh.mesh import (Mesh, PrecisionExhausted, lshape6, reference_neighbor,
                           same_mesh, square2, validate_mesh)
 from nvbmesh.correspondence import build_corr, verify_corr
-from nvbmesh.refine import (BISEC1, BISEC2_LEFT, BISEC3, BISEC5, DIALECTS, RED,
-                            MarkingInput, PatternPolicy, RefinementPlan,
-                            UnsupportedRefinementError, _tree_keys, chain,
-                            close_marks, overlay, refine_step, split,
-                            step_with_plan, trace_to_csv, uniform)
+from nvbmesh.refine import (BISEC1, BISEC2_LEFT, BISEC2_RIGHT, BISEC3, BISEC5,
+                            DIALECTS, RED, MarkingInput, PatternPolicy,
+                            RefinementPlan, UnsupportedRefinementError,
+                            _tree_keys, chain, close_marks, overlay,
+                            refine_step, split, step_with_plan, trace_to_csv,
+                            uniform)
 
 PROPERTY = settings.get_profile("nvbmesh")
 
@@ -335,6 +336,22 @@ def test_split_refuses_a_one_sided_plan(sq, lshape):
     pattern[neighbour] = "none"
     with pytest.raises(ValueError, match=message):
         split(lshape, dataclasses.replace(plan, pattern=pattern))
+
+
+@pytest.mark.parametrize("pattern", [
+    [BISEC1, BISEC1], *([name, "none"] for name in
+                        (BISEC1, BISEC2_LEFT, BISEC2_RIGHT, BISEC3, BISEC5, RED))],
+    ids=lambda pattern: ",".join(pattern))
+def test_split_refuses_a_plan_that_closes_nothing(sq, pattern):
+    # every pattern halves an edge, so naming one with no closed edge cannot
+    # match the mesh; only a plan that names none returns the mesh itself
+    plan = RefinementPlan(closed_edges=[], pattern=pattern, iterations=0,
+                          seed_edges=[])
+    with pytest.raises(ValueError,
+                       match=r"^plan does not match mesh \(closed edges differ\)$"):
+        split(sq, plan)
+    idle = dataclasses.replace(plan, pattern=["none", "none"])
+    assert split(sq, idle) is sq
 
 
 def test_steps_and_correspondence_take_no_hash_unique(monkeypatch):
